@@ -7,20 +7,7 @@ and run desk-scale tabular experiments on the result.
 """
 
 from .aggregators import (
-    Aggregator,
-    ChainAggregator,
-    ChainDecoder,
-    ConvAggregator,
-    ConvDecoder,
-    CorrAggregator,
-    CorrDecoder,
-    Decoder,
-    FunctorAtom,
-    FunctorSpec,
-    GroupAggregator,
-    GroupDecoder,
-    HarSpec,
-    IDENTITY_KERNEL,
+    Filter,
     Kernel,
     NonInvertibleKernelError,
     band_kernel,

@@ -1,22 +1,41 @@
-"""History aggregators and their exact decoders.
+"""History aggregators as reversible rational filters.
 
-Two reversible families are implemented over vector states in R^k:
+Every aggregator is one causal linear filter applied to each coordinate of a
+state stream s_t in R^k (or to a scalar reward stream, k = 1):
 
-* prefix-combine under vector addition (running sum and its n-fold powers);
-* weighted aggregation by an auxiliary coefficient sequence, either tied to
-  lag (convolution form, incl. geometric closed forms) or to absolute time
-  (correlation form).
+    g = (b / a) (w . s),   i.e.  sum_j a_j g_{t-j} = sum_j b_j w_{t-j} s_{t-j}
 
-Each aggregator has a paired incremental decoder recovering the raw state
-stream from the aggregate stream, plus a `project` operation computing the
-unique next aggregate that decodes to a given raw state (used by the exact
-transition oracle).  Kernel algebra (composition, power-series inversion)
-predicts the dependency structure of the induced process.
+with past values taken as zero.  The polynomials b (numerator) and a
+(denominator, a_0 = 1) cover the named families:
+
+    spec        b            a
+    id          1            1
+    S^n         1            (1 - z)^n
+    D^n         (1 - z)^n    1
+    S_l:x       1            1 - x z
+    D_l:x       1 - x z      1
+    conv:c..    c            1
+    corr:w..    1            1 - z      with the gain w_t
+
+The gain w_t is tied to absolute time, which makes `corr` the only
+time-varying stage; every other stage has w = 1.  Decoding swaps b and a, so
+the inverse exists whenever b_0 != 0.  A `+`-chain multiplies adjacent
+time-invariant stages into one exact (b, a) pair; a gain after an earlier
+stage starts a new stage (`Filter.then`).  The series a/b of one stage gives
+the history positions the aggregated process depends on (see
+`analysis.analytical_dependency`).
+
+Two paths share the coefficients.  Batch: `aggregate` / `decode` convolve
+each column of a whole (T, k) array with the first T coefficients of the
+kernel b/a (a/b to decode).  Streaming: `begin()` starts a
+stream whose state is the last len(b)-1 filter inputs and the last len(a)-1
+aggregates; `push(s)` emits the next aggregate, `pull(g)` decodes the next
+aggregate, and `project(s)` is the aggregate `push(s)` would emit, without
+committing it (used by the exact transition oracle).
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import copy
 
 import numpy as np
 
@@ -26,616 +45,290 @@ KERNEL_HEAD_TOL = 1e-9
 
 
 class NonInvertibleKernelError(ValidationError):
-    """Kernel head coefficient w0 is (numerically) zero."""
+    """Kernel head coefficient (or a correlation weight) is (numerically) zero."""
 
 
-# ---------------------------------------------------------------------------
-# kernels
-# ---------------------------------------------------------------------------
+def _poly(coeffs) -> tuple:
+    """Coefficient tuple with trailing zeros dropped (at least one kept)."""
+    c = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
+    if c.size < 1:
+        raise ValidationError("filter needs a nonzero coefficient")
+    return tuple(float(x) for x in c)
 
-@dataclass(frozen=True)
-class Kernel:
-    """Scalar coefficient sequence w_tau, either a finite band or geometric.
 
-    Band form: coefficients (w_0, ..., w_{b-1}), zero beyond the band.
-    Geometric form: w_tau = first * ratio**tau for all tau >= 0.
-    `truncated_from` records the length at which an originally-geometric
-    kernel was expanded during composition.
+def _series(num, den, n: int) -> np.ndarray:
+    """First n coefficients of the power series num/den (den_0 != 0)."""
+    w = [0.0] * n
+    for t in range(n):
+        acc = num[t] if t < len(num) else 0.0
+        for j in range(1, min(len(den) - 1, t) + 1):
+            acc -= den[j] * w[t - j]
+        w[t] = acc / den[0]
+    return np.array(w)
+
+
+def _convolve(num, den, x) -> np.ndarray:
+    """(num/den) x along axis 0: each column convolved with the kernel num/den."""
+    n = len(x)
+    w = np.asarray(num[:n]) / den[0] if len(den) == 1 else _series(num, den, n)
+    out = np.empty_like(x)
+    for d in range(x.shape[1]):
+        out[:, d] = np.convolve(w, x[:, d])[:n]
+    return out
+
+
+def _batch(rows) -> np.ndarray:
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
+        raise ValidationError(f"batch must be a nonempty (T, k) array, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("batch entries must be finite")
+    return x
+
+
+class Filter:
+    """g = (b/a)(w . s) on each coordinate, optionally followed by `then`.
+
+    `gain` is the tuple of time-indexed weights w_0, w_1, ... or None (all
+    ones).  Instances made by the spec constructors are templates: stream
+    with `begin()`, which returns a copy with its own empty history.
     """
 
-    coeffs: tuple = None
-    first: float = None
-    ratio: float = None
-    truncated_from: int = None
-
-    def __post_init__(self):
-        if self.coeffs is not None:
-            c = tuple(float(x) for x in self.coeffs)
-            if len(c) < 1:
-                raise ValidationError("band kernel needs at least one coefficient")
-            if abs(c[0]) < KERNEL_HEAD_TOL:
-                raise NonInvertibleKernelError("non-invertible kernel head (|w0| < 1e-9)")
-            object.__setattr__(self, "coeffs", c)
-        elif self.first is not None and self.ratio is not None:
-            if abs(self.first) < KERNEL_HEAD_TOL:
-                raise NonInvertibleKernelError("non-invertible kernel head (|w0| < 1e-9)")
-            if abs(self.ratio) > 1.0:
-                raise ValidationError("geometric kernel ratio must satisfy |ratio| <= 1")
-        else:
-            raise ValidationError("kernel needs either band coefficients or (first, ratio)")
+    def __init__(self, b, a=(1.0,), gain=None, label: str = "", then: Filter = None):
+        b, a = _poly(b), _poly(a)
+        if abs(b[0]) < KERNEL_HEAD_TOL or abs(a[0]) < KERNEL_HEAD_TOL:
+            raise NonInvertibleKernelError("non-invertible kernel head (|w0| < 1e-9)")
+        self.b = tuple(x / a[0] for x in b)
+        self.a = tuple(x / a[0] for x in a)
+        self.gain = None if gain is None else tuple(float(w) for w in gain)
+        if self.gain == ():
+            raise ValidationError("correlation weights must be nonempty")
+        self.label = label
+        self.then = then
+        self._t = 0
+        self._x, self._g = [], []  # newest first; shorter than the filter early on
 
     @property
-    def is_geometric(self) -> bool:
-        return self.coeffs is None
+    def is_identity(self) -> bool:
+        return self.gain is None and self.then is None and self.b == self.a == (1.0,)
 
-    @property
-    def band_length(self) -> int:
-        if self.is_geometric:
-            raise ValidationError("geometric kernel has no finite band length")
-        return len(self.coeffs)
+    def weight(self, t: int) -> float:
+        """Gain w_t at absolute time t (1 for a time-invariant stage)."""
+        if self.gain is None:
+            return 1.0
+        if t >= len(self.gain):
+            raise ValidationError(
+                f"correlation weight list of length {len(self.gain)} exhausted at t={t}")
+        if abs(self.gain[t]) < KERNEL_HEAD_TOL:
+            raise NonInvertibleKernelError(f"correlation weight w_{t} below 1e-9")
+        return self.gain[t]
 
-    def coeff(self, tau: int) -> float:
-        if tau < 0:
-            return 0.0
-        if self.is_geometric:
-            return self.first * self.ratio ** tau
-        return self.coeffs[tau] if tau < len(self.coeffs) else 0.0
+    # -- streaming ---------------------------------------------------------
+
+    def begin(self) -> Filter:
+        """A new stream of this filter: a copy with an empty history at t = 0."""
+        stream = copy.copy(self)
+        stream._t = 0
+        stream._x, stream._g = [], []
+        if self.then is not None:
+            stream.then = self.then.begin()
+        return stream
+
+    def _fold(self, acc: np.ndarray, sign: float) -> np.ndarray:
+        """acc + sign * sum_{j>=1} (b_j x_{t-j} - a_j g_{t-j}), added in place."""
+        recent = self._g or self._x
+        if recent and recent[0].shape != acc.shape:
+            raise ValidationError("dimension mismatch in filter stream")
+        for bj, xj in zip(self.b[1:], self._x):
+            acc += (sign * bj) * xj
+        for aj, gj in zip(self.a[1:], self._g):
+            acc -= (sign * aj) * gj
+        return acc
+
+    def _next(self, s):
+        """(filter input x_t, aggregate g_t) for raw state s at the current t."""
+        s = as_state(s)
+        x = s if self.gain is None else self.weight(self._t) * s
+        return x, self._fold(self.b[0] * x, 1.0)
+
+    def _commit(self, x, g) -> None:
+        # stored arrays are shared with callers, so they are made read-only
+        x.flags.writeable = g.flags.writeable = False
+        self._x = [x, *self._x][: len(self.b) - 1]
+        self._g = [g, *self._g][: len(self.a) - 1]
+        self._t += 1
+
+    def push(self, s) -> np.ndarray:
+        """Aggregate the next raw state."""
+        x, g = self._next(s)
+        self._commit(x, g)
+        return g if self.then is None else self.then.push(g)
+
+    def pull(self, g) -> np.ndarray:
+        """Decode the next aggregate back to its raw state."""
+        if self.then is not None:
+            g = self.then.pull(g)
+        g = as_state(g)
+        x = self._fold(g.copy(), -1.0) / self.b[0]
+        s = x if self.gain is None else x / self.weight(self._t)
+        self._commit(x, g)
+        return s
+
+    def project(self, s) -> np.ndarray:
+        """The aggregate `push(s)` would emit next, without committing it."""
+        g = self._next(s)[1]
+        return g if self.then is None else self.then.project(g)
+
+    # -- batch -------------------------------------------------------------
+
+    def _gains(self, n: int) -> np.ndarray:
+        return np.array([self.weight(t) for t in range(n)])[:, None]
+
+    def aggregate(self, trajectory) -> np.ndarray:
+        """Aggregates of a whole (T, k) trajectory."""
+        x = _batch(trajectory)
+        if self.gain is not None:
+            x = x * self._gains(len(x))
+        g = _convolve(self.b, self.a, x)
+        return g if self.then is None else self.then.aggregate(g)
+
+    def decode(self, aggregates) -> np.ndarray:
+        """Raw states of a whole (T, k) aggregate sequence."""
+        g = _batch(aggregates)
+        if self.then is not None:
+            g = self.then.decode(g)
+        x = _convolve(self.a, self.b, g)
+        return x if self.gain is None else x / self._gains(len(x))
+
+    # -- kernel view -------------------------------------------------------
+
+    def _require_lti(self) -> None:
+        if self.gain is not None or self.then is not None:
+            raise ValidationError(f"time-varying filter {self.label!r} has no kernel form")
 
     def coeffs_upto(self, length: int) -> np.ndarray:
-        return np.array([self.coeff(tau) for tau in range(length)])
+        """First `length` coefficients w_tau of the kernel b/a (impulse response)."""
+        self._require_lti()
+        return _series(self.b, self.a, length)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The band of a finite (a = 1) kernel."""
+        if self.a != (1.0,):
+            raise ValidationError("infinite kernel has no finite band")
+        return self.b
 
 
-def band_kernel(*coeffs) -> Kernel:
-    return Kernel(coeffs=tuple(coeffs))
+def chain(first: Filter, second: Filter) -> Filter:
+    """`first` then `second`; a time-invariant `second` multiplies into the last stage."""
+    if first.then is not None:
+        return Filter(first.b, first.a, first.gain, then=chain(first.then, second))
+    if second.gain is None and second.then is None:
+        return Filter(np.convolve(first.b, second.b), np.convolve(first.a, second.a),
+                      first.gain)
+    return Filter(first.b, first.a, first.gain, then=second)
 
 
-def geometric_kernel(first: float, ratio: float) -> Kernel:
-    return Kernel(first=first, ratio=ratio)
+# ---------------------------------------------------------------------------
+# kernel algebra over the coefficient sequence w = b/a
+# ---------------------------------------------------------------------------
+
+def Kernel(coeffs) -> Filter:  # noqa: N802 - kernel-algebra name kept for callers
+    """Band kernel (w_0, ..., w_{n-1}), zero beyond the band."""
+    return Filter(coeffs)
 
 
-IDENTITY_KERNEL = Kernel(coeffs=(1.0,))
+def band_kernel(*coeffs) -> Filter:
+    return Filter(coeffs)
 
 
-def invert_kernel(w: Kernel, length: int) -> list:
-    """First `length` coefficients of the power-series inverse of w.
+def geometric_kernel(first: float, ratio: float) -> Filter:
+    """w_tau = first * ratio**tau, i.e. b = first, a = 1 - ratio z."""
+    if abs(ratio) > 1.0:
+        raise ValidationError("geometric kernel ratio must satisfy |ratio| <= 1")
+    return Filter((first,), (1.0, -ratio))
 
-    Equivalently the first row of the inverse of the upper-triangular
+
+def invert_kernel(w: Filter, length: int) -> list:
+    """First `length` coefficients of the power-series inverse a/b of w.
+
+    Equivalently the first column of the inverse of the lower-triangular
     Toeplitz matrix built from w.
     """
     if length < 1:
         raise ValidationError("inverse length must be >= 1")
-    w0 = w.coeff(0)
-    if abs(w0) < KERNEL_HEAD_TOL:
-        raise NonInvertibleKernelError("non-invertible kernel head (|w0| < 1e-9)")
-    c = [1.0 / w0]
-    for n in range(1, length):
-        acc = 0.0
-        for j in range(1, n + 1):
-            wj = w.coeff(j)
-            if wj != 0.0:
-                acc += wj * c[n - j]
-        c.append(-acc / w0)
+    w._require_lti()
+    return _series(w.a, w.b, length).tolist()
+
+
+def compose_kernels(w1: Filter, w2: Filter, truncate: int = 64) -> Filter:
+    """Convolution of two kernels: exact, (b1 b2) / (a1 a2).
+
+    `truncate` is accepted for callers of the earlier truncated form and
+    ignored.
+    """
+    w1._require_lti()
+    w2._require_lti()
+    return chain(w1, w2)
+
+
+# ---------------------------------------------------------------------------
+# named specs and the string grammar
+# ---------------------------------------------------------------------------
+
+def _difference_power(n: int) -> np.ndarray:
+    c = np.ones(1)
+    for _ in range(n):
+        c = np.convolve(c, (1.0, -1.0))
     return c
 
 
-def compose_kernels(w1: Kernel, w2: Kernel, truncate: int = 64) -> Kernel:
-    """Discrete convolution of two kernels' coefficient sequences.
+def identity_spec() -> Filter:
+    return Filter((1.0,), label="id")
 
-    Band x band gives an exact band of length b1 + b2 - 1.  Geometric
-    operands are expanded to `truncate` coefficients first; the result then
-    carries `truncated_from` so callers can see the approximation boundary.
-    """
-    if w1.is_geometric or w2.is_geometric:
-        a = w1.coeffs_upto(truncate)
-        b = w2.coeffs_upto(truncate)
-        coeffs = np.convolve(a, b)[:truncate]
-        return Kernel(coeffs=tuple(coeffs), truncated_from=truncate)
-    coeffs = np.convolve(np.array(w1.coeffs), np.array(w2.coeffs))
-    return Kernel(coeffs=tuple(coeffs))
 
-
-# ---------------------------------------------------------------------------
-# incremental aggregators / decoders
-# ---------------------------------------------------------------------------
-
-class Aggregator:
-    """Stateful incremental transform: begin(s0) -> g0, push(s) -> g."""
-
-    def begin(self, s0) -> np.ndarray:
-        raise NotImplementedError
-
-    def push(self, s) -> np.ndarray:
-        raise NotImplementedError
-
-
-class Decoder:
-    """Paired inverse: begin(g0) -> s0, push(g) -> s.
-
-    `project(raw)` returns (without consuming) the unique next aggregate g
-    such that push(g) would decode to `raw`.
-    """
-
-    def begin(self, g0) -> np.ndarray:
-        raise NotImplementedError
-
-    def push(self, g) -> np.ndarray:
-        raise NotImplementedError
-
-    def project(self, raw) -> np.ndarray:
-        raise NotImplementedError
-
-    def feed(self, g) -> np.ndarray:
-        """begin on first call, push afterwards."""
-        if getattr(self, "_started", False):
-            return self.push(g)
-        self._started = True
-        return self.begin(g)
-
-
-def _feed(agg: Aggregator, s, started: bool) -> np.ndarray:
-    return agg.push(s) if started else agg.begin(s)
-
-
-class IdentityAggregator(Aggregator):
-    def begin(self, s0):
-        return as_state(s0)
-
-    def push(self, s):
-        return as_state(s)
-
-
-class IdentityDecoder(Decoder):
-    def begin(self, g0):
-        return as_state(g0)
-
-    def push(self, g):
-        return as_state(g)
-
-    def project(self, raw):
-        return as_state(raw)
-
-
-class GroupAggregator(Aggregator):
-    """Prefix-combine in (R^k, +): g_t = sum_{tau<=t} s_tau."""
-
-    def __init__(self):
-        self._acc = None
-
-    def begin(self, s0):
-        self._acc = as_state(s0).copy()
-        return self._acc.copy()
-
-    def push(self, s):
-        s = as_state(s)
-        if s.shape != self._acc.shape:
-            raise ValidationError("dimension mismatch in aggregation")
-        self._acc = self._acc + s
-        return self._acc.copy()
-
-
-class GroupDecoder(Decoder):
-    """s_t = g_t - g_{t-1}; s_0 = g_0."""
-
-    def __init__(self):
-        self._prev = None
-
-    def begin(self, g0):
-        self._prev = as_state(g0).copy()
-        return self._prev.copy()
-
-    def push(self, g):
-        g = as_state(g)
-        if g.shape != self._prev.shape:
-            raise ValidationError("dimension mismatch in decoding")
-        s = g - self._prev
-        self._prev = np.asarray(g, dtype=float).copy()
-        return s
-
-    def project(self, raw):
-        return self._prev + as_state(raw)
-
-
-class ConvAggregator(Aggregator):
-    """g_t = sum_tau w_tau * s_{t-tau}; O(b) per step for band kernels.
-
-    Geometric kernels are maintained in closed form: with w_tau =
-    first*ratio**tau, g_t = first*s_t + ratio*g_{t-1}, O(1) per step.
-    """
-
-    def __init__(self, kernel: Kernel):
-        self.kernel = kernel
-        if kernel.is_geometric:
-            self._prev_g = None
-        else:
-            # newest first; holds up to band_length raw states
-            self._recent = deque(maxlen=kernel.band_length)
-
-    def begin(self, s0):
-        s0 = as_state(s0)
-        if self.kernel.is_geometric:
-            self._prev_g = self.kernel.first * s0
-            return self._prev_g.copy()
-        self._recent.clear()
-        self._recent.appendleft(s0)
-        return self.kernel.coeff(0) * s0
-
-    def push(self, s):
-        s = as_state(s)
-        if self.kernel.is_geometric:
-            if s.shape != self._prev_g.shape:
-                raise ValidationError("dimension mismatch in aggregation")
-            self._prev_g = self.kernel.first * s + self.kernel.ratio * self._prev_g
-            return self._prev_g.copy()
-        if s.shape != self._recent[0].shape:
-            raise ValidationError("dimension mismatch in aggregation")
-        self._recent.appendleft(s)
-        g = np.zeros_like(s)
-        for tau, past in enumerate(self._recent):
-            g += self.kernel.coeff(tau) * past
-        return g
-
-
-class ConvDecoder(Decoder):
-    """Solve the triangular band system step by step: s_t = (g_t - sum_{tau>=1} w_tau s_{t-tau}) / w0."""
-
-    def __init__(self, kernel: Kernel):
-        self.kernel = kernel
-        if kernel.is_geometric:
-            self._prev_g = None
-        else:
-            self._recent = deque(maxlen=max(kernel.band_length - 1, 1))
-
-    def begin(self, g0):
-        g0 = as_state(g0)
-        if self.kernel.is_geometric:
-            self._prev_g = np.asarray(g0, dtype=float).copy()
-            return g0 / self.kernel.first
-        s0 = g0 / self.kernel.coeff(0)
-        self._recent.clear()
-        if self.kernel.band_length > 1:
-            self._recent.appendleft(s0)
-        return s0
-
-    def push(self, g):
-        g = as_state(g)
-        if self.kernel.is_geometric:
-            if g.shape != self._prev_g.shape:
-                raise ValidationError("dimension mismatch in decoding")
-            s = (g - self.kernel.ratio * self._prev_g) / self.kernel.first
-            self._prev_g = np.asarray(g, dtype=float).copy()
-            return s
-        acc = np.asarray(g, dtype=float).copy()
-        for i, past in enumerate(self._recent):
-            acc -= self.kernel.coeff(i + 1) * past
-        s = acc / self.kernel.coeff(0)
-        if self.kernel.band_length > 1:
-            if s.shape != self._recent[0].shape:
-                raise ValidationError("dimension mismatch in decoding")
-            self._recent.appendleft(s)
-        return s
-
-    def project(self, raw):
-        raw = as_state(raw)
-        if self.kernel.is_geometric:
-            return self.kernel.first * raw + self.kernel.ratio * self._prev_g
-        g = self.kernel.coeff(0) * raw
-        for i, past in enumerate(self._recent):
-            g = g + self.kernel.coeff(i + 1) * past
-        return g
-
-
-class CorrAggregator(Aggregator):
-    """g_t = sum_{tau<=t} w_tau * s_tau; weights tied to absolute time."""
-
-    def __init__(self, weights):
-        self.weights = tuple(float(w) for w in weights)
-        if not self.weights:
-            raise ValidationError("correlation weights must be nonempty")
-        self._acc = None
-        self._t = 0
-
-    def _weight(self, t: int) -> float:
-        if t >= len(self.weights):
-            raise ValidationError(
-                f"correlation weight list of length {len(self.weights)} exhausted at t={t}")
-        w = self.weights[t]
-        if abs(w) < KERNEL_HEAD_TOL:
-            raise NonInvertibleKernelError(f"correlation weight w_{t} below 1e-9")
-        return w
-
-    def begin(self, s0):
-        s0 = as_state(s0)
-        self._acc = self._weight(0) * s0
-        self._t = 0
-        return self._acc.copy()
-
-    def push(self, s):
-        s = as_state(s)
-        if s.shape != self._acc.shape:
-            raise ValidationError("dimension mismatch in aggregation")
-        self._t += 1
-        self._acc = self._acc + self._weight(self._t) * s
-        return self._acc.copy()
-
-
-class CorrDecoder(Decoder):
-    """s_t = (g_t - g_{t-1}) / w_t; s_0 = g_0 / w_0."""
-
-    def __init__(self, weights):
-        self.weights = tuple(float(w) for w in weights)
-        self._prev = None
-        self._t = 0
-
-    def _weight(self, t: int) -> float:
-        if t >= len(self.weights):
-            raise ValidationError(
-                f"correlation weight list of length {len(self.weights)} exhausted at t={t}")
-        w = self.weights[t]
-        if abs(w) < KERNEL_HEAD_TOL:
-            raise NonInvertibleKernelError(f"correlation weight w_{t} below 1e-9")
-        return w
-
-    def begin(self, g0):
-        g0 = as_state(g0)
-        self._prev = np.asarray(g0, dtype=float).copy()
-        self._t = 0
-        return g0 / self._weight(0)
-
-    def push(self, g):
-        g = as_state(g)
-        if g.shape != self._prev.shape:
-            raise ValidationError("dimension mismatch in decoding")
-        self._t += 1
-        s = (g - self._prev) / self._weight(self._t)
-        self._prev = np.asarray(g, dtype=float).copy()
-        return s
-
-    def project(self, raw):
-        return self._prev + self._weight(self._t + 1) * as_state(raw)
-
-
-class ChainAggregator(Aggregator):
-    """Function composition of aggregators, applied left to right."""
-
-    def __init__(self, stages):
-        self.stages = list(stages)
-        if not self.stages:
-            raise ValidationError("chain must contain at least one stage")
-
-    def begin(self, s0):
-        x = s0
-        for stage in self.stages:
-            x = stage.begin(x)
-        return x
-
-    def push(self, s):
-        x = s
-        for stage in self.stages:
-            x = stage.push(x)
-        return x
-
-
-class ChainDecoder(Decoder):
-    """Inverse of a chain: decode stages right to left."""
-
-    def __init__(self, stages):
-        # stages in aggregation order; decoding walks them in reverse
-        self.stages = list(stages)
-
-    def begin(self, g0):
-        x = g0
-        for stage in reversed(self.stages):
-            x = stage.begin(x)
-        return x
-
-    def push(self, g):
-        x = g
-        for stage in reversed(self.stages):
-            x = stage.push(x)
-        return x
-
-    def project(self, raw):
-        x = raw
-        for stage in self.stages:
-            x = stage.project(x)
-        return x
-
-
-# ---------------------------------------------------------------------------
-# batch forms
-# ---------------------------------------------------------------------------
-
-def _run(agg_factory, trajectory):
-    agg = agg_factory()
-    out = []
-    started = False
-    for s in trajectory:
-        out.append(_feed(agg, s, started))
-        started = True
-    if not out:
-        raise ValidationError("trajectory must be nonempty")
-    return out
-
-
-def _run_decode(dec_factory, aggregates):
-    dec = dec_factory()
-    out = []
-    for g in aggregates:
-        out.append(dec.feed(g))
-    if not out:
-        raise ValidationError("aggregate list must be nonempty")
-    return out
-
-
-def group_aggregate(trajectory):
-    """Prefix sums of a state trajectory."""
-    arr = np.asarray([as_state(s) for s in trajectory], dtype=float)
-    return list(np.cumsum(arr, axis=0))
-
-
-def group_decode(aggregates):
-    """First differences; inverse of group_aggregate."""
-    arr = np.asarray([as_state(g) for g in aggregates], dtype=float)
-    return list(np.diff(arr, axis=0, prepend=np.zeros((1, arr.shape[1]))))
-
-
-def conv_aggregate(kernel: Kernel, trajectory):
-    arr = np.asarray([as_state(s) for s in trajectory], dtype=float)
-    n = arr.shape[0]
-    w = kernel.coeffs_upto(n)
-    out = np.empty_like(arr)
-    for d in range(arr.shape[1]):
-        out[:, d] = np.convolve(w, arr[:, d])[:n]
-    return list(out)
-
-
-def conv_decode(kernel: Kernel, aggregates):
-    return _run_decode(lambda: ConvDecoder(kernel), aggregates)
-
-
-def corr_aggregate(weights, trajectory):
-    return _run(lambda: CorrAggregator(weights), trajectory)
-
-
-def corr_decode(weights, aggregates):
-    return _run_decode(lambda: CorrDecoder(weights), aggregates)
-
-
-# ---------------------------------------------------------------------------
-# named functor specs and the string grammar
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FunctorAtom:
-    """One aggregation stage: a tag plus its parameter."""
-
-    tag: str  # "identity" | "group" | "conv" | "corr"
-    kernel: Kernel = None
-    weights: tuple = None
-
-    def make_aggregator(self) -> Aggregator:
-        if self.tag == "identity":
-            return IdentityAggregator()
-        if self.tag == "group":
-            return GroupAggregator()
-        if self.tag == "conv":
-            return ConvAggregator(self.kernel)
-        if self.tag == "corr":
-            return CorrAggregator(self.weights)
-        raise ValidationError(f"unknown functor atom tag {self.tag!r}")
-
-    def make_decoder(self) -> Decoder:
-        if self.tag == "identity":
-            return IdentityDecoder()
-        if self.tag == "group":
-            return GroupDecoder()
-        if self.tag == "conv":
-            return ConvDecoder(self.kernel)
-        if self.tag == "corr":
-            return CorrDecoder(self.weights)
-        raise ValidationError(f"unknown functor atom tag {self.tag!r}")
-
-    def to_kernel(self, truncate: int) -> Kernel:
-        """Equivalent convolution kernel, where one exists."""
-        if self.tag == "identity":
-            return IDENTITY_KERNEL
-        if self.tag == "group":
-            return geometric_kernel(1.0, 1.0)  # all-ones sequence
-        if self.tag == "conv":
-            return self.kernel
-        raise ValidationError(f"atom {self.tag!r} has no kernel form")
-
-
-@dataclass(frozen=True)
-class FunctorSpec:
-    """A composition list of aggregation stages, applied left to right."""
-
-    atoms: tuple
-    label: str = ""
-
-    def make_aggregator(self) -> Aggregator:
-        if not self.atoms:
-            return IdentityAggregator()
-        if len(self.atoms) == 1:
-            return self.atoms[0].make_aggregator()
-        return ChainAggregator([a.make_aggregator() for a in self.atoms])
-
-    def make_decoder(self) -> Decoder:
-        if not self.atoms:
-            return IdentityDecoder()
-        if len(self.atoms) == 1:
-            return self.atoms[0].make_decoder()
-        return ChainDecoder([a.make_decoder() for a in self.atoms])
-
-    def to_kernel(self, truncate: int) -> Kernel:
-        kernel = IDENTITY_KERNEL
-        for atom in self.atoms:
-            kernel = compose_kernels(kernel, atom.to_kernel(truncate), truncate=truncate)
-        return kernel
-
-    def group_power(self):
-        """n if this spec is exactly n prefix-sum stages, else None."""
-        if all(a.tag == "group" for a in self.atoms):
-            return len(self.atoms)
-        return None
-
-    def aggregate(self, trajectory):
-        return _run(self.make_aggregator, trajectory)
-
-    def decode(self, aggregates):
-        return _run_decode(self.make_decoder, aggregates)
-
-
-def identity_spec() -> FunctorSpec:
-    return FunctorSpec(atoms=(), label="id")
-
-
-def group_power_spec(n: int) -> FunctorSpec:
+def group_power_spec(n: int) -> Filter:
     if n < 0:
         raise ValidationError("group power must be >= 0")
-    return FunctorSpec(atoms=tuple(FunctorAtom("group") for _ in range(n)), label=f"S^{n}")
+    return Filter((1.0,), _difference_power(n), label=f"S^{n}")
 
 
-def difference_power_spec(n: int) -> FunctorSpec:
+def difference_power_spec(n: int) -> Filter:
     if n < 0:
         raise ValidationError("difference power must be >= 0")
-    atom = FunctorAtom("conv", kernel=band_kernel(1.0, -1.0))
-    return FunctorSpec(atoms=tuple(atom for _ in range(n)), label=f"D^{n}")
+    return Filter(_difference_power(n), label=f"D^{n}")
 
 
-def smooth_spec(lam: float) -> FunctorSpec:
-    """Exponentially weighted running sum: g_t = sum lam^tau s_{t-tau}."""
+def _check_lambda(lam: float) -> None:
     if not 0.0 <= lam <= 1.0:
         raise ValidationError("lambda must lie in [0, 1]")
-    if lam == 0.0:
-        return FunctorSpec(atoms=(FunctorAtom("identity"),), label="S_l:0")
-    return FunctorSpec(atoms=(FunctorAtom("conv", kernel=geometric_kernel(1.0, lam)),),
-                       label=f"S_l:{lam:g}")
 
 
-def damp_spec(lam: float) -> FunctorSpec:
+def smooth_spec(lam: float) -> Filter:
+    """Exponentially weighted running sum: g_t = s_t + lam * g_{t-1}."""
+    _check_lambda(lam)
+    return Filter((1.0,), (1.0, -lam), label=f"S_l:{lam:g}")
+
+
+def damp_spec(lam: float) -> Filter:
     """Damped difference: g_t = s_t - lam*s_{t-1} (s_{-1} := 0)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError("lambda must lie in [0, 1]")
-    if lam == 0.0:
-        return FunctorSpec(atoms=(FunctorAtom("identity"),), label="D_l:0")
-    return FunctorSpec(atoms=(FunctorAtom("conv", kernel=band_kernel(1.0, -lam)),),
-                       label=f"D_l:{lam:g}")
+    _check_lambda(lam)
+    return Filter((1.0, -lam), label=f"D_l:{lam:g}")
 
 
-def conv_spec(coeffs) -> FunctorSpec:
+def conv_spec(coeffs) -> Filter:
     cs = tuple(float(c) for c in coeffs)
-    return FunctorSpec(atoms=(FunctorAtom("conv", kernel=Kernel(coeffs=cs)),),
-                       label="conv:" + ",".join(f"{c:g}" for c in cs))
+    return Filter(cs, label="conv:" + ",".join(f"{c:g}" for c in cs))
 
 
-def corr_spec(weights) -> FunctorSpec:
+def corr_spec(weights) -> Filter:
+    """g_t = sum_{tau<=t} w_tau * s_tau: the gain w_t followed by a running sum."""
     ws = tuple(float(w) for w in weights)
-    return FunctorSpec(atoms=(FunctorAtom("corr", weights=ws),),
-                       label="corr:" + ",".join(f"{w:g}" for w in ws))
+    return Filter((1.0,), (1.0, -1.0), gain=ws,
+                  label="corr:" + ",".join(f"{w:g}" for w in ws))
 
 
-def _parse_atom_spec(text: str) -> FunctorSpec:
+def _parse_atom_spec(text: str) -> Filter:
     text = text.strip()
     if text in ("id", "S^0", "D^0"):
         return identity_spec()
@@ -658,82 +351,38 @@ def _parse_atom_spec(text: str) -> FunctorSpec:
     raise ValidationError(f"cannot parse functor spec {text!r}")
 
 
-def parse_spec(text: str) -> FunctorSpec:
+def parse_spec(text: str) -> Filter:
     """Parse the wrapper grammar: "id", "S^n", "D^n", "S_l:x", "D_l:x",
     "conv:c0,c1,...", "corr:w0,w1,...", and "+"-separated chains."""
     parts = [p for p in text.split("+") if p.strip()]
     if not parts:
         raise ValidationError(f"empty functor spec {text!r}")
-    atoms = []
-    for part in parts:
-        atoms.extend(_parse_atom_spec(part).atoms)
-    return FunctorSpec(atoms=tuple(atoms), label=text.strip())
+    spec = _parse_atom_spec(parts[0])
+    for part in parts[1:]:
+        spec = chain(spec, _parse_atom_spec(part))
+    spec.label = text.strip()
+    return spec
 
 
 # ---------------------------------------------------------------------------
-# reward aggregators (scalar)
+# reward aggregators: the same filters over a scalar stream (k = 1)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HarSpec:
-    """Reward-side aggregator: running sum or band-kernel convolution."""
-
-    form: str  # "sum" | "conv" | "id"
-    kernel: Kernel = None
-
-    def _vector_spec(self) -> FunctorSpec:
-        if self.form == "sum":
-            return group_power_spec(1)
-        if self.form == "conv":
-            return FunctorSpec(atoms=(FunctorAtom("conv", kernel=self.kernel),), label="har-conv")
-        if self.form == "id":
-            return identity_spec()
-        raise ValidationError(f"unknown HAR form {self.form!r}")
-
-    def make_aggregator(self):
-        return _ScalarAdapter(self._vector_spec().make_aggregator())
-
-    def make_decoder(self):
-        return _ScalarDecoderAdapter(self._vector_spec().make_decoder())
-
-
-class _ScalarAdapter:
-    def __init__(self, inner: Aggregator):
-        self._inner = inner
-        self._started = False
-
-    def feed(self, r: float) -> float:
-        x = np.array([float(r)])
-        out = _feed(self._inner, x, self._started)
-        self._started = True
-        return float(out[0])
-
-
-class _ScalarDecoderAdapter:
-    def __init__(self, inner: Decoder):
-        self._inner = inner
-
-    def feed(self, g: float) -> float:
-        return float(self._inner.feed(np.array([float(g)]))[0])
-
-
-def parse_har_spec(text: str) -> HarSpec:
+def parse_har_spec(text: str) -> Filter:
+    """Reward aggregator grammar: "sum", "conv:c0,c1,...", "id" (or "none")."""
     text = text.strip()
     if text in ("id", "none"):
-        return HarSpec(form="id")
+        return identity_spec()
     if text == "sum":
-        return HarSpec(form="sum")
+        return Filter((1.0,), (1.0, -1.0), label="sum")
     if text.startswith("conv:"):
-        coeffs = tuple(float(c) for c in text[5:].split(","))
-        return HarSpec(form="conv", kernel=Kernel(coeffs=coeffs))
+        return conv_spec(float(c) for c in text[5:].split(","))
     raise ValidationError(f"cannot parse reward aggregator spec {text!r}")
 
 
-def har_aggregate(spec: HarSpec, rewards):
-    agg = spec.make_aggregator()
-    return [agg.feed(r) for r in rewards]
+def har_aggregate(spec: Filter, rewards) -> list:
+    return spec.aggregate(np.reshape(rewards, (-1, 1)))[:, 0].tolist()
 
 
-def har_decode(spec: HarSpec, aggregates):
-    dec = spec.make_decoder()
-    return [dec.feed(g) for g in aggregates]
+def har_decode(spec: Filter, aggregates) -> list:
+    return spec.decode(np.reshape(aggregates, (-1, 1)))[:, 0].tolist()

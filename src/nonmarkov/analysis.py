@@ -2,10 +2,10 @@
 
 The empirical dependency check exhaustively perturbs one history position at
 a time and compares exact transition distributions; the analytical check
-predicts the same set from the aggregator's kernel inverse (or the closed
-form for prefix-sum powers).  The category functors turn a non-Markovian
-oracle into an explicit history-state tabular process and back, letting the
-round-trip identity be verified cell by cell.
+predicts the same set from the series a/b of the aggregator's filter.  The
+category functors turn a non-Markovian oracle into an explicit history-state
+tabular process and back, letting the round-trip identity be verified cell by
+cell.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregators import FunctorSpec, invert_kernel, parse_spec
+from .aggregators import Filter, parse_spec
 from .core import (
     PROB_TOL,
     FiniteMDP,
@@ -102,31 +102,25 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
 
 
 def analytical_dependency(spec, t: int) -> DependencyStructure:
-    """Predicted dependency set at time t for a kernel-reducible aggregator.
+    """Predicted dependency set at time t from the aggregator's filter.
 
-    Prefix-sum powers use the closed form [t-n, t]; anything reducible to a
-    convolution kernel uses the nonzero pattern of the kernel inverse's
-    first row, with those inverse coefficients attached as weights.
+    The raw state s_t is (a/b)(g)_t / w_t, so position t - tau is a
+    dependency exactly where the tau-th coefficient of the series a/b is
+    nonzero; those coefficients, divided by the gain w_t, are attached as
+    weights.  A lone `corr` atom (a/b = 1 - z) gives {t-1, t}; chains that
+    mix `corr` with other atoms have no analytical form here.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if t < 0:
         raise ValidationError("t must be >= 0")
-    n = spec.group_power()
-    if n is not None:
-        lo = max(0, t - n)
-        return DependencyStructure(t=t, indices=tuple(range(lo, t + 1)))
-    if any(atom.tag == "corr" for atom in spec.atoms):
-        raise ValidationError("no analytical dependency form for correlation aggregators")
-    kernel = spec.to_kernel(truncate=t + 1)
-    inv = invert_kernel(kernel, t + 1)
-    indices = []
-    weights = {}
-    for tau, c in enumerate(inv):
-        if abs(c) > DEP_WEIGHT_TOL:
-            indices.append(t - tau)
-            weights[t - tau] = c
-    return DependencyStructure(t=t, indices=tuple(sorted(indices)), weights=weights)
+    if spec.then is not None or (spec.gain is not None
+                                 and (spec.b, spec.a) != ((1.0,), (1.0, -1.0))):
+        raise ValidationError(
+            f"no analytical dependency form for {spec.label!r}: corr chained with other atoms")
+    series = Filter(spec.a, spec.b).coeffs_upto(t + 1) / spec.weight(t)
+    weights = {t - tau: float(c) for tau, c in enumerate(series) if abs(c) > DEP_WEIGHT_TOL}
+    return DependencyStructure(t=t, indices=tuple(sorted(weights)), weights=weights)
 
 
 # ---------------------------------------------------------------------------

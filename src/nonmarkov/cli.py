@@ -12,7 +12,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .agents import evaluate, parse_agent_spec, train
 from .aggregators import parse_spec
@@ -33,23 +32,16 @@ from .wrappers import as_nmdp_oracle, wrap
 # reversibility suite
 # ---------------------------------------------------------------------------
 
-def _standard_families(rng, random_kernels: int = 50):
-    """(label, a-coeffs, b-coeffs) filter pairs covering the named aggregator
-    families plus random band kernels.
-
-    Aggregation of a column s is lfilter(b, a, s); decoding inverts the
-    filter, so the round trip is exact up to float error.
-    """
-    fams = [("S", (1.0,), (1.0, -1.0)), ("D", (1.0, -1.0), (1.0,))]
+def _standard_families(rng, random_kernels: int = 50, max_len: int = 64):
+    """Spec strings covering the named aggregator families, one `corr` and
+    one `+`-chain, plus random band kernels."""
+    fams = ["S", "D"]
     for lam in (0.2, 0.4, 0.6, 0.8, 1.0):
-        fams.append((f"S_l:{lam:g}", (1.0,), (1.0, -lam)))
-        fams.append((f"D_l:{lam:g}", (1.0, -lam), (1.0,)))
-    for n in (1, 2, 3):
-        diff_n = [1.0]
-        for _ in range(n):
-            diff_n = list(np.convolve(diff_n, [1.0, -1.0]))
-        fams.append((f"group_power({n})", (1.0,), tuple(diff_n)))
-    for i in range(random_kernels):
+        fams += [f"S_l:{lam:g}", f"D_l:{lam:g}"]
+    fams += [f"S^{n}" for n in (1, 2, 3)]
+    weights = ",".join(f"{w:.6g}" for w in rng.uniform(0.5, 1.5, size=max_len))
+    fams += [f"corr:{weights}", f"D_l:0.5+corr:{weights}+S"]
+    for _ in range(random_kernels):
         length = int(rng.integers(1, 6))
         head = float(rng.uniform(0.5, 2.0)) * float(rng.choice([-1.0, 1.0]))
         tail = rng.uniform(-1.0, 1.0, size=length - 1)
@@ -58,16 +50,18 @@ def _standard_families(rng, random_kernels: int = 50):
         total = float(np.sum(np.abs(tail)))
         if total > 0:
             tail = tail * (0.8 * abs(head) / max(total, 0.8 * abs(head)))
-        fams.append((f"band[{i}]", (head, *tail), (1.0,)))
+        fams.append("conv:" + ",".join(f"{c:.6g}" for c in (head, *tail)))
     return fams
 
 
 def reversibility_report(seed: int = 0, trajectories: int = 1000,
                          max_dim: int = 6, max_len: int = 64,
                          random_kernels: int = 50, tol: float = 1e-6) -> dict:
-    """Decode-after-aggregate error over random trajectories x aggregator families."""
+    """Decode-after-aggregate error of the package's own filters over random
+    trajectories x aggregator families."""
     rng = np.random.default_rng(seed)
-    fams = _standard_families(rng, random_kernels)
+    fams = [(label, parse_spec(label))
+            for label in _standard_families(rng, random_kernels, max_len)]
     max_err = 0.0
     worst = None
     cases = 0
@@ -75,10 +69,8 @@ def reversibility_report(seed: int = 0, trajectories: int = 1000,
         k = int(rng.integers(1, max_dim + 1))
         n = int(rng.integers(1, max_len + 1))
         traj = rng.uniform(-1.0, 1.0, size=(n, k))
-        for label, b, a in fams:
-            agg = lfilter(b, a, traj, axis=0)
-            back = lfilter(a, b, agg, axis=0)
-            err = float(np.max(np.abs(back - traj)))
+        for label, spec in fams:
+            err = float(np.max(np.abs(spec.decode(spec.aggregate(traj)) - traj)))
             cases += 1
             if err > max_err:
                 max_err, worst = err, label

@@ -49,14 +49,6 @@ class SweepConfig:
         return cls(**data)
 
 
-DEFAULT_WRAPPER_GRID = (
-    [f"S^{n}" for n in range(6)]
-    + [f"D^{n}" for n in range(6)]
-    + [f"S_l:{i / 5:g}" for i in range(6)]
-    + [f"D_l:{i / 5:g}" for i in range(6)]
-)
-
-
 def wrapper_family(spec_str: str):
     """Split a wrapper spec into (family, numeric parameter)."""
     s = spec_str.strip()

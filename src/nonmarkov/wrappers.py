@@ -12,14 +12,13 @@ import warnings
 
 import numpy as np
 
-from .aggregators import FunctorSpec, HarSpec, parse_har_spec, parse_spec
+from .aggregators import Filter, parse_har_spec, parse_spec
 from .core import (
     EMBED_MATCH_TOL,
     FiniteMDP,
     History,
     NMDPOracle,
     UndecodableHistoryError,
-    as_state,
     canonical_distribution,
     is_degenerate,
 )
@@ -27,61 +26,57 @@ from .envs import Environment
 
 
 class WrappedEnvironment(Environment):
-    """Environment whose observations are aggregated histories.
+    """Environment whose observations and/or rewards are aggregated histories.
 
     The inner environment's trajectory is untouched; only the emitted
-    observations (state aggregator) and/or rewards (reward aggregator)
-    are transformed.
+    observations (state filter `spec`) and/or rewards (reward filter
+    `har_spec`, over a scalar stream) are transformed.  Either may be None.
     """
 
-    def __init__(self, inner: Environment, spec: FunctorSpec = None,
-                 har_spec: HarSpec = None):
+    def __init__(self, inner: Environment, spec: Filter = None, har_spec: Filter = None):
         self.inner = inner
         self.spec = spec
         self.har_spec = har_spec
         self.observation_dim = inner.observation_dim
         self.num_actions = inner.num_actions
-        self._agg = None
-        self._har = None
+        self._state = None
+        self._reward = None
 
     def reset(self, seed: int) -> np.ndarray:
         obs = self.inner.reset(seed)
         if self.spec is not None:
-            self._agg = self.spec.make_aggregator()
-            obs = self._agg.begin(obs)
+            self._state = self.spec.begin()
+            obs = self._state.push(obs)
         if self.har_spec is not None:
-            self._har = self.har_spec.make_aggregator()
+            self._reward = self.har_spec.begin()
         return obs
 
     def step(self, action: int):
         obs, reward, terminated, truncated = self.inner.step(action)
-        if self._agg is not None:
-            obs = self._agg.push(obs)
-        if self._har is not None:
-            reward = self._har.feed(reward)
+        if self._state is not None:
+            obs = self._state.push(obs)
+        if self._reward is not None:
+            reward = float(self._reward.push((reward,))[0])
         return obs, reward, terminated, truncated
 
 
 def wrap(env: Environment, spec=None, har_spec=None) -> Environment:
-    """Wrap `env` with a state and/or reward aggregator.
+    """Wrap `env` in one layer holding a state filter and/or a reward filter.
 
-    Specs may be strings in the shared grammar or parsed objects.  Chained
-    state specs nest one wrapper per stage, so an n-stage chain is realized
-    by n nested applications.
+    Specs may be strings in the shared grammar or parsed filters.  Identity
+    filters are dropped; when neither filter is left, `env` is returned as is.
     """
-    if spec is None and har_spec is None:
-        return env
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if isinstance(har_spec, str):
         har_spec = parse_har_spec(har_spec)
-    out = env
-    if spec is not None:
-        for atom in spec.atoms:
-            out = WrappedEnvironment(out, spec=FunctorSpec(atoms=(atom,)))
-    if har_spec is not None:
-        out = WrappedEnvironment(out, har_spec=har_spec)
-    return out
+    if spec is not None and spec.is_identity:
+        spec = None
+    if har_spec is not None and har_spec.is_identity:
+        har_spec = None
+    if spec is None and har_spec is None:
+        return env
+    return WrappedEnvironment(env, spec=spec, har_spec=har_spec)
 
 
 class AggregatedMDPOracle(NMDPOracle):
@@ -92,7 +87,7 @@ class AggregatedMDPOracle(NMDPOracle):
     outcome to the unique next aggregate that decodes back to it.
     """
 
-    def __init__(self, mdp: FiniteMDP, spec: FunctorSpec,
+    def __init__(self, mdp: FiniteMDP, spec: Filter,
                  match_tol: float = EMBED_MATCH_TOL):
         self.mdp = mdp
         self.spec = spec
@@ -105,34 +100,20 @@ class AggregatedMDPOracle(NMDPOracle):
             p = float(self.mdp.rho0[s])
             if p == 0.0:
                 continue
-            agg = self.spec.make_aggregator()
-            g0 = agg.begin(self.mdp.embedding[s])
+            g0 = self.spec.begin().push(self.mdp.embedding[s])
             agg_outs.append((tuple(g0), p))
         return [(np.array(k), p) for k, p in canonical_distribution(agg_outs)]
 
-    def _decode(self, h: History):
-        """Decoder fed with the history's observations, plus decoded raws."""
-        dec = self.spec.make_decoder()
-        raws = [dec.feed(g) for g in h.states]
-        return dec, raws
-
-    def decode_last_state(self, h: History) -> int:
-        dec, raws = self._decode(h)
-        idx = self.mdp.match_state(raws[-1], tol=self.match_tol)
-        if idx is None:
-            raise UndecodableHistoryError(
-                f"decoded state at t={h.t} matches no embedded state")
-        return idx
-
     def transition(self, h: History, action: int):
-        dec, raws = self._decode(h)
-        idx = self.mdp.match_state(raws[-1], tol=self.match_tol)
+        stream = self.spec.begin()
+        last = [stream.pull(g) for g in h.states][-1]
+        idx = self.mdp.match_state(last, tol=self.match_tol)
         if idx is None:
             raise UndecodableHistoryError(
                 f"decoded state at t={h.t} matches no embedded state")
         outs = []
         for o in self.mdp.row(idx, action):
-            g_next = dec.project(self.mdp.embedding[o.next_state])
+            g_next = stream.project(self.mdp.embedding[o.next_state])
             outs.append(((tuple(g_next), o.reward), o.prob))
         merged = canonical_distribution(outs)
         return [((np.array(k[0]), k[1]), p) for k, p in merged]
@@ -140,20 +121,13 @@ class AggregatedMDPOracle(NMDPOracle):
     def substitution_candidates(self, h: History, index: int, state_pool):
         """Pool states re-aggregated in the context of the history prefix.
 
-        The candidate for pool state p at position i is the aggregate
-        obtained by aggregating the decoded raw prefix s_0..s_{i-1}
-        followed by p.
+        The candidate for pool state p at position i is the aggregate the
+        stream emits for p after decoding the observations g_0..g_{i-1}.
         """
-        _, raws = self._decode(h)
-        candidates = []
-        for p in state_pool:
-            agg = self.spec.make_aggregator()
-            g = None
-            for s in raws[:index]:
-                g = agg.push(s) if g is not None else agg.begin(s)
-            g = agg.push(p) if g is not None else agg.begin(p)
-            candidates.append(as_state(g))
-        return candidates
+        stream = self.spec.begin()
+        for g in h.states[:index]:
+            stream.pull(g)
+        return [stream.project(p) for p in state_pool]
 
 
 def as_nmdp_oracle(m: FiniteMDP, spec) -> AggregatedMDPOracle:

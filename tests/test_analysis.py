@@ -49,9 +49,22 @@ class TestAnalyticalDependency:
         d = analytical_dependency("S_l:0.5", 6)
         assert d.indices == (5, 6)
 
-    def test_corr_unsupported(self):
-        with pytest.raises(ValidationError):
-            analytical_dependency("corr:1,2,3", 3)
+    @pytest.mark.parametrize("text,max_t,lag", [
+        ("corr:1,2,3,4,5", 3, 1), ("S^1+D^1", 4, 0), ("S_l:0.5+D_l:0.5", 4, 0)])
+    def test_lone_corr_and_cancelling_chains_match_empirical(self, text, max_t, lag):
+        # corr alone depends on {t-1, t}; the two chains cancel to {t}.  Five
+        # weights define the corr process through t = 4, so its last
+        # transition the oracle can evaluate leaves a history at t = 3.
+        oracle = as_nmdp_oracle(CHAIN5, text)
+        for h in reachable_histories(oracle, max_t=max_t):
+            ana = analytical_dependency(text, h.t)
+            assert ana.indices == tuple(range(max(0, h.t - lag), h.t + 1))
+            assert empirical_dependency(oracle, h, POOL).indices == ana.indices
+
+    def test_corr_chained_with_other_atoms_rejected(self):
+        for text in ("S^1+corr:1,2,3", "corr:1,2,3+S^1"):
+            with pytest.raises(ValidationError):
+                analytical_dependency(text, 2)
 
     def test_to_json(self):
         d = DependencyStructure(t=3, indices=(2, 3), weights={2: -0.5, 3: 1.0})

@@ -4,7 +4,7 @@ import pytest
 from nonmarkov.aggregators import parse_har_spec, parse_spec
 from nonmarkov.core import UndecodableHistoryError, initial_history
 from nonmarkov.envs import make_chain, make_env
-from nonmarkov.wrappers import AggregatedMDPOracle, as_nmdp_oracle, wrap
+from nonmarkov.wrappers import AggregatedMDPOracle, WrappedEnvironment, as_nmdp_oracle, wrap
 
 
 def rollout(env, seed, actions):
@@ -178,3 +178,9 @@ class TestOracleVsWrapStringForms:
     def test_wrap_none_is_noop(self):
         env = make_env("chain:5")
         assert wrap(env) is env
+        assert wrap(env, "S^0") is env
+
+    def test_chain_is_one_layer(self):
+        env = make_env("chain:5")
+        wrapped = wrap(env, "S^3", har_spec="sum")
+        assert isinstance(wrapped, WrappedEnvironment) and wrapped.inner is env
