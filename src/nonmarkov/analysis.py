@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregators import Filter, parse_spec
+from .aggregators import Filter, identity_spec, parse_spec
 from .core import (
     PROB_TOL,
     FiniteMDP,
@@ -26,6 +26,7 @@ from .core import (
     initial_history,
     latest_state,
 )
+from .wrappers import AggregatedMDPOracle
 
 DEP_WEIGHT_TOL = 1e-9
 
@@ -58,8 +59,7 @@ class DependencyStructure:
 
 def _flat_dist(dist):
     """Transition outcomes as (flat key tuple, prob) pairs for exact comparison."""
-    return [((*obs, reward), p) for ((obs, reward), p) in
-            (((tuple(o), r), p) for ((o, r), p) in dist)]
+    return [((*obs, reward), p) for (obs, reward), p in dist]
 
 
 def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
@@ -127,28 +127,9 @@ def analytical_dependency(spec, t: int) -> DependencyStructure:
 # category functors on finite instances
 # ---------------------------------------------------------------------------
 
-class NonMarkovEmbeddingOracle(NMDPOracle):
-    """A tabular process viewed as history-conditioned: ignores all but the last state."""
-
-    def __init__(self, mdp: FiniteMDP):
-        self.mdp = mdp
-        self.num_actions = mdp.num_actions
-
-    def initial(self):
-        return [(self.mdp.embedding[s], float(p))
-                for s, p in enumerate(self.mdp.rho0) if p > 0]
-
-    def transition(self, h: History, action: int):
-        idx = self.mdp.match_state(latest_state(h))
-        if idx is None:
-            raise UndecodableHistoryError(
-                f"latest state at t={h.t} matches no embedded state")
-        return [((self.mdp.embedding[o.next_state], o.reward), o.prob)
-                for o in self.mdp.row(idx, action)]
-
-
-def build_nonmarkov_embedding(m: FiniteMDP) -> NonMarkovEmbeddingOracle:
-    return NonMarkovEmbeddingOracle(m)
+def build_nonmarkov_embedding(m: FiniteMDP) -> AggregatedMDPOracle:
+    """A tabular process viewed as history-conditioned: the identity filter."""
+    return AggregatedMDPOracle(m, identity_spec())
 
 
 def _history_key(h: History):
@@ -230,7 +211,7 @@ def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
         num_actions=oracle.num_actions,
         rho0=rho0,
         outcomes=tuple(outcomes),
-        embedding=tuple(np.array([float(i)]) for i in range(n)),
+        embedding=np.arange(n, dtype=float)[:, None],
     )
     return HistoryMDP(mdp=mdp, histories=tuple(histories))
 
@@ -267,13 +248,11 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
                 ns = m.match_state(latest_state(child))
                 got.append(((float(ns) if ns is not None else np.nan, o.reward), o.prob))
             expected = [((float(o.next_state), o.reward), o.prob) for o in m.row(s, a)]
-            flat_got = [((k[0], k[1]), p) for k, p in got]
-            flat_exp = [((k[0], k[1]), p) for k, p in expected]
-            if not distributions_equal(flat_exp, flat_got, tol):
+            if not distributions_equal(expected, got, tol):
                 violations.append({
                     "where": f"history {i} (t={h.t}), action {a}",
-                    "expected": sorted(flat_exp),
-                    "got": sorted(flat_got),
+                    "expected": sorted(expected),
+                    "got": sorted(got),
                 })
     return {"pass": not violations, "violations": violations,
             "histories": len(abstraction.histories), "horizon": horizon}

@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from .agents import evaluate, parse_agent_spec, train
 from .aggregators import parse_spec
 from .analysis import (
     analytical_dependency,
@@ -22,10 +21,10 @@ from .analysis import (
     verify_equivalence_roundtrip,
     verify_morphism,
 )
-from .core import ValidationError, load_mdp
-from .envs import make_env, make_mdp_from_id
-from .experiments import CSVFormatError, SweepConfig, render_plot, run_sweep
-from .wrappers import as_nmdp_oracle, wrap
+from .core import ValidationError, load_json, load_mdp
+from .envs import make_mdp_from_id
+from .experiments import CSVFormatError, SweepConfig, render_plot, run_cell, run_sweep
+from .wrappers import as_nmdp_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +123,7 @@ def _cmd_verify_category(args) -> int:
 def _cmd_verify_morphism(args) -> int:
     m = load_mdp(args.m)
     m2 = load_mdp(args.m2)
-    with open(args.map) as f:
-        try:
-            mapping = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.map}: line {exc.lineno}: {exc.msg}") from exc
+    mapping = load_json(args.map)
     for key in ("phi_S", "phi_A", "phi_R"):
         if key not in mapping:
             raise ValidationError(f"{args.map}: missing field {key}")
@@ -172,11 +167,8 @@ def _cmd_analyze_deps(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    env = wrap(make_env(args.env, max_steps=args.horizon), parse_spec(args.wrapper))
-    agent = parse_agent_spec(args.agent, env.num_actions)
-    train(agent, env, episodes=args.episodes, seed=args.seed, horizon=args.horizon)
-    mean, std, _ = evaluate(agent, env, episodes=args.eval_episodes,
-                            horizon=args.horizon, seed=args.seed + 10_000)
+    mean, std = run_cell(args.env, args.wrapper, args.agent, args.seed, args.episodes,
+                         args.eval_episodes, args.horizon)
     report = {"env": args.env, "wrapper": args.wrapper, "agent": args.agent,
               "seed": args.seed, "episodes": args.episodes,
               "mean_return": mean, "std_return": std}
@@ -190,7 +182,10 @@ def _cmd_run(args) -> int:
 def _default_workers() -> int:
     env_val = os.environ.get("NMF_WORKERS")
     if env_val:
-        return int(env_val)
+        try:
+            return int(env_val)
+        except ValueError:
+            raise ValidationError(f"NMF_WORKERS must be an integer, got {env_val!r}") from None
     return os.cpu_count() or 1
 
 
@@ -200,9 +195,13 @@ def _cmd_sweep(args) -> int:
     else:
         if not (args.env and args.wrapper and args.agent):
             raise ValidationError("sweep needs --config or --env/--wrapper/--agent")
+        try:
+            seeds = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
         cfg = SweepConfig(
-            envs=args.env, wrappers=args.wrapper, agents=args.agent,
-            seeds=[int(s) for s in args.seeds.split(",")],
+            envs=args.env, wrappers=args.wrapper, agents=args.agent, seeds=seeds,
             episodes=args.episodes, eval_episodes=args.eval_episodes,
             horizon=args.horizon,
         )

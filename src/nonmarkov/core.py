@@ -8,7 +8,7 @@ analysis code can share instances freely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def latest_reward(h: History) -> float:
 
 # -- finite distributions ----------------------------------------------------
 
-def canonical_distribution(outcomes, tol: float = PROB_TOL):
+def canonical_distribution(outcomes):
     """Sort (key, prob) outcomes by key and merge duplicates.
 
     Keys must be comparable tuples.  Probabilities of identical keys are
@@ -134,8 +134,8 @@ def distributions_equal(d1, d2, tol: float = PROB_TOL) -> bool:
     Keys are tuples of floats; two keys match when all components agree
     within `tol`, and matched probabilities must also agree within `tol`.
     """
-    c1 = canonical_distribution(d1, tol)
-    c2 = canonical_distribution(d2, tol)
+    c1 = canonical_distribution(d1)
+    c2 = canonical_distribution(d2)
     if len(c1) != len(c2):
         return False
     for (k1, p1), (k2, p2) in zip(c1, c2):
@@ -156,31 +156,21 @@ class Outcome:
     reward: float
     prob: float
 
-    def key(self):
-        return (self.next_state, self.reward)
-
-
-def _canonical_row(outcomes):
-    """Canonicalize an outcome list: sort by (next, reward), merge duplicates."""
-    merged: dict = {}
-    for o in outcomes:
-        merged[o.key()] = merged.get(o.key(), 0.0) + o.prob
-    return tuple(sorted(merged.items()))
-
 
 @dataclass(frozen=True)
 class FiniteMDP:
     """Tabular time-homogeneous decision process with an injective vector embedding.
 
     `outcomes[s][a]` is the finite distribution over (next state, reward) and
-    `embedding[s]` is the vector observation emitted for state `s`.
+    row `embedding[s]` of the read-only (num_states, k) array is the vector
+    observation emitted for state `s`.
     """
 
     num_states: int
     num_actions: int
     rho0: np.ndarray
     outcomes: tuple  # outcomes[s][a] -> tuple of Outcome
-    embedding: tuple  # embedding[s] -> StateVec
+    embedding: np.ndarray  # (num_states, k); embedding[s] -> StateVec
 
     def __post_init__(self):
         if self.num_states < 1 or self.num_actions < 1:
@@ -219,34 +209,37 @@ class FiniteMDP:
             rows.append(tuple(arow))
         object.__setattr__(self, "outcomes", tuple(rows))
 
-        emb = tuple(as_state(e) for e in self.embedding)
-        if len(emb) != self.num_states:
-            raise ValidationError("embedding must have one vector per state")
-        dims = {e.shape[0] for e in emb}
-        if len(dims) != 1:
-            raise ValidationError("embedding vectors must share one dimension")
-        for i in range(len(emb)):
-            for j in range(i + 1, len(emb)):
-                if np.array_equal(emb[i], emb[j]):
-                    raise ValidationError(f"embedding is not injective: states {i} and {j}")
+        try:
+            emb = np.array(self.embedding, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+            raise ValidationError(f"embedding must be a matrix of numbers ({exc})") from exc
+        if emb.ndim != 2 or emb.shape[0] != self.num_states or emb.shape[1] < 1:
+            raise ValidationError(
+                f"embedding must have one nonempty vector per state, got shape {emb.shape}")
+        if not np.all(np.isfinite(emb)):
+            raise ValidationError("embedding entries must be finite")
+        # + 0.0 turns -0.0 into 0.0, so rows equal under == share their bytes
+        first = {}
+        for s, row in enumerate(emb + 0.0):
+            other = first.setdefault(row.tobytes(), s)
+            if other != s:
+                raise ValidationError(f"embedding is not injective: states {other} and {s}")
+        emb.flags.writeable = False
         object.__setattr__(self, "embedding", emb)
 
     @property
     def obs_dim(self) -> int:
-        return self.embedding[0].shape[0]
+        return self.embedding.shape[1]
 
     def row(self, state: int, action: int):
         return self.outcomes[state][action]
 
-    def match_state(self, vec, tol: float = EMBED_MATCH_TOL):
-        """Index of the embedded state nearest to `vec`, or None if beyond tol."""
-        v = np.asarray(vec, dtype=float)
-        best, best_d = None, np.inf
-        for i, e in enumerate(self.embedding):
-            d = float(np.max(np.abs(e - v)))
-            if d < best_d:
-                best, best_d = i, d
-        return best if best_d <= tol else None
+    def match_state(self, vec):
+        """Index of the embedded state nearest to `vec` in max-abs distance
+        (lowest index on ties), or None if beyond EMBED_MATCH_TOL."""
+        d = np.max(np.abs(self.embedding - np.asarray(vec, dtype=float)), axis=1)
+        best = int(np.argmin(d))
+        return best if d[best] <= EMBED_MATCH_TOL else None
 
     def reward_support(self):
         return sorted({o.reward for row in self.outcomes for lst in row for o in lst})
@@ -254,25 +247,10 @@ class FiniteMDP:
 
 def is_degenerate(m: FiniteMDP) -> bool:
     """True iff two distinct states have identical outcome rows for every action."""
-    canon = [
-        tuple(_canonical_row(m.outcomes[s][a]) for a in range(m.num_actions))
-        for s in range(m.num_states)
-    ]
-
-    def rows_equal(r1, r2):
-        for d1, d2 in zip(r1, r2):
-            if len(d1) != len(d2):
-                return False
-            for (k1, p1), (k2, p2) in zip(d1, d2):
-                if k1[0] != k2[0] or abs(k1[1] - k2[1]) > PROB_TOL or abs(p1 - p2) > PROB_TOL:
-                    return False
-        return True
-
-    for i in range(m.num_states):
-        for j in range(i + 1, m.num_states):
-            if rows_equal(canon[i], canon[j]):
-                return True
-    return False
+    rows = [[[((o.next_state, o.reward), o.prob) for o in lst] for lst in per_action]
+            for per_action in m.outcomes]
+    return any(all(map(distributions_equal, rows[i], rows[j]))
+               for i in range(m.num_states) for j in range(i + 1, m.num_states))
 
 
 class UndecodableHistoryError(ValueError):
@@ -283,10 +261,12 @@ class NMDPOracle:
     """Exact transition evaluator for a finite non-Markovian decision process.
 
     Subclasses implement `initial()` returning a finite distribution over
-    first observations as (obs, prob) pairs, and `transition(h, a)` returning
+    first observations as (obs, prob) pairs, `transition(h, a)` returning
     a finite distribution over (next observation, reward) as
-    ((obs, reward), prob) pairs.  Both must be deterministic functions of
-    their arguments and sum to 1 within 1e-12.
+    ((obs, reward), prob) pairs, and `substitution_candidates`.  Both
+    distributions must be deterministic functions of their arguments and sum
+    to 1 within 1e-12; a key may repeat, and consumers sum the probabilities
+    of equal keys.
     """
 
     num_actions: int
@@ -298,13 +278,9 @@ class NMDPOracle:
         raise NotImplementedError
 
     def substitution_candidates(self, h: History, index: int, state_pool):
-        """Candidate observations to substitute at `index` of `h`.
-
-        The default pool is the raw states themselves; oracles whose
-        observations are aggregates override this to place pool states in
-        the context of the history prefix.
-        """
-        return [as_state(p) for p in state_pool]
+        """Candidate observations to substitute at `index` of `h`, one per
+        raw state in `state_pool`."""
+        raise NotImplementedError
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -319,7 +295,7 @@ def mdp_to_json(m: FiniteMDP) -> dict:
              for lst in row]
             for row in m.outcomes
         ],
-        "embedding": [[float(x) for x in e] for e in m.embedding],
+        "embedding": m.embedding.tolist(),
     }
 
 
@@ -347,19 +323,23 @@ def mdp_from_dict(data: dict, source: str = "<dict>") -> FiniteMDP:
             num_actions=int(data["num_actions"]),
             rho0=np.asarray(data["rho0"], dtype=float),
             outcomes=outcomes,
-            embedding=tuple(data["embedding"]),
+            embedding=data["embedding"],
         )
     except ValidationError as exc:
         raise ValidationError(f"{source}: {exc}") from exc
 
 
-def load_mdp(path: str) -> FiniteMDP:
+def load_json(path: str):
+    """Parse a JSON file; a syntax error becomes a ValidationError naming its line."""
     with open(path) as f:
         try:
-            data = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return mdp_from_dict(data, source=path)
+
+
+def load_mdp(path: str) -> FiniteMDP:
+    return mdp_from_dict(load_json(path), source=path)
 
 
 def save_mdp(m: FiniteMDP, path: str) -> None:

@@ -104,7 +104,7 @@ def make_chain(length: int, p_slip: float = 0.0) -> FiniteMDP:
     rho0 = np.zeros(n)
     rho0[0] = 1.0
     return FiniteMDP(num_states=n, num_actions=2, rho0=rho0,
-                     outcomes=tuple(outcomes), embedding=tuple(np.eye(n)))
+                     outcomes=tuple(outcomes), embedding=np.eye(n))
 
 
 def make_random_mdp(seed: int, num_states: int, num_actions: int,
@@ -134,7 +134,7 @@ def make_random_mdp(seed: int, num_states: int, num_actions: int,
         m = FiniteMDP(num_states=num_states, num_actions=num_actions,
                       rho0=np.full(num_states, 1.0 / num_states),
                       outcomes=tuple(outcomes),
-                      embedding=tuple(embedding))
+                      embedding=embedding)
         if not is_degenerate(m):
             return m
     raise ValidationError(f"could not draw a non-degenerate MDP in {max_retries} tries")

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .agents import evaluate, parse_agent_spec, train
-from .aggregators import parse_spec
-from .core import ValidationError
+from .core import ValidationError, load_json
 from .envs import make_env
 from .wrappers import wrap
 
@@ -44,9 +42,11 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "SweepConfig":
-        with open(path) as f:
-            data = json.load(f)
-        return cls(**data)
+        data = load_json(path)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # unknown or missing keys, or not an object
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 def wrapper_family(spec_str: str):
@@ -69,6 +69,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def run_cell(env_id: str, wrapper: str, agent_spec: str, seed: int, episodes: int,
+             eval_episodes: int, horizon: int):
+    """Train one agent on one wrapped environment; return the (mean, std) of
+    its evaluation returns, evaluated on seeds from `seed + 10_000` on."""
+    env = wrap(make_env(env_id, max_steps=horizon), wrapper)
+    agent = parse_agent_spec(agent_spec, env.num_actions)
+    train(agent, env, episodes=episodes, seed=seed, horizon=horizon)
+    mean, std, _ = evaluate(agent, env, episodes=eval_episodes, horizon=horizon,
+                            seed=seed + 10_000)
+    return mean, std
+
+
 def _run_cell(args: dict) -> dict:
     row = {
         "env": args["env"],
@@ -84,13 +96,8 @@ def _run_cell(args: dict) -> dict:
     }
     start = time.perf_counter()
     try:
-        env = wrap(make_env(args["env"], max_steps=args["horizon"]),
-                   parse_spec(args["wrapper"]))
-        agent = parse_agent_spec(args["agent"], env.num_actions)
-        train(agent, env, episodes=args["episodes"], seed=args["seed"],
-              horizon=args["horizon"])
-        mean, std, _ = evaluate(agent, env, episodes=args["eval_episodes"],
-                                horizon=args["horizon"], seed=args["seed"] + 10_000)
+        mean, std = run_cell(args["env"], args["wrapper"], args["agent"], args["seed"],
+                             args["episodes"], args["eval_episodes"], args["horizon"])
         row["mean_return"] = _fmt(mean)
         row["std_return"] = _fmt(std)
     except Exception as exc:  # cell failures become rows, the sweep continues

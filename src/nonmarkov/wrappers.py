@@ -13,15 +13,7 @@ import warnings
 import numpy as np
 
 from .aggregators import Filter, parse_har_spec, parse_spec
-from .core import (
-    EMBED_MATCH_TOL,
-    FiniteMDP,
-    History,
-    NMDPOracle,
-    UndecodableHistoryError,
-    canonical_distribution,
-    is_degenerate,
-)
+from .core import FiniteMDP, History, NMDPOracle, UndecodableHistoryError, is_degenerate
 from .envs import Environment
 
 
@@ -84,39 +76,29 @@ class AggregatedMDPOracle(NMDPOracle):
 
     Given a history of aggregated observations, decodes the raw state
     stream, looks up the tabular row for the latest state, and maps each
-    outcome to the unique next aggregate that decodes back to it.
+    outcome to the unique next aggregate that decodes back to it.  With the
+    identity filter this is the tabular process viewed as history-conditioned.
+    Outcomes come in table order, unmerged.
     """
 
-    def __init__(self, mdp: FiniteMDP, spec: Filter,
-                 match_tol: float = EMBED_MATCH_TOL):
+    def __init__(self, mdp: FiniteMDP, spec: Filter):
         self.mdp = mdp
         self.spec = spec
-        self.match_tol = match_tol
         self.num_actions = mdp.num_actions
 
     def initial(self):
-        agg_outs = []
-        for s in range(self.mdp.num_states):
-            p = float(self.mdp.rho0[s])
-            if p == 0.0:
-                continue
-            g0 = self.spec.begin().push(self.mdp.embedding[s])
-            agg_outs.append((tuple(g0), p))
-        return [(np.array(k), p) for k, p in canonical_distribution(agg_outs)]
+        return [(self.spec.begin().push(e), float(p))
+                for e, p in zip(self.mdp.embedding, self.mdp.rho0) if p > 0]
 
     def transition(self, h: History, action: int):
         stream = self.spec.begin()
         last = [stream.pull(g) for g in h.states][-1]
-        idx = self.mdp.match_state(last, tol=self.match_tol)
+        idx = self.mdp.match_state(last)
         if idx is None:
             raise UndecodableHistoryError(
                 f"decoded state at t={h.t} matches no embedded state")
-        outs = []
-        for o in self.mdp.row(idx, action):
-            g_next = stream.project(self.mdp.embedding[o.next_state])
-            outs.append(((tuple(g_next), o.reward), o.prob))
-        merged = canonical_distribution(outs)
-        return [((np.array(k[0]), k[1]), p) for k, p in merged]
+        return [((stream.project(self.mdp.embedding[o.next_state]), o.reward), o.prob)
+                for o in self.mdp.row(idx, action)]
 
     def substitution_candidates(self, h: History, index: int, state_pool):
         """Pool states re-aggregated in the context of the history prefix.

@@ -205,6 +205,38 @@ class TestEquivalenceRoundtrip:
         assert not report["pass"]
 
 
+def repeated_pair_mdp():
+    """chain:3 with slip 0.25 whose first branch of every row is listed twice,
+    each copy with half its probability."""
+    m = make_chain(3, p_slip=0.25)
+    outcomes = tuple(
+        tuple((Outcome(lst[0].next_state, lst[0].reward, lst[0].prob / 2),) * 2 + lst[1:]
+              for lst in row)
+        for row in m.outcomes)
+    return FiniteMDP(num_states=3, num_actions=2, rho0=m.rho0, outcomes=outcomes,
+                     embedding=m.embedding)
+
+
+class TestRepeatedOutcomes:
+    @pytest.mark.parametrize("spec", ["id", "S^1"])
+    def test_oracle_keeps_table_order(self, spec):
+        m = repeated_pair_mdp()
+        oracle = as_nmdp_oracle(m, spec)
+        ((g0, _),) = oracle.initial()
+        dist = oracle.transition(initial_history(g0), 1)
+        assert [p for _, p in dist] == [o.prob for o in m.row(0, 1)]
+
+    def test_roundtrip_passes(self):
+        report = verify_equivalence_roundtrip(repeated_pair_mdp(), horizon=3)
+        assert report["pass"], report["violations"]
+
+    @pytest.mark.parametrize("spec", ["S^1", "D^1"])
+    def test_abstraction_preserves_optimum(self, spec):
+        m = repeated_pair_mdp()
+        hm = build_markov_abstraction(as_nmdp_oracle(m, spec), horizon=4)
+        assert optimal_return(hm.mdp, 4) == pytest.approx(optimal_return(m, 4), abs=1e-9)
+
+
 class TestOptimumPreservation:
     @pytest.mark.parametrize("spec", ["S^1", "S^2", "D^1"])
     def test_abstraction_preserves_optimum(self, spec):

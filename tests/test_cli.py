@@ -131,6 +131,55 @@ class TestRunSweepPlot:
                      "--out", str(out)]) == 0
 
 
+def _sweep_args(out):
+    return ["sweep", "--env", "chain:5", "--wrapper", "id", "--agent", "random",
+            "--seeds", "0", "--episodes", "5", "--eval-episodes", "5",
+            "--horizon", "4", "--out", str(out)]
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestBadInputExit2:
+    def test_nmf_workers_not_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NMF_WORKERS", "abc")
+        assert main(_sweep_args(tmp_path / "r.csv")) == 2
+        _assert_one_line_error(capsys)
+
+    def test_seeds_not_integer(self, tmp_path, capsys):
+        args = _sweep_args(tmp_path / "r.csv")
+        args[args.index("--seeds") + 1] = "0,x"
+        assert main(args) == 2
+        _assert_one_line_error(capsys)
+
+    def test_sweep_config_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"envs": ["chain:5"], "wrappers": ["id"],
+                                   "agents": ["random"], "bogus": 1}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        _assert_one_line_error(capsys)
+
+    def test_sweep_config_malformed_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"envs": ["chain:5"],\n broken}')
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        _assert_one_line_error(capsys)
+
+    def test_verify_morphism_ragged_embedding(self, tmp_path, capsys):
+        data = mdp_to_json(make_chain(3))
+        data["embedding"][1] = [0.0, 1.0]
+        p1 = tmp_path / "m.json"
+        p1.write_text(json.dumps(data))
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"phi_S": [0, 1, 2], "phi_A": [0, 1],
+                                       "phi_R": {"0.0": 0.0, "1.0": 1.0}}))
+        assert main(["verify-morphism", "--m", str(p1), "--m2", str(p1),
+                     "--map", str(mapping)]) == 2
+        _assert_one_line_error(capsys)
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exit2(self):
         with pytest.raises(SystemExit) as exc:

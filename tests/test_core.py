@@ -152,6 +152,19 @@ class TestFiniteMDP:
                       outcomes=m.outcomes,
                       embedding=(np.array([1.0, 0.0]), np.array([1.0, 0.0])))
 
+    def test_signed_zero_rows_not_injective(self):
+        # -0.0 == 0.0, so the two states emit equal observations
+        with pytest.raises(ValidationError, match="not injective"):
+            FiniteMDP(num_states=2, num_actions=1, rho0=np.array([1.0, 0.0]),
+                      outcomes=(((Outcome(0, 0.0, 1.0),),),) * 2,
+                      embedding=([0.0], [-0.0]))
+
+    def test_embedding_is_read_only_matrix(self):
+        m = simple_mdp(3)
+        assert m.embedding.shape == (3, 3)
+        with pytest.raises(ValueError):
+            m.embedding[0, 0] = 5.0
+
     def test_next_state_range(self):
         with pytest.raises(ValidationError):
             FiniteMDP(num_states=1, num_actions=1, rho0=np.array([1.0]),
@@ -162,6 +175,12 @@ class TestFiniteMDP:
         m = simple_mdp()
         assert m.match_state([1.0, 1e-10]) == 0
         assert m.match_state([0.5, 0.5]) is None
+
+    def test_match_state_tie_picks_lowest_index(self):
+        m = FiniteMDP(num_states=2, num_actions=1, rho0=np.array([1.0, 0.0]),
+                      outcomes=(((Outcome(0, 0.0, 1.0),),),) * 2,
+                      embedding=([0.0], [2e-10]))
+        assert m.match_state([1e-10]) == 0
 
     def test_reward_support(self):
         assert simple_mdp().reward_support() == [0.0, 1.0]
@@ -196,6 +215,12 @@ class TestJson:
         path.write_text('{\n "num_states": 1,\n broken\n}')
         with pytest.raises(ValidationError, match="line 3"):
             load_mdp(str(path))
+
+    def test_ragged_embedding(self):
+        data = mdp_to_json(simple_mdp())
+        data["embedding"] = [[1.0, 0.0], [1.0]]
+        with pytest.raises(ValidationError, match="embedding"):
+            mdp_from_dict(data)
 
     def test_invalid_content(self, tmp_path):
         m = simple_mdp()
