@@ -21,7 +21,7 @@ class ExactDiscretizer:
         self.decimals = decimals
 
     def key(self, obs) -> tuple:
-        return tuple(np.round(np.asarray(obs, dtype=float), self.decimals))
+        return tuple(np.asarray(obs, dtype=float).round(self.decimals).tolist())
 
 
 class UniformDiscretizer:
@@ -147,7 +147,7 @@ def train(agent, env: Environment, episodes: int, seed: int,
                 target = reward
             else:
                 next_vals = agent.q.get(next_key)
-                bootstrap = float(np.max(next_vals)) if next_vals is not None else 0.0
+                bootstrap = float(next_vals.max()) if next_vals is not None else 0.0
                 target = reward + agent.gamma * bootstrap
             vals[action] += agent.alpha * (target - vals[action])
             steps += 1

@@ -7,6 +7,7 @@ worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -205,7 +206,8 @@ def _cmd_sweep(args) -> int:
             episodes=args.episodes, eval_episodes=args.eval_episodes,
             horizon=args.horizon,
         )
-    cfg.workers = args.workers if args.workers is not None else _default_workers()
+    workers = args.workers if args.workers is not None else _default_workers()
+    cfg = dataclasses.replace(cfg, workers=workers)  # validates workers
     run_sweep(cfg, out_path=args.out)
     print(f"sweep written to {args.out}")
     return 0

@@ -29,7 +29,7 @@ def as_state(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValidationError(f"state vector must be 1-d and nonempty, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValidationError("state vector entries must be finite")
     v = v.copy()
     v.flags.writeable = False
@@ -65,9 +65,17 @@ class History:
         return len(self.states) - 1
 
     def extend(self, action: int, reward: float, state) -> "History":
-        return History(self.states + (as_state(state),),
-                       self.actions + (int(action),),
-                       self.rewards + (float(reward),))
+        """This history one step longer.  Only the appended step is validated:
+        the prefix was validated when it was built and is read-only."""
+        state = as_state(state)
+        if state.shape != self.states[-1].shape:
+            raise ValidationError("inconsistent state dimensions in history: "
+                                  f"{self.states[-1].shape[0]} then {state.shape[0]}")
+        h = object.__new__(History)
+        object.__setattr__(h, "states", self.states + (state,))
+        object.__setattr__(h, "actions", self.actions + (int(action),))
+        object.__setattr__(h, "rewards", self.rewards + (float(reward),))
+        return h
 
     def is_prefix_of(self, other: "History") -> bool:
         """Proper prefix relation on histories."""

@@ -6,6 +6,7 @@ streams.
 """
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -35,13 +36,26 @@ class Environment:
 
 
 class FiniteMDPEnv(Environment):
-    """Sampling adapter around a tabular process."""
+    """Sampling adapter around a tabular process.
+
+    Every `reset` and `step` draws exactly one `Generator.random()` and picks
+    the outcome from a cumulative table compiled once per row, so it returns
+    the index `Generator.choice(p=...)` would return for the same stream.
+    """
 
     def __init__(self, mdp: FiniteMDP, max_steps: int = None):
         self.mdp = mdp
         self.max_steps = max_steps
         self.observation_dim = mdp.obs_dim
         self.num_actions = mdp.num_actions
+        self._rho0_cdf = _choice_cdf(mdp.rho0)
+        self._cdf = []
+        for per_action in mdp.outcomes:
+            row = []
+            for lst in per_action:
+                probs = np.array([o.prob for o in lst])
+                row.append(_choice_cdf(probs / probs.sum()))
+            self._cdf.append(row)
         self._state = None
         self._steps = 0
         self._done = True
@@ -49,7 +63,7 @@ class FiniteMDPEnv(Environment):
 
     def reset(self, seed: int) -> np.ndarray:
         self._rng = np.random.default_rng(seed)
-        self._state = int(self._rng.choice(self.mdp.num_states, p=self.mdp.rho0))
+        self._state = bisect.bisect_right(self._rho0_cdf, self._rng.random())
         self._steps = 0
         self._done = False
         return self.mdp.embedding[self._state]
@@ -59,16 +73,22 @@ class FiniteMDPEnv(Environment):
             raise EpisodeFinishedError("step() after episode end; call reset()")
         if not 0 <= action < self.num_actions:
             raise ValidationError(f"action {action} out of range")
-        row = self.mdp.row(self._state, action)
-        probs = np.array([o.prob for o in row])
-        idx = int(self._rng.choice(len(row), p=probs / probs.sum()))
-        outcome = row[idx]
+        idx = bisect.bisect_right(self._cdf[self._state][action], self._rng.random())
+        outcome = self.mdp.row(self._state, action)[idx]
         self._state = outcome.next_state
         self._steps += 1
         truncated = self.max_steps is not None and self._steps >= self.max_steps
         if truncated:
             self._done = True
         return self.mdp.embedding[self._state], outcome.reward, False, truncated
+
+
+def _choice_cdf(p: np.ndarray) -> list:
+    """The cumulative table `Generator.choice(len(p), p=p)` searches with
+    `side="right"` for one `Generator.random()` draw (numpy's own arithmetic)."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 # ---------------------------------------------------------------------------

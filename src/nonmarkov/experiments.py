@@ -35,6 +35,19 @@ class SweepConfig:
     record_walltime: bool = False
 
     def __post_init__(self):
+        for name in ("envs", "wrappers", "agents"):
+            values = getattr(self, name)
+            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+                raise ValidationError(f"sweep {name} must be a list of strings, got {values!r}")
+        if not isinstance(self.seeds, list) or not all(_is_int(v) for v in self.seeds):
+            raise ValidationError(f"sweep seeds must be a list of integers, got {self.seeds!r}")
+        for name in ("episodes", "eval_episodes", "horizon", "workers"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ValidationError(f"sweep {name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.record_walltime, bool):
+            raise ValidationError(
+                f"sweep record_walltime must be true or false, got {self.record_walltime!r}")
         if not (self.envs and self.wrappers and self.agents and self.seeds):
             raise ValidationError("sweep grid must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -47,6 +60,10 @@ class SweepConfig:
             return cls(**data)
         except TypeError as exc:  # unknown or missing keys, or not an object
             raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def wrapper_family(spec_str: str):

@@ -148,6 +148,10 @@ class TestBadInputExit2:
         assert main(_sweep_args(tmp_path / "r.csv")) == 2
         _assert_one_line_error(capsys)
 
+    def test_workers_below_one(self, tmp_path, capsys):
+        assert main(_sweep_args(tmp_path / "r.csv") + ["--workers", "0"]) == 2
+        _assert_one_line_error(capsys)
+
     def test_seeds_not_integer(self, tmp_path, capsys):
         args = _sweep_args(tmp_path / "r.csv")
         args[args.index("--seeds") + 1] = "0,x"
@@ -160,6 +164,16 @@ class TestBadInputExit2:
                                    "agents": ["random"], "bogus": 1}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("bad", [{"seeds": ["x"]}, {"episodes": "abc"}])
+    def test_sweep_config_bad_value(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"envs": ["chain:5"], "wrappers": ["id"],
+                                   "agents": ["random"], **bad}))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        _assert_one_line_error(capsys)
+        assert not out.exists()
 
     def test_sweep_config_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

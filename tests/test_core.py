@@ -85,6 +85,20 @@ class TestHistory:
         with pytest.raises(ValidationError):
             History((as_state([1.0]), as_state([1.0, 2.0])), (0,), (0.0,))
 
+    def test_extend_validates_appended_step(self):
+        h = initial_history([1.0, 0.0]).extend(0, 0.5, [2.0, 1.0])
+        with pytest.raises(ValidationError):
+            h.extend(1, 0.0, [np.nan, 0.0])
+        with pytest.raises(ValidationError):
+            h.extend(1, 0.0, [1.0])
+        with pytest.raises(ValidationError):
+            h.extend(1, 0.0, [[1.0, 0.0]])
+        h2 = h.extend(1, 1, np.array([3.0, 4.0]))
+        assert [s.tolist() for s in h2.states] == [[1.0, 0.0], [2.0, 1.0], [3.0, 4.0]]
+        assert h2.actions == (0, 1) and h2.rewards == (0.5, 1.0)
+        assert type(h2.actions[-1]) is int and type(h2.rewards[-1]) is float
+        assert not h2.states[-1].flags.writeable
+
     def test_latest_extractors(self):
         h = initial_history([1.0]).extend(1, 0.25, [2.0])
         assert latest_state(h)[0] == 2.0

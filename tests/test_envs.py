@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonmarkov.core import ValidationError, is_degenerate, save_mdp
+from nonmarkov.core import FiniteMDP, ValidationError, is_degenerate, save_mdp
 from nonmarkov.envs import (
     EpisodeFinishedError,
     FiniteMDPEnv,
@@ -99,6 +99,50 @@ class TestEnvDeterminism:
         env.reset(0)
         with pytest.raises(ValidationError):
             env.step(2)
+
+
+def _sampler_processes():
+    """Rows branching to every state, rho0 with zeros, single-outcome rows."""
+    wide = make_random_mdp(4, 5, 3, branching=5)
+    single = make_random_mdp(5, 4, 2, branching=1)
+    return [
+        make_chain(5, p_slip=0.4),
+        FiniteMDP(num_states=5, num_actions=3, rho0=np.array([0.3, 0.0, 0.7, 0.0, 0.0]),
+                  outcomes=wide.outcomes, embedding=wide.embedding),
+        FiniteMDP(num_states=4, num_actions=2, rho0=np.array([0.0, 0.25, 0.0, 0.75]),
+                  outcomes=single.outcomes, embedding=single.embedding),
+        make_random_mdp(6, 6, 2, branching=3),
+    ]
+
+
+class TestSampler:
+    """The compiled sampler against the `Generator.choice` sampler it replaced."""
+
+    @pytest.mark.parametrize("m", _sampler_processes())
+    def test_reset_matches_choice(self, m):
+        env = FiniteMDPEnv(m)
+        for seed in range(300):
+            expected = int(np.random.default_rng(seed).choice(m.num_states, p=m.rho0))
+            assert m.match_state(env.reset(seed)) == expected
+
+    @pytest.mark.parametrize("m", _sampler_processes())
+    def test_step_matches_choice(self, m):
+        env = FiniteMDPEnv(m)
+        actions = np.random.default_rng(99).integers(m.num_actions, size=3000)
+        got = [m.match_state(env.reset(7))]
+        for a in actions:
+            obs, reward, _, _ = env.step(int(a))
+            got.append((m.match_state(obs), reward))
+        rng = np.random.default_rng(7)
+        state = int(rng.choice(m.num_states, p=m.rho0))
+        expected = [state]
+        for a in actions:
+            row = m.row(state, int(a))
+            probs = np.array([o.prob for o in row])
+            o = row[int(rng.choice(len(row), p=probs / probs.sum()))]
+            state = o.next_state
+            expected.append((state, o.reward))
+        assert got == expected
 
 
 class TestClassicControl:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,17 @@ class TestSweepConfig:
     def test_seeds_distinct(self):
         with pytest.raises(ValidationError):
             small_config(seeds=[1, 1])
+
+    @pytest.mark.parametrize("field,value", [
+        ("seeds", ["x"]), ("seeds", [True]), ("seeds", [0.5]), ("seeds", 3),
+        ("episodes", "abc"), ("episodes", 0), ("episodes", True),
+        ("eval_episodes", 2.0), ("horizon", -1), ("workers", 0),
+        ("envs", "chain:5"), ("wrappers", [None]), ("agents", [1]),
+        ("record_walltime", "false"),
+    ])
+    def test_value_types(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            small_config(**{field: value})
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -59,6 +72,17 @@ class TestRunSweep:
         t1 = run_sweep(small_config())
         t2 = run_sweep(small_config())
         assert t1 == t2
+
+    def test_golden_digest(self):
+        """Pins the CSV bytes, so any change to the random stream (sampling,
+        seeding, exploration or evaluation order) fails here."""
+        cfg = SweepConfig(envs=["chain:5:0.2", "random:1:4:2:2"],
+                          wrappers=["S^0", "S^1", "D^1"], agents=["qwin:1", "random"],
+                          seeds=[0, 1], episodes=150, eval_episodes=20, horizon=6)
+        text = run_sweep(cfg)
+        assert len(text.splitlines()) == 25
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7f9c0a6c379eedce6b1650edf8a703e847b184141349ecab95d9da7b4363e128")
 
     def test_parallel_equals_serial(self):
         serial = run_sweep(small_config(workers=1))
