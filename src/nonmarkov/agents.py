@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, parse_number
 from .envs import Environment
 
 SENTINEL = "<pad>"
@@ -190,9 +190,9 @@ def parse_agent_spec(text: str, num_actions: int, discretizer=None):
         return RandomAgent(num_actions)
     if text.startswith("qwin:"):
         parts = text.split(":")
-        window = int(parts[1])
+        window = parse_number(parts[1], int, text)
         if len(parts) == 3:
-            bins = int(parts[2])
+            bins = parse_number(parts[2], int, text)
             if discretizer is None:
                 raise ValidationError("qwin with bins needs observation ranges")
             discretizer.bins = bins

@@ -39,7 +39,7 @@ import copy
 
 import numpy as np
 
-from .core import ValidationError, as_state
+from .core import ValidationError, as_state, parse_number
 
 KERNEL_HEAD_TOL = 1e-9
 
@@ -333,17 +333,17 @@ def _parse_atom_spec(text: str) -> Filter:
     if text in ("id", "S^0", "D^0"):
         return identity_spec()
     if text.startswith("S^"):
-        return group_power_spec(int(text[2:]))
+        return group_power_spec(parse_number(text[2:], int, text))
     if text.startswith("D^"):
-        return difference_power_spec(int(text[2:]))
+        return difference_power_spec(parse_number(text[2:], int, text))
     if text.startswith("S_l:"):
-        return smooth_spec(float(text[4:]))
+        return smooth_spec(parse_number(text[4:], float, text))
     if text.startswith("D_l:"):
-        return damp_spec(float(text[4:]))
+        return damp_spec(parse_number(text[4:], float, text))
     if text.startswith("conv:"):
-        return conv_spec(float(c) for c in text[5:].split(","))
+        return conv_spec(parse_number(c, float, text) for c in text[5:].split(","))
     if text.startswith("corr:"):
-        return corr_spec(float(c) for c in text[5:].split(","))
+        return corr_spec(parse_number(c, float, text) for c in text[5:].split(","))
     if text == "S":
         return group_power_spec(1)
     if text == "D":
@@ -376,7 +376,7 @@ def parse_har_spec(text: str) -> Filter:
     if text == "sum":
         return Filter((1.0,), (1.0, -1.0), label="sum")
     if text.startswith("conv:"):
-        return conv_spec(float(c) for c in text[5:].split(","))
+        return conv_spec(parse_number(c, float, text) for c in text[5:].split(","))
     raise ValidationError(f"cannot parse reward aggregator spec {text!r}")
 
 

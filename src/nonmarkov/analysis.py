@@ -132,23 +132,12 @@ def build_nonmarkov_embedding(m: FiniteMDP) -> AggregatedMDPOracle:
     return AggregatedMDPOracle(m, identity_spec())
 
 
-def _history_key(h: History):
-    return (
-        tuple(tuple(round(float(x), 12) for x in s) for s in h.states),
-        h.actions,
-        tuple(round(float(r), 12) for r in h.rewards),
-    )
-
-
 @dataclass(frozen=True)
 class HistoryMDP:
     """Explicit tabular process whose states enumerate reachable histories."""
 
     mdp: FiniteMDP
     histories: tuple  # index -> History
-
-    def history_of(self, state: int) -> History:
-        return self.histories[state]
 
 
 def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
@@ -157,52 +146,44 @@ def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
 
     Transition probabilities are inherited exactly; histories at the
     horizon become absorbing (zero reward) so the table stays closed.
+    A history is its parent plus one step, so it is interned by (parent
+    index, last action, last reward, last observation), rounded to 12
+    decimals; initial histories have no parent.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     histories = []
     index = {}
-    queue = []
 
-    def intern(h: History) -> int:
-        key = _history_key(h)
-        if key not in index:
+    def intern(obs, parent=None, action=None, reward=0.0) -> int:
+        key = (parent, action, round(float(reward), 12), tuple(round(float(x), 12) for x in obs))
+        i = index.get(key)
+        if i is None:
             if len(histories) >= cap:
                 raise StateExplosionError(
                     f"state explosion: more than {cap} reachable histories")
-            index[key] = len(histories)
-            histories.append(h)
-            queue.append(index[key])
-        return index[key]
+            i = index[key] = len(histories)
+            histories.append(initial_history(obs) if parent is None
+                             else histories[parent].extend(action, reward, obs))
+        return i
 
-    rho0_entries = [(intern(initial_history(obs)), float(p))
-                    for obs, p in oracle.initial()]
+    rho0_entries = [(intern(obs), float(p)) for obs, p in oracle.initial()]
 
-    rows = {}
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
+    # `histories` grows breadth-first, so it is its own queue: row i is
+    # appended when history i is expanded
+    outcomes = []
+    while len(outcomes) < len(histories):
+        i = len(outcomes)
         h = histories[i]
         if h.t >= horizon:
+            outcomes.append(tuple((Outcome(i, 0.0, 1.0),) for _ in range(oracle.num_actions)))
             continue
-        per_action = []
-        for a in range(oracle.num_actions):
-            lst = tuple(
-                Outcome(intern(h.extend(a, reward, obs)), float(reward), float(p))
-                for (obs, reward), p in oracle.transition(h, a)
-            )
-            per_action.append(lst)
-        rows[i] = tuple(per_action)
+        outcomes.append(tuple(
+            tuple(Outcome(intern(obs, i, a, reward), float(reward), float(p))
+                  for (obs, reward), p in oracle.transition(h, a))
+            for a in range(oracle.num_actions)))
 
     n = len(histories)
-    outcomes = []
-    for i in range(n):
-        if i in rows:
-            outcomes.append(rows[i])
-        else:
-            outcomes.append(tuple(
-                (Outcome(i, 0.0, 1.0),) for _ in range(oracle.num_actions)))
     rho0 = np.zeros(n)
     for i, p in rho0_entries:
         rho0[i] += p
@@ -231,23 +212,22 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
     """
     if abstraction is None:
         abstraction = build_markov_abstraction(build_nonmarkov_embedding(m), horizon)
-    violations = []
     hm = abstraction.mdp
+    last = [m.match_state(latest_state(h)) for h in abstraction.histories]
+    violations = []
     for i, h in enumerate(abstraction.histories):
-        if h.t >= horizon:
-            continue
-        s = m.match_state(latest_state(h))
-        if s is None:
-            violations.append({"where": f"history {i}", "expected": "embedded state",
+        if last[i] is None:
+            violations.append({"where": f"history {i} (t={h.t})", "expected": "embedded state",
                                "got": "undecodable last state"})
             continue
+        if h.t >= horizon:
+            continue
         for a in range(m.num_actions):
-            got = []
-            for o in hm.row(i, a):
-                child = abstraction.history_of(o.next_state)
-                ns = m.match_state(latest_state(child))
-                got.append(((float(ns) if ns is not None else np.nan, o.reward), o.prob))
-            expected = [((float(o.next_state), o.reward), o.prob) for o in m.row(s, a)]
+            row = hm.row(i, a)
+            if any(last[o.next_state] is None for o in row):
+                continue  # the undecodable child is a violation of its own
+            got = [((float(last[o.next_state]), o.reward), o.prob) for o in row]
+            expected = [((float(o.next_state), o.reward), o.prob) for o in m.row(last[i], a)]
             if not distributions_equal(expected, got, tol):
                 violations.append({
                     "where": f"history {i} (t={h.t}), action {a}",

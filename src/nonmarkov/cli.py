@@ -154,6 +154,7 @@ def _cmd_analyze_deps(args) -> int:
         "match": match,
         "dependency": analytical.to_json(),
         "histories_checked": len(at_t),
+        "undecodable": [e.undecodable for e in empirical],
         "violations": [
             {"where": f"history {i} (t={args.t})",
              "expected": list(analytical.indices), "got": list(e.indices)}

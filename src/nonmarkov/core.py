@@ -20,6 +20,16 @@ class ValidationError(ValueError):
     """Raised when a constructed object violates its invariants."""
 
 
+def parse_number(text: str, kind, spec: str):
+    """`kind(text)` for a number inside the grammar string `spec`; a malformed
+    number becomes a ValidationError naming the spec."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(
+            f"cannot parse {spec!r}: expected {kind.__name__}, got {text!r}") from None
+
+
 class EmptyComponentError(ValueError):
     """Raised when extracting the latest action/reward from a length-0 history."""
 
@@ -140,7 +150,8 @@ def distributions_equal(d1, d2, tol: float = PROB_TOL) -> bool:
     """Exact comparison of canonicalized distributions.
 
     Keys are tuples of floats; two keys match when all components agree
-    within `tol`, and matched probabilities must also agree within `tol`.
+    within `tol`, and matched probabilities must also agree within `tol`;
+    a NaN never agrees.
     """
     c1 = canonical_distribution(d1)
     c2 = canonical_distribution(d2)
@@ -149,9 +160,9 @@ def distributions_equal(d1, d2, tol: float = PROB_TOL) -> bool:
     for (k1, p1), (k2, p2) in zip(c1, c2):
         if len(k1) != len(k2):
             return False
-        if any(abs(a - b) > tol for a, b in zip(k1, k2)):
+        if not all(abs(a - b) <= tol for a, b in zip(k1, k2)):
             return False
-        if abs(p1 - p2) > tol:
+        if not abs(p1 - p2) <= tol:
             return False
     return True
 

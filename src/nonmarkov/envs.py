@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .core import FiniteMDP, Outcome, ValidationError, as_state, is_degenerate, load_mdp
+from .core import (
+    FiniteMDP, Outcome, ValidationError, as_state, is_degenerate, load_mdp, parse_number)
 
 
 class EpisodeFinishedError(RuntimeError):
@@ -294,15 +295,13 @@ def make_mdp_from_id(env_id: str) -> FiniteMDP:
     parts = env_id.split(":")
     if parts[0] == "chain":
         if len(parts) == 2:
-            return make_chain(int(parts[1]))
+            return make_chain(parse_number(parts[1], int, env_id))
         if len(parts) == 3:
-            return make_chain(int(parts[1]), float(parts[2]))
-    elif parts[0] == "random" and len(parts) == 4:
-        seed, s, a = (int(p) for p in parts[1:])
-        return make_random_mdp(seed, s, a, branching=2)
-    elif parts[0] == "random" and len(parts) == 5:
-        seed, s, a, b = (int(p) for p in parts[1:])
-        return make_random_mdp(seed, s, a, b)
+            return make_chain(parse_number(parts[1], int, env_id),
+                              parse_number(parts[2], float, env_id))
+    elif parts[0] == "random" and len(parts) in (4, 5):
+        seed, s, a, *b = (parse_number(p, int, env_id) for p in parts[1:])
+        return make_random_mdp(seed, s, a, branching=b[0] if b else 2)
     elif parts[0] == "mdp-file":
         return load_mdp(env_id.split(":", 1)[1])
     raise ValidationError(f"unrecognized tabular environment id {env_id!r}")

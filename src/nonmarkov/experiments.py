@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .agents import evaluate, parse_agent_spec, train
+from .aggregators import parse_spec
 from .core import ValidationError, load_json
 from .envs import make_env
 from .wrappers import wrap
@@ -52,6 +53,8 @@ class SweepConfig:
             raise ValidationError("sweep grid must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError("sweep seeds must be distinct")
+        for wrapper in self.wrappers:  # a malformed wrapper fails before any cell runs
+            parse_spec(wrapper)
 
     @classmethod
     def from_json(cls, path: str) -> "SweepConfig":
@@ -67,10 +70,13 @@ def _is_int(value) -> bool:
 
 
 def wrapper_family(spec_str: str):
-    """Split a wrapper spec into (family, numeric parameter)."""
+    """Split a wrapper spec into (family, numeric parameter); chains are
+    their own family with parameter 0."""
     s = spec_str.strip()
-    if s == "id":
-        return "id", 0.0
+    if s == "id" or "+" in s:
+        return s, 0.0
+    if s in ("S", "D"):
+        return s, 1.0
     if s.startswith("S^"):
         return "S", float(s[2:])
     if s.startswith("D^"):

@@ -4,6 +4,7 @@ import pytest
 from nonmarkov.aggregators import parse_spec
 from nonmarkov.analysis import (
     DependencyStructure,
+    HistoryMDP,
     StateExplosionError,
     analytical_dependency,
     build_markov_abstraction,
@@ -14,7 +15,8 @@ from nonmarkov.analysis import (
     verify_equivalence_roundtrip,
     verify_morphism,
 )
-from nonmarkov.core import FiniteMDP, Outcome, ValidationError, initial_history, is_degenerate
+from nonmarkov.core import (
+    FiniteMDP, History, Outcome, ValidationError, initial_history, is_degenerate)
 from nonmarkov.envs import make_chain, make_random_mdp, optimal_return
 from nonmarkov.wrappers import as_nmdp_oracle
 
@@ -158,6 +160,71 @@ class TestMarkovAbstraction:
                     assert o.next_state == i and o.reward == 0.0
 
 
+def whole_history_key(h):
+    return (
+        tuple(tuple(round(float(x), 12) for x in s) for s in h.states),
+        h.actions,
+        tuple(round(float(r), 12) for r in h.rewards),
+    )
+
+
+def whole_history_walk(oracle, horizon):
+    """Reference abstraction: a breadth-first walk that interns each history
+    by its whole rounded record.  Returns (histories, outcomes, rho0)."""
+    histories, index, queue = [], {}, []
+
+    def intern(h):
+        key = whole_history_key(h)
+        if key not in index:
+            index[key] = len(histories)
+            histories.append(h)
+            queue.append(index[key])
+        return index[key]
+
+    rho0_entries = [(intern(initial_history(obs)), float(p)) for obs, p in oracle.initial()]
+    rows = {}
+    head = 0
+    while head < len(queue):
+        i = queue[head]
+        head += 1
+        h = histories[i]
+        if h.t >= horizon:
+            continue
+        rows[i] = tuple(
+            tuple(Outcome(intern(h.extend(a, reward, obs)), float(reward), float(p))
+                  for (obs, reward), p in oracle.transition(h, a))
+            for a in range(oracle.num_actions))
+    outcomes = tuple(
+        rows[i] if i in rows else tuple((Outcome(i, 0.0, 1.0),) for _ in range(oracle.num_actions))
+        for i in range(len(histories)))
+    rho0 = np.zeros(len(histories))
+    for i, p in rho0_entries:
+        rho0[i] += p
+    return histories, outcomes, rho0
+
+
+class TestAbstractionMatchesWholeHistoryWalk:
+    @pytest.mark.parametrize("spec", ["id", "S^1", "D^1", "S_l:0.5", "corr:1,2,3,4,5"])
+    def test_chain_oracles(self, spec):
+        self.assert_same(as_nmdp_oracle(CHAIN5, spec), horizon=4)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("horizon,states", [(3, 340), (4, 1364)])
+    def test_random_embeddings(self, seed, horizon, states):
+        oracle = build_nonmarkov_embedding(make_random_mdp(seed, 4, 2, 2))
+        assert self.assert_same(oracle, horizon).mdp.num_states == states
+
+    @staticmethod
+    def assert_same(oracle, horizon):
+        hm = build_markov_abstraction(oracle, horizon)
+        histories, outcomes, rho0 = whole_history_walk(oracle, horizon)
+        assert ([whole_history_key(h) for h in hm.histories]
+                == [whole_history_key(h) for h in histories])
+        assert hm.mdp.outcomes == outcomes
+        assert np.array_equal(hm.mdp.rho0, rho0)
+        return hm
+
+
 class TestEquivalenceRoundtrip:
     def test_chain_passes(self):
         report = verify_equivalence_roundtrip(CHAIN5, horizon=3)
@@ -203,6 +270,22 @@ class TestEquivalenceRoundtrip:
         bad = HistoryMDP(mdp=mutated, histories=hm.histories)
         report = verify_equivalence_roundtrip(m, horizon=2, abstraction=bad)
         assert not report["pass"]
+
+
+    def test_undecodable_history_at_horizon_detected(self):
+        m = make_chain(3)
+        hm = build_markov_abstraction(build_nonmarkov_embedding(m), horizon=2)
+        histories = list(hm.histories)
+        i = next(i for i, h in enumerate(histories) if h.t == 2)
+        h = histories[i]
+        histories[i] = History(h.states[:-1] + (np.array([9.0, 9.0, 9.0]),),
+                               h.actions, h.rewards)
+        bad = HistoryMDP(mdp=hm.mdp, histories=tuple(histories))
+        report = verify_equivalence_roundtrip(m, horizon=2, abstraction=bad)
+        assert not report["pass"]
+        assert report["violations"] == [{"where": f"history {i} (t=2)",
+                                         "expected": "embedded state",
+                                         "got": "undecodable last state"}]
 
 
 def repeated_pair_mdp():

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from nonmarkov.analysis import empirical_dependency, reachable_histories
 from nonmarkov.cli import main, reversibility_report
 from nonmarkov.core import mdp_to_json
 from nonmarkov.envs import make_chain
+from nonmarkov.wrappers import as_nmdp_oracle
 
 
 class TestReversibilityReport:
@@ -83,6 +85,16 @@ class TestAnalyzeDeps:
     def test_bad_wrapper_exit2(self):
         assert main(["analyze-deps", "--env", "chain:5", "--wrapper", "Z^1",
                      "--t", "2"]) == 2
+
+    def test_undecodable_counts_reported(self, capsys):
+        assert main(["analyze-deps", "--env", "chain:5", "--wrapper", "D^1",
+                     "--t", "3", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        m = make_chain(5)
+        oracle = as_nmdp_oracle(m, "D^1")
+        counts = [empirical_dependency(oracle, h, list(m.embedding)).undecodable
+                  for h in reachable_histories(oracle, max_t=3) if h.t == 3]
+        assert report["undecodable"] == counts == [0, 3, 1, 3, 1, 2, 2, 3]
 
 
 class TestRunSweepPlot:
@@ -180,6 +192,23 @@ class TestBadInputExit2:
         cfg.write_text('{"envs": ["chain:5"],\n broken}')
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze-deps", "--wrapper", "S^x", "--t", "2"],
+        ["analyze-deps", "--wrapper", "S_l:abc", "--t", "2"],
+        ["verify-category", "--env", "chain:x"],
+        ["run", "--agent", "qwin:x", "--episodes", "5", "--eval-episodes", "5"],
+    ])
+    def test_malformed_number_in_grammar(self, argv, capsys):
+        assert main(argv) == 2
+        _assert_one_line_error(capsys)
+
+    def test_sweep_malformed_wrapper_before_any_cell(self, tmp_path, capsys):
+        args = _sweep_args(tmp_path / "r.csv")
+        args[args.index("--wrapper") + 1] = "S^x"
+        assert main(args) == 2
+        _assert_one_line_error(capsys)
+        assert not (tmp_path / "r.csv").exists()
 
     def test_verify_morphism_ragged_embedding(self, tmp_path, capsys):
         data = mdp_to_json(make_chain(3))

@@ -140,6 +140,19 @@ class TestDistributions:
         assert distributions_equal(d1, d2, tol=1e-12)
         assert not distributions_equal(d1, d2, tol=1e-14)
 
+    def test_nan_key_component_never_equal(self):
+        d1 = [((1.0, 0.0), 1.0)]
+        d2 = [((float("nan"), 0.0), 1.0)]
+        assert not distributions_equal(d1, d2)
+        assert not distributions_equal(d2, d1)
+        assert not distributions_equal(d2, d2)
+
+    def test_nan_probability_never_equal(self):
+        d1 = [((1.0, 0.0), 1.0)]
+        d2 = [((1.0, 0.0), float("nan"))]
+        assert not distributions_equal(d1, d2)
+        assert not distributions_equal(d2, d1)
+
 
 class TestFiniteMDP:
     def test_valid_construction(self):
