@@ -12,6 +12,7 @@ from .core import ValidationError, parse_number
 from .envs import Environment
 
 SENTINEL = "<pad>"
+KEY_CAP = 1 << 13  # ExactDiscretizer memoises keys of 1-d float64 arrays, up to this many
 
 
 class ExactDiscretizer:
@@ -19,9 +20,17 @@ class ExactDiscretizer:
 
     def __init__(self, decimals: int = 6):
         self.decimals = decimals
+        self._memo = {}
 
     def key(self, obs) -> tuple:
-        return tuple(np.asarray(obs, dtype=float).round(self.decimals).tolist())
+        keyed = isinstance(obs, np.ndarray) and obs.dtype == np.float64 and obs.ndim == 1
+        raw = obs.tobytes() if keyed else None
+        key = self._memo.get(raw)
+        if key is None:
+            key = tuple(np.asarray(obs, dtype=float).round(self.decimals).tolist())
+            if raw is not None and len(self._memo) < KEY_CAP:
+                self._memo[raw] = key
+        return key
 
 
 class UniformDiscretizer:
@@ -190,6 +199,8 @@ def parse_agent_spec(text: str, num_actions: int, discretizer=None):
         return RandomAgent(num_actions)
     if text.startswith("qwin:"):
         parts = text.split(":")
+        if len(parts) > 3:
+            raise ValidationError(f"cannot parse agent spec {text!r}: expected qwin:k[:bins]")
         window = parse_number(parts[1], int, text)
         if len(parts) == 3:
             bins = parse_number(parts[2], int, text)

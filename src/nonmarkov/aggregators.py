@@ -51,6 +51,8 @@ class NonInvertibleKernelError(ValidationError):
 def _poly(coeffs) -> tuple:
     """Coefficient tuple with trailing zeros dropped (at least one kept)."""
     c = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
+    if not np.all(np.isfinite(c)):
+        raise ValidationError("filter coefficients must be finite")
     if c.size < 1:
         raise ValidationError("filter needs a nonzero coefficient")
     return tuple(float(x) for x in c)
@@ -101,8 +103,8 @@ class Filter:
         self.b = tuple(x / a[0] for x in b)
         self.a = tuple(x / a[0] for x in a)
         self.gain = None if gain is None else tuple(float(w) for w in gain)
-        if self.gain == ():
-            raise ValidationError("correlation weights must be nonempty")
+        if self.gain == () or not np.all(np.isfinite(self.gain or ())):
+            raise ValidationError("correlation weights must be finite and nonempty")
         self.label = label
         self.then = then
         self._t = 0
@@ -132,6 +134,12 @@ class Filter:
         stream._x, stream._g = [], []
         if self.then is not None:
             stream.then = self.then.begin()
+        return stream
+
+    def fork(self) -> Filter:
+        """A copy of this stream that continues from its current state."""
+        stream = copy.copy(self)
+        stream.then = None if self.then is None else self.then.fork()
         return stream
 
     def _fold(self, acc: np.ndarray, sign: float) -> np.ndarray:

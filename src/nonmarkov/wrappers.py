@@ -16,6 +16,8 @@ from .aggregators import Filter, parse_har_spec, parse_spec
 from .core import FiniteMDP, History, NMDPOracle, UndecodableHistoryError, is_degenerate
 from .envs import Environment
 
+NODE_CAP = 1 << 13  # bounds the transducer of a stream that never repeats
+
 
 class WrappedEnvironment(Environment):
     """Environment whose observations and/or rewards are aggregated histories.
@@ -23,6 +25,10 @@ class WrappedEnvironment(Environment):
     The inner environment's trajectory is untouched; only the emitted
     observations (state filter `spec`) and/or rewards (reward filter
     `har_spec`, over a scalar stream) are transformed.  Either may be None.
+
+    Observations pass through an interned transducer: one `Filter.push` per new
+    (node, 1-d float64 observation bytes) edge, on a fork of the node's stream.
+    Other observations, and misses past NODE_CAP nodes, leave it for the episode.
     """
 
     def __init__(self, inner: Environment, spec: Filter = None, har_spec: Filter = None):
@@ -31,22 +37,41 @@ class WrappedEnvironment(Environment):
         self.har_spec = har_spec
         self.observation_dim = inner.observation_dim
         self.num_actions = inner.num_actions
-        self._state = None
+        self._nodes = [] if spec is None else [spec.begin()]
+        self._edges = {}  # (node id, observation bytes) -> (next node id, aggregate)
+        self._node, self._stream = 0, None  # node None: off the memo, streaming on _stream
         self._reward = None
+
+    @property
+    def node_count(self) -> int:
+        return len(self._nodes)
+
+    def _push(self, node, obs) -> np.ndarray:
+        keyed = isinstance(obs, np.ndarray) and obs.dtype == np.float64 and obs.ndim == 1
+        raw = obs.tobytes() if keyed and node is not None else None
+        self._node, g = self._edges.get((node, raw), (None, None))
+        if g is not None:
+            return g
+        self._stream = self._stream if node is None else self._nodes[node].fork()
+        g = self._stream.push(obs)
+        if raw is not None and len(self._nodes) < NODE_CAP:
+            self._node = len(self._nodes)
+            self._nodes.append(self._stream)
+            self._edges[node, raw] = (self._node, g)
+        return g
 
     def reset(self, seed: int) -> np.ndarray:
         obs = self.inner.reset(seed)
         if self.spec is not None:
-            self._state = self.spec.begin()
-            obs = self._state.push(obs)
+            obs = self._push(0, obs)
         if self.har_spec is not None:
             self._reward = self.har_spec.begin()
         return obs
 
     def step(self, action: int):
         obs, reward, terminated, truncated = self.inner.step(action)
-        if self._state is not None:
-            obs = self._state.push(obs)
+        if self.spec is not None:
+            obs = self._push(self._node, obs)
         if self._reward is not None:
             reward = float(self._reward.push((reward,))[0])
         return obs, reward, terminated, truncated

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nonmarkov import agents
 from nonmarkov.agents import (
     ExactDiscretizer,
     RandomAgent,
@@ -140,3 +141,36 @@ class TestParseAgentSpec:
     def test_unknown(self):
         with pytest.raises(ValidationError):
             parse_agent_spec("dqn", 2)
+
+
+class TestExactDiscretizerMemo:
+    @staticmethod
+    def rounded(obs, decimals=6):
+        return tuple(np.asarray(obs, dtype=float).round(decimals).tolist())
+
+    def test_matches_rounding_on_every_input_kind(self):
+        d = ExactDiscretizer()
+        inputs = [np.array([0.1234567, 1.0]), np.array([0.1234567, 1.0]),
+                  np.array([-0.0, 0.0]), np.array([0.0, -0.0]), np.array([-0.0, 0.0]),
+                  [0.1234567, 2.0], [3, -4], np.array([1, 2]),
+                  np.array([0.1234567, 1.0], dtype=np.float32),
+                  np.array([0.25, 0.5]), np.array([[0.25, 0.5]])]
+        for _ in range(2):  # the second pass reads the memo
+            for obs in inputs:
+                assert repr(d.key(obs)) == repr(self.rounded(obs)), obs  # repr keeps -0.0
+
+    def test_float32_with_float64_bytes_is_not_confused(self):
+        d = ExactDiscretizer()
+        x = np.array([0.1, 0.2])
+        assert d.key(x) == self.rounded(x)
+        y = x.view(np.float32)  # the same bytes read as four float32 values
+        assert d.key(y) == self.rounded(y)
+
+    def test_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(agents, "KEY_CAP", 3)
+        d = ExactDiscretizer(decimals=2)
+        xs = [np.array([i / 7.0, -i / 3.0]) for i in range(10)]
+        for _ in range(2):
+            for x in xs:
+                assert d.key(x) == self.rounded(x, 2)
+        assert len(d._memo) == 3

@@ -128,6 +128,14 @@ class TestKernel:
         with pytest.raises(NonInvertibleKernelError):
             band_kernel(1e-10, 1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"b": (np.nan,)}, {"b": (1.0, np.inf)}, {"b": (1.0,), "a": (1.0, -np.inf)},
+        {"b": (1.0,), "a": (1.0, -1.0), "gain": (1.0, np.nan)},
+    ])
+    def test_non_finite_coefficient_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            Filter(**kwargs)
+
     def test_geometric_ratio_bound(self):
         with pytest.raises(ValidationError):
             geometric_kernel(1.0, 1.5)

@@ -203,6 +203,20 @@ class TestBadInputExit2:
         assert main(argv) == 2
         _assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--wrapper", "conv:nan", "--episodes", "5", "--eval-episodes", "5"],
+        ["run", "--wrapper", "corr:inf,1,1", "--episodes", "5", "--eval-episodes", "5"],
+        ["analyze-deps", "--wrapper", "conv:nan", "--t", "2"],
+    ])
+    def test_non_finite_filter_coefficient(self, argv, capsys):
+        assert main(argv) == 2
+        _assert_one_line_error(capsys)
+
+    def test_agent_field_past_bins(self, capsys):
+        argv = ["run", "--agent", "qwin:1:2:3", "--episodes", "5", "--eval-episodes", "5"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys)
+
     def test_sweep_malformed_wrapper_before_any_cell(self, tmp_path, capsys):
         args = _sweep_args(tmp_path / "r.csv")
         args[args.index("--wrapper") + 1] = "S^x"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from nonmarkov import wrappers
 from nonmarkov.aggregators import parse_har_spec, parse_spec
-from nonmarkov.core import UndecodableHistoryError, initial_history
-from nonmarkov.envs import make_chain, make_env
+from nonmarkov.core import UndecodableHistoryError, ValidationError, initial_history
+from nonmarkov.envs import Environment, make_chain, make_env
 from nonmarkov.wrappers import AggregatedMDPOracle, WrappedEnvironment, as_nmdp_oracle, wrap
 
 
@@ -184,3 +185,117 @@ class TestOracleVsWrapStringForms:
         env = make_env("chain:5")
         wrapped = wrap(env, "S^3", har_spec="sum")
         assert isinstance(wrapped, WrappedEnvironment) and wrapped.inner is env
+
+
+# -- the interned transducer -----------------------------------------------------
+
+CORR = "corr:" + ",".join(str(1 + t % 3) for t in range(12))
+TRANSDUCER_SPECS = ["S^1", "S^3", "D^2", "S_l:0.5", CORR, "D_l:0.5+" + CORR]
+
+
+def assert_matches_fresh_streams(env_id, spec, episodes, seed, max_steps=8):
+    """The memoised wrapper against `spec.begin().push` over the raw stream of
+    a second inner env: same bytes, rewards and flags, episode by episode.
+    Returns the wrapper and the number of observations it emitted."""
+    wrapped = wrap(make_env(env_id, max_steps=max_steps), spec)
+    raw = make_env(env_id, max_steps=max_steps)
+    template = parse_spec(spec)
+    rng = np.random.default_rng(seed)
+    emitted = 0
+    for _ in range(episodes):
+        episode_seed = int(rng.integers(2 ** 31))
+        stream = template.begin()
+        got, want = wrapped.reset(episode_seed), stream.push(raw.reset(episode_seed))
+        assert got.tobytes() == want.tobytes()
+        emitted += 1
+        for _ in range(max_steps):
+            action = int(rng.integers(raw.num_actions))
+            got, want = wrapped.step(action), raw.step(action)
+            assert got[0].tobytes() == stream.push(want[0]).tobytes()
+            assert got[1:] == want[1:]
+            emitted += 1
+            if want[2] or want[3]:
+                break
+    return wrapped, emitted
+
+
+class TestInternedTransducer:
+    @pytest.mark.parametrize("spec", TRANSDUCER_SPECS)
+    @pytest.mark.parametrize("env_id", ["chain:5:0.4", "random:3:4:2:2"])
+    def test_matches_fresh_stream(self, env_id, spec):
+        env, emitted = assert_matches_fresh_streams(env_id, spec, episodes=300, seed=1)
+        assert 1 < env.node_count < emitted  # edges were looked up, not all recomputed
+
+    @pytest.mark.parametrize("spec", TRANSDUCER_SPECS)
+    def test_matches_fresh_stream_past_node_cap(self, spec, monkeypatch):
+        monkeypatch.setattr(wrappers, "NODE_CAP", 5)
+        env, _ = assert_matches_fresh_streams("chain:5:0.4", spec, episodes=100, seed=2)
+        assert env.node_count == 5
+
+    def test_cartpole_never_repeats(self):
+        env, emitted = assert_matches_fresh_streams("cartpole", "S^1", episodes=3, seed=3,
+                                                    max_steps=40)
+        assert env.node_count == 1 + emitted  # every observation was a new edge
+
+    def test_aggregates_are_read_only(self):
+        env = wrap(make_env("chain:5:0.4", max_steps=8), "S^2")
+        for seed in (0, 0, 1):  # the second reset of seed 0 replays memoised edges
+            obs = env.reset(seed)
+            assert not obs.flags.writeable
+            for a in ACTIONS:
+                obs = env.step(a)[0]
+                assert not obs.flags.writeable
+                with pytest.raises(ValueError):
+                    obs[0] = 1.0
+
+
+class StubEnv(Environment):
+    """Replays `episodes[seed]`, one observation per reset/step; reward 0."""
+
+    observation_dim = 2
+    num_actions = 1
+
+    def __init__(self, episodes):
+        self.episodes = episodes
+
+    def reset(self, seed: int):
+        self._obs = iter(self.episodes[seed])
+        return next(self._obs)
+
+    def step(self, action: int):
+        return next(self._obs), 0.0, False, False
+
+
+class TestUnkeyedObservations:
+    E0 = np.array([1.0, 0.0])
+
+    def test_two_dimensional_rejected_where_same_bytes_were_memoised(self):
+        env = wrap(StubEnv([[self.E0, self.E0], [self.E0.reshape(1, 2)],
+                            [self.E0, self.E0.reshape(1, 2)]]), "S^1")
+        env.reset(0)
+        env.step(0)
+        with pytest.raises(ValidationError):
+            env.reset(1)
+        env.reset(2)
+        with pytest.raises(ValidationError):
+            env.step(0)
+
+    def test_nan_rejected_on_every_episode(self):
+        env = wrap(StubEnv([[self.E0, np.array([np.nan, 0.0])]]), "S^1")
+        for _ in range(3):
+            env.reset(0)
+            with pytest.raises(ValidationError):
+                env.step(0)
+        assert env.node_count == 2
+
+    def test_float32_streams_as_before_and_is_not_interned(self):
+        e0_32 = self.E0.astype(np.float32)
+        episodes = [[self.E0, e0_32, np.array([0.5, 0.25], dtype=np.float32)],
+                    [e0_32, self.E0], [self.E0.view(np.float32)]]  # E0's bytes
+        env = wrap(StubEnv(episodes), "S^1")
+        for seed in (0, 1, 0, 2):
+            stream = parse_spec("S^1").begin()
+            assert env.reset(seed).tobytes() == stream.push(episodes[seed][0]).tobytes()
+            for o in episodes[seed][1:]:
+                assert env.step(0)[0].tobytes() == stream.push(o).tobytes()
+        assert env.node_count == 2
