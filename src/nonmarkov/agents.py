@@ -2,7 +2,8 @@
 
 The windowed agent keys its Q-table on the last k discretized observations,
 so window size directly controls how much history it can exploit when the
-environment's observations are aggregated histories.
+environment's observations are aggregated histories.  Both agents share one
+interface: `observe_reset(obs)`, then `observe(obs)` after each step, and `act_greedy()`.
 """
 from __future__ import annotations
 
@@ -13,6 +14,9 @@ from .envs import Environment
 
 SENTINEL = "<pad>"
 KEY_CAP = 1 << 13  # ExactDiscretizer memoises keys of 1-d float64 arrays, up to this many
+ALPHA, GAMMA = 0.1, 0.99  # Q-learning step size and discount
+# epsilon falls linearly from EPS_START to EPS_FINAL over the first EPS_DECAY_FRAC of training
+EPS_START, EPS_FINAL, EPS_DECAY_FRAC = 1.0, 0.05, 0.8
 
 
 class ExactDiscretizer:
@@ -39,6 +43,8 @@ class UniformDiscretizer:
     def __init__(self, low, high, bins: int):
         self.low = np.asarray(low, dtype=float)
         self.high = np.asarray(high, dtype=float)
+        if self.low.shape != self.high.shape or not np.all(self.high > self.low):
+            raise ValidationError("uniform bins need low and high of one shape with high > low")
         if bins < 1:
             raise ValidationError("bin count must be >= 1")
         self.bins = bins
@@ -51,7 +57,7 @@ class UniformDiscretizer:
 
 
 class RandomAgent:
-    """Uniform random policy; training is a no-op."""
+    """Uniform random policy; it keeps no window, and training is a no-op."""
 
     def __init__(self, num_actions: int):
         self.num_actions = num_actions
@@ -60,70 +66,47 @@ class RandomAgent:
     def seed(self, seed: int):
         self._rng = np.random.default_rng(seed)
 
-    def act(self, obs) -> int:
-        return int(self._rng.integers(self.num_actions))
-
-    def act_greedy(self, obs) -> int:
-        return self.act(obs)
-
     def observe_reset(self, obs):
         pass
+
+    observe = observe_reset
+
+    def act_greedy(self) -> int:
+        return int(self._rng.integers(self.num_actions))
 
 
 class WindowedQAgent:
     """Tabular Q-learning over a sliding window of discretized observations.
 
-    Keys are k-tuples of discretized observations, padded with a sentinel
-    before step k-1.  Greedy ties break toward the lowest action index.
+    `key` is the window, a k-tuple of discretized observations padded with
+    SENTINEL before step k-1, and also the Q-table key.  Each row of `q` is a
+    list of floats, one per action; greedy ties break toward the lowest action.
     """
 
-    def __init__(self, num_actions: int, window: int = 1,
-                 discretizer=None, alpha: float = 0.1, gamma: float = 0.99,
-                 eps_start: float = 1.0, eps_final: float = 0.05,
-                 eps_decay_frac: float = 0.8):
+    def __init__(self, num_actions: int, window: int = 1, discretizer=None):
         if window < 1:
             raise ValidationError("window must be >= 1")
         self.num_actions = num_actions
         self.window = window
         self.discretizer = discretizer if discretizer is not None else ExactDiscretizer()
-        self.alpha = alpha
-        self.gamma = gamma
-        self.eps_start = eps_start
-        self.eps_final = eps_final
-        self.eps_decay_frac = eps_decay_frac
         self.q = {}
-        self._buf = []
-
-    # -- window bookkeeping --------------------------------------------------
+        self.key = ()
 
     def observe_reset(self, obs):
-        self._buf = [SENTINEL] * (self.window - 1) + [self.discretizer.key(obs)]
+        self.key = (SENTINEL,) * (self.window - 1) + (self.discretizer.key(obs),)
 
-    def _advance(self, obs):
-        self._buf = self._buf[1:] + [self.discretizer.key(obs)]
+    def observe(self, obs):
+        self.key = self.key[1:] + (self.discretizer.key(obs),)
 
-    def _key(self) -> tuple:
-        return tuple(self._buf)
-
-    def _values(self, key) -> np.ndarray:
-        vals = self.q.get(key)
-        if vals is None:
-            vals = np.zeros(self.num_actions)
-            self.q[key] = vals
-        return vals
-
-    def act_greedy(self, obs=None) -> int:
-        vals = self.q.get(self._key())
-        if vals is None:
-            return 0
-        return int(np.argmax(vals))  # argmax breaks ties toward lowest index
+    def act_greedy(self) -> int:
+        row = self.q.get(self.key)
+        return 0 if row is None else row.index(max(row))
 
     def epsilon(self, episode: int, episodes: int) -> float:
-        cutoff = max(1, int(episodes * self.eps_decay_frac))
+        cutoff = max(1, int(episodes * EPS_DECAY_FRAC))
         if episode >= cutoff:
-            return self.eps_final
-        frac = episode / cutoff
-        return self.eps_start + frac * (self.eps_final - self.eps_start)
+            return EPS_FINAL
+        return EPS_START + episode / cutoff * (EPS_FINAL - EPS_START)
 
 
 def train(agent, env: Environment, episodes: int, seed: int,
@@ -137,28 +120,26 @@ def train(agent, env: Environment, episodes: int, seed: int,
     if isinstance(agent, RandomAgent):
         return agent
     rng = np.random.default_rng(seed)
+    q = agent.q
     for ep in range(episodes):
         eps = agent.epsilon(ep, episodes)
-        obs = env.reset(int(rng.integers(2 ** 31)))
-        agent.observe_reset(obs)
+        agent.observe_reset(env.reset(int(rng.integers(2 ** 31))))
         steps = 0
         while True:
-            key = agent._key()
+            key = agent.key
             if rng.random() < eps:
                 action = int(rng.integers(agent.num_actions))
             else:
                 action = agent.act_greedy()
             obs, reward, terminated, truncated = env.step(action)
-            agent._advance(obs)
-            next_key = agent._key()
-            vals = agent._values(key)
+            agent.observe(obs)
+            row = q.setdefault(key, [0.0] * agent.num_actions)
             if terminated:
                 target = reward
             else:
-                next_vals = agent.q.get(next_key)
-                bootstrap = float(next_vals.max()) if next_vals is not None else 0.0
-                target = reward + agent.gamma * bootstrap
-            vals[action] += agent.alpha * (target - vals[action])
+                next_row = q.get(agent.key)
+                target = reward + GAMMA * (max(next_row) if next_row is not None else 0.0)
+            row[action] += ALPHA * (target - row[action])
             steps += 1
             if terminated or truncated or (horizon is not None and steps >= horizon):
                 break
@@ -174,15 +155,12 @@ def evaluate(agent, env: Environment, episodes: int, horizon: int, seed: int):
     rng = np.random.default_rng(seed)
     returns = []
     for _ in range(episodes):
-        obs = env.reset(int(rng.integers(2 ** 31)))
-        agent.observe_reset(obs)
+        agent.observe_reset(env.reset(int(rng.integers(2 ** 31))))
         total = 0.0
         steps = 0
         while True:
-            action = agent.act_greedy(obs)
-            obs, reward, terminated, truncated = env.step(action)
-            if hasattr(agent, "_advance"):
-                agent._advance(obs)
+            obs, reward, terminated, truncated = env.step(agent.act_greedy())
+            agent.observe(obs)
             total += reward
             steps += 1
             if terminated or truncated or steps >= horizon:
@@ -193,7 +171,8 @@ def evaluate(agent, env: Environment, episodes: int, horizon: int, seed: int):
 
 
 def parse_agent_spec(text: str, num_actions: int, discretizer=None):
-    """Agent grammar: "random" or "qwin:k[:bins]"."""
+    """Agent grammar: "random" or "qwin:k[:bins]".  `:bins` needs a
+    UniformDiscretizer and rebins a copy of it; the caller's is left unchanged."""
     text = text.strip()
     if text == "random":
         return RandomAgent(num_actions)
@@ -203,9 +182,9 @@ def parse_agent_spec(text: str, num_actions: int, discretizer=None):
             raise ValidationError(f"cannot parse agent spec {text!r}: expected qwin:k[:bins]")
         window = parse_number(parts[1], int, text)
         if len(parts) == 3:
-            bins = parse_number(parts[2], int, text)
-            if discretizer is None:
-                raise ValidationError("qwin with bins needs observation ranges")
-            discretizer.bins = bins
-        return WindowedQAgent(num_actions, window=window, discretizer=discretizer)
+            if not isinstance(discretizer, UniformDiscretizer):
+                raise ValidationError("qwin:k:bins needs a UniformDiscretizer (observation ranges)")
+            discretizer = UniformDiscretizer(discretizer.low, discretizer.high,
+                                             parse_number(parts[2], int, text))
+        return WindowedQAgent(num_actions, window, discretizer)
     raise ValidationError(f"cannot parse agent spec {text!r}")

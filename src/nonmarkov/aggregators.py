@@ -42,6 +42,7 @@ import numpy as np
 from .core import ValidationError, as_state, parse_number
 
 KERNEL_HEAD_TOL = 1e-9
+UNIT_ROOT_TOL = 1e-3  # keeps repeated unit-circle roots, as in conv:1,-2,1, legal
 
 
 class NonInvertibleKernelError(ValidationError):
@@ -325,8 +326,12 @@ def damp_spec(lam: float) -> Filter:
 
 
 def conv_spec(coeffs) -> Filter:
+    """Band kernel b with a stable decoder 1/b: no root of b(z) inside the unit disk."""
     cs = tuple(float(c) for c in coeffs)
-    return Filter(cs, label="conv:" + ",".join(f"{c:g}" for c in cs))
+    f = Filter(cs, label="conv:" + ",".join(f"{c:g}" for c in cs))
+    if np.any(np.abs(np.roots(f.b)) > 1.0 + UNIT_ROOT_TOL):  # reciprocal roots of b(z)
+        raise ValidationError(f"unstable decoder: b(z) of {f.label} has a root in the unit disk")
+    return f
 
 
 def corr_spec(weights) -> Filter:

@@ -33,13 +33,20 @@ class TestDiscretizers:
         with pytest.raises(ValidationError):
             UniformDiscretizer([0.0], [1.0], bins=0)
 
+    @pytest.mark.parametrize("low, high", [([0.0], [0.0, 1.0]),  # shapes differ
+                                           ([0.0, 1.0], [1.0, 1.0]),  # low == high
+                                           ([1.0], [0.0])])  # high < low
+    def test_ranges_validated(self, low, high):
+        with pytest.raises(ValidationError):
+            UniformDiscretizer(low, high, bins=4)
+
 
 class TestRandomAgent:
     def test_seeded_determinism(self):
         a1, a2 = RandomAgent(3), RandomAgent(3)
         a1.seed(5)
         a2.seed(5)
-        assert [a1.act(None) for _ in range(20)] == [a2.act(None) for _ in range(20)]
+        assert [a1.act_greedy() for _ in range(20)] == [a2.act_greedy() for _ in range(20)]
 
     def test_training_is_noop(self):
         env = make_env("chain:5", max_steps=8)
@@ -52,22 +59,23 @@ class TestWindowedQAgent:
     def test_window_padding(self):
         agent = WindowedQAgent(num_actions=2, window=3)
         agent.observe_reset(np.array([1.0]))
-        key = agent._key()
-        assert key[0] == SENTINEL and key[1] == SENTINEL
-        assert key[2] == (1.0,)
+        assert agent.key == (SENTINEL, SENTINEL, (1.0,))
 
     def test_window_slides(self):
         agent = WindowedQAgent(num_actions=2, window=2)
         agent.observe_reset(np.array([1.0]))
-        agent._advance(np.array([2.0]))
-        agent._advance(np.array([3.0]))
-        assert agent._key() == ((2.0,), (3.0,))
+        agent.observe(np.array([2.0]))
+        assert agent.key == ((1.0,), (2.0,))
+        agent.observe(np.array([3.0]))
+        assert agent.key == ((2.0,), (3.0,))
 
     def test_greedy_ties_low_action(self):
         agent = WindowedQAgent(num_actions=3, window=1)
         agent.observe_reset(np.array([1.0]))
-        agent.q[agent._key()] = np.array([0.5, 0.5, 0.5])
+        agent.q[agent.key] = [0.5, 0.5, 0.5]
         assert agent.act_greedy() == 0
+        agent.q[agent.key] = [0.1, 0.5, 0.5]
+        assert agent.act_greedy() == 1
 
     def test_unseen_key_default_action(self):
         agent = WindowedQAgent(num_actions=3, window=1)
@@ -113,6 +121,31 @@ class TestTraining:
         r2 = evaluate(agent, env, episodes=30, horizon=8, seed=5)
         assert r1 == r2
 
+    def test_q_rows_are_float_lists(self):
+        env = make_env("chain:5", max_steps=8)
+        agent = train(WindowedQAgent(num_actions=2, window=2), env, episodes=20, seed=0, horizon=8)
+        assert agent.q and all(type(row) is list and len(row) == 2 for row in agent.q.values())
+        assert all(isinstance(v, float) for row in agent.q.values() for v in row)
+
+    def test_evaluate_drives_the_public_interface(self):
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+
+            def observe_reset(self, obs):
+                self.calls.append("reset")
+
+            def observe(self, obs):
+                self.calls.append("observe")
+
+            def act_greedy(self):
+                self.calls.append("act")
+                return 1
+
+        agent = Recorder()
+        evaluate(agent, make_env("chain:5", max_steps=8), episodes=2, horizon=3, seed=0)
+        assert agent.calls == (["reset"] + ["act", "observe"] * 3) * 2
+
     def test_episode_count_validated(self):
         env = make_env("chain:5", max_steps=8)
         with pytest.raises(ValidationError):
@@ -132,11 +165,27 @@ class TestParseAgentSpec:
     def test_qwin_bins_requires_ranges(self):
         with pytest.raises(ValidationError):
             parse_agent_spec("qwin:2:8", 2)
+        with pytest.raises(ValidationError):  # the exact discretizer has no bins to set
+            parse_agent_spec("qwin:2:8", 2, discretizer=ExactDiscretizer())
 
     def test_qwin_bins_with_discretizer(self):
         d = UniformDiscretizer([0.0], [1.0], bins=2)
         agent = parse_agent_spec("qwin:2:8", 2, discretizer=d)
         assert agent.discretizer.bins == 8
+        assert agent.discretizer.key([0.3]) == (2,)
+
+    def test_qwin_bins_leaves_caller_discretizer(self):
+        d = UniformDiscretizer([0.0], [1.0], bins=2)
+        a4 = parse_agent_spec("qwin:1:4", 2, discretizer=d)
+        a8 = parse_agent_spec("qwin:1:8", 2, discretizer=d)
+        assert (d.bins, a4.discretizer.bins, a8.discretizer.bins) == (2, 4, 8)
+
+    @pytest.mark.parametrize("spec", ["qwin:1:0", "qwin:1:-3"])
+    def test_qwin_bins_validated(self, spec):
+        d = UniformDiscretizer([0.0], [1.0], bins=2)
+        with pytest.raises(ValidationError):
+            parse_agent_spec(spec, 2, discretizer=d)
+        assert d.bins == 2
 
     def test_unknown(self):
         with pytest.raises(ValidationError):

@@ -403,11 +403,17 @@ class TestSpecs:
 
 class TestParseSpec:
     @pytest.mark.parametrize("text", ["id", "S^2", "D^1", "S_l:0.4", "D_l:0.8",
-                                      "conv:1,-0.5,0.25", "corr:1,2,3", "S^1+D^1", "S", "D"])
+                                      "conv:1,-0.5,0.25", "corr:1,2,3", "S^1+D^1", "S", "D",
+                                      # roots of b(z) on the unit circle, repeated ones too
+                                      "conv:1,-1", "conv:1,-2,1", "conv:1,-3,3,-1",
+                                      "conv:1,-4,6,-4,1",
+                                      "conv:-1.0,0.0,0.8,1.7265030821076188e-87"])
     def test_accepts_grammar(self, text):
         parse_spec(text)
 
-    @pytest.mark.parametrize("text", ["", "Q^1", "S_l:2.0", "conv:0,1", "S^-1"])
+    @pytest.mark.parametrize("text", ["", "Q^1", "S_l:2.0", "conv:0,1", "S^-1",
+                                      # a root of b(z) inside the unit disk: unstable decoder
+                                      "conv:0.5,0.9", "conv:1,-1.5", "conv:1,0,-1.1"])
     def test_rejects_invalid(self, text):
         with pytest.raises((ValidationError, ValueError)):
             parse_spec(text)

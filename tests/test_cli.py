@@ -212,6 +212,12 @@ class TestBadInputExit2:
         assert main(argv) == 2
         _assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("wrapper", ["conv:0.5,0.9", "conv:1,-1.5"])
+    def test_unstable_decoder(self, wrapper, capsys):
+        argv = ["run", "--wrapper", wrapper, "--episodes", "5", "--eval-episodes", "5"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys)
+
     def test_agent_field_past_bins(self, capsys):
         argv = ["run", "--agent", "qwin:1:2:3", "--episodes", "5", "--eval-episodes", "5"]
         assert main(argv) == 2

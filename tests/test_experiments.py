@@ -85,6 +85,16 @@ class TestRunSweep:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "7f9c0a6c379eedce6b1650edf8a703e847b184141349ecab95d9da7b4363e128")
 
+    def test_golden_digest_windows(self):
+        """Pins learning with windows longer than one observation."""
+        cfg = SweepConfig(envs=["chain:5:0.2", "random:1:4:2:2"],
+                          wrappers=["S^1", "D^2", "S_l:0.5"], agents=["qwin:2", "qwin:3"],
+                          seeds=[0, 1], episodes=300, eval_episodes=20, horizon=6)
+        text = run_sweep(cfg)
+        assert len(text.splitlines()) == 25
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e3a456c8391a877d41a52d311fea8b90684291d0a518767c6f8472503bee27de")
+
     def test_parallel_equals_serial(self):
         serial = run_sweep(small_config(workers=1))
         parallel = run_sweep(small_config(workers=4))
