@@ -51,6 +51,8 @@ class UniformDiscretizer:
 
     def key(self, obs) -> tuple:
         x = np.asarray(obs, dtype=float)
+        if x.shape != self.low.shape or not np.all(np.isfinite(x)):
+            raise ValidationError(f"observation {x.tolist()}: need finite, shape {self.low.shape}")
         frac = (x - self.low) / (self.high - self.low)
         idx = np.clip((frac * self.bins).astype(int), 0, self.bins - 1)
         return tuple(int(i) for i in idx)

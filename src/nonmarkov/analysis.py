@@ -31,8 +31,8 @@ from .wrappers import AggregatedMDPOracle
 DEP_WEIGHT_TOL = 1e-9
 
 
-class StateExplosionError(RuntimeError):
-    """History enumeration exceeded the configured cap."""
+class StateExplosionError(ValidationError):
+    """History enumeration exceeded the configured cap: the input is too large."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,34 +70,33 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
     changes the transition distribution for some action.  A perturbation
     that makes the history undecodable also counts as a change (the
     original history was decodable, so the transition law visibly differs);
-    such events are tallied in `undecodable`.
+    such events are tallied in `undecodable`.  Each prefix of h is pulled once; a
+    perturbation forks prefix i and pulls the candidate and the suffix.
     """
     actions = range(oracle.num_actions)
-    base = {a: _flat_dist(oracle.transition(h, a)) for a in actions}
-    indices = []
-    undecodable = 0
+    steps = list(zip(h.states, (None, *h.actions), (None, *h.rewards)))
+    prefixes = [oracle.begin()]  # prefixes[i]: the stream after positions 0..i-1
+    for step in steps:
+        prefixes.append(prefixes[-1].fork())
+        prefixes[-1].pull(*step)
+    base = {a: _flat_dist(prefixes[-1].transition(a)) for a in actions}
+    indices, undecodable = [], 0
     for i in range(h.t + 1):
-        candidates = oracle.substitution_candidates(h, i, state_pool)
-        hit = False
-        for cand in candidates:
+        for cand in prefixes[i].candidates(h, state_pool):
             if np.max(np.abs(cand - h.states[i])) <= tol:
                 continue  # not a substitution
-            perturbed = History(
-                h.states[:i] + (cand,) + h.states[i + 1:], h.actions, h.rewards)
-            for a in actions:
-                try:
-                    d = _flat_dist(oracle.transition(perturbed, a))
-                except UndecodableHistoryError:
-                    undecodable += 1
-                    hit = True
-                    break
-                if not distributions_equal(base[a], d, tol):
-                    hit = True
-                    break
-            if hit:
+            stream = prefixes[i].fork()
+            for step in ((cand, *steps[i][1:]), *steps[i + 1:]):
+                stream.pull(*step)
+            try:
+                changed = any(not distributions_equal(
+                    base[a], _flat_dist(stream.transition(a)), tol) for a in actions)
+            except UndecodableHistoryError:
+                undecodable += 1
+                changed = True
+            if changed:
+                indices.append(i)
                 break
-        if hit:
-            indices.append(i)
     return DependencyStructure(t=h.t, indices=tuple(indices), undecodable=undecodable)
 
 
@@ -154,17 +153,22 @@ def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
         raise ValidationError("horizon must be >= 1")
     histories = []
     index = {}
+    streams = {}  # open history below the horizon -> its stream, a fork of its parent's
 
     def intern(obs, parent=None, action=None, reward=0.0) -> int:
         key = (parent, action, round(float(reward), 12), tuple(round(float(x), 12) for x in obs))
         i = index.get(key)
         if i is None:
+            t = 0 if parent is None else histories[parent].t + 1
             if len(histories) >= cap:
-                raise StateExplosionError(
-                    f"state explosion: more than {cap} reachable histories")
+                raise StateExplosionError(f"state explosion: history cap {cap} reached at t={t} "
+                                          f"of horizon {horizon}, {len(histories)} interned")
             i = index[key] = len(histories)
             histories.append(initial_history(obs) if parent is None
                              else histories[parent].extend(action, reward, obs))
+            if t < horizon:
+                streams[i] = oracle.begin() if parent is None else streams[parent].fork()
+                streams[i].pull(histories[i].states[-1], action, reward)
         return i
 
     rho0_entries = [(intern(obs), float(p)) for obs, p in oracle.initial()]
@@ -174,14 +178,14 @@ def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
     outcomes = []
     while len(outcomes) < len(histories):
         i = len(outcomes)
-        h = histories[i]
-        if h.t >= horizon:
+        if histories[i].t >= horizon:
             outcomes.append(tuple((Outcome(i, 0.0, 1.0),) for _ in range(oracle.num_actions)))
             continue
         outcomes.append(tuple(
             tuple(Outcome(intern(obs, i, a, reward), float(reward), float(p))
-                  for (obs, reward), p in oracle.transition(h, a))
+                  for (obs, reward), p in streams[i].transition(a))
             for a in range(oracle.num_actions)))
+        del streams[i]
 
     n = len(histories)
     rho0 = np.zeros(n)

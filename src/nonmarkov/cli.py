@@ -138,6 +138,8 @@ def _cmd_verify_morphism(args) -> int:
 
 
 def _cmd_analyze_deps(args) -> int:
+    if args.max_histories < 1:
+        raise ValidationError(f"--max-histories must be >= 1, got {args.max_histories}")
     m = make_mdp_from_id(args.env)
     spec = parse_spec(args.wrapper)
     oracle = as_nmdp_oracle(m, spec)

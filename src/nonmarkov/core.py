@@ -279,13 +279,13 @@ class UndecodableHistoryError(ValueError):
 class NMDPOracle:
     """Exact transition evaluator for a finite non-Markovian decision process.
 
-    Subclasses implement `initial()` returning a finite distribution over
-    first observations as (obs, prob) pairs, `transition(h, a)` returning
-    a finite distribution over (next observation, reward) as
-    ((obs, reward), prob) pairs, and `substitution_candidates`.  Both
-    distributions must be deterministic functions of their arguments and sum
-    to 1 within 1e-12; a key may repeat, and consumers sum the probabilities
-    of equal keys.
+    Subclasses implement `initial()` returning a finite distribution over first
+    observations as (obs, prob) pairs, and either `begin()` or both History-form
+    methods (each form replays the other): `transition(h, a)` returning a finite
+    distribution over (next observation, reward) as ((obs, reward), prob) pairs,
+    and `substitution_candidates`.  Both distributions must be deterministic
+    functions of their arguments and sum to 1 within 1e-12; a key may repeat,
+    and consumers sum the probabilities of equal keys.
     """
 
     num_actions: int
@@ -294,12 +294,42 @@ class NMDPOracle:
         raise NotImplementedError
 
     def transition(self, h: History, action: int):
-        raise NotImplementedError
+        return self._replay(h, h.t + 1).transition(action)
 
     def substitution_candidates(self, h: History, index: int, state_pool):
         """Candidate observations to substitute at `index` of `h`, one per
         raw state in `state_pool`."""
-        raise NotImplementedError
+        return self._replay(h, index).candidates(h, state_pool)
+
+    def begin(self) -> "ReplayStream":
+        """A stream at the empty history: `pull` appends a step, `fork` copies, and
+        `transition(a)` and `candidates(h, pool)` answer for the prefix pulled."""
+        return ReplayStream(self)
+
+    def _replay(self, h: History, n: int):
+        stream = self.begin()
+        for step in zip(h.states[:n], (None, *h.actions), (None, *h.rewards)):
+            stream.pull(*step)
+        return stream
+
+
+class ReplayStream:
+    """The default oracle stream: the History pulled so far, replayed on every call."""
+
+    def __init__(self, oracle: NMDPOracle, h: History = None):
+        self.oracle, self.h = oracle, h
+
+    def fork(self) -> "ReplayStream":
+        return ReplayStream(self.oracle, self.h)
+
+    def pull(self, obs, action=None, reward=None) -> None:
+        self.h = initial_history(obs) if self.h is None else self.h.extend(action, reward, obs)
+
+    def transition(self, action: int):
+        return self.oracle.transition(self.h, action)
+
+    def candidates(self, h: History, state_pool):
+        return self.oracle.substitution_candidates(h, self.h.t + 1 if self.h else 0, state_pool)
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -115,26 +115,32 @@ class AggregatedMDPOracle(NMDPOracle):
         return [(self.spec.begin().push(e), float(p))
                 for e, p in zip(self.mdp.embedding, self.mdp.rho0) if p > 0]
 
-    def transition(self, h: History, action: int):
-        stream = self.spec.begin()
-        last = [stream.pull(g) for g in h.states][-1]
-        idx = self.mdp.match_state(last)
-        if idx is None:
-            raise UndecodableHistoryError(
-                f"decoded state at t={h.t} matches no embedded state")
-        return [((stream.project(self.mdp.embedding[o.next_state]), o.reward), o.prob)
-                for o in self.mdp.row(idx, action)]
+    def begin(self) -> "DecoderStream":
+        return DecoderStream(self.mdp, self.spec.begin())
 
-    def substitution_candidates(self, h: History, index: int, state_pool):
-        """Pool states re-aggregated in the context of the history prefix.
 
-        The candidate for pool state p at position i is the aggregate the
-        stream emits for p after decoding the observations g_0..g_{i-1}.
-        """
-        stream = self.spec.begin()
-        for g in h.states[:index]:
-            stream.pull(g)
-        return [stream.project(p) for p in state_pool]
+class DecoderStream:
+    """An `AggregatedMDPOracle` after a prefix: its decoder and the last raw state."""
+
+    def __init__(self, mdp: FiniteMDP, decoder: Filter, t=-1, last=None, idx=None):
+        self.mdp, self.decoder, self.t, self.last, self.idx = mdp, decoder, t, last, idx
+
+    def fork(self) -> "DecoderStream":
+        return DecoderStream(self.mdp, self.decoder.fork(), self.t, self.last, self.idx)
+
+    def pull(self, obs, action=None, reward=None) -> None:
+        self.t, self.last, self.idx = self.t + 1, self.decoder.pull(obs), None
+
+    def transition(self, action: int):
+        self.idx = self.mdp.match_state(self.last) if self.idx is None else self.idx
+        if self.idx is None:
+            raise UndecodableHistoryError(f"decoded state at t={self.t} matches no embedded state")
+        return [((self.decoder.project(self.mdp.embedding[o.next_state]), o.reward), o.prob)
+                for o in self.mdp.row(self.idx, action)]
+
+    def candidates(self, h: History, state_pool):
+        """The aggregate this stream would emit next for each raw pool state."""
+        return [self.decoder.project(p) for p in state_pool]
 
 
 def as_nmdp_oracle(m: FiniteMDP, spec) -> AggregatedMDPOracle:

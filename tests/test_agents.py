@@ -40,6 +40,15 @@ class TestDiscretizers:
         with pytest.raises(ValidationError):
             UniformDiscretizer(low, high, bins=4)
 
+    @pytest.mark.parametrize("obs", [[0.1, 0.9, 0.5, 2.0],  # broadcasts over the range
+                                     [0.1, 0.2, 0.3],  # does not broadcast
+                                     [[0.1, 0.2]],  # not 1-d
+                                     [0.1, float("nan")], [float("inf"), 0.1]])
+    def test_key_checks_observation(self, obs):
+        d = UniformDiscretizer([0.0, 0.0], [1.0, 1.0], bins=4)
+        with pytest.raises(ValidationError):
+            d.key(obs)
+
 
 class TestRandomAgent:
     def test_seeded_determinism(self):

@@ -4,6 +4,7 @@ import pytest
 from nonmarkov.aggregators import parse_spec
 from nonmarkov.analysis import (
     DependencyStructure,
+    _flat_dist,
     HistoryMDP,
     StateExplosionError,
     analytical_dependency,
@@ -16,7 +17,8 @@ from nonmarkov.analysis import (
     verify_morphism,
 )
 from nonmarkov.core import (
-    FiniteMDP, History, Outcome, ValidationError, initial_history, is_degenerate)
+    PROB_TOL, FiniteMDP, History, NMDPOracle, Outcome, ReplayStream, UndecodableHistoryError,
+    ValidationError, distributions_equal, initial_history, is_degenerate)
 from nonmarkov.envs import make_chain, make_random_mdp, optimal_return
 from nonmarkov.wrappers import as_nmdp_oracle
 
@@ -107,6 +109,86 @@ class TestEmpiricalDependency:
             assert d.indices == (2,)
 
 
+def whole_history_dependency(oracle, h, state_pool, tol=PROB_TOL):
+    """Reference empirical dependency: every perturbed History is built whole
+    and every transition asks the oracle's History form."""
+    actions = range(oracle.num_actions)
+    base = {a: _flat_dist(oracle.transition(h, a)) for a in actions}
+    indices, undecodable = [], 0
+    for i in range(h.t + 1):
+        hit = False
+        for cand in oracle.substitution_candidates(h, i, state_pool):
+            if np.max(np.abs(cand - h.states[i])) <= tol:
+                continue
+            perturbed = History(h.states[:i] + (cand,) + h.states[i + 1:], h.actions, h.rewards)
+            for a in actions:
+                try:
+                    d = _flat_dist(oracle.transition(perturbed, a))
+                except UndecodableHistoryError:
+                    undecodable += 1
+                    hit = True
+                    break
+                if not distributions_equal(base[a], d, tol):
+                    hit = True
+                    break
+            if hit:
+                break
+        if hit:
+            indices.append(i)
+    return DependencyStructure(t=h.t, indices=tuple(indices), undecodable=undecodable)
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+class HistoryOnlyOracle(NMDPOracle):
+    """A proxy that forwards only `initial` and the History-form methods, as a
+    tracing wrapper would, so its streams are the base-class replay default."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.num_actions = inner.num_actions
+
+    def initial(self):
+        return self.inner.initial()
+
+    def transition(self, h, action):
+        return self.inner.transition(h, action)
+
+    def substitution_candidates(self, h, index, state_pool):
+        return self.inner.substitution_candidates(h, index, state_pool)
+
+
+class TestStreamMatchesWholeHistory:
+    @pytest.mark.parametrize("spec", [
+        "S^2", "conv:1,-0.5", "S_l:0.5", "D^1", "corr:1,2,3,4,5,6", "S^1+D_l:0.8"])
+    def test_empirical_dependency(self, spec):
+        # six corr weights end the process at t = 5: both forms must raise there
+        oracle = as_nmdp_oracle(CHAIN5, spec)
+        hs = reachable_histories(oracle, max_t=5)
+        assert len(hs) == 63
+        for h in hs:
+            assert (result_or_error(empirical_dependency, oracle, h, POOL)
+                    == result_or_error(whole_history_dependency, oracle, h, POOL))
+
+    @pytest.mark.parametrize("spec", ["S^2", "D^1", "corr:1,2,3,4,5"])
+    def test_history_only_proxy(self, spec):
+        oracle = as_nmdp_oracle(CHAIN5, spec)
+        proxy = HistoryOnlyOracle(oracle)
+        assert isinstance(proxy.begin(), ReplayStream)
+        for h in reachable_histories(oracle, max_t=3):
+            assert empirical_dependency(proxy, h, POOL) == empirical_dependency(oracle, h, POOL)
+        hm, hp = build_markov_abstraction(oracle, 4), build_markov_abstraction(proxy, 4)
+        assert ([whole_history_key(h) for h in hp.histories]
+                == [whole_history_key(h) for h in hm.histories])
+        assert hp.mdp.outcomes == hm.mdp.outcomes
+        assert np.array_equal(hp.mdp.rho0, hm.mdp.rho0)
+
+
 class TestNonMarkovEmbedding:
     def test_prefix_invariance(self):
         oracle = build_nonmarkov_embedding(CHAIN5)
@@ -146,8 +228,10 @@ class TestMarkovAbstraction:
         assert probs == [0.25, 0.75]
 
     def test_cap_enforced(self):
+        # 1 + 2 + 4 histories up to t=2 fit, then the cap stops t=3 at 3 of 8
         oracle = build_nonmarkov_embedding(CHAIN5)
-        with pytest.raises(StateExplosionError):
+        with pytest.raises(StateExplosionError,
+                           match=r"history cap 10 reached at t=3 of horizon 6, 10 interned"):
             build_markov_abstraction(oracle, horizon=6, cap=10)
 
     def test_horizon_states_absorbing(self):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nonmarkov import cli
 from nonmarkov.analysis import empirical_dependency, reachable_histories
 from nonmarkov.cli import main, reversibility_report
 from nonmarkov.core import mdp_to_json
@@ -217,6 +218,23 @@ class TestBadInputExit2:
         argv = ["run", "--wrapper", wrapper, "--episodes", "5", "--eval-episodes", "5"]
         assert main(argv) == 2
         _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_histories_below_one(self, value, capsys):
+        argv = ["analyze-deps", "--wrapper", "S^1", "--t", "2", "--max-histories", value]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys)
+
+    def test_state_explosion(self, monkeypatch, capsys):
+        # the default cap of 100,000 histories takes seconds to reach; a cap of
+        # 50 takes the same path
+        monkeypatch.setattr(cli, "reachable_histories",
+                            lambda oracle, max_t: reachable_histories(oracle, max_t, cap=50))
+        argv = ["analyze-deps", "--env", "random:1:4:2:2", "--wrapper", "S^1", "--t", "9"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: state explosion: history cap 50 reached at t=2 of horizon 9, "
+                       "50 interned\n")
 
     def test_agent_field_past_bins(self, capsys):
         argv = ["run", "--agent", "qwin:1:2:3", "--episodes", "5", "--eval-episodes", "5"]
