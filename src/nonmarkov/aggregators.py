@@ -31,11 +31,10 @@ kernel b/a (a/b to decode).  Streaming: `begin()` starts a
 stream whose state is the last len(b)-1 filter inputs and the last len(a)-1
 aggregates; `push(s)` emits the next aggregate, `pull(g)` decodes the next
 aggregate, and `project(s)` is the aggregate `push(s)` would emit, without
-committing it (used by the exact transition oracle).
+committing it (used by the exact transition oracle).  Only `push` validates its
+input: `pull` and `project` take states (`as_state` results, stream outputs).
 """
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -130,17 +129,18 @@ class Filter:
 
     def begin(self) -> Filter:
         """A new stream of this filter: a copy with an empty history at t = 0."""
-        stream = copy.copy(self)
-        stream._t = 0
-        stream._x, stream._g = [], []
-        if self.then is not None:
-            stream.then = self.then.begin()
-        return stream
+        return self._copy(0, [], [], None if self.then is None else self.then.begin())
 
     def fork(self) -> Filter:
         """A copy of this stream that continues from its current state."""
-        stream = copy.copy(self)
-        stream.then = None if self.then is None else self.then.fork()
+        return self._copy(self._t, self._x, self._g,
+                          None if self.then is None else self.then.fork())
+
+    def _copy(self, t, x, g, then) -> Filter:
+        # the lists are never mutated in place (`_commit` rebinds them), so sharing is safe
+        stream = object.__new__(Filter)
+        stream.__dict__.update(self.__dict__)
+        stream._t, stream._x, stream._g, stream.then = t, x, g, then
         return stream
 
     def _fold(self, acc: np.ndarray, sign: float) -> np.ndarray:
@@ -155,8 +155,7 @@ class Filter:
         return acc
 
     def _next(self, s):
-        """(filter input x_t, aggregate g_t) for raw state s at the current t."""
-        s = as_state(s)
+        """(filter input x_t, aggregate g_t) for a validated raw state s at the current t."""
         x = s if self.gain is None else self.weight(self._t) * s
         return x, self._fold(self.b[0] * x, 1.0)
 
@@ -168,25 +167,27 @@ class Filter:
         self._t += 1
 
     def push(self, s) -> np.ndarray:
-        """Aggregate the next raw state."""
-        x, g = self._next(s)
+        """Aggregate the next raw state; raw input is validated here."""
+        x, g = self._next(as_state(s))
         self._commit(x, g)
         return g if self.then is None else self.then.push(g)
 
     def pull(self, g) -> np.ndarray:
-        """Decode the next aggregate back to its raw state."""
+        """Decode the next aggregate (a state, not raw input) back to its raw state."""
         if self.then is not None:
             g = self.then.pull(g)
-        g = as_state(g)
         x = self._fold(g.copy(), -1.0) / self.b[0]
         s = x if self.gain is None else x / self.weight(self._t)
         self._commit(x, g)
         return s
 
     def project(self, s) -> np.ndarray:
-        """The aggregate `push(s)` would emit next, without committing it."""
+        """The read-only aggregate `push(s)` would emit next, without committing it."""
         g = self._next(s)[1]
-        return g if self.then is None else self.then.project(g)
+        if self.then is not None:
+            return self.then.project(g)
+        g.flags.writeable = False  # a candidate may be pulled later
+        return g
 
     # -- batch -------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from .core import (
     Outcome,
     UndecodableHistoryError,
     ValidationError,
+    as_state,
     distributions_equal,
     initial_history,
     latest_state,
@@ -59,7 +60,7 @@ class DependencyStructure:
 
 def _flat_dist(dist):
     """Transition outcomes as (flat key tuple, prob) pairs for exact comparison."""
-    return [((*obs, reward), p) for (obs, reward), p in dist]
+    return [((*obs.tolist(), reward), p) for (obs, reward), p in dist]
 
 
 def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
@@ -71,8 +72,14 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
     that makes the history undecodable also counts as a change (the
     original history was decodable, so the transition law visibly differs);
     such events are tallied in `undecodable`.  Each prefix of h is pulled once; a
-    perturbation forks prefix i and pulls the candidate and the suffix.
+    perturbation forks prefix i and pulls the candidate and the suffix.  The
+    pool is validated here, once, so the streams take its entries as states.
     """
+    state_pool = [as_state(p) for p in state_pool]
+    for p in state_pool:
+        if p.shape != h.states[0].shape:
+            raise ValidationError(f"state pool entry of shape {p.shape} does not match "
+                                  f"the history's states of shape {h.states[0].shape}")
     actions = range(oracle.num_actions)
     steps = list(zip(h.states, (None, *h.actions), (None, *h.rewards)))
     prefixes = [oracle.begin()]  # prefixes[i]: the stream after positions 0..i-1

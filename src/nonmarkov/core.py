@@ -245,6 +245,7 @@ class FiniteMDP:
                 raise ValidationError(f"embedding is not injective: states {other} and {s}")
         emb.flags.writeable = False
         object.__setattr__(self, "embedding", emb)
+        object.__setattr__(self, "_rows", first)  # row bytes -> state, for match_state
 
     @property
     def obs_dim(self) -> int:
@@ -255,8 +256,16 @@ class FiniteMDP:
 
     def match_state(self, vec):
         """Index of the embedded state nearest to `vec` in max-abs distance
-        (lowest index on ties), or None if beyond EMBED_MATCH_TOL."""
-        d = np.max(np.abs(self.embedding - np.asarray(vec, dtype=float)), axis=1)
+        (lowest index on ties), or None if beyond EMBED_MATCH_TOL.  An exact
+        row is the unique distance-0 match (the embedding is injective)."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != self.embedding.shape[1:]:
+            raise ValidationError(f"state of shape {vec.shape} does not match the "
+                                  f"embedding rows of shape {self.embedding.shape[1:]}")
+        exact = self._rows.get((vec + 0.0).tobytes())
+        if exact is not None:
+            return exact
+        d = np.max(np.abs(self.embedding - vec), axis=1)
         best = int(np.argmin(d))
         return best if d[best] <= EMBED_MATCH_TOL else None
 
@@ -283,9 +292,10 @@ class NMDPOracle:
     observations as (obs, prob) pairs, and either `begin()` or both History-form
     methods (each form replays the other): `transition(h, a)` returning a finite
     distribution over (next observation, reward) as ((obs, reward), prob) pairs,
-    and `substitution_candidates`.  Both distributions must be deterministic
-    functions of their arguments and sum to 1 within 1e-12; a key may repeat,
-    and consumers sum the probabilities of equal keys.
+    and `substitution_candidates`.  Observations are 1-d float arrays.  Both
+    distributions must be deterministic functions of their arguments and sum
+    to 1 within 1e-12; a key may repeat, and consumers sum the probabilities
+    of equal keys.
     """
 
     num_actions: int
@@ -299,7 +309,7 @@ class NMDPOracle:
     def substitution_candidates(self, h: History, index: int, state_pool):
         """Candidate observations to substitute at `index` of `h`, one per
         raw state in `state_pool`."""
-        return self._replay(h, index).candidates(h, state_pool)
+        return self._replay(h, index).candidates(h, [as_state(p) for p in state_pool])
 
     def begin(self) -> "ReplayStream":
         """A stream at the empty history: `pull` appends a step, `fork` copies, and

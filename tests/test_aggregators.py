@@ -21,7 +21,7 @@ from nonmarkov.aggregators import (
     parse_spec,
     smooth_spec,
 )
-from nonmarkov.core import ValidationError
+from nonmarkov.core import ValidationError, as_state
 
 ALGEBRA_TOL = 1e-9
 ROUNDTRIP_TOL = 1e-6
@@ -350,6 +350,16 @@ class TestChain:
         for g in aggs[:-1]:
             stream.pull(g)
         assert np.allclose(stream.project(traj[-1]), aggs[-1], atol=ALGEBRA_TOL)
+
+    @pytest.mark.parametrize("text", ["id", "S^2", "D_l:0.5", "corr:1,2,3", "S^1+corr:1,2,3"])
+    def test_project_is_read_only(self, text):
+        # a projected candidate is shared: the oracle pulls it into another stream
+        stream = parse_spec(text).begin()
+        stream.pull(stream.project(as_state([1.0, 2.0])))
+        g = stream.project(as_state([3.0, 4.0]))
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0] = 0.0
 
 
 class TestSpecs:

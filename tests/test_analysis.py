@@ -108,6 +108,22 @@ class TestEmpiricalDependency:
             d = empirical_dependency(oracle, h, POOL)
             assert d.indices == (2,)
 
+    @pytest.mark.parametrize("entry,match", [
+        ([0.0, np.nan, 0.0, 0.0, 0.0], "finite"),
+        ([0.0, np.inf, 0.0, 0.0, 0.0], "finite"),
+        (np.eye(5)[:2], "1-d"),
+        ([1.0, 0.0, 0.0, 0.0], r"shape \(4,\) does not match the history's states of shape \(5,\)"),
+    ], ids=["nan", "inf", "2-d", "wrong-length"])
+    def test_pool_validated_before_any_pull(self, entry, match):
+        class NoStreams(HistoryOnlyOracle):
+            def begin(self):
+                raise AssertionError("pool entries must be checked before any stream is made")
+
+        oracle = NoStreams(as_nmdp_oracle(CHAIN5, "S^2"))
+        h = histories_at(as_nmdp_oracle(CHAIN5, "S^2"), 2)[0]
+        with pytest.raises(ValidationError, match=match):
+            empirical_dependency(oracle, h, [*POOL, entry])
+
 
 def whole_history_dependency(oracle, h, state_pool, tol=PROB_TOL):
     """Reference empirical dependency: every perturbed History is built whole

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from nonmarkov.core import (
+    EMBED_MATCH_TOL,
     EmptyComponentError,
     FiniteMDP,
     History,
@@ -25,6 +27,7 @@ from nonmarkov.core import (
     mdp_to_json,
     save_mdp,
 )
+from nonmarkov.wrappers import as_nmdp_oracle
 
 
 def simple_mdp(num_states=2):
@@ -209,8 +212,59 @@ class TestFiniteMDP:
                       embedding=([0.0], [2e-10]))
         assert m.match_state([1e-10]) == 0
 
+    def test_match_state_rejects_wrong_shape(self):
+        # a (1,) vector used to broadcast against the (2, 2) embedding and match state 1
+        m = FiniteMDP(num_states=2, num_actions=1, rho0=np.array([1.0, 0.0]),
+                      outcomes=(((Outcome(1, 0.0, 1.0),),), ((Outcome(0, 1.0, 1.0),),)),
+                      embedding=([0.0, 0.0], [1.0, 1.0]))
+        for vec in ([1.0], [[1.0, 1.0]], np.ones((2, 1))):
+            shapes = f"shape {np.shape(vec)} does not match the embedding rows of shape (2,)"
+            with pytest.raises(ValidationError, match=re.escape(shapes)):
+                m.match_state(vec)
+        with pytest.raises(ValidationError, match=re.escape("shape (1,) does not match")):
+            as_nmdp_oracle(m, "S^0").transition(initial_history([1.0]), 0)
+
     def test_reward_support(self):
         assert simple_mdp().reward_support() == [0.0, 1.0]
+
+
+def nearest_by_distance(m, vec):
+    """The max-abs distance rule alone, without the exact-row lookup."""
+    d = np.max(np.abs(m.embedding - np.asarray(vec, dtype=float)), axis=1)
+    best = int(np.argmin(d))
+    return best if d[best] <= EMBED_MATCH_TOL else None
+
+
+MATCH_EMBEDDINGS = {
+    "one-hot": tuple(np.eye(4)),
+    "random": tuple(np.random.default_rng(3).normal(size=(6, 3))),
+    "within-tol": ([0.0], [2e-10], [-0.5], [1.0]),  # rows 0 and 1 tie within the tolerance
+}
+
+
+def match_inputs(row, rng):
+    noise = rng.choice([-1.0, 1.0], size=row.shape) * EMBED_MATCH_TOL
+    yield row
+    yield np.where(row == 0.0, -0.0, row)
+    yield row + 0.5 * noise
+    yield row + 2.0 * noise
+    yield row.tolist()
+    yield row.astype(np.float32)
+    yield np.where(row == 0.0, -0.0, row).astype(np.float32).tolist()
+
+
+class TestMatchStateFastPath:
+    @pytest.mark.parametrize("name", sorted(MATCH_EMBEDDINGS))
+    def test_agrees_with_distance_rule(self, name):
+        emb = MATCH_EMBEDDINGS[name]
+        m = FiniteMDP(num_states=len(emb), num_actions=1, rho0=np.eye(len(emb))[0],
+                      outcomes=(((Outcome(0, 0.0, 1.0),),),) * len(emb), embedding=emb)
+        rng = np.random.default_rng(4)
+        for s, row in enumerate(m.embedding):
+            for k, vec in enumerate(match_inputs(row, rng)):
+                assert m.match_state(vec) == nearest_by_distance(m, vec), (s, k)
+            assert m.match_state(row) == s
+            assert m.match_state(np.where(row == 0.0, -0.0, row)) == s
 
 
 class TestDegeneracy:
