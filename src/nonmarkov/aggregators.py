@@ -27,9 +27,10 @@ the history positions the aggregated process depends on (see
 
 Two paths share the coefficients.  Batch: `aggregate` / `decode` convolve
 each column of a whole (T, k) array with the first T coefficients of the
-kernel b/a (a/b to decode).  Streaming: `begin()` starts a
-stream whose state is the last len(b)-1 filter inputs and the last len(a)-1
-aggregates; `push(s)` emits the next aggregate, `pull(g)` decodes the next
+kernel b/a (a/b to decode); each filter computes that series once per
+direction, and again only when a longer batch arrives.  Streaming: `begin()`
+starts a stream whose state is the last len(b)-1 filter inputs and the last
+len(a)-1 aggregates; `push(s)` emits the next aggregate, `pull(g)` decodes the next
 aggregate, and `project(s)` is the aggregate `push(s)` would emit, without
 committing it (used by the exact transition oracle).  Only `push` validates its
 input: `pull` and `project` take states (`as_state` results, stream outputs).
@@ -69,10 +70,9 @@ def _series(num, den, n: int) -> np.ndarray:
     return np.array(w)
 
 
-def _convolve(num, den, x) -> np.ndarray:
-    """(num/den) x along axis 0: each column convolved with the kernel num/den."""
+def _convolve(w, x) -> np.ndarray:
+    """w x along axis 0: each column convolved with the kernel coefficients w."""
     n = len(x)
-    w = np.asarray(num[:n]) / den[0] if len(den) == 1 else _series(num, den, n)
     out = np.empty_like(x)
     for d in range(x.shape[1]):
         out[:, d] = np.convolve(w, x[:, d])[:n]
@@ -109,6 +109,7 @@ class Filter:
         self.then = then
         self._t = 0
         self._x, self._g = [], []  # newest first; shorter than the filter early on
+        self._kernels = {}  # (num, den) -> longest read-only series computed; shared by streams
 
     @property
     def is_identity(self) -> bool:
@@ -192,14 +193,29 @@ class Filter:
     # -- batch -------------------------------------------------------------
 
     def _gains(self, n: int) -> np.ndarray:
-        return np.array([self.weight(t) for t in range(n)])[:, None]
+        w = np.array(self.gain[:n])
+        bad = np.flatnonzero(np.abs(w) < KERNEL_HEAD_TOL)
+        if bad.size or len(w) < n:
+            self.weight(int(bad[0]) if bad.size else len(w))  # raises the first error
+        return w[:, None]
+
+    def _kernel(self, num, den, n: int) -> np.ndarray:
+        """First n coefficients of num/den, from the longest series kept for (num, den)."""
+        if len(den) == 1:
+            return np.asarray(num[:n]) / den[0]
+        w = self._kernels.get((num, den))
+        if w is None or len(w) < n:
+            w = _series(num, den, n)  # causal: a longer series keeps the same prefix
+            w.flags.writeable = False
+            self._kernels[(num, den)] = w
+        return w[:n]
 
     def aggregate(self, trajectory) -> np.ndarray:
         """Aggregates of a whole (T, k) trajectory."""
         x = _batch(trajectory)
         if self.gain is not None:
             x = x * self._gains(len(x))
-        g = _convolve(self.b, self.a, x)
+        g = _convolve(self._kernel(self.b, self.a, len(x)), x)
         return g if self.then is None else self.then.aggregate(g)
 
     def decode(self, aggregates) -> np.ndarray:
@@ -207,7 +223,7 @@ class Filter:
         g = _batch(aggregates)
         if self.then is not None:
             g = self.then.decode(g)
-        x = _convolve(self.a, self.b, g)
+        x = _convolve(self._kernel(self.a, self.b, len(g)), g)
         return x if self.gain is None else x / self._gains(len(x))
 
     # -- kernel view -------------------------------------------------------

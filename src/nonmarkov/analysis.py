@@ -23,6 +23,8 @@ from .core import (
     UndecodableHistoryError,
     ValidationError,
     as_state,
+    canonical_distribution,
+    canonical_equal,
     distributions_equal,
     initial_history,
     latest_state,
@@ -59,8 +61,8 @@ class DependencyStructure:
 
 
 def _flat_dist(dist):
-    """Transition outcomes as (flat key tuple, prob) pairs for exact comparison."""
-    return [((*obs.tolist(), reward), p) for (obs, reward), p in dist]
+    """Transition outcomes as a canonical distribution over flat key tuples."""
+    return canonical_distribution([((*obs.tolist(), reward), p) for (obs, reward), p in dist])
 
 
 def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
@@ -96,7 +98,7 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
             for step in ((cand, *steps[i][1:]), *steps[i + 1:]):
                 stream.pull(*step)
             try:
-                changed = any(not distributions_equal(
+                changed = any(not canonical_equal(
                     base[a], _flat_dist(stream.transition(a)), tol) for a in actions)
             except UndecodableHistoryError:
                 undecodable += 1

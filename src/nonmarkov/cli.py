@@ -59,6 +59,8 @@ def reversibility_report(seed: int = 0, trajectories: int = 1000,
                          random_kernels: int = 50, tol: float = 1e-6) -> dict:
     """Decode-after-aggregate error of the package's own filters over random
     trajectories x aggregator families."""
+    if trajectories < 1:
+        raise ValidationError(f"--trajectories must be >= 1, got {trajectories}")
     rng = np.random.default_rng(seed)
     fams = [(label, parse_spec(label))
             for label in _standard_families(rng, random_kernels, max_len)]

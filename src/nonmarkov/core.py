@@ -147,14 +147,17 @@ def canonical_distribution(outcomes):
 
 
 def distributions_equal(d1, d2, tol: float = PROB_TOL) -> bool:
-    """Exact comparison of canonicalized distributions.
+    """Exact comparison of canonicalized distributions (see `canonical_equal`)."""
+    return canonical_equal(canonical_distribution(d1), canonical_distribution(d2), tol)
+
+
+def canonical_equal(c1, c2, tol: float = PROB_TOL) -> bool:
+    """Comparison of two `canonical_distribution` results.
 
     Keys are tuples of floats; two keys match when all components agree
     within `tol`, and matched probabilities must also agree within `tol`;
     a NaN never agrees.
     """
-    c1 = canonical_distribution(d1)
-    c2 = canonical_distribution(d2)
     if len(c1) != len(c2):
         return False
     for (k1, p1), (k2, p2) in zip(c1, c2):

@@ -324,6 +324,75 @@ class TestCorr:
         assert g[0] == 3.0 + 2.0 * 5.0
         assert np.allclose(stream.pull(g), [5.0])
 
+    @pytest.mark.parametrize("method", ["aggregate", "decode"])
+    def test_small_weight_reported_before_exhaustion(self, method):
+        with pytest.raises(NonInvertibleKernelError, match=r"weight w_1 below"):
+            getattr(corr_spec((1.0, 1e-12, 1.0)), method)(np.ones((5, 1)))
+
+    @pytest.mark.parametrize("method", ["aggregate", "decode"])
+    def test_batch_names_exhausted_length(self, method):
+        with pytest.raises(ValidationError, match=r"length 2 exhausted at t=2") as info:
+            getattr(corr_spec((1.0, 2.0)), method)(np.ones((3, 1)))
+        assert info.type is ValidationError
+
+
+MEMO_WEIGHTS = "corr:" + ",".join(
+    repr(w) for w in np.random.default_rng(21).uniform(0.5, 1.5, size=40).tolist())
+MEMO_SPECS = {text: text for text in ("S^1", "S^3", "D^3", "S_l:0.5", "D_l:0.8",
+                                      "conv:1,-0.5,0.25,-0.125", "S^1+D_l:0.8")}
+MEMO_SPECS.update({"corr": MEMO_WEIGHTS, "S^1+corr+S_l:0.5": f"S^1+{MEMO_WEIGHTS}+S_l:0.5"})
+
+
+class TestBatchKernelMemo:
+    """Each filter keeps the longest batch kernel series it computed; reusing it
+    must not change a single output bit."""
+
+    @pytest.mark.parametrize("name", MEMO_SPECS)
+    def test_warm_filter_matches_fresh(self, name):
+        text = MEMO_SPECS[name]
+        warm = parse_spec(text)
+        rng = np.random.default_rng(22)
+        for n in (5, 20, 12, 20, 3, 33, 40):  # grows, shrinks and repeats
+            x = rng.uniform(-1.0, 1.0, size=(n, 2))
+            g = warm.aggregate(x)
+            assert g.tobytes() == parse_spec(text).aggregate(x).tobytes()
+            assert warm.decode(g).tobytes() == parse_spec(text).decode(g).tobytes()
+            assert warm.decode(x).tobytes() == parse_spec(text).decode(x).tobytes()
+
+    @pytest.mark.parametrize("text", ["sum", "conv:1,-0.5"])
+    def test_warm_reward_filter_matches_fresh(self, text):
+        warm = parse_har_spec(text)
+        rng = np.random.default_rng(23)
+        for n in (7, 30, 4, 30):
+            r = list(rng.uniform(-1.0, 1.0, size=n))
+            g = har_aggregate(warm, r)
+            assert g == har_aggregate(parse_har_spec(text), r)
+            assert har_decode(warm, g) == har_decode(parse_har_spec(text), g)
+
+    def test_stored_kernel_is_read_only(self):
+        spec = parse_spec("S_l:0.5+D^1")  # both b and a have two coefficients
+        spec.decode(spec.aggregate(np.ones((6, 1))))
+        assert len(spec._kernels) == 2  # one series per direction
+        for (num, den), stored in spec._kernels.items():
+            with pytest.raises(ValueError):
+                stored[-1] = 5.0
+            with pytest.raises(ValueError):
+                spec._kernel(num, den, 3)[0] = 5.0
+
+    @pytest.mark.parametrize("name", ["S^2", "S_l:0.5+D^1", "corr"])
+    def test_streams_of_warm_filter_match_fresh(self, name):
+        text = MEMO_SPECS.get(name, name)
+        warm, fresh = parse_spec(text), parse_spec(text)
+        traj = np.random.default_rng(24).uniform(-1.0, 1.0, size=(12, 3))
+        warm.decode(warm.aggregate(traj[:10]))
+        a, b = warm.begin(), fresh.begin()
+        assert a._kernels is warm._kernels
+        for s in traj[:5]:
+            assert a.push(s).tobytes() == b.push(s).tobytes()
+        a, b = a.fork(), b.fork()
+        for s in traj[5:]:
+            assert a.push(s).tobytes() == b.push(s).tobytes()
+
 
 class TestChain:
     def test_two_sums_equal_double_cumsum(self):

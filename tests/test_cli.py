@@ -219,6 +219,11 @@ class TestBadInputExit2:
         assert main(argv) == 2
         _assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_trajectories_below_one(self, value, capsys):
+        assert main(["verify-reversibility", "--trajectories", value]) == 2
+        _assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_histories_below_one(self, value, capsys):
         argv = ["analyze-deps", "--wrapper", "S^1", "--t", "2", "--max-histories", value]
