@@ -59,11 +59,9 @@ from .envs import (
     Environment,
     EpisodeFinishedError,
     FiniteMDPEnv,
-    make_cartpole,
     make_chain,
     make_env,
     make_mdp_from_id,
-    make_pendulum,
     make_random_mdp,
     optimal_return,
     value_iteration,

@@ -37,27 +37,6 @@ class ExactDiscretizer:
         return key
 
 
-class UniformDiscretizer:
-    """Fixed-range uniform binning per dimension."""
-
-    def __init__(self, low, high, bins: int):
-        self.low = np.asarray(low, dtype=float)
-        self.high = np.asarray(high, dtype=float)
-        if self.low.shape != self.high.shape or not np.all(self.high > self.low):
-            raise ValidationError("uniform bins need low and high of one shape with high > low")
-        if bins < 1:
-            raise ValidationError("bin count must be >= 1")
-        self.bins = bins
-
-    def key(self, obs) -> tuple:
-        x = np.asarray(obs, dtype=float)
-        if x.shape != self.low.shape or not np.all(np.isfinite(x)):
-            raise ValidationError(f"observation {x.tolist()}: need finite, shape {self.low.shape}")
-        frac = (x - self.low) / (self.high - self.low)
-        idx = np.clip((frac * self.bins).astype(int), 0, self.bins - 1)
-        return tuple(int(i) for i in idx)
-
-
 class RandomAgent:
     """Uniform random policy; it keeps no window, and training is a no-op."""
 
@@ -173,20 +152,14 @@ def evaluate(agent, env: Environment, episodes: int, horizon: int, seed: int):
 
 
 def parse_agent_spec(text: str, num_actions: int, discretizer=None):
-    """Agent grammar: "random" or "qwin:k[:bins]".  `:bins` needs a
-    UniformDiscretizer and rebins a copy of it; the caller's is left unchanged."""
+    """Agent grammar: "random" or "qwin:k".  A windowed agent keys its Q-table
+    through `discretizer`, an `ExactDiscretizer` when None."""
     text = text.strip()
     if text == "random":
         return RandomAgent(num_actions)
     if text.startswith("qwin:"):
         parts = text.split(":")
-        if len(parts) > 3:
-            raise ValidationError(f"cannot parse agent spec {text!r}: expected qwin:k[:bins]")
-        window = parse_number(parts[1], int, text)
-        if len(parts) == 3:
-            if not isinstance(discretizer, UniformDiscretizer):
-                raise ValidationError("qwin:k:bins needs a UniformDiscretizer (observation ranges)")
-            discretizer = UniformDiscretizer(discretizer.low, discretizer.high,
-                                             parse_number(parts[2], int, text))
-        return WindowedQAgent(num_actions, window, discretizer)
+        if len(parts) != 2:
+            raise ValidationError(f"cannot parse agent spec {text!r}: expected qwin:k")
+        return WindowedQAgent(num_actions, parse_number(parts[1], int, text), discretizer)
     raise ValidationError(f"cannot parse agent spec {text!r}")

@@ -148,57 +148,70 @@ class HistoryMDP:
     histories: tuple  # index -> History
 
 
+class _HistoryWalk:
+    """The breadth-first walk of the histories an oracle reaches within `horizon` steps.
+
+    `histories` grows as the walk goes: the initial histories on construction,
+    each history's children when `rows()` expands it.  A history is its parent
+    plus one step, so it is interned by (parent index, last action, last reward,
+    last observation), rounded to 12 decimals; initial histories have no parent.
+    A history below the horizon keeps a stream, a fork of its parent's, until
+    it is expanded.
+    """
+
+    def __init__(self, oracle: NMDPOracle, horizon: int, cap: int):
+        if horizon < 1:
+            raise ValidationError("horizon must be >= 1")
+        self.oracle, self.horizon, self.cap = oracle, horizon, cap
+        self.histories, self._index, self._streams = [], {}, {}
+        self.rho0 = [(self._intern(obs), float(p)) for obs, p in oracle.initial()]
+
+    def _intern(self, obs, parent=None, action=None, reward=0.0) -> int:
+        key = (parent, action, round(float(reward), 12), tuple(round(float(x), 12) for x in obs))
+        i = self._index.get(key)
+        if i is None:
+            histories, streams = self.histories, self._streams
+            t = 0 if parent is None else histories[parent].t + 1
+            if len(histories) >= self.cap:
+                raise StateExplosionError(
+                    f"state explosion: history cap {self.cap} reached at t={t} "
+                    f"of horizon {self.horizon}, {len(histories)} interned")
+            i = self._index[key] = len(histories)
+            histories.append(initial_history(obs) if parent is None
+                             else histories[parent].extend(action, reward, obs))
+            if t < self.horizon:
+                streams[i] = self.oracle.begin() if parent is None else streams[parent].fork()
+                streams[i].pull(histories[i].states[-1], action, reward)
+        return i
+
+    def rows(self):
+        """The outcome row of each history below the horizon, in index order;
+        `histories` is breadth first, so it is its own queue."""
+        actions = range(self.oracle.num_actions)
+        for i, h in enumerate(self.histories):  # grows while it is iterated
+            if h.t >= self.horizon:
+                return
+            stream = self._streams[i]
+            yield tuple(tuple(Outcome(self._intern(obs, i, a, reward), float(reward), float(p))
+                              for (obs, reward), p in stream.transition(a))
+                        for a in actions)
+            del self._streams[i]
+
+
 def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
                              cap: int = 100_000) -> HistoryMDP:
     """Enumerate reachable histories up to `horizon` as explicit states.
 
     Transition probabilities are inherited exactly; histories at the
     horizon become absorbing (zero reward) so the table stays closed.
-    A history is its parent plus one step, so it is interned by (parent
-    index, last action, last reward, last observation), rounded to 12
-    decimals; initial histories have no parent.
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
-    histories = []
-    index = {}
-    streams = {}  # open history below the horizon -> its stream, a fork of its parent's
-
-    def intern(obs, parent=None, action=None, reward=0.0) -> int:
-        key = (parent, action, round(float(reward), 12), tuple(round(float(x), 12) for x in obs))
-        i = index.get(key)
-        if i is None:
-            t = 0 if parent is None else histories[parent].t + 1
-            if len(histories) >= cap:
-                raise StateExplosionError(f"state explosion: history cap {cap} reached at t={t} "
-                                          f"of horizon {horizon}, {len(histories)} interned")
-            i = index[key] = len(histories)
-            histories.append(initial_history(obs) if parent is None
-                             else histories[parent].extend(action, reward, obs))
-            if t < horizon:
-                streams[i] = oracle.begin() if parent is None else streams[parent].fork()
-                streams[i].pull(histories[i].states[-1], action, reward)
-        return i
-
-    rho0_entries = [(intern(obs), float(p)) for obs, p in oracle.initial()]
-
-    # `histories` grows breadth-first, so it is its own queue: row i is
-    # appended when history i is expanded
-    outcomes = []
-    while len(outcomes) < len(histories):
-        i = len(outcomes)
-        if histories[i].t >= horizon:
-            outcomes.append(tuple((Outcome(i, 0.0, 1.0),) for _ in range(oracle.num_actions)))
-            continue
-        outcomes.append(tuple(
-            tuple(Outcome(intern(obs, i, a, reward), float(reward), float(p))
-                  for (obs, reward), p in streams[i].transition(a))
-            for a in range(oracle.num_actions)))
-        del streams[i]
-
-    n = len(histories)
+    walk = _HistoryWalk(oracle, horizon, cap)
+    outcomes = list(walk.rows())
+    n = len(walk.histories)
+    outcomes += [tuple((Outcome(i, 0.0, 1.0),) for _ in range(oracle.num_actions))
+                 for i in range(len(outcomes), n)]
     rho0 = np.zeros(n)
-    for i, p in rho0_entries:
+    for i, p in walk.rho0:
         rho0[i] += p
     mdp = FiniteMDP(
         num_states=n,
@@ -207,7 +220,20 @@ def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
         outcomes=tuple(outcomes),
         embedding=np.arange(n, dtype=float)[:, None],
     )
-    return HistoryMDP(mdp=mdp, histories=tuple(histories))
+    return HistoryMDP(mdp=mdp, histories=tuple(walk.histories))
+
+
+def reachable_histories(oracle: NMDPOracle, max_t: int, cap: int = 100_000):
+    """The reachable histories of the oracle with t <= max_t, breadth first.
+
+    Lazy: the walk expands the next history only when the caller has taken
+    every history interned so far, so a caller that stops early skips the
+    rest of the tree."""
+    walk = _HistoryWalk(oracle, max_t, cap)
+    done = 0
+    for _ in walk.rows():
+        yield from walk.histories[done:]
+        done = len(walk.histories)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +332,3 @@ def compose_morphisms(phi, phi2):
     comp_A = [phi2_A[x] for x in phi_A]
     comp_R = {r: _reward_image(phi2_R, v) for r, v in phi_R.items()}
     return comp_S, comp_A, comp_R
-
-
-# ---------------------------------------------------------------------------
-# history enumeration helper
-# ---------------------------------------------------------------------------
-
-def reachable_histories(oracle: NMDPOracle, max_t: int, cap: int = 100_000):
-    """All reachable histories of the oracle with t <= max_t."""
-    hm = build_markov_abstraction(oracle, horizon=max_t, cap=cap)
-    return list(hm.histories)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from .analysis import (
     verify_equivalence_roundtrip,
     verify_morphism,
 )
-from .core import ValidationError, load_json, load_mdp
+from .core import ValidationError, is_int, load_json, load_mdp
 from .envs import make_mdp_from_id
 from .experiments import CSVFormatError, SweepConfig, render_plot, run_cell, run_sweep
 from .wrappers import as_nmdp_oracle
@@ -123,15 +124,29 @@ def _cmd_verify_category(args) -> int:
     return 0 if report["pass"] else 1
 
 
+def _load_morphism_map(path: str):
+    """(phi_S, phi_A, phi_R) from a JSON map file: two lists of integer
+    indices and an object from reward strings to rewards."""
+    mapping = load_json(path)
+    for key in ("phi_S", "phi_A", "phi_R"):
+        if not isinstance(mapping, dict) or key not in mapping:
+            raise ValidationError(f"{path}: missing field {key}")
+    for key in ("phi_S", "phi_A"):
+        if not (isinstance(mapping[key], list) and all(map(is_int, mapping[key]))):
+            raise ValidationError(f"{path}: {key} must be a list of integers, "
+                                  f"got {mapping[key]!r}")
+    try:
+        phi_R = {float(k): float(v) for k, v in mapping["phi_R"].items()}
+    except (AttributeError, TypeError, ValueError):
+        raise ValidationError(f"{path}: phi_R must map reward strings to numbers, "
+                              f"got {mapping['phi_R']!r}") from None
+    return mapping["phi_S"], mapping["phi_A"], phi_R
+
+
 def _cmd_verify_morphism(args) -> int:
     m = load_mdp(args.m)
     m2 = load_mdp(args.m2)
-    mapping = load_json(args.map)
-    for key in ("phi_S", "phi_A", "phi_R"):
-        if key not in mapping:
-            raise ValidationError(f"{args.map}: missing field {key}")
-    phi_R = {float(k): float(v) for k, v in mapping["phi_R"].items()}
-    report = verify_morphism(m, m2, mapping["phi_S"], mapping["phi_A"], phi_R)
+    report = verify_morphism(m, m2, *_load_morphism_map(args.map))
     _emit(report, args)
     if not args.json:
         print(f"morphism check: {len(report['violations'])} violations "
@@ -147,10 +162,10 @@ def _cmd_analyze_deps(args) -> int:
     oracle = as_nmdp_oracle(m, spec)
     analytical = analytical_dependency(spec, args.t)
     pool = list(m.embedding)
-    at_t = [h for h in reachable_histories(oracle, max_t=args.t) if h.t == args.t]
+    at_t = list(itertools.islice((h for h in reachable_histories(oracle, max_t=args.t)
+                                  if h.t == args.t), args.max_histories))
     if not at_t:
         raise ValidationError(f"no reachable histories at t={args.t}")
-    at_t = at_t[: args.max_histories]
     empirical = [empirical_dependency(oracle, h, pool) for h in at_t]
     match = all(e.indices == analytical.indices for e in empirical)
     report = {

@@ -30,6 +30,11 @@ def parse_number(text: str, kind, spec: str):
             f"cannot parse {spec!r}: expected {kind.__name__}, got {text!r}") from None
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class EmptyComponentError(ValueError):
     """Raised when extracting the latest action/reward from a length-0 history."""
 
@@ -377,16 +382,17 @@ def mdp_from_dict(data: dict, source: str = "<dict>") -> FiniteMDP:
             )
             for row in data["outcomes"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         fail("outcomes", f"malformed outcome entry ({exc})")
+    fields = {}
+    for key, convert in (("num_states", int), ("num_actions", int),
+                         ("rho0", lambda v: np.asarray(v, dtype=float))):
+        try:
+            fields[key] = convert(data[key])
+        except (TypeError, ValueError) as exc:
+            fail(key, f"malformed value ({exc})")
     try:
-        return FiniteMDP(
-            num_states=int(data["num_states"]),
-            num_actions=int(data["num_actions"]),
-            rho0=np.asarray(data["rho0"], dtype=float),
-            outcomes=outcomes,
-            embedding=data["embedding"],
-        )
+        return FiniteMDP(**fields, outcomes=outcomes, embedding=data["embedding"])
     except ValidationError as exc:
         raise ValidationError(f"{source}: {exc}") from exc
 

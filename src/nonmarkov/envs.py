@@ -7,12 +7,10 @@ streams.
 from __future__ import annotations
 
 import bisect
-import math
 
 import numpy as np
 
-from .core import (
-    FiniteMDP, Outcome, ValidationError, as_state, is_degenerate, load_mdp, parse_number)
+from .core import FiniteMDP, Outcome, ValidationError, is_degenerate, load_mdp, parse_number
 
 
 class EpisodeFinishedError(RuntimeError):
@@ -162,131 +160,6 @@ def make_random_mdp(seed: int, num_states: int, num_actions: int,
 
 
 # ---------------------------------------------------------------------------
-# classic control
-# ---------------------------------------------------------------------------
-
-class CartPoleEnv(Environment):
-    """Euler-integrated cart-pole with two discrete push actions.
-
-    Standard constants: gravity 9.8, cart mass 1.0, pole mass 0.1,
-    half-length 0.5, force 10, dt 0.02; terminates at |x| > 2.4 or
-    |theta| > 12 degrees; truncates at 500 steps; reward 1 per step.
-    """
-
-    observation_dim = 4
-    num_actions = 2
-
-    GRAVITY = 9.8
-    CART_MASS = 1.0
-    POLE_MASS = 0.1
-    HALF_LENGTH = 0.5
-    FORCE = 10.0
-    DT = 0.02
-    X_LIMIT = 2.4
-    THETA_LIMIT = 12 * math.pi / 180
-    MAX_STEPS = 500
-
-    def __init__(self):
-        self._state = None
-        self._steps = 0
-        self._done = True
-
-    def reset(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        self._state = rng.uniform(-0.05, 0.05, size=4)
-        self._steps = 0
-        self._done = False
-        return as_state(self._state)
-
-    def step(self, action: int):
-        if self._done:
-            raise EpisodeFinishedError("step() after episode end; call reset()")
-        if action not in (0, 1):
-            raise ValidationError(f"action {action} out of range")
-        x, x_dot, theta, theta_dot = self._state
-        force = self.FORCE if action == 1 else -self.FORCE
-        total_mass = self.CART_MASS + self.POLE_MASS
-        pole_ml = self.POLE_MASS * self.HALF_LENGTH
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        temp = (force + pole_ml * theta_dot ** 2 * sin_t) / total_mass
-        theta_acc = (self.GRAVITY * sin_t - cos_t * temp) / (
-            self.HALF_LENGTH * (4.0 / 3.0 - self.POLE_MASS * cos_t ** 2 / total_mass))
-        x_acc = temp - pole_ml * theta_acc * cos_t / total_mass
-        x += self.DT * x_dot
-        x_dot += self.DT * x_acc
-        theta += self.DT * theta_dot
-        theta_dot += self.DT * theta_acc
-        self._state = np.array([x, x_dot, theta, theta_dot])
-        self._steps += 1
-        terminated = abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT
-        truncated = not terminated and self._steps >= self.MAX_STEPS
-        self._done = terminated or truncated
-        return as_state(self._state), 1.0, terminated, truncated
-
-
-class PendulumEnv(Environment):
-    """Euler-integrated pendulum swing-up with three discretized torques.
-
-    Observation (cos theta, sin theta, theta_dot); torque in {-2, 0, +2};
-    gravity 10, mass 1, length 1, dt 0.05; truncates at 200 steps.
-    """
-
-    observation_dim = 3
-    num_actions = 3
-
-    GRAVITY = 10.0
-    MASS = 1.0
-    LENGTH = 1.0
-    DT = 0.05
-    MAX_SPEED = 8.0
-    TORQUES = (-2.0, 0.0, 2.0)
-    MAX_STEPS = 200
-
-    def __init__(self):
-        self._theta = None
-        self._theta_dot = None
-        self._steps = 0
-        self._done = True
-
-    def _obs(self) -> np.ndarray:
-        return as_state([math.cos(self._theta), math.sin(self._theta), self._theta_dot])
-
-    def reset(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        self._theta = rng.uniform(-math.pi, math.pi)
-        self._theta_dot = rng.uniform(-1.0, 1.0)
-        self._steps = 0
-        self._done = False
-        return self._obs()
-
-    def step(self, action: int):
-        if self._done:
-            raise EpisodeFinishedError("step() after episode end; call reset()")
-        if not 0 <= action < 3:
-            raise ValidationError(f"action {action} out of range")
-        u = self.TORQUES[action]
-        theta = ((self._theta + math.pi) % (2 * math.pi)) - math.pi
-        cost = theta ** 2 + 0.1 * self._theta_dot ** 2 + 0.001 * u ** 2
-        acc = (3 * self.GRAVITY / (2 * self.LENGTH) * math.sin(self._theta)
-               + 3.0 / (self.MASS * self.LENGTH ** 2) * u)
-        self._theta_dot = float(np.clip(self._theta_dot + acc * self.DT,
-                                        -self.MAX_SPEED, self.MAX_SPEED))
-        self._theta = self._theta + self._theta_dot * self.DT
-        self._steps += 1
-        truncated = self._steps >= self.MAX_STEPS
-        self._done = truncated
-        return self._obs(), -cost, False, truncated
-
-
-def make_cartpole() -> Environment:
-    return CartPoleEnv()
-
-
-def make_pendulum() -> Environment:
-    return PendulumEnv()
-
-
-# ---------------------------------------------------------------------------
 # env id grammar
 # ---------------------------------------------------------------------------
 
@@ -308,11 +181,7 @@ def make_mdp_from_id(env_id: str) -> FiniteMDP:
 
 
 def make_env(env_id: str, max_steps: int = None) -> Environment:
-    """Environment for any id; "cartpole" and "pendulum" plus the tabular ids."""
-    if env_id == "cartpole":
-        return make_cartpole()
-    if env_id == "pendulum":
-        return make_pendulum()
+    """Sampling environment for a tabular id (see `make_mdp_from_id`)."""
     return FiniteMDPEnv(make_mdp_from_id(env_id), max_steps=max_steps)
 
 

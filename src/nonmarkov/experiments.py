@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .agents import evaluate, parse_agent_spec, train
 from .aggregators import parse_spec
-from .core import ValidationError, load_json
+from .core import ValidationError, is_int, load_json
 from .envs import make_env
 from .wrappers import wrap
 
@@ -40,11 +40,11 @@ class SweepConfig:
             values = getattr(self, name)
             if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
                 raise ValidationError(f"sweep {name} must be a list of strings, got {values!r}")
-        if not isinstance(self.seeds, list) or not all(_is_int(v) for v in self.seeds):
+        if not isinstance(self.seeds, list) or not all(is_int(v) for v in self.seeds):
             raise ValidationError(f"sweep seeds must be a list of integers, got {self.seeds!r}")
         for name in ("episodes", "eval_episodes", "horizon", "workers"):
             value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
+            if not (is_int(value) and value >= 1):
                 raise ValidationError(f"sweep {name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.record_walltime, bool):
             raise ValidationError(
@@ -63,10 +63,6 @@ class SweepConfig:
             return cls(**data)
         except TypeError as exc:  # unknown or missing keys, or not an object
             raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def wrapper_family(spec_str: str):
@@ -96,6 +92,8 @@ def run_cell(env_id: str, wrapper: str, agent_spec: str, seed: int, episodes: in
              eval_episodes: int, horizon: int):
     """Train one agent on one wrapped environment; return the (mean, std) of
     its evaluation returns, evaluated on seeds from `seed + 10_000` on."""
+    if horizon < 1:
+        raise ValidationError(f"horizon must be >= 1, got {horizon}")
     env = wrap(make_env(env_id, max_steps=horizon), wrapper)
     agent = parse_agent_spec(agent_spec, env.num_actions)
     train(agent, env, episodes=episodes, seed=seed, horizon=horizon)

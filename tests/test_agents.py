@@ -6,7 +6,6 @@ from nonmarkov.agents import (
     ExactDiscretizer,
     RandomAgent,
     SENTINEL,
-    UniformDiscretizer,
     WindowedQAgent,
     evaluate,
     parse_agent_spec,
@@ -21,33 +20,6 @@ class TestDiscretizers:
     def test_exact_rounds(self):
         d = ExactDiscretizer()
         assert d.key([0.1234567, 1.0]) == (0.123457, 1.0)
-
-    def test_uniform_bins(self):
-        d = UniformDiscretizer(low=[0.0], high=[1.0], bins=4)
-        assert d.key([0.1]) == (0,)
-        assert d.key([0.9]) == (3,)
-        assert d.key([-5.0]) == (0,)  # clipped
-        assert d.key([5.0]) == (3,)
-
-    def test_bins_validated(self):
-        with pytest.raises(ValidationError):
-            UniformDiscretizer([0.0], [1.0], bins=0)
-
-    @pytest.mark.parametrize("low, high", [([0.0], [0.0, 1.0]),  # shapes differ
-                                           ([0.0, 1.0], [1.0, 1.0]),  # low == high
-                                           ([1.0], [0.0])])  # high < low
-    def test_ranges_validated(self, low, high):
-        with pytest.raises(ValidationError):
-            UniformDiscretizer(low, high, bins=4)
-
-    @pytest.mark.parametrize("obs", [[0.1, 0.9, 0.5, 2.0],  # broadcasts over the range
-                                     [0.1, 0.2, 0.3],  # does not broadcast
-                                     [[0.1, 0.2]],  # not 1-d
-                                     [0.1, float("nan")], [float("inf"), 0.1]])
-    def test_key_checks_observation(self, obs):
-        d = UniformDiscretizer([0.0, 0.0], [1.0, 1.0], bins=4)
-        with pytest.raises(ValidationError):
-            d.key(obs)
 
 
 class TestRandomAgent:
@@ -170,31 +142,16 @@ class TestParseAgentSpec:
     def test_qwin(self):
         agent = parse_agent_spec("qwin:3", 2)
         assert isinstance(agent, WindowedQAgent) and agent.window == 3
+        d = ExactDiscretizer()  # a caller's discretizer is used as is
+        assert parse_agent_spec("qwin:3", 2, discretizer=d).discretizer is d
 
-    def test_qwin_bins_requires_ranges(self):
-        with pytest.raises(ValidationError):
-            parse_agent_spec("qwin:2:8", 2)
-        with pytest.raises(ValidationError):  # the exact discretizer has no bins to set
-            parse_agent_spec("qwin:2:8", 2, discretizer=ExactDiscretizer())
-
-    def test_qwin_bins_with_discretizer(self):
-        d = UniformDiscretizer([0.0], [1.0], bins=2)
-        agent = parse_agent_spec("qwin:2:8", 2, discretizer=d)
-        assert agent.discretizer.bins == 8
-        assert agent.discretizer.key([0.3]) == (2,)
-
-    def test_qwin_bins_leaves_caller_discretizer(self):
-        d = UniformDiscretizer([0.0], [1.0], bins=2)
-        a4 = parse_agent_spec("qwin:1:4", 2, discretizer=d)
-        a8 = parse_agent_spec("qwin:1:8", 2, discretizer=d)
-        assert (d.bins, a4.discretizer.bins, a8.discretizer.bins) == (2, 4, 8)
-
-    @pytest.mark.parametrize("spec", ["qwin:1:0", "qwin:1:-3"])
-    def test_qwin_bins_validated(self, spec):
-        d = UniformDiscretizer([0.0], [1.0], bins=2)
-        with pytest.raises(ValidationError):
-            parse_agent_spec(spec, 2, discretizer=d)
-        assert d.bins == 2
+    @pytest.mark.parametrize("spec", ["qwin:1:8", "qwin:2:8", "qwin:1:0",
+                                      "qwin:1:-3", "qwin:1:2:3"])
+    def test_qwin_extra_field_rejected(self, spec):
+        with pytest.raises(ValidationError, match="expected qwin:k"):
+            parse_agent_spec(spec, 2)
+        with pytest.raises(ValidationError, match="expected qwin:k"):
+            parse_agent_spec(spec, 2, discretizer=ExactDiscretizer())
 
     def test_unknown(self):
         with pytest.raises(ValidationError):

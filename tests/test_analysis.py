@@ -185,7 +185,7 @@ class TestStreamMatchesWholeHistory:
     def test_empirical_dependency(self, spec):
         # six corr weights end the process at t = 5: both forms must raise there
         oracle = as_nmdp_oracle(CHAIN5, spec)
-        hs = reachable_histories(oracle, max_t=5)
+        hs = list(reachable_histories(oracle, max_t=5))
         assert len(hs) == 63
         for h in hs:
             assert (result_or_error(empirical_dependency, oracle, h, POOL)
@@ -495,6 +495,21 @@ class TestMorphism:
 class TestReachableHistories:
     def test_counts(self):
         oracle = as_nmdp_oracle(CHAIN5, "S^1")
-        hs = reachable_histories(oracle, max_t=2)
+        hs = list(reachable_histories(oracle, max_t=2))
         assert len(hs) == 7  # 1 + 2 + 4 on a deterministic chain
         assert {h.t for h in hs} == {0, 1, 2}
+
+    def test_lazy(self):
+        # the tree to t=9 passes a cap of 50, but its first history at t=2 is
+        # yielded once 4 + 16 + 4 histories are interned
+        oracle = as_nmdp_oracle(make_random_mdp(1, 4, 2, 2), "S^1")
+        first = next(h for h in reachable_histories(oracle, max_t=9, cap=50) if h.t == 2)
+        assert first.t == 2
+        with pytest.raises(StateExplosionError):
+            list(reachable_histories(oracle, max_t=9, cap=50))
+
+    def test_same_order_as_abstraction(self):
+        oracle = as_nmdp_oracle(make_random_mdp(1, 4, 2, 2), "S^1")
+        hm = build_markov_abstraction(oracle, horizon=3)
+        assert ([whole_history_key(h) for h in reachable_histories(oracle, max_t=3)]
+                == [whole_history_key(h) for h in hm.histories])

@@ -224,6 +224,11 @@ class TestBadInputExit2:
         assert main(["verify-reversibility", "--trajectories", value]) == 2
         _assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_horizon_below_one(self, value, capsys):
+        assert main(["run", "--horizon", value, "--episodes", "5", "--eval-episodes", "5"]) == 2
+        _assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_histories_below_one(self, value, capsys):
         argv = ["analyze-deps", "--wrapper", "S^1", "--t", "2", "--max-histories", value]
@@ -264,6 +269,35 @@ class TestBadInputExit2:
         assert main(["verify-morphism", "--m", str(p1), "--m2", str(p1),
                      "--map", str(mapping)]) == 2
         _assert_one_line_error(capsys)
+
+
+    @pytest.mark.parametrize("where, value", [(("num_states",), "x"), (("rho0",), "ab"),
+                                              (("outcomes", 0, 0, 0, "next"), "a")])
+    def test_malformed_mdp_file(self, where, value, tmp_path, capsys):
+        data = mdp_to_json(make_chain(3))
+        target = data
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify-category", "--env", f"mdp-file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {where[0]}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("bad", [{"phi_R": [0.0, 1.0]}, {"phi_R": {"a": 0.0}},
+                                     {"phi_S": [0, "x", 2]}, {"phi_S": [0, 2.5, 2]},
+                                     {"phi_A": None}])
+    def test_verify_morphism_malformed_map(self, bad, tmp_path, capsys):
+        p1 = tmp_path / "m.json"
+        p1.write_text(json.dumps(mdp_to_json(make_chain(3))))
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"phi_S": [0, 1, 2], "phi_A": [0, 1],
+                                       "phi_R": {"0.0": 0.0, "1.0": 1.0}, **bad}))
+        assert main(["verify-morphism", "--m", str(p1), "--m2", str(p1),
+                     "--map", str(mapping)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mapping}: ") and err.count("\n") == 1, err
 
 
 class TestUsageErrors:

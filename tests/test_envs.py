@@ -5,11 +5,9 @@ from nonmarkov.core import FiniteMDP, ValidationError, is_degenerate, save_mdp
 from nonmarkov.envs import (
     EpisodeFinishedError,
     FiniteMDPEnv,
-    make_cartpole,
     make_chain,
     make_env,
     make_mdp_from_id,
-    make_pendulum,
     make_random_mdp,
     optimal_return,
     value_iteration,
@@ -76,8 +74,7 @@ class TestRandomMdp:
 
 
 class TestEnvDeterminism:
-    @pytest.mark.parametrize("env_id", ["chain:5", "chain:5:0.2", "random:1:4:2:2",
-                                        "cartpole", "pendulum"])
+    @pytest.mark.parametrize("env_id", ["chain:5", "chain:5:0.2", "random:1:4:2:2"])
     def test_same_seed_same_stream(self, env_id):
         env1, env2 = make_env(env_id), make_env(env_id)
         actions = [i % env1.num_actions for i in range(20)]
@@ -145,31 +142,6 @@ class TestSampler:
         assert got == expected
 
 
-class TestClassicControl:
-    def test_cartpole_terminates(self):
-        env = make_cartpole()
-        env.reset(0)
-        done = False
-        for _ in range(500):
-            _, r, term, trunc = env.step(0)
-            assert r == 1.0
-            if term or trunc:
-                done = True
-                break
-        assert done
-
-    def test_pendulum_truncates_at_200(self):
-        env = make_pendulum()
-        env.reset(0)
-        for i in range(200):
-            obs, r, term, trunc = env.step(1)
-            assert not term
-            assert r <= 0.0
-        assert trunc
-        assert obs.shape == (3,)
-        assert abs(obs[0] ** 2 + obs[1] ** 2 - 1.0) < 1e-9
-
-
 class TestEnvIds:
     def test_mdp_file(self, tmp_path):
         path = str(tmp_path / "m.json")
@@ -180,6 +152,11 @@ class TestEnvIds:
     def test_unknown_id(self):
         with pytest.raises(ValidationError):
             make_mdp_from_id("gridworld:3")
+
+    @pytest.mark.parametrize("env_id", ["gridworld:3", "cartpole", "pendulum"])
+    def test_unknown_id_through_make_env(self, env_id):
+        with pytest.raises(ValidationError, match="unrecognized"):
+            make_env(env_id)
 
 
 class TestValueIteration:

@@ -232,10 +232,19 @@ class TestInternedTransducer:
         env, _ = assert_matches_fresh_streams("chain:5:0.4", spec, episodes=100, seed=2)
         assert env.node_count == 5
 
-    def test_cartpole_never_repeats(self):
-        env, emitted = assert_matches_fresh_streams("cartpole", "S^1", episodes=3, seed=3,
-                                                    max_steps=40)
-        assert env.node_count == 1 + emitted  # every observation was a new edge
+    @pytest.mark.parametrize("cap", [wrappers.NODE_CAP, 50], ids=["default_cap", "cap_50"])
+    def test_stream_that_never_repeats(self, cap, monkeypatch):
+        # every observation is new, so each is a new edge until NODE_CAP nodes
+        # exist; past the cap the rest of the episode streams without the memo
+        monkeypatch.setattr(wrappers, "NODE_CAP", cap)
+        episodes = [[np.array([e, t / 7.0]) for t in range(41)] for e in range(3)]
+        env = wrap(StubEnv(episodes), "S^1")
+        for seed in range(3):
+            stream = parse_spec("S^1").begin()
+            assert env.reset(seed).tobytes() == stream.push(episodes[seed][0]).tobytes()
+            for obs in episodes[seed][1:]:
+                assert env.step(0)[0].tobytes() == stream.push(obs).tobytes()
+        assert env.node_count == min(cap, 1 + 3 * 41)
 
     def test_aggregates_are_read_only(self):
         env = wrap(make_env("chain:5:0.4", max_steps=8), "S^2")
