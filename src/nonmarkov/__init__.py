@@ -41,7 +41,6 @@ from .analysis import (
     verify_morphism,
 )
 from .core import (
-    EmptyComponentError,
     FiniteMDP,
     History,
     NMDPOracle,

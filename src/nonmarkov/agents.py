@@ -14,6 +14,7 @@ from .envs import Environment
 
 SENTINEL = "<pad>"
 KEY_CAP = 1 << 13  # ExactDiscretizer memoises keys of 1-d float64 arrays, up to this many
+DECIMALS = 6  # ExactDiscretizer rounds observations to this many decimals
 ALPHA, GAMMA = 0.1, 0.99  # Q-learning step size and discount
 # epsilon falls linearly from EPS_START to EPS_FINAL over the first EPS_DECAY_FRAC of training
 EPS_START, EPS_FINAL, EPS_DECAY_FRAC = 1.0, 0.05, 0.8
@@ -22,8 +23,7 @@ EPS_START, EPS_FINAL, EPS_DECAY_FRAC = 1.0, 0.05, 0.8
 class ExactDiscretizer:
     """Pass observations through by rounding; suited to one-hot and small-integer streams."""
 
-    def __init__(self, decimals: int = 6):
-        self.decimals = decimals
+    def __init__(self):
         self._memo = {}
 
     def key(self, obs) -> tuple:
@@ -31,7 +31,7 @@ class ExactDiscretizer:
         raw = obs.tobytes() if keyed else None
         key = self._memo.get(raw)
         if key is None:
-            key = tuple(np.asarray(obs, dtype=float).round(self.decimals).tolist())
+            key = tuple(np.asarray(obs, dtype=float).round(DECIMALS).tolist())
             if raw is not None and len(self._memo) < KEY_CAP:
                 self._memo[raw] = key
         return key

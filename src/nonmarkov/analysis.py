@@ -27,7 +27,6 @@ from .core import (
     canonical_equal,
     distributions_equal,
     initial_history,
-    latest_state,
 )
 from .wrappers import AggregatedMDPOracle
 
@@ -160,8 +159,8 @@ class _HistoryWalk:
     """
 
     def __init__(self, oracle: NMDPOracle, horizon: int, cap: int):
-        if horizon < 1:
-            raise ValidationError("horizon must be >= 1")
+        if horizon < 0:
+            raise ValidationError("horizon must be >= 0")
         self.oracle, self.horizon, self.cap = oracle, horizon, cap
         self.histories, self._index, self._streams = [], {}, {}
         self.rho0 = [(self._intern(obs), float(p)) for obs, p in oracle.initial()]
@@ -205,6 +204,8 @@ def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
     Transition probabilities are inherited exactly; histories at the
     horizon become absorbing (zero reward) so the table stays closed.
     """
+    if horizon < 1:
+        raise ValidationError("horizon must be >= 1")
     walk = _HistoryWalk(oracle, horizon, cap)
     outcomes = list(walk.rows())
     n = len(walk.histories)
@@ -228,12 +229,14 @@ def reachable_histories(oracle: NMDPOracle, max_t: int, cap: int = 100_000):
 
     Lazy: the walk expands the next history only when the caller has taken
     every history interned so far, so a caller that stops early skips the
-    rest of the tree."""
+    rest of the tree.  At max_t = 0 there are no rows: it yields the initial
+    histories."""
     walk = _HistoryWalk(oracle, max_t, cap)
     done = 0
     for _ in walk.rows():
         yield from walk.histories[done:]
         done = len(walk.histories)
+    yield from walk.histories[done:]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +255,7 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
     if abstraction is None:
         abstraction = build_markov_abstraction(build_nonmarkov_embedding(m), horizon)
     hm = abstraction.mdp
-    last = [m.match_state(latest_state(h)) for h in abstraction.histories]
+    last = [m.match_state(h.states[-1]) for h in abstraction.histories]
     violations = []
     for i, h in enumerate(abstraction.histories):
         if last[i] is None:

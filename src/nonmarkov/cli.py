@@ -1,8 +1,10 @@
 """Command-line entry point binding all modules.
 
 Exit codes: 0 success / all checks pass; 1 check failure; 2 usage or
-validation error.  The NMF_WORKERS environment variable overrides the sweep
-worker count.
+validation error.  `--seed` exists only on `run` and `verify-reversibility`,
+and seeds must be >= 0.  `analyze-deps --t 0` checks the initial histories.
+The sweep's pool size is `--workers` when given, else the config file's
+`workers` (default 1), else, for a grid given by flags, the CPU count.
 """
 from __future__ import annotations
 
@@ -62,6 +64,8 @@ def reversibility_report(seed: int = 0, trajectories: int = 1000,
     trajectories x aggregator families."""
     if trajectories < 1:
         raise ValidationError(f"--trajectories must be >= 1, got {trajectories}")
+    if seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     fams = [(label, parse_spec(label))
             for label in _standard_families(rng, random_kernels, max_len)]
@@ -200,16 +204,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _default_workers() -> int:
-    env_val = os.environ.get("NMF_WORKERS")
-    if env_val:
-        try:
-            return int(env_val)
-        except ValueError:
-            raise ValidationError(f"NMF_WORKERS must be an integer, got {env_val!r}") from None
-    return os.cpu_count() or 1
-
-
 def _cmd_sweep(args) -> int:
     if args.config:
         cfg = SweepConfig.from_json(args.config)
@@ -224,10 +218,10 @@ def _cmd_sweep(args) -> int:
         cfg = SweepConfig(
             envs=args.env, wrappers=args.wrapper, agents=args.agent, seeds=seeds,
             episodes=args.episodes, eval_episodes=args.eval_episodes,
-            horizon=args.horizon,
+            horizon=args.horizon, workers=os.cpu_count() or 1,
         )
-    workers = args.workers if args.workers is not None else _default_workers()
-    cfg = dataclasses.replace(cfg, workers=workers)  # validates workers
+    if args.workers is not None:
+        cfg = dataclasses.replace(cfg, workers=args.workers)  # validates workers
     run_sweep(cfg, out_path=args.out)
     print(f"sweep written to {args.out}")
     return 0
@@ -245,9 +239,8 @@ def _cmd_plot(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, out_default=None):
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--out", default=out_default, help="write the report/artifact here")
+def _add_common(p):
+    p.add_argument("--out", help="write the report/artifact here")
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
 
 
@@ -261,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-reversibility",
                        help="decode-after-aggregate error over random trajectories")
     p.add_argument("--trajectories", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (>= 0)")
     _add_common(p)
     p.set_defaults(func=_cmd_verify_reversibility)
 
@@ -296,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=2000)
     p.add_argument("--eval-episodes", type=int, default=100)
     p.add_argument("--horizon", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0, help="training seed (>= 0)")
     _add_common(p)
     p.set_defaults(func=_cmd_run)
 
@@ -309,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-episodes", type=int, default=100)
     p.add_argument("--horizon", type=int, default=8)
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: NMF_WORKERS or cpu count)")
+                   help="worker processes (default: the config's workers, else cpu count)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 

@@ -35,10 +35,6 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class EmptyComponentError(ValueError):
-    """Raised when extracting the latest action/reward from a length-0 history."""
-
-
 def as_state(x) -> np.ndarray:
     """Coerce to a read-only float vector, rejecting NaN/Inf and non-1d input."""
     v = np.asarray(x, dtype=float)
@@ -92,49 +88,9 @@ class History:
         object.__setattr__(h, "rewards", self.rewards + (float(reward),))
         return h
 
-    def is_prefix_of(self, other: "History") -> bool:
-        """Proper prefix relation on histories."""
-        if other.t <= self.t:
-            return False
-        return (
-            all(np.array_equal(a, b) for a, b in zip(self.states, other.states))
-            and other.actions[: len(self.actions)] == self.actions
-            and other.rewards[: len(self.rewards)] == self.rewards
-        )
-
 
 def initial_history(s0) -> History:
     return History((as_state(s0),), (), ())
-
-
-# -- extraction operators ----------------------------------------------------
-
-def extract_states(h: History) -> tuple:
-    return h.states
-
-
-def extract_actions(h: History) -> tuple:
-    return h.actions
-
-
-def extract_rewards(h: History) -> tuple:
-    return h.rewards
-
-
-def latest_state(h: History) -> np.ndarray:
-    return h.states[-1]
-
-
-def latest_action(h: History) -> int:
-    if not h.actions:
-        raise EmptyComponentError("history at t=0 has no actions")
-    return h.actions[-1]
-
-
-def latest_reward(h: History) -> float:
-    if not h.rewards:
-        raise EmptyComponentError("history at t=0 has no rewards")
-    return h.rewards[-1]
 
 
 # -- finite distributions ----------------------------------------------------
@@ -254,10 +210,6 @@ class FiniteMDP:
         emb.flags.writeable = False
         object.__setattr__(self, "embedding", emb)
         object.__setattr__(self, "_rows", first)  # row bytes -> state, for match_state
-
-    @property
-    def obs_dim(self) -> int:
-        return self.embedding.shape[1]
 
     def row(self, state: int, action: int):
         return self.outcomes[state][action]

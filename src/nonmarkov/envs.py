@@ -12,6 +12,8 @@ import numpy as np
 
 from .core import FiniteMDP, Outcome, ValidationError, is_degenerate, load_mdp, parse_number
 
+MAX_RETRIES = 100  # make_random_mdp redraws a degenerate process up to this many times
+
 
 class EpisodeFinishedError(RuntimeError):
     """step() called after termination/truncation without reset()."""
@@ -45,7 +47,7 @@ class FiniteMDPEnv(Environment):
     def __init__(self, mdp: FiniteMDP, max_steps: int = None):
         self.mdp = mdp
         self.max_steps = max_steps
-        self.observation_dim = mdp.obs_dim
+        self.observation_dim = mdp.embedding.shape[1]
         self.num_actions = mdp.num_actions
         self._rho0_cdf = _choice_cdf(mdp.rho0)
         self._cdf = []
@@ -127,13 +129,15 @@ def make_chain(length: int, p_slip: float = 0.0) -> FiniteMDP:
 
 
 def make_random_mdp(seed: int, num_states: int, num_actions: int,
-                    branching: int, max_retries: int = 100) -> FiniteMDP:
+                    branching: int) -> FiniteMDP:
     """Random tabular process, regenerated until non-degenerate."""
+    if seed < 0:
+        raise ValidationError(f"random process seed must be >= 0, got {seed}")
     if num_states < 1 or num_actions < 1 or branching < 1:
         raise ValidationError("sizes and branching must be >= 1")
     rng = np.random.default_rng(seed)
     reward_values = (0.0, 0.5, 1.0)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         outcomes = []
         for _s in range(num_states):
             row = []
@@ -156,7 +160,7 @@ def make_random_mdp(seed: int, num_states: int, num_actions: int,
                       embedding=embedding)
         if not is_degenerate(m):
             return m
-    raise ValidationError(f"could not draw a non-degenerate MDP in {max_retries} tries")
+    raise ValidationError(f"could not draw a non-degenerate MDP in {MAX_RETRIES} tries")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ against the wrapper parameter per (agent, wrapper family) series.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -40,8 +42,9 @@ class SweepConfig:
             values = getattr(self, name)
             if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
                 raise ValidationError(f"sweep {name} must be a list of strings, got {values!r}")
-        if not isinstance(self.seeds, list) or not all(is_int(v) for v in self.seeds):
-            raise ValidationError(f"sweep seeds must be a list of integers, got {self.seeds!r}")
+        if not isinstance(self.seeds, list) or not all(is_int(v) and v >= 0 for v in self.seeds):
+            raise ValidationError(
+                f"sweep seeds must be a list of integers >= 0, got {self.seeds!r}")
         for name in ("episodes", "eval_episodes", "horizon", "workers"):
             value = getattr(self, name)
             if not (is_int(value) and value >= 1):
@@ -94,6 +97,8 @@ def run_cell(env_id: str, wrapper: str, agent_spec: str, seed: int, episodes: in
     its evaluation returns, evaluated on seeds from `seed + 10_000` on."""
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     env = wrap(make_env(env_id, max_steps=horizon), wrapper)
     agent = parse_agent_spec(agent_spec, env.num_actions)
     train(agent, env, episodes=episodes, seed=seed, horizon=horizon)
@@ -102,14 +107,16 @@ def run_cell(env_id: str, wrapper: str, agent_spec: str, seed: int, episodes: in
     return mean, std
 
 
-def _run_cell(args: dict) -> dict:
+def _run_cell(cfg: SweepConfig, cell: tuple) -> dict:
+    env_id, wrapper, agent, seed = cell
+    family, param = wrapper_family(wrapper)
     row = {
-        "env": args["env"],
-        "wrapper_family": args["family"],
-        "param": _fmt(args["param"]),
-        "agent": args["agent"],
-        "seed": str(args["seed"]),
-        "episodes": str(args["episodes"]),
+        "env": env_id,
+        "wrapper_family": family,
+        "param": _fmt(param),
+        "agent": agent,
+        "seed": str(seed),
+        "episodes": str(cfg.episodes),
         "status": "ok",
         "mean_return": "",
         "std_return": "",
@@ -117,37 +124,26 @@ def _run_cell(args: dict) -> dict:
     }
     start = time.perf_counter()
     try:
-        mean, std = run_cell(args["env"], args["wrapper"], args["agent"], args["seed"],
-                             args["episodes"], args["eval_episodes"], args["horizon"])
+        mean, std = run_cell(env_id, wrapper, agent, seed, cfg.episodes,
+                             cfg.eval_episodes, cfg.horizon)
         row["mean_return"] = _fmt(mean)
         row["std_return"] = _fmt(std)
     except Exception as exc:  # cell failures become rows, the sweep continues
         row["status"] = f"error:{type(exc).__name__}"
-    if args["record_walltime"]:
+    if cfg.record_walltime:
         row["wall_ms"] = str(int((time.perf_counter() - start) * 1000))
     return row
 
 
 def run_sweep(cfg: SweepConfig, out_path: str = None) -> str:
     """Run every grid cell and return the CSV text (optionally written to out_path)."""
-    cells = []
-    for env_id in cfg.envs:
-        for wrapper in cfg.wrappers:
-            family, param = wrapper_family(wrapper)
-            for agent in cfg.agents:
-                for seed in cfg.seeds:
-                    cells.append({
-                        "env": env_id, "wrapper": wrapper, "family": family,
-                        "param": param, "agent": agent, "seed": seed,
-                        "episodes": cfg.episodes, "eval_episodes": cfg.eval_episodes,
-                        "horizon": cfg.horizon,
-                        "record_walltime": cfg.record_walltime,
-                    })
+    run = functools.partial(_run_cell, cfg)
+    cells = itertools.product(cfg.envs, cfg.wrappers, cfg.agents, cfg.seeds)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_run_cell, cells))
+            rows = list(pool.map(run, cells))
     else:
-        rows = [_run_cell(c) for c in cells]
+        rows = list(map(run, cells))
 
     rows.sort(key=lambda r: (r["env"], r["wrapper_family"], float(r["param"]),
                              r["agent"], int(r["seed"])))

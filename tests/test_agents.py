@@ -160,8 +160,8 @@ class TestParseAgentSpec:
 
 class TestExactDiscretizerMemo:
     @staticmethod
-    def rounded(obs, decimals=6):
-        return tuple(np.asarray(obs, dtype=float).round(decimals).tolist())
+    def rounded(obs):
+        return tuple(np.asarray(obs, dtype=float).round(6).tolist())
 
     def test_matches_rounding_on_every_input_kind(self):
         d = ExactDiscretizer()
@@ -183,9 +183,9 @@ class TestExactDiscretizerMemo:
 
     def test_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(agents, "KEY_CAP", 3)
-        d = ExactDiscretizer(decimals=2)
+        d = ExactDiscretizer()
         xs = [np.array([i / 7.0, -i / 3.0]) for i in range(10)]
         for _ in range(2):
             for x in xs:
-                assert d.key(x) == self.rounded(x, 2)
+                assert d.key(x) == self.rounded(x)
         assert len(d._memo) == 3

@@ -499,6 +499,16 @@ class TestReachableHistories:
         assert len(hs) == 7  # 1 + 2 + 4 on a deterministic chain
         assert {h.t for h in hs} == {0, 1, 2}
 
+    def test_max_t_zero_yields_the_initial_histories(self):
+        m = make_random_mdp(1, 4, 2, 2)
+        hs = list(reachable_histories(as_nmdp_oracle(m, "S^1"), max_t=0))
+        assert [h.t for h in hs] == [0, 0, 0, 0]
+        assert sorted(m.match_state(h.states[0]) for h in hs) == [0, 1, 2, 3]
+        with pytest.raises(ValidationError):
+            build_markov_abstraction(as_nmdp_oracle(m, "S^1"), horizon=0)
+        with pytest.raises(ValidationError):
+            list(reachable_histories(as_nmdp_oracle(m, "S^1"), max_t=-1))
+
     def test_lazy(self):
         # the tree to t=9 passes a cap of 50, but its first history at t=2 is
         # yielded once 4 + 16 + 4 histories are interned

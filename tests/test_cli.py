@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestAnalyzeDeps:
                   for h in reachable_histories(oracle, max_t=3) if h.t == 3]
         assert report["undecodable"] == counts == [0, 3, 1, 3, 1, 2, 2, 3]
 
+    @pytest.mark.parametrize("env, checked", [("chain:5", 1), ("random:1:4:2", 4)])
+    @pytest.mark.parametrize("wrapper", ["S^0", "S^2", "D^1", "S_l:0.5", "conv:1,-0.5",
+                                         "corr:1,2"])
+    def test_t_zero_checks_the_initial_histories(self, env, checked, wrapper, capsys):
+        assert main(["analyze-deps", "--env", env, "--wrapper", wrapper,
+                     "--t", "0", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dependency"]["indices"] == [0]
+        assert report["match"] is True and report["histories_checked"] == checked
+
 
 class TestRunSweepPlot:
     def test_run_cell(self, capsys):
@@ -135,13 +146,32 @@ class TestRunSweepPlot:
         assert main(["plot", "--in", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "p.svg")]) == 2
 
-    def test_nmf_workers_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NMF_WORKERS", "2")
-        out = tmp_path / "r.csv"
-        assert main(["sweep", "--env", "chain:5", "--wrapper", "id",
-                     "--agent", "random", "--seeds", "0", "--episodes", "5",
-                     "--eval-episodes", "5", "--horizon", "4",
-                     "--out", str(out)]) == 0
+    def test_nmf_workers_env(self, tmp_path):
+        outs = [tmp_path / "r1.csv", tmp_path / "r2.csv"]
+        for workers, out in zip(("1", "2"), outs):
+            assert main(["sweep", "--env", "chain:5", "--wrapper", "id",
+                         "--agent", "random", "--seeds", "0,1", "--episodes", "5",
+                         "--eval-episodes", "5", "--horizon", "4", "--workers", workers,
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("config, flag, expected", [
+        ({"workers": 1}, [], 1), ({"workers": 3}, [], 3), ({}, [], 1),
+        ({"workers": 1}, ["--workers", "2"], 2), (None, [], os.cpu_count() or 1),
+        (None, ["--workers", "2"], 2)])
+    def test_sweep_workers_precedence(self, config, flag, expected, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg, out_path: seen.append(cfg.workers))
+        out = str(tmp_path / "r.csv")
+        if config is None:
+            argv = _sweep_args(out)
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"envs": ["chain:5"], "wrappers": ["id"],
+                                        "agents": ["random"], **config}))
+            argv = ["sweep", "--config", str(path), "--out", out]
+        assert main(argv + flag) == 0
+        assert seen == [expected]
 
 
 def _sweep_args(out):
@@ -156,11 +186,6 @@ def _assert_one_line_error(capsys):
 
 
 class TestBadInputExit2:
-    def test_nmf_workers_not_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NMF_WORKERS", "abc")
-        assert main(_sweep_args(tmp_path / "r.csv")) == 2
-        _assert_one_line_error(capsys)
-
     def test_workers_below_one(self, tmp_path, capsys):
         assert main(_sweep_args(tmp_path / "r.csv") + ["--workers", "0"]) == 2
         _assert_one_line_error(capsys)
@@ -178,7 +203,8 @@ class TestBadInputExit2:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         _assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("bad", [{"seeds": ["x"]}, {"episodes": "abc"}])
+    @pytest.mark.parametrize("bad", [{"seeds": ["x"]}, {"episodes": "abc"},
+                                     {"seeds": [-2]}])
     def test_sweep_config_bad_value(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"envs": ["chain:5"], "wrappers": ["id"],
@@ -228,6 +254,21 @@ class TestBadInputExit2:
     def test_horizon_below_one(self, value, capsys):
         assert main(["run", "--horizon", value, "--episodes", "5", "--eval-episodes", "5"]) == 2
         _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "-1", "--episodes", "5", "--eval-episodes", "5"],
+        ["verify-reversibility", "--seed", "-1", "--trajectories", "5"],
+        ["verify-category", "--env", "random:-1:4:2"],
+        ["analyze-deps", "--env", "random:-1:4:2", "--wrapper", "S^1", "--t", "1"],
+        ["run", "--env", "random:-1:4:2", "--episodes", "5", "--eval-episodes", "5"],
+        ["sweep", "--env", "chain:5", "--wrapper", "id", "--agent", "random",
+         "--seeds", "0,-1", "--out", "r.csv"],
+    ])
+    def test_negative_seed(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        _assert_one_line_error(capsys)
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_histories_below_one(self, value, capsys):
@@ -310,3 +351,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["verify-category", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-category"],
+        ["verify-morphism", "--m", "a.json", "--m2", "b.json", "--map", "map.json"],
+        ["analyze-deps", "--wrapper", "S^1", "--t", "1"],
+    ])
+    def test_seed_only_on_commands_that_read_it(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

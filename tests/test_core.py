@@ -6,7 +6,6 @@ import pytest
 
 from nonmarkov.core import (
     EMBED_MATCH_TOL,
-    EmptyComponentError,
     FiniteMDP,
     History,
     Outcome,
@@ -14,14 +13,8 @@ from nonmarkov.core import (
     as_state,
     canonical_distribution,
     distributions_equal,
-    extract_actions,
-    extract_rewards,
-    extract_states,
     initial_history,
     is_degenerate,
-    latest_action,
-    latest_reward,
-    latest_state,
     load_mdp,
     mdp_from_dict,
     mdp_to_json,
@@ -76,9 +69,9 @@ class TestHistory:
     def test_extend(self):
         h = initial_history([1.0]).extend(0, 0.5, [2.0]).extend(1, 1.0, [3.0])
         assert h.t == 2
-        assert extract_actions(h) == (0, 1)
-        assert extract_rewards(h) == (0.5, 1.0)
-        assert [s[0] for s in extract_states(h)] == [1.0, 2.0, 3.0]
+        assert h.actions == (0, 1)
+        assert h.rewards == (0.5, 1.0)
+        assert [s[0] for s in h.states] == [1.0, 2.0, 3.0]
 
     def test_length_invariant(self):
         with pytest.raises(ValidationError):
@@ -101,25 +94,6 @@ class TestHistory:
         assert h2.actions == (0, 1) and h2.rewards == (0.5, 1.0)
         assert type(h2.actions[-1]) is int and type(h2.rewards[-1]) is float
         assert not h2.states[-1].flags.writeable
-
-    def test_latest_extractors(self):
-        h = initial_history([1.0]).extend(1, 0.25, [2.0])
-        assert latest_state(h)[0] == 2.0
-        assert latest_action(h) == 1
-        assert latest_reward(h) == 0.25
-
-    def test_latest_action_empty(self):
-        with pytest.raises(EmptyComponentError):
-            latest_action(initial_history([1.0]))
-        with pytest.raises(EmptyComponentError):
-            latest_reward(initial_history([1.0]))
-
-    def test_prefix(self):
-        h = initial_history([1.0])
-        h2 = h.extend(0, 0.0, [2.0])
-        assert h.is_prefix_of(h2)
-        assert not h2.is_prefix_of(h)
-        assert not h.is_prefix_of(h)
 
 
 class TestDistributions:
@@ -160,7 +134,7 @@ class TestDistributions:
 class TestFiniteMDP:
     def test_valid_construction(self):
         m = simple_mdp()
-        assert m.obs_dim == 2
+        assert m.embedding.shape[1] == 2
         assert m.row(0, 1)[0].next_state == 1 or m.row(0, 1)[0].next_state == 0
 
     def test_prob_sum_enforced(self):
