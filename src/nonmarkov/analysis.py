@@ -254,28 +254,38 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
     """
     if abstraction is None:
         abstraction = build_markov_abstraction(build_nonmarkov_embedding(m), horizon)
-    hm = abstraction.mdp
-    last = [m.match_state(h.states[-1]) for h in abstraction.histories]
+    hm, histories, k = abstraction.mdp, abstraction.histories, m.num_actions
+    if hm.num_actions != k:
+        raise ValidationError(f"abstraction has {hm.num_actions} actions, the process {k}")
+    decoded = np.array([-1 if s is None else s
+                        for s in m.match_states([h.states[-1] for h in histories])])
+    live = np.flatnonzero((decoded >= 0) & (np.array([h.t for h in histories]) < horizon))
+    cell = (live[:, None] * k + np.arange(k)).ravel()
+    table = (decoded[live, None] * k + np.arange(k)).ravel()
+    w = min(hm.prob.shape[1], m.prob.shape[1])  # a cell equal slot by slot passes at once
+    same = (np.stack([hm.prob[cell, :w], hm.reward[cell, :w], decoded[hm.next[cell, :w]]])
+            == np.stack([m.prob[table, :w], m.reward[table, :w], m.next[table, :w]])).all(axis=0)
+    same = (same | (np.arange(w) >= m.length[table, None])).all(axis=1)
+    slow = cell[~same | (hm.length[cell] != m.length[table])].tolist()
     violations = []
-    for i, h in enumerate(abstraction.histories):
-        if last[i] is None:
+    for i, a in sorted({(u, -1) for u in np.flatnonzero(decoded < 0).tolist()}
+                       | {divmod(c, k) for c in slow}):
+        h = histories[i]
+        if a < 0:
             violations.append({"where": f"history {i} (t={h.t})", "expected": "embedded state",
                                "got": "undecodable last state"})
             continue
-        if h.t >= horizon:
-            continue
-        for a in range(m.num_actions):
-            row = hm.row(i, a)
-            if any(last[o.next_state] is None for o in row):
-                continue  # the undecodable child is a violation of its own
-            got = [((float(last[o.next_state]), o.reward), o.prob) for o in row]
-            expected = [((float(o.next_state), o.reward), o.prob) for o in m.row(last[i], a)]
-            if not distributions_equal(expected, got, tol):
-                violations.append({
-                    "where": f"history {i} (t={h.t}), action {a}",
-                    "expected": sorted(expected),
-                    "got": sorted(got),
-                })
+        row = hm.row(i, a)
+        if any(decoded[o.next_state] < 0 for o in row):
+            continue  # the undecodable child is a violation of its own
+        got = [((float(decoded[o.next_state]), o.reward), o.prob) for o in row]
+        expected = [((float(o.next_state), o.reward), o.prob) for o in m.row(decoded[i], a)]
+        if not distributions_equal(expected, got, tol):
+            violations.append({
+                "where": f"history {i} (t={h.t}), action {a}",
+                "expected": sorted(expected),
+                "got": sorted(got),
+            })
     return {"pass": not violations, "violations": violations,
             "histories": len(abstraction.histories), "horizon": horizon}
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -146,7 +148,8 @@ class FiniteMDP:
 
     `outcomes[s][a]` is the finite distribution over (next state, reward) and
     row `embedding[s]` of the read-only (num_states, k) array is the vector
-    observation emitted for state `s`.
+    observation emitted for state `s`.  Cell c = s * num_actions + a is compiled once into
+    read-only `length[c]` and zero-padded rows `next[c]`, `reward[c]`, `prob[c]`.
     """
 
     num_states: int
@@ -161,40 +164,52 @@ class FiniteMDP:
         rho0 = np.asarray(self.rho0, dtype=float)
         if rho0.shape != (self.num_states,):
             raise ValidationError(f"rho0 must have shape ({self.num_states},)")
-        if np.any(rho0 < 0) or abs(rho0.sum() - 1.0) > PROB_TOL:
-            raise ValidationError("rho0 must be a probability vector (sum 1 within 1e-12)")
+        if not (np.all(rho0 >= 0) and abs(rho0.sum() - 1.0) <= PROB_TOL):
+            raise ValidationError("rho0 must be a finite probability vector (sum 1 within 1e-12)")
         rho0.flags.writeable = False
         object.__setattr__(self, "rho0", rho0)
 
         if len(self.outcomes) != self.num_states:
             raise ValidationError("outcomes must have one row per state")
         rows = []
-        for s, per_action in enumerate(self.outcomes):
+        for per_action in self.outcomes:
             if len(per_action) != self.num_actions:
-                raise ValidationError(f"state {s}: expected {self.num_actions} action rows")
-            arow = []
-            for a, lst in enumerate(per_action):
-                lst = tuple(lst)
-                if not lst:
-                    raise ValidationError(f"state {s}, action {a}: empty outcome list")
-                total = 0.0
-                for o in lst:
-                    if not (0 <= o.next_state < self.num_states):
-                        raise ValidationError(
-                            f"state {s}, action {a}: next state {o.next_state} out of range")
-                    if o.prob < 0:
-                        raise ValidationError(f"state {s}, action {a}: negative probability")
-                    total += o.prob
-                if abs(total - 1.0) > PROB_TOL:
-                    raise ValidationError(
-                        f"state {s}, action {a}: outcome probs sum to {total!r}, not 1")
-                arow.append(lst)
-            rows.append(tuple(arow))
+                break  # reported after a bad cell of the states before it
+            rows.append(tuple(map(tuple, per_action)))
+        cells = [c for row in rows for c in row]  # errors in a cell-by-cell walk's order
+        length = np.array([len(c) for c in cells], dtype=np.intp)
+        flat = [o for c in cells for o in c]
+        live = np.arange(length.max(initial=1)) < length[:, None]
+        nxt, reward, prob = np.zeros((3, *live.shape))  # padding passes every check below
+        nxt[live], reward[live], prob[live] = np.array(
+            [[o.next_state for o in flat], [o.reward for o in flat], [o.prob for o in flat]])
+        with np.errstate(all="ignore"):  # in the order of `total += prob`; inf - inf is nan
+            total = reduce(np.add, prob.T, np.zeros(len(cells)))
+        bad_next = ~((nxt >= 0) & (nxt < self.num_states) & (nxt == np.floor(nxt)))
+        bad_num = ~(np.isfinite(reward) & np.isfinite(prob))
+        bad_slot = bad_next | bad_num | (prob < 0)
+        bad = (length == 0) | bad_slot.any(axis=1) | ~(np.abs(total - 1.0) <= PROB_TOL)
+        if bad.any():
+            c = int(np.argmax(bad))
+            j = int(np.argmax(bad_slot[c]))
+            msg = ("empty outcome list" if not length[c]
+                   else f"next state {cells[c][j].next_state} out of range" if bad_next[c, j]
+                   else "non-finite reward or probability" if bad_num[c, j]
+                   else "negative probability" if bad_slot[c, j]
+                   else f"outcome probs sum to {float(total[c])!r}, not 1")
+            s, a = divmod(c, self.num_actions)
+            raise ValidationError(f"state {s}, action {a}: {msg}")
+        if len(rows) < self.num_states:
+            raise ValidationError(f"state {len(rows)}: expected {self.num_actions} action rows")
+        for name, arr in (("next", nxt.astype(np.intp)), ("reward", reward),
+                          ("prob", prob), ("length", length)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "outcomes", tuple(rows))
 
         try:
             emb = np.array(self.embedding, dtype=float)
-        except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows or non-numbers
             raise ValidationError(f"embedding must be a matrix of numbers ({exc})") from exc
         if emb.ndim != 2 or emb.shape[0] != self.num_states or emb.shape[1] < 1:
             raise ValidationError(
@@ -202,9 +217,9 @@ class FiniteMDP:
         if not np.all(np.isfinite(emb)):
             raise ValidationError("embedding entries must be finite")
         # + 0.0 turns -0.0 into 0.0, so rows equal under == share their bytes
-        first = {}
-        for s, row in enumerate(emb + 0.0):
-            other = first.setdefault(row.tobytes(), s)
+        first, data, width = {}, (emb + 0.0).tobytes(), emb[0].nbytes
+        for s in range(self.num_states):
+            other = first.setdefault(data[s * width:(s + 1) * width], s)
             if other != s:
                 raise ValidationError(f"embedding is not injective: states {other} and {s}")
         emb.flags.writeable = False
@@ -229,16 +244,26 @@ class FiniteMDP:
         best = int(np.argmin(d))
         return best if d[best] <= EMBED_MATCH_TOL else None
 
+    def match_states(self, states) -> list:
+        """`match_state` of each of the equal-shape `states`, stacked once."""
+        vecs = np.array(states, dtype=float) + 0.0
+        data, width, rows = vecs.tobytes(), vecs[0].nbytes, self._rows
+        found = [rows.get(data[i:i + width]) for i in range(0, len(data), width)]
+        return [self.match_state(vecs[i]) if s is None else s for i, s in enumerate(found)]
+
     def reward_support(self):
         return sorted({o.reward for row in self.outcomes for lst in row for o in lst})
 
 
 def is_degenerate(m: FiniteMDP) -> bool:
     """True iff two distinct states have identical outcome rows for every action."""
-    rows = [[[((o.next_state, o.reward), o.prob) for o in lst] for lst in per_action]
-            for per_action in m.outcomes]
-    return any(all(map(distributions_equal, rows[i], rows[j]))
-               for i in range(m.num_states) for j in range(i + 1, m.num_states))
+    buckets = {}  # by the canonical rows' next states, which equal rows share
+    for per_action in m.outcomes:
+        rows = [canonical_distribution(((o.next_state, o.reward), o.prob) for o in lst)
+                for lst in per_action]
+        buckets.setdefault(tuple(tuple(key[0] for key, _ in r) for r in rows), []).append(rows)
+    return any(all(map(canonical_equal, r1, r2))
+               for bucket in buckets.values() for r1, r2 in combinations(bucket, 2))
 
 
 class UndecodableHistoryError(ValueError):
@@ -322,30 +347,32 @@ def mdp_from_dict(data: dict, source: str = "<dict>") -> FiniteMDP:
     def fail(path, msg):
         raise ValidationError(f"{source}: {path}: {msg}")
 
+    def outcome(o, s, a, j):
+        if is_int(o["next"]) or isinstance(o["next"], float) and o["next"].is_integer():
+            return Outcome(int(o["next"]), float(o["reward"]), float(o["prob"]))
+        raise TypeError(f"state {s}, action {a}, outcome {j}: non-integer next {o['next']!r}")
+
     for key in ("num_states", "num_actions", "rho0", "outcomes", "embedding"):
         if key not in data:
             fail(key, "missing field")
     try:
         outcomes = tuple(
-            tuple(
-                tuple(Outcome(int(o["next"]), float(o["reward"]), float(o["prob"]))
-                      for o in lst)
-                for lst in row
-            )
-            for row in data["outcomes"]
+            tuple(tuple(outcome(o, s, a, j) for j, o in enumerate(lst))
+                  for a, lst in enumerate(row))
+            for s, row in enumerate(data["outcomes"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         fail("outcomes", f"malformed outcome entry ({exc})")
     fields = {}
     for key, convert in (("num_states", int), ("num_actions", int),
                          ("rho0", lambda v: np.asarray(v, dtype=float))):
         try:
             fields[key] = convert(data[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             fail(key, f"malformed value ({exc})")
     try:
         return FiniteMDP(**fields, outcomes=outcomes, embedding=data["embedding"])
-    except ValidationError as exc:
+    except (ValidationError, OverflowError) as exc:  # a next state past float range
         raise ValidationError(f"{source}: {exc}") from exc
 
 

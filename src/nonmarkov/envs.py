@@ -6,7 +6,7 @@ streams.
 """
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 
 import numpy as np
 
@@ -50,13 +50,7 @@ class FiniteMDPEnv(Environment):
         self.observation_dim = mdp.embedding.shape[1]
         self.num_actions = mdp.num_actions
         self._rho0_cdf = _choice_cdf(mdp.rho0)
-        self._cdf = []
-        for per_action in mdp.outcomes:
-            row = []
-            for lst in per_action:
-                probs = np.array([o.prob for o in lst])
-                row.append(_choice_cdf(probs / probs.sum()))
-            self._cdf.append(row)
+        self._cdf = [_choice_cdf(p[:n] / p[:n].sum()) for p, n in zip(mdp.prob, mdp.length)]
         self._state = None
         self._steps = 0
         self._done = True
@@ -64,7 +58,7 @@ class FiniteMDPEnv(Environment):
 
     def reset(self, seed: int) -> np.ndarray:
         self._rng = np.random.default_rng(seed)
-        self._state = bisect.bisect_right(self._rho0_cdf, self._rng.random())
+        self._state = bisect_right(self._rho0_cdf, self._rng.random())
         self._steps = 0
         self._done = False
         return self.mdp.embedding[self._state]
@@ -74,7 +68,7 @@ class FiniteMDPEnv(Environment):
             raise EpisodeFinishedError("step() after episode end; call reset()")
         if not 0 <= action < self.num_actions:
             raise ValidationError(f"action {action} out of range")
-        idx = bisect.bisect_right(self._cdf[self._state][action], self._rng.random())
+        idx = bisect_right(self._cdf[self._state * self.num_actions + action], self._rng.random())
         outcome = self.mdp.row(self._state, action)[idx]
         self._state = outcome.next_state
         self._steps += 1
@@ -207,15 +201,15 @@ def value_iteration(m: FiniteMDP, horizon: int):
     values = np.zeros((horizon + 1, n))
     policy = np.zeros((horizon, n), dtype=int)
     for t in range(horizon - 1, -1, -1):
-        for s in range(n):
-            best_q, best_a = -np.inf, 0
-            for a in range(k):
-                q = sum(o.prob * (o.reward + values[t + 1, o.next_state])
-                        for o in m.row(s, a))
-                if q > best_q + 1e-15:
-                    best_q, best_a = q, a
-            values[t, s] = best_q
-            policy[t, s] = best_a
+        # slot by slot, as a Python sum over the row; a padded slot adds 0 * (0 + V) = 0
+        q = np.zeros(n * k)  # q[s * k + a]
+        for j in range(m.prob.shape[1]):
+            q = q + m.prob[:, j] * (m.reward[:, j] + values[t + 1][m.next[:, j]])
+        values[t] = -np.inf
+        for a in range(k):  # sequential tie rule: the lowest action wins
+            better = q[a::k] > values[t] + 1e-15
+            values[t] = np.where(better, q[a::k], values[t])
+            policy[t] = np.where(better, a, policy[t])
     return values, policy
 
 

@@ -388,6 +388,62 @@ class TestEquivalenceRoundtrip:
                                          "got": "undecodable last state"}]
 
 
+class TestRoundtripRowComparison:
+    """Cells that do not equal their table row slot by slot are compared as
+    distributions, with the violation dicts the per-cell comparison gives."""
+
+    M = make_chain(3, p_slip=0.25)
+    HM = build_markov_abstraction(build_nonmarkov_embedding(M), horizon=2)
+
+    def with_cell(self, i, a, lst, histories=None):
+        out = [list(r) for r in self.HM.mdp.outcomes]
+        out[i][a] = tuple(lst)
+        mdp = FiniteMDP(num_states=self.HM.mdp.num_states, num_actions=2,
+                        rho0=self.HM.mdp.rho0, outcomes=tuple(tuple(r) for r in out),
+                        embedding=self.HM.mdp.embedding)
+        return HistoryMDP(mdp=mdp, histories=histories or self.HM.histories)
+
+    def test_reordered_and_split_rows_pass(self):
+        row = self.HM.mdp.row(0, 1)
+        o = row[0]
+        half = Outcome(o.next_state, o.reward, o.prob / 2)
+        for lst in (row[::-1], (half, *row[1:], half)):
+            report = verify_equivalence_roundtrip(self.M, 2, abstraction=self.with_cell(0, 1, lst))
+            assert report["pass"], report["violations"]
+
+    def test_zero_probability_outcome_to_wrong_child_fails(self):
+        row = self.HM.mdp.row(0, 1)
+        child = next(i for i, h in enumerate(self.HM.histories) if h.states[-1][2] == 1.0)
+        bad = self.with_cell(0, 1, row + (Outcome(child, 0.0, 0.0),))
+        report = verify_equivalence_roundtrip(self.M, 2, abstraction=bad)
+        assert report["violations"] == [{
+            "where": "history 0 (t=0), action 1",
+            "expected": [((0.0, 0.0), 0.25), ((1.0, 0.0), 0.75)],
+            "got": [((0.0, 0.0), 0.25), ((1.0, 0.0), 0.75), ((2.0, 0.0), 0.0)]}]
+
+    def test_violations_in_history_order(self):
+        # history 2 undecodable (so history 0's action-1 cell, its parent, is
+        # skipped), then a reward fault in history 3
+        row = self.HM.mdp.row(3, 1)
+        faulty = (Outcome(row[0].next_state, row[0].reward + 0.5, row[0].prob), *row[1:])
+        histories = list(self.HM.histories)
+        h = histories[2]
+        histories[2] = History(h.states[:-1] + (np.array([9.0, 9.0, 9.0]),), h.actions, h.rewards)
+        bad = self.with_cell(3, 1, faulty, tuple(histories))
+        report = verify_equivalence_roundtrip(self.M, 2, abstraction=bad)
+        assert report["violations"] == [
+            {"where": "history 2 (t=1)", "expected": "embedded state",
+             "got": "undecodable last state"},
+            {"where": "history 3 (t=1), action 1",
+             "expected": [((0.0, 0.0), 0.25), ((1.0, 0.0), 0.75)],
+             "got": [((0.0, 0.0), 0.25), ((1.0, 0.5), 0.75)]}]
+
+    def test_abstraction_with_other_action_count_rejected(self):
+        other = build_markov_abstraction(build_nonmarkov_embedding(make_random_mdp(0, 3, 3, 2)), 2)
+        with pytest.raises(ValidationError, match="abstraction has 3 actions, the process 2"):
+            verify_equivalence_roundtrip(self.M, 2, abstraction=other)
+
+
 def repeated_pair_mdp():
     """chain:3 with slip 0.25 whose first branch of every row is listed twice,
     each copy with half its probability."""

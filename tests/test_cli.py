@@ -313,7 +313,11 @@ class TestBadInputExit2:
 
 
     @pytest.mark.parametrize("where, value", [(("num_states",), "x"), (("rho0",), "ab"),
-                                              (("outcomes", 0, 0, 0, "next"), "a")])
+                                              (("outcomes", 0, 0, 0, "next"), "a"),
+                                              (("outcomes", 0, 0, 0, "next"), 1.7),
+                                              (("outcomes", 0, 0, 0, "next"), True),
+                                              (("outcomes", 0, 0, 0, "reward"), 10 ** 400),
+                                              (("num_states",), float("inf"))])
     def test_malformed_mdp_file(self, where, value, tmp_path, capsys):
         data = mdp_to_json(make_chain(3))
         target = data
@@ -325,6 +329,21 @@ class TestBadInputExit2:
         assert main(["verify-category", "--env", f"mdp-file:{path}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {where[0]}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", [["verify-category", "--horizon", "2"],
+                                         ["run", "--episodes", "2", "--eval-episodes", "1"]])
+    @pytest.mark.parametrize("field", ["prob", "reward"])
+    def test_nan_in_mdp_file(self, command, field, tmp_path, capsys):
+        # json.load accepts NaN: verify-category used to print FAIL and exit 1,
+        # and run died with an IndexError traceback
+        data = mdp_to_json(make_chain(2))
+        data["outcomes"][0][1][0][field] = float("nan")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        assert main(command + ["--env", f"mdp-file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: state 0, action 1: "
+                       "non-finite reward or probability\n"), err
 
     @pytest.mark.parametrize("bad", [{"phi_R": [0.0, 1.0]}, {"phi_R": {"a": 0.0}},
                                      {"phi_S": [0, "x", 2]}, {"phi_S": [0, 2.5, 2]},

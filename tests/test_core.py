@@ -6,6 +6,7 @@ import pytest
 
 from nonmarkov.core import (
     EMBED_MATCH_TOL,
+    PROB_TOL,
     FiniteMDP,
     History,
     Outcome,
@@ -20,6 +21,7 @@ from nonmarkov.core import (
     mdp_to_json,
     save_mdp,
 )
+from nonmarkov.envs import make_random_mdp
 from nonmarkov.wrappers import as_nmdp_oracle
 
 
@@ -201,6 +203,79 @@ class TestFiniteMDP:
     def test_reward_support(self):
         assert simple_mdp().reward_support() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("cell, rho0, match", [
+        ((Outcome(0, 0.0, float("nan")), Outcome(1, 0.0, 1.0)), [1.0, 0.0],
+         "state 1, action 0: non-finite reward or probability"),
+        ((Outcome(0, 0.0, float("inf")),), [1.0, 0.0],
+         "state 1, action 0: non-finite reward or probability"),
+        ((Outcome(0, float("nan"), 1.0),), [1.0, 0.0],
+         "state 1, action 0: non-finite reward or probability"),
+        ((Outcome(0, float("inf"), 1.0),), [1.0, 0.0],
+         "state 1, action 0: non-finite reward or probability"),
+        ((Outcome(0, -float("inf"), 1.0),), [1.0, 0.0],
+         "state 1, action 0: non-finite reward or probability"),
+        ((Outcome(0, 0.0, 1.0),), [float("nan"), 1.0], "rho0 must be a finite probability"),
+        ((Outcome(0, 0.0, 1.0),), [float("inf"), 0.0], "rho0 must be a finite probability"),
+    ], ids=["nan-prob", "inf-prob", "nan-reward", "inf-reward", "-inf-reward", "nan-rho0",
+            "inf-rho0"])
+    def test_non_finite_numbers_rejected(self, cell, rho0, match):
+        # each of these used to construct, and value iteration returned nan or +-inf
+        ok = (Outcome(1, 0.0, 1.0),)
+        with pytest.raises(ValidationError, match=re.escape(match)):
+            FiniteMDP(num_states=2, num_actions=1, rho0=np.array(rho0),
+                      outcomes=((ok,), (cell,)), embedding=([0.0], [1.0]))
+
+    def test_non_integral_next_state_rejected(self):
+        with pytest.raises(ValidationError, match="state 0, action 0: next state 0.5 out of range"):
+            FiniteMDP(num_states=2, num_actions=1, rho0=np.array([1.0, 0.0]),
+                      outcomes=(((Outcome(0.5, 0.0, 1.0),),), ((Outcome(0, 0.0, 1.0),),)),
+                      embedding=([0.0], [1.0]))
+
+    @pytest.mark.parametrize("outcomes, message", [
+        # a bad cell earlier in row-major order wins over a later one
+        ((((Outcome(0, 0.0, 1.0),), (Outcome(0, 0.0, -0.5), Outcome(1, 0.0, 1.5))),
+          ((), (Outcome(0, 0.0, 1.0),))),
+         "state 0, action 1: negative probability"),
+        # within a cell: each outcome's range before the sum
+        ((((Outcome(0, 0.0, 0.5), Outcome(7, 0.0, 0.2)), (Outcome(0, 0.0, 1.0),)),
+          ((Outcome(0, 0.0, 1.0),), (Outcome(0, 0.0, 1.0),))),
+         "state 0, action 0: next state 7 out of range"),
+        # outcomes in order: a bad probability before a later out-of-range state
+        ((((Outcome(0, 0.0, -1.0), Outcome(7, 0.0, 2.0)), (Outcome(0, 0.0, 1.0),)),
+          ((Outcome(0, 0.0, 1.0),), (Outcome(0, 0.0, 1.0),))),
+         "state 0, action 0: negative probability"),
+        ((((Outcome(0, 0.0, 0.25), Outcome(1, 0.0, 0.25)), (Outcome(0, 0.0, 1.0),)),
+          ((Outcome(0, 0.0, 1.0),), (Outcome(0, 0.0, 1.0),))),
+         "state 0, action 0: outcome probs sum to 0.5, not 1"),
+        # a state with the wrong action count after a bad cell of an earlier state
+        ((((Outcome(0, 0.0, 1.0),), ()), ((Outcome(0, 0.0, 1.0),),)),
+         "state 0, action 1: empty outcome list"),
+        ((((Outcome(0, 0.0, 1.0),),), ((), (Outcome(0, 0.0, 1.0),))),
+         "state 0: expected 2 action rows"),
+    ], ids=["row-major", "range-before-sum", "outcome-order", "sum", "cell-before-count",
+            "count-before-cell"])
+    def test_first_bad_cell_reported(self, outcomes, message):
+        with pytest.raises(ValidationError) as err:
+            FiniteMDP(num_states=2, num_actions=2, rho0=np.array([1.0, 0.0]),
+                      outcomes=outcomes, embedding=([0.0], [1.0]))
+        assert str(err.value) == message
+
+    def test_compiled_arrays(self):
+        zero = Outcome(1, 2.0, 0.0)  # a real outcome of probability 0 is not padding
+        m = FiniteMDP(num_states=2, num_actions=2, rho0=np.array([1.0, 0.0]),
+                      outcomes=(((Outcome(1, 0.5, 0.25), zero, Outcome(0, 1.0, 0.75)),
+                                 (Outcome(0, 0.0, 1.0),)),
+                                ((Outcome(1, 3.0, 1.0),), (zero, Outcome(0, 0.0, 1.0)))),
+                      embedding=([0.0], [1.0]))
+        assert m.length.tolist() == [3, 1, 1, 2]
+        assert m.next.tolist() == [[1, 1, 0], [0, 0, 0], [1, 0, 0], [1, 0, 0]]
+        assert m.reward.tolist() == [[0.5, 2.0, 1.0], [0, 0, 0], [3.0, 0, 0], [2.0, 0, 0]]
+        assert m.prob.tolist() == [[0.25, 0.0, 0.75], [1.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]]
+        assert m.next.dtype == np.intp
+        for arr in (m.next, m.reward, m.prob, m.length):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
 
 def nearest_by_distance(m, vec):
     """The max-abs distance rule alone, without the exact-row lookup."""
@@ -240,6 +315,17 @@ class TestMatchStateFastPath:
             assert m.match_state(row) == s
             assert m.match_state(np.where(row == 0.0, -0.0, row)) == s
 
+    @pytest.mark.parametrize("name", sorted(MATCH_EMBEDDINGS))
+    def test_batch_agrees_with_single(self, name):
+        emb = MATCH_EMBEDDINGS[name]
+        m = FiniteMDP(num_states=len(emb), num_actions=1, rho0=np.eye(len(emb))[0],
+                      outcomes=(((Outcome(0, 0.0, 1.0),),),) * len(emb), embedding=emb)
+        rng = np.random.default_rng(5)
+        vecs = [np.asarray(v, dtype=float) for row in m.embedding for v in match_inputs(row, rng)]
+        assert m.match_states(vecs) == [m.match_state(v) for v in vecs]
+        with pytest.raises(ValidationError, match="does not match the embedding rows"):
+            m.match_states([np.zeros(m.embedding.shape[1] + 1)] * 2)
+
 
 class TestDegeneracy:
     def test_identical_rows_degenerate(self):
@@ -250,6 +336,60 @@ class TestDegeneracy:
 
     def test_chain_not_degenerate(self):
         assert not is_degenerate(simple_mdp(3))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_pairwise_rule(self, seed):
+        """Bucketing agrees with comparing every pair of states, on copied rows
+        that are reordered, split or moved by 0.5x or 2x PROB_TOL."""
+        rng = np.random.default_rng(seed)
+        n, k = 6, 2
+        m = make_random_mdp(seed, n, k, 3)
+        rows = [list(r) for r in m.outcomes]
+        for s in range(1, n):
+            if rng.random() < 0.6:
+                src = int(rng.integers(s))
+                rows[s] = [perturbed(lst, rng) for lst in rows[src]]
+        m = FiniteMDP(num_states=n, num_actions=k, rho0=m.rho0,
+                      outcomes=tuple(tuple(r) for r in rows), embedding=m.embedding)
+        assert is_degenerate(m) == pairwise_degenerate(m)
+
+    def test_tolerance_edges(self):
+        base = (Outcome(0, 0.0, 0.5), Outcome(1, 1.0, 0.5))
+        for shift, expected in ((0.5 * PROB_TOL, True), (2 * PROB_TOL, False)):
+            for other in ((Outcome(0, shift, 0.5), Outcome(1, 1.0, 0.5)),
+                          (Outcome(0, 0.0, 0.5 + shift), Outcome(1, 1.0, 0.5 - shift)),
+                          (Outcome(1, 1.0 - shift, 0.5), Outcome(0, 0.0, 0.5))):
+                m = FiniteMDP(num_states=2, num_actions=1, rho0=np.array([1.0, 0.0]),
+                              outcomes=((base,), (other,)), embedding=([0.0], [1.0]))
+                assert is_degenerate(m) == pairwise_degenerate(m) == expected
+
+
+def perturbed(lst, rng):
+    """The outcome list reordered, with one outcome split in two, or with a
+    reward or a pair of probabilities moved by 0.5x or 2x PROB_TOL."""
+    lst = list(lst)
+    kind = int(rng.integers(4))
+    shift = PROB_TOL * float(rng.choice([0.5, 2.0]))
+    if kind == 0:
+        lst = [lst[i] for i in rng.permutation(len(lst))]
+    elif kind == 1:
+        o = lst.pop(0)
+        lst += [Outcome(o.next_state, o.reward, o.prob / 2)] * 2
+    elif kind == 2:
+        o = lst[0]
+        lst[0] = Outcome(o.next_state, o.reward + shift, o.prob)
+    elif len(lst) > 1:
+        lst[0] = Outcome(lst[0].next_state, lst[0].reward, lst[0].prob + shift)
+        lst[1] = Outcome(lst[1].next_state, lst[1].reward, lst[1].prob - shift)
+    return tuple(lst)
+
+
+def pairwise_degenerate(m):
+    """The O(S^2) rule: some pair of distinct states has equal rows for every action."""
+    rows = [[[((o.next_state, o.reward), o.prob) for o in lst] for lst in per_action]
+            for per_action in m.outcomes]
+    return any(all(map(distributions_equal, rows[i], rows[j]))
+               for i in range(m.num_states) for j in range(i + 1, m.num_states))
 
 
 class TestJson:
@@ -276,6 +416,31 @@ class TestJson:
         data["embedding"] = [[1.0, 0.0], [1.0]]
         with pytest.raises(ValidationError, match="embedding"):
             mdp_from_dict(data)
+
+    @pytest.mark.parametrize("value", [1.7, True, "1", None, float("inf")])
+    def test_next_state_must_be_integer(self, value):
+        # int() used to turn 1.7 and true into 1 without a word
+        data = mdp_to_json(simple_mdp(3))
+        data["outcomes"][2][1][0]["next"] = value
+        expected = f"<dict>: outcomes: malformed outcome entry (state 2, action 1, outcome 0: "
+        with pytest.raises(ValidationError, match=re.escape(expected)):
+            mdp_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["next", "embedding"])
+    def test_int_past_float_range(self, field):
+        data = mdp_to_json(simple_mdp(3))
+        if field == "next":
+            data["outcomes"][2][1][0]["next"] = 10 ** 400
+        else:
+            data["embedding"][1][0] = 10 ** 400
+        with pytest.raises(ValidationError, match="too large"):
+            mdp_from_dict(data)
+
+    def test_integral_float_next_state_accepted(self):
+        data = mdp_to_json(simple_mdp(3))
+        data["outcomes"][2][1][0]["next"] = 1.0
+        m = mdp_from_dict(data)
+        assert m.row(2, 1)[0].next_state == 1 and type(m.row(2, 1)[0].next_state) is int
 
     def test_invalid_content(self, tmp_path):
         m = simple_mdp()

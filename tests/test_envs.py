@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nonmarkov.core import FiniteMDP, ValidationError, is_degenerate, save_mdp
+from nonmarkov.analysis import build_markov_abstraction, build_nonmarkov_embedding
+from nonmarkov.core import FiniteMDP, Outcome, ValidationError, is_degenerate, save_mdp
 from nonmarkov.envs import (
     EpisodeFinishedError,
     FiniteMDPEnv,
@@ -190,6 +191,15 @@ class TestValueIteration:
         expected = sum(p * best(s, horizon) for s, p in enumerate(m.rho0))
         assert optimal_return(m, horizon) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("case", ["random-60x4x3", "abstraction-h4", "chain-slip",
+                                      "zero-prob-outcome", "exact-tie"])
+    def test_bit_identical_to_python_loop(self, case):
+        m, horizon = _value_iteration_case(case)
+        values, policy = value_iteration(m, horizon)
+        ref_values, ref_policy = _python_value_iteration(m, horizon)
+        assert values.tobytes() == ref_values.tobytes()
+        assert policy.tobytes() == ref_policy.tobytes()
+
     def test_tie_breaks_low_action(self):
         # symmetric two-state process: both actions identical value
         from nonmarkov.core import FiniteMDP, Outcome
@@ -201,3 +211,44 @@ class TestValueIteration:
                       outcomes=out, embedding=tuple(np.eye(2)))
         _, policy = value_iteration(m, 3)
         assert np.all(policy == 0)
+
+
+def _python_value_iteration(m, horizon):
+    """The reference: one Python sum per (state, action) over the row's outcomes
+    in table order, and the sequential tie rule."""
+    n, k = m.num_states, m.num_actions
+    values = np.zeros((horizon + 1, n))
+    policy = np.zeros((horizon, n), dtype=int)
+    for t in range(horizon - 1, -1, -1):
+        for s in range(n):
+            best_q, best_a = -np.inf, 0
+            for a in range(k):
+                q = sum(o.prob * (o.reward + values[t + 1, o.next_state]) for o in m.row(s, a))
+                if q > best_q + 1e-15:
+                    best_q, best_a = q, a
+            values[t, s] = best_q
+            policy[t, s] = best_a
+    return values, policy
+
+
+def _value_iteration_case(case):
+    if case == "random-60x4x3":
+        return make_random_mdp(0, 60, 4, 3), 50
+    if case == "abstraction-h4":
+        oracle = build_nonmarkov_embedding(make_random_mdp(3, 4, 2, 2))
+        return build_markov_abstraction(oracle, 4).mdp, 4
+    if case == "chain-slip":
+        return make_chain(5, p_slip=0.4), 8
+    if case == "zero-prob-outcome":  # rows of unequal width: padded slots and a real 0
+        out = (((Outcome(1, 0.3, 0.0), Outcome(1, 1.0, 0.7), Outcome(0, 0.1, 0.3)),
+                (Outcome(2, 0.5, 1.0),)),
+               ((Outcome(2, 0.2, 0.6), Outcome(0, 0.9, 0.4)), (Outcome(1, 0.0, 1.0),)),
+               ((Outcome(0, 0.7, 1.0),), (Outcome(2, 0.25, 0.5), Outcome(1, 0.75, 0.5))))
+        return FiniteMDP(num_states=3, num_actions=2, rho0=np.array([1.0, 0.0, 0.0]),
+                         outcomes=out, embedding=tuple(np.eye(3))), 7
+    # exact ties between actions, and q values 1e-16 apart that the tie rule keeps equal
+    out = (((Outcome(1, 0.1, 1.0),), (Outcome(1, 0.1, 1.0),), (Outcome(1, 0.1 + 1e-16, 1.0),)),
+           ((Outcome(0, 0.2, 0.5), Outcome(1, 0.2, 0.5)), (Outcome(0, 0.2, 1.0),),
+            (Outcome(1, 0.2, 1.0),)))
+    return FiniteMDP(num_states=2, num_actions=3, rho0=np.array([0.5, 0.5]),
+                     outcomes=out, embedding=tuple(np.eye(2))), 6
