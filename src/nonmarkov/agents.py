@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ValidationError, parse_number
+from .core import ValidationError, parse_number, vector_bytes
 from .envs import Environment
 
 SENTINEL = "<pad>"
@@ -27,8 +27,7 @@ class ExactDiscretizer:
         self._memo = {}
 
     def key(self, obs) -> tuple:
-        keyed = isinstance(obs, np.ndarray) and obs.dtype == np.float64 and obs.ndim == 1
-        raw = obs.tobytes() if keyed else None
+        raw = vector_bytes(obs)
         key = self._memo.get(raw)
         if key is None:
             key = tuple(np.asarray(obs, dtype=float).round(DECIMALS).tolist())

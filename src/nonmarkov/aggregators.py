@@ -37,12 +37,15 @@ input: `pull` and `project` take states (`as_state` results, stream outputs).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import ValidationError, as_state, parse_number
+from .core import ValidationError, as_state, parse_number, vector_bytes
 
 KERNEL_HEAD_TOL = 1e-9
 UNIT_ROOT_TOL = 1e-3  # keeps repeated unit-circle roots, as in conv:1,-2,1, legal
+NODE_CAP = 1 << 13  # nodes and edges of a transducer, bounding a stream that never repeats
 
 
 class NonInvertibleKernelError(ValidationError):
@@ -51,12 +54,14 @@ class NonInvertibleKernelError(ValidationError):
 
 def _poly(coeffs) -> tuple:
     """Coefficient tuple with trailing zeros dropped (at least one kept)."""
-    c = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
-    if not np.all(np.isfinite(c)):
+    c = np.atleast_1d(np.asarray(coeffs, dtype=float)).tolist()
+    while c and c[-1] == 0.0:
+        c.pop()
+    if not all(map(math.isfinite, c)):
         raise ValidationError("filter coefficients must be finite")
-    if c.size < 1:
+    if not c:
         raise ValidationError("filter needs a nonzero coefficient")
-    return tuple(float(x) for x in c)
+    return tuple(c)
 
 
 def _series(num, den, n: int) -> np.ndarray:
@@ -190,6 +195,13 @@ class Filter:
         g.flags.writeable = False  # a candidate may be pulled later
         return g
 
+    def state_key(self) -> tuple:
+        """Equal for two streams of one template only when their futures are equal:
+        per stage, the stored inputs and aggregates, and t for a gain stage."""
+        key = (self._t if self.gain is not None else None,
+               tuple(x.tobytes() for x in self._x), tuple(g.tobytes() for g in self._g))
+        return key if self.then is None else (*key, self.then.state_key())
+
     # -- batch -------------------------------------------------------------
 
     def _gains(self, n: int) -> np.ndarray:
@@ -243,6 +255,51 @@ class Filter:
         if self.a != (1.0,):
             raise ValidationError("infinite kernel has no finite band")
         return self.b
+
+
+class Transducer:
+    """Streams of one template under `op` (such as `Filter.push`), interned by `state_key`
+    from node 0, `template.begin()`, with each (node, 1-d float64 x bytes) edge computed
+    once.  Other x, and misses once NODE_CAP nodes or edges exist, leave the memo: `step`
+    returns the stream in place of a node, and steps that stream in place from then on."""
+
+    def __init__(self, template: Filter, op):
+        self.op, self.nodes = op, [template.begin()]
+        self._ids = {self.nodes[0].state_key(): 0}  # state key -> node
+        self.edges = {}  # (node, x bytes) -> (next node, output)
+
+    def stream(self, node) -> Filter:
+        """The stream at `node`, to read (`project`) but not to advance."""
+        return node if isinstance(node, Filter) else self.nodes[node]
+
+    def fork(self, node):
+        """`node` for a second stream: off the memo a copy, or the node of its state."""
+        if not isinstance(node, Filter):
+            return node
+        i = self._ids.get(node.state_key())
+        return node.fork() if i is None else i
+
+    def step(self, node, x):
+        """(next node, output) of `op` on the stream at `node` and the input x."""
+        if isinstance(node, Filter):
+            return node, self.op(node, x)
+        raw = vector_bytes(x)
+        hit = self.edges.get((node, raw))
+        if hit is not None:
+            return hit
+        stream = self.nodes[node].fork()
+        y = self.op(stream, x)
+        if raw is None or len(self.edges) >= NODE_CAP:
+            return stream, y
+        key = stream.state_key()
+        nxt = self._ids.get(key)
+        if nxt is None:
+            if len(self.nodes) >= NODE_CAP:
+                return stream, y
+            nxt = self._ids[key] = len(self.nodes)
+            self.nodes.append(stream)
+        self.edges[node, raw] = nxt, y
+        return nxt, y
 
 
 def chain(first: Filter, second: Filter) -> Filter:

@@ -27,6 +27,7 @@ from .core import (
     canonical_equal,
     distributions_equal,
     initial_history,
+    vector_bytes,
 )
 from .wrappers import AggregatedMDPOracle
 
@@ -154,19 +155,26 @@ class _HistoryWalk:
     each history's children when `rows()` expands it.  A history is its parent
     plus one step, so it is interned by (parent index, last action, last reward,
     last observation), rounded to 12 decimals; initial histories have no parent.
-    A history below the horizon keeps a stream, a fork of its parent's, until
-    it is expanded.
+    A history below the horizon keeps a stream, a fork of its parent's (or of
+    one `oracle.begin()`), until it is expanded.
     """
 
     def __init__(self, oracle: NMDPOracle, horizon: int, cap: int):
         if horizon < 0:
             raise ValidationError("horizon must be >= 0")
         self.oracle, self.horizon, self.cap = oracle, horizon, cap
-        self.histories, self._index, self._streams = [], {}, {}
+        self.histories, self._index, self._streams, self._rounded = [], {}, {}, {}
+        self._root = oracle.begin()
         self.rho0 = [(self._intern(obs), float(p)) for obs, p in oracle.initial()]
 
     def _intern(self, obs, parent=None, action=None, reward=0.0) -> int:
-        key = (parent, action, round(float(reward), 12), tuple(round(float(x), 12) for x in obs))
+        raw = vector_bytes(obs)
+        rounded = self._rounded.get(raw)
+        if rounded is None:  # once per distinct 1-d float64 observation
+            rounded = tuple(round(float(x), 12) for x in obs)
+            if raw is not None:
+                self._rounded[raw] = rounded
+        key = (parent, action, round(float(reward), 12), rounded)
         i = self._index.get(key)
         if i is None:
             histories, streams = self.histories, self._streams
@@ -179,7 +187,7 @@ class _HistoryWalk:
             histories.append(initial_history(obs) if parent is None
                              else histories[parent].extend(action, reward, obs))
             if t < self.horizon:
-                streams[i] = self.oracle.begin() if parent is None else streams[parent].fork()
+                streams[i] = (self._root if parent is None else streams[parent]).fork()
                 streams[i].pull(histories[i].states[-1], action, reward)
         return i
 

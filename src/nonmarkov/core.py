@@ -37,6 +37,12 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def vector_bytes(x):
+    """The bytes of a 1-d float64 array, which identify its values and shape; else None."""
+    keyed = isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 1
+    return x.tobytes() if keyed else None
+
+
 def as_state(x) -> np.ndarray:
     """Coerce to a read-only float vector, rejecting NaN/Inf and non-1d input."""
     v = np.asarray(x, dtype=float)
@@ -347,24 +353,26 @@ def mdp_from_dict(data: dict, source: str = "<dict>") -> FiniteMDP:
     def fail(path, msg):
         raise ValidationError(f"{source}: {path}: {msg}")
 
-    def outcome(o, s, a, j):
-        if is_int(o["next"]) or isinstance(o["next"], float) and o["next"].is_integer():
-            return Outcome(int(o["next"]), float(o["reward"]), float(o["prob"]))
-        raise TypeError(f"state {s}, action {a}, outcome {j}: non-integer next {o['next']!r}")
+    def whole(v, what="non-integer") -> int:  # JSON ints and floats such as 2.0, not true or "2"
+        if is_int(v) or isinstance(v, float) and v.is_integer():
+            return int(v)
+        raise TypeError(f"{what} {v!r}")
 
     for key in ("num_states", "num_actions", "rho0", "outcomes", "embedding"):
         if key not in data:
             fail(key, "missing field")
     try:
         outcomes = tuple(
-            tuple(tuple(outcome(o, s, a, j) for j, o in enumerate(lst))
+            tuple(tuple(Outcome(whole(o["next"], f"state {s}, action {a}, outcome {j}: "
+                                      "non-integer next"), float(o["reward"]), float(o["prob"]))
+                        for j, o in enumerate(lst))
                   for a, lst in enumerate(row))
             for s, row in enumerate(data["outcomes"])
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         fail("outcomes", f"malformed outcome entry ({exc})")
     fields = {}
-    for key, convert in (("num_states", int), ("num_actions", int),
+    for key, convert in (("num_states", whole), ("num_actions", whole),
                          ("rho0", lambda v: np.asarray(v, dtype=float))):
         try:
             fields[key] = convert(data[key])

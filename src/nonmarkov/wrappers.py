@@ -12,11 +12,9 @@ import warnings
 
 import numpy as np
 
-from .aggregators import Filter, parse_har_spec, parse_spec
+from .aggregators import Filter, Transducer, parse_har_spec, parse_spec
 from .core import FiniteMDP, History, NMDPOracle, UndecodableHistoryError, is_degenerate
 from .envs import Environment
-
-NODE_CAP = 1 << 13  # bounds the transducer of a stream that never repeats
 
 
 class WrappedEnvironment(Environment):
@@ -26,9 +24,8 @@ class WrappedEnvironment(Environment):
     observations (state filter `spec`) and/or rewards (reward filter
     `har_spec`, over a scalar stream) are transformed.  Either may be None.
 
-    Observations pass through an interned transducer: one `Filter.push` per new
-    (node, 1-d float64 observation bytes) edge, on a fork of the node's stream.
-    Other observations, and misses past NODE_CAP nodes, leave it for the episode.
+    Observations pass through an interned `Transducer` of `Filter.push`;
+    `node_count` is the number of distinct stream states it has interned.
     """
 
     def __init__(self, inner: Environment, spec: Filter = None, har_spec: Filter = None):
@@ -37,33 +34,18 @@ class WrappedEnvironment(Environment):
         self.har_spec = har_spec
         self.observation_dim = inner.observation_dim
         self.num_actions = inner.num_actions
-        self._nodes = [] if spec is None else [spec.begin()]
-        self._edges = {}  # (node id, observation bytes) -> (next node id, aggregate)
-        self._node, self._stream = 0, None  # node None: off the memo, streaming on _stream
+        self._states = None if spec is None else Transducer(spec, Filter.push)
+        self._node = 0  # a node of _states, or the stream of an episode off its memo
         self._reward = None
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
-
-    def _push(self, node, obs) -> np.ndarray:
-        keyed = isinstance(obs, np.ndarray) and obs.dtype == np.float64 and obs.ndim == 1
-        raw = obs.tobytes() if keyed and node is not None else None
-        self._node, g = self._edges.get((node, raw), (None, None))
-        if g is not None:
-            return g
-        self._stream = self._stream if node is None else self._nodes[node].fork()
-        g = self._stream.push(obs)
-        if raw is not None and len(self._nodes) < NODE_CAP:
-            self._node = len(self._nodes)
-            self._nodes.append(self._stream)
-            self._edges[node, raw] = (self._node, g)
-        return g
+        return 0 if self._states is None else len(self._states.nodes)
 
     def reset(self, seed: int) -> np.ndarray:
         obs = self.inner.reset(seed)
         if self.spec is not None:
-            obs = self._push(0, obs)
+            self._node, obs = self._states.step(0, obs)
         if self.har_spec is not None:
             self._reward = self.har_spec.begin()
         return obs
@@ -71,7 +53,7 @@ class WrappedEnvironment(Environment):
     def step(self, action: int):
         obs, reward, terminated, truncated = self.inner.step(action)
         if self.spec is not None:
-            obs = self._push(self._node, obs)
+            self._node, obs = self._states.step(self._node, obs)
         if self._reward is not None:
             reward = float(self._reward.push((reward,))[0])
         return obs, reward, terminated, truncated
@@ -116,31 +98,43 @@ class AggregatedMDPOracle(NMDPOracle):
                 for e, p in zip(self.mdp.embedding, self.mdp.rho0) if p > 0]
 
     def begin(self) -> "DecoderStream":
-        return DecoderStream(self.mdp, self.spec.begin())
+        return DecoderStream(self.mdp, Transducer(self.spec, Filter.pull), {}, self.spec.begin())
 
 
 class DecoderStream:
-    """An `AggregatedMDPOracle` after a prefix: its decoder and the last raw state."""
+    """An `AggregatedMDPOracle` after a prefix: its decoder, a `node` of the `Transducer`
+    and memo by (node, index, action) that the forks of one `begin()` share (a stream
+    pulled without forking decodes off them), t, the last decoded state and its index."""
 
-    def __init__(self, mdp: FiniteMDP, decoder: Filter, t=-1, last=None, idx=None):
-        self.mdp, self.decoder, self.t, self.last, self.idx = mdp, decoder, t, last, idx
+    def __init__(self, mdp, decoders: Transducer, memo, node, t=-1, last=None, idx=None):
+        self.mdp, self.decoders, self.memo, self.node = mdp, decoders, memo, node
+        self.t, self.last, self.idx = t, last, idx
 
     def fork(self) -> "DecoderStream":
-        return DecoderStream(self.mdp, self.decoder.fork(), self.t, self.last, self.idx)
+        return DecoderStream(self.mdp, self.decoders, self.memo, self.decoders.fork(self.node),
+                             self.t, self.last, self.idx)
 
     def pull(self, obs, action=None, reward=None) -> None:
-        self.t, self.last, self.idx = self.t + 1, self.decoder.pull(obs), None
+        self.node, self.last = self.decoders.step(self.node, obs)
+        self.t, self.idx = self.t + 1, None
 
     def transition(self, action: int):
         self.idx = self.mdp.match_state(self.last) if self.idx is None else self.idx
         if self.idx is None:
             raise UndecodableHistoryError(f"decoded state at t={self.t} matches no embedded state")
-        return [((self.decoder.project(self.mdp.embedding[o.next_state]), o.reward), o.prob)
-                for o in self.mdp.row(self.idx, action)]
+        dist = self.memo.get((self.node, self.idx, action))
+        if dist is None:
+            decoder = self.decoders.stream(self.node)
+            dist = [((decoder.project(self.mdp.embedding[o.next_state]), o.reward), o.prob)
+                    for o in self.mdp.row(self.idx, action)]
+            if isinstance(self.node, int):  # a stream off the memo changes in place
+                self.memo[self.node, self.idx, action] = dist
+        return list(dist)
 
     def candidates(self, h: History, state_pool):
         """The aggregate this stream would emit next for each raw pool state."""
-        return [self.decoder.project(p) for p in state_pool]
+        decoder = self.decoders.stream(self.node)
+        return [decoder.project(p) for p in state_pool]
 
 
 def as_nmdp_oracle(m: FiniteMDP, spec) -> AggregatedMDPOracle:

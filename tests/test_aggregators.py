@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonmarkov import aggregators
 from nonmarkov.aggregators import (
     Filter,
     Kernel,
+    Transducer,
     NonInvertibleKernelError,
     band_kernel,
     compose_kernels,
@@ -392,6 +394,92 @@ class TestBatchKernelMemo:
         a, b = a.fork(), b.fork()
         for s in traj[5:]:
             assert a.push(s).tobytes() == b.push(s).tobytes()
+
+
+class TestPoly:
+    def test_trailing_zeros_dropped(self):
+        f = Filter((2.0, 1.0, 0.0, -0.0), (1.0, -0.0))
+        assert f.b == (2.0, 1.0) and f.a == (1.0,)
+        assert all(type(c) is float for c in f.b + f.a)
+
+    @pytest.mark.parametrize("b, message", [((1.0, np.nan, 0.0), "must be finite"),
+                                            ((1.0, np.inf), "must be finite"),
+                                            ((0.0, -0.0), "nonzero coefficient"),
+                                            ((), "nonzero coefficient")])
+    def test_rejects(self, b, message):
+        with pytest.raises(ValidationError, match=message):
+            Filter(b)
+
+
+# -- the interned transducer ----------------------------------------------------
+
+TRANSDUCER_CORR = "corr:" + ",".join(str(1 + t % 3) for t in range(8))
+PULL_SPECS = {text: text for text in ("S^2", "S_l:0.5", "D^1", "conv:1,-0.5")}
+PULL_SPECS.update({"corr": TRANSDUCER_CORR, "S^1+corr": f"S^1+{TRANSDUCER_CORR}"})
+
+
+class TestTransducer:
+    @pytest.mark.parametrize("name", PULL_SPECS)
+    def test_pull_matches_fresh_streams(self, name):
+        # aggregates of raw states from a small pool, so that edges repeat and
+        # forks merge: one shared transducer against a fresh stream per episode
+        template = parse_spec(PULL_SPECS[name])
+        decoders = Transducer(template, Filter.pull)
+        rng = np.random.default_rng(41)
+        pool = [as_state(p) for p in ([1.0, 0.0], [0.0, 1.0], [0.5, -0.5])]
+        steps = 0
+        for _ in range(150):
+            raw = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 9))]
+            encoder = template.begin()
+            aggregates = [encoder.push(s) for s in raw]
+            node, fresh = 0, template.begin()
+            for g in aggregates:
+                node, got = decoders.step(node, g)
+                assert got.tobytes() == fresh.pull(g).tobytes()
+                assert isinstance(node, int)
+                steps += 1
+        assert len(decoders.nodes) <= len(decoders.edges) + 1 < steps  # edges were looked up
+
+    def test_corr_streams_at_different_t_do_not_merge(self):
+        zero, one = as_state([0.0]), as_state([1.0])
+        sums = Transducer(corr_spec((1.0, 2.0, 3.0)), Filter.push)
+        n1, _ = sums.step(0, zero)
+        n2, _ = sums.step(n1, zero)
+        a, b = sums.nodes[n1], sums.nodes[n2]
+        assert [x.tobytes() for x in a._x + a._g] == [x.tobytes() for x in b._x + b._g]
+        assert n2 != n1  # the gains ahead differ: 2 at t = 1, 3 at t = 2
+        assert sums.step(n1, one)[1][0] == 2.0 and sums.step(n2, one)[1][0] == 3.0
+        plain = Transducer(group_power_spec(1), Filter.push)
+        m1, _ = plain.step(0, zero)
+        assert plain.step(m1, zero)[0] == m1  # without a gain the same streams merge
+
+    def test_unkeyed_input_and_full_transducer_leave_the_memo(self, monkeypatch):
+        monkeypatch.setattr(aggregators, "NODE_CAP", 2)
+        template = group_power_spec(1)
+        sums = Transducer(template, Filter.push)
+        stream, _ = sums.step(0, [1.0, 2.0])  # a list: validated and streamed
+        assert isinstance(stream, Filter) and sums.edges == {}
+        same, g = sums.step(stream, [1.0, 1.0])
+        assert same is stream and g.tolist() == [2.0, 3.0]
+        n1, _ = sums.step(0, as_state([1.0, 2.0]))
+        off, g = sums.step(n1, as_state([1.0, 1.0]))  # a new state past cap nodes
+        assert isinstance(off, Filter) and g.tolist() == [2.0, 3.0]
+        assert len(sums.nodes) == 2 and len(sums.edges) == 1
+
+    def test_fork_of_a_stream_off_the_memo(self):
+        # an off-memo stream whose state is interned rejoins the memo at that
+        # node; any other is copied, and the copy steps on its own
+        sums = Transducer(group_power_spec(1), Filter.push)
+        one = as_state([1.0])
+        n1, _ = sums.step(0, one)
+        assert sums.fork(n1) == n1 and sums.fork(group_power_spec(1).begin()) == 0
+        off = group_power_spec(1).begin()
+        off.push(one)
+        assert sums.fork(off) == n1
+        off.push(one)
+        copy = sums.fork(off)
+        assert isinstance(copy, Filter) and copy is not off
+        assert sums.step(copy, one)[1][0] == 3.0 and off.project(one)[0] == 3.0
 
 
 class TestChain:

@@ -325,6 +325,33 @@ class TestAbstractionMatchesWholeHistoryWalk:
         return hm
 
 
+class RoundingOracle(NMDPOracle):
+    """Observations and rewards that differ only in the sign of a zero or below
+    12 decimals, so that histories merge under the walk's rounded keys."""
+
+    num_actions = 2
+
+    def initial(self):
+        return [(np.array([0.0, 1.0]), 0.25), (np.array([-0.0, 1.0]), 0.25),
+                (np.array([0.0, 1.0 + 1e-14]), 0.25),
+                (np.array([0.0, 1.0], dtype=np.float32), 0.25)]
+
+    def transition(self, h, action):
+        base = float(h.states[-1][1]) + 1.0 + 0.5 * action
+        return [((np.array([0.0, base]), 0.0), 0.25),
+                ((np.array([-0.0, base + 1e-14]), -0.0), 0.25),  # the first key
+                ((np.array([1e-13, base]), 1e-14), 0.25),  # the first key
+                ((np.array([0.0, base + 1e-11]), 0.0), 0.25)]  # a key of its own
+
+
+class TestWalkRounding:
+    def test_keys_round_per_coordinate(self):
+        hm = TestAbstractionMatchesWholeHistoryWalk.assert_same(RoundingOracle(), horizon=3)
+        assert hm.mdp.num_states == 1 + 4 + 16 + 64  # one initial history, two children per action
+        assert hm.mdp.rho0.tolist() == [1.0] + [0.0] * 84
+        assert hm.histories[1].states[-1].tobytes() == np.array([0.0, 2.0]).tobytes()
+
+
 class TestEquivalenceRoundtrip:
     def test_chain_passes(self):
         report = verify_equivalence_roundtrip(CHAIN5, horizon=3)

@@ -317,7 +317,9 @@ class TestBadInputExit2:
                                               (("outcomes", 0, 0, 0, "next"), 1.7),
                                               (("outcomes", 0, 0, 0, "next"), True),
                                               (("outcomes", 0, 0, 0, "reward"), 10 ** 400),
-                                              (("num_states",), float("inf"))])
+                                              (("num_states",), float("inf")),
+                                              (("num_actions",), 2.9),
+                                              (("num_states",), "3")])
     def test_malformed_mdp_file(self, where, value, tmp_path, capsys):
         data = mdp_to_json(make_chain(3))
         target = data

@@ -442,6 +442,23 @@ class TestJson:
         m = mdp_from_dict(data)
         assert m.row(2, 1)[0].next_state == 1 and type(m.row(2, 1)[0].next_state) is int
 
+    @pytest.mark.parametrize("field, value", [("num_actions", 2.9), ("num_states", "3"),
+                                              ("num_states", 2.7), ("num_actions", True),
+                                              ("num_states", None), ("num_actions", [2])])
+    def test_counts_must_be_integers(self, field, value):
+        # int() used to load 2.9 actions as 2 and "3" states as 3 without a word
+        data = mdp_to_json(simple_mdp(3))
+        data[field] = value
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"<dict>: {field}: malformed value (non-integer")):
+            mdp_from_dict(data)
+
+    def test_integral_float_counts_accepted(self):
+        data = mdp_to_json(simple_mdp(3))
+        data["num_states"], data["num_actions"] = 3.0, 2.0
+        m = mdp_from_dict(data)
+        assert (m.num_states, m.num_actions) == (3, 2) and type(m.num_states) is int
+
     def test_invalid_content(self, tmp_path):
         m = simple_mdp()
         data = mdp_to_json(m)

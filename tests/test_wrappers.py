@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nonmarkov import wrappers
-from nonmarkov.aggregators import parse_har_spec, parse_spec
+from nonmarkov import aggregators
+from nonmarkov.agents import parse_agent_spec, train
+from nonmarkov.aggregators import Filter, parse_har_spec, parse_spec
 from nonmarkov.core import UndecodableHistoryError, ValidationError, initial_history
 from nonmarkov.envs import Environment, make_chain, make_env
 from nonmarkov.wrappers import AggregatedMDPOracle, WrappedEnvironment, as_nmdp_oracle, wrap
@@ -228,15 +229,15 @@ class TestInternedTransducer:
 
     @pytest.mark.parametrize("spec", TRANSDUCER_SPECS)
     def test_matches_fresh_stream_past_node_cap(self, spec, monkeypatch):
-        monkeypatch.setattr(wrappers, "NODE_CAP", 5)
+        monkeypatch.setattr(aggregators, "NODE_CAP", 5)
         env, _ = assert_matches_fresh_streams("chain:5:0.4", spec, episodes=100, seed=2)
         assert env.node_count == 5
 
-    @pytest.mark.parametrize("cap", [wrappers.NODE_CAP, 50], ids=["default_cap", "cap_50"])
+    @pytest.mark.parametrize("cap", [aggregators.NODE_CAP, 50], ids=["default_cap", "cap_50"])
     def test_stream_that_never_repeats(self, cap, monkeypatch):
         # every observation is new, so each is a new edge until NODE_CAP nodes
         # exist; past the cap the rest of the episode streams without the memo
-        monkeypatch.setattr(wrappers, "NODE_CAP", cap)
+        monkeypatch.setattr(aggregators, "NODE_CAP", cap)
         episodes = [[np.array([e, t / 7.0]) for t in range(41)] for e in range(3)]
         env = wrap(StubEnv(episodes), "S^1")
         for seed in range(3):
@@ -273,6 +274,69 @@ class StubEnv(Environment):
 
     def step(self, action: int):
         return next(self._obs), 0.0, False, False
+
+
+class TestMergedStates:
+    def test_stateless_filter_stays_within_cap(self, monkeypatch):
+        # conv:2 keeps no state, so every miss merges into node 0: the cap
+        # bounds the edges of a stream that never repeats, and past it the
+        # episode streams on its own filter, off the memo
+        monkeypatch.setattr(aggregators, "NODE_CAP", 50)
+        episodes = [[np.array([e, t / 7.0]) for t in range(41)] for e in range(3)]
+        env = wrap(StubEnv(episodes), "conv:2")
+        for seed in range(3):
+            stream = parse_spec("conv:2").begin()
+            assert env.reset(seed).tobytes() == stream.push(episodes[seed][0]).tobytes()
+            off = env._node if seed == 2 else None  # 82 edges wanted before episode 2
+            for obs in episodes[seed][1:]:
+                assert env.step(0)[0].tobytes() == stream.push(obs).tobytes()
+                assert off is None or env._node is off
+        assert isinstance(off, Filter)
+        assert env.node_count == 1 and len(env._states.edges) == 50
+
+    def test_learn_cell_node_count(self):
+        # D^2 keeps the last two observations, and chain:5 moves one state at a
+        # time; interned by path instead of by state, this cell had 1,330 nodes
+        env = wrap(make_env("chain:5:0.4", max_steps=8), "D^2")
+        train(parse_agent_spec("qwin:1", env.num_actions), env, episodes=2000, seed=0,
+              horizon=8)
+        assert env.node_count <= 50
+
+    def test_merged_decoder_stream_reports_its_own_t(self):
+        # S^1 decodes e0, e0 to e0 then the zero vector; its state, the last
+        # aggregate e0, is the state after the first step, so the nodes merge
+        oracle = as_nmdp_oracle(make_chain(3), "S^1")
+        e0 = oracle.mdp.embedding[0]
+        first = oracle.begin().fork()
+        first.pull(e0)
+        second = first.fork()
+        second.pull(e0, 0, 0.0)
+        assert second.node == first.node
+        assert len(first.transition(0)) == 1
+        with pytest.raises(UndecodableHistoryError, match="decoded state at t=1 matches"):
+            second.transition(0)
+        third = oracle.begin()
+        third.pull(np.zeros(3))
+        with pytest.raises(UndecodableHistoryError, match="decoded state at t=0 matches"):
+            third.transition(1)
+
+
+    def test_stream_pulled_without_forking_stays_off_the_memo(self):
+        # a begin() stream only pulled (as the History-form replay does)
+        # decodes on its own filter; its forks share the memo from node 0
+        oracle = as_nmdp_oracle(make_chain(3), "S^2")
+        alone, forked = oracle.begin(), oracle.begin().fork()
+        assert forked.node == 0
+        (g, _), = oracle.initial()
+        for a in (0, 0, 1, 0, 0):  # a state and action seen again at a later t
+            for stream in (alone, forked):
+                stream.pull(g, a, 0.0)
+            dists = [stream.transition(a) for stream in (alone, forked)]
+            assert [(o.tobytes(), r, p) for (o, r), p in dists[0]] == \
+                [(o.tobytes(), r, p) for (o, r), p in dists[1]]
+            (g, _), _ = dists[0][0]
+        assert isinstance(alone.node, Filter) and alone.decoders.edges == {}
+        assert isinstance(forked.node, int) and len(forked.decoders.edges) == 5
 
 
 class TestUnkeyedObservations:
