@@ -10,6 +10,7 @@ cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -91,9 +92,9 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
     base = {a: _flat_dist(prefixes[-1].transition(a)) for a in actions}
     indices, undecodable = [], 0
     for i in range(h.t + 1):
-        for cand in prefixes[i].candidates(h, state_pool):
-            if np.max(np.abs(cand - h.states[i])) <= tol:
-                continue  # not a substitution
+        cands = prefixes[i].candidates(h, state_pool)
+        gap = np.abs(np.array(cands).reshape(-1, h.states[i].size) - h.states[i]).max(axis=1)
+        for cand in compress(cands, gap > tol):  # substitutions only
             stream = prefixes[i].fork()
             for step in ((cand, *steps[i][1:]), *steps[i + 1:]):
                 stream.pull(*step)

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 
+from . import aggregators
 from .aggregators import Filter, Transducer, parse_har_spec, parse_spec
 from .core import FiniteMDP, History, NMDPOracle, UndecodableHistoryError, is_degenerate
 from .envs import Environment
@@ -85,56 +86,69 @@ class AggregatedMDPOracle(NMDPOracle):
     stream, looks up the tabular row for the latest state, and maps each
     outcome to the unique next aggregate that decodes back to it.  With the
     identity filter this is the tabular process viewed as history-conditioned.
-    Outcomes come in table order, unmerged.
+    Outcomes come in table order, unmerged.  One decoder `Transducer` and one memo of
+    answers at its nodes, both bounded by `NODE_CAP`, serve every `begin()` (so every
+    History-form call) for the oracle's whole life.
     """
 
     def __init__(self, mdp: FiniteMDP, spec: Filter):
         self.mdp = mdp
         self.spec = spec
         self.num_actions = mdp.num_actions
+        self.decoders = Transducer(spec, Filter.pull)
+        self.memo = {}  # (node, index, action) -> row; (node, pool bytes) -> candidates
 
     def initial(self):
         return [(self.spec.begin().push(e), float(p))
                 for e, p in zip(self.mdp.embedding, self.mdp.rho0) if p > 0]
 
     def begin(self) -> "DecoderStream":
-        return DecoderStream(self.mdp, Transducer(self.spec, Filter.pull), {}, self.spec.begin())
+        return DecoderStream(self, 0)
+
+    def store(self, key: tuple, answer: list) -> list:
+        """`answer`, kept in the memo under `key`, (node, ...), for an int node (a stream
+        off the memo changes in place) while the memo holds fewer than NODE_CAP entries."""
+        if isinstance(key[0], int) and len(self.memo) < aggregators.NODE_CAP:
+            self.memo[key] = answer
+        return answer
 
 
 class DecoderStream:
-    """An `AggregatedMDPOracle` after a prefix: its decoder, a `node` of the `Transducer`
-    and memo by (node, index, action) that the forks of one `begin()` share (a stream
-    pulled without forking decodes off them), t, the last decoded state and its index."""
+    """An `AggregatedMDPOracle` after a prefix: a `node` of the oracle's decoder, t, the
+    last decoded state and its index.  Its answers go through the oracle's memo."""
 
-    def __init__(self, mdp, decoders: Transducer, memo, node, t=-1, last=None, idx=None):
-        self.mdp, self.decoders, self.memo, self.node = mdp, decoders, memo, node
-        self.t, self.last, self.idx = t, last, idx
+    def __init__(self, oracle: AggregatedMDPOracle, node, t=-1, last=None, idx=None):
+        self.oracle, self.node, self.t, self.last, self.idx = oracle, node, t, last, idx
 
     def fork(self) -> "DecoderStream":
-        return DecoderStream(self.mdp, self.decoders, self.memo, self.decoders.fork(self.node),
+        return DecoderStream(self.oracle, self.oracle.decoders.fork(self.node),
                              self.t, self.last, self.idx)
 
     def pull(self, obs, action=None, reward=None) -> None:
-        self.node, self.last = self.decoders.step(self.node, obs)
+        self.node, self.last = self.oracle.decoders.step(self.node, obs)
         self.t, self.idx = self.t + 1, None
 
     def transition(self, action: int):
-        self.idx = self.mdp.match_state(self.last) if self.idx is None else self.idx
+        oracle = self.oracle
+        self.idx = oracle.mdp.match_state(self.last) if self.idx is None else self.idx
         if self.idx is None:
             raise UndecodableHistoryError(f"decoded state at t={self.t} matches no embedded state")
-        dist = self.memo.get((self.node, self.idx, action))
+        key = (self.node, self.idx, action)
+        dist = oracle.memo.get(key)
         if dist is None:
-            decoder = self.decoders.stream(self.node)
-            dist = [((decoder.project(self.mdp.embedding[o.next_state]), o.reward), o.prob)
-                    for o in self.mdp.row(self.idx, action)]
-            if isinstance(self.node, int):  # a stream off the memo changes in place
-                self.memo[self.node, self.idx, action] = dist
+            decoder, mdp = oracle.decoders.stream(self.node), oracle.mdp
+            dist = oracle.store(key, [((decoder.project(mdp.embedding[o.next_state]), o.reward),
+                                       o.prob) for o in mdp.row(self.idx, action)])
         return list(dist)
 
     def candidates(self, h: History, state_pool):
         """The aggregate this stream would emit next for each raw pool state."""
-        decoder = self.decoders.stream(self.node)
-        return [decoder.project(p) for p in state_pool]
+        key = (self.node, tuple(p.tobytes() for p in state_pool))
+        cands = self.oracle.memo.get(key)
+        if cands is None:
+            decoder = self.oracle.decoders.stream(self.node)
+            cands = self.oracle.store(key, [decoder.project(p) for p in state_pool])
+        return list(cands)
 
 
 def as_nmdp_oracle(m: FiniteMDP, spec) -> AggregatedMDPOracle:

@@ -3,6 +3,7 @@ import pytest
 
 from nonmarkov import aggregators
 from nonmarkov.agents import parse_agent_spec, train
+from nonmarkov.analysis import empirical_dependency, reachable_histories
 from nonmarkov.aggregators import Filter, parse_har_spec, parse_spec
 from nonmarkov.core import UndecodableHistoryError, ValidationError, initial_history
 from nonmarkov.envs import Environment, make_chain, make_env
@@ -321,9 +322,9 @@ class TestMergedStates:
             third.transition(1)
 
 
-    def test_stream_pulled_without_forking_stays_off_the_memo(self):
-        # a begin() stream only pulled (as the History-form replay does)
-        # decodes on its own filter; its forks share the memo from node 0
+    def test_stream_pulled_without_forking_shares_the_memo(self):
+        # a begin() stream only pulled (as the History-form replay does) and a
+        # fork of another begin() step the oracle's one transducer from node 0
         oracle = as_nmdp_oracle(make_chain(3), "S^2")
         alone, forked = oracle.begin(), oracle.begin().fork()
         assert forked.node == 0
@@ -335,8 +336,92 @@ class TestMergedStates:
             assert [(o.tobytes(), r, p) for (o, r), p in dists[0]] == \
                 [(o.tobytes(), r, p) for (o, r), p in dists[1]]
             (g, _), _ = dists[0][0]
-        assert isinstance(alone.node, Filter) and alone.decoders.edges == {}
-        assert isinstance(forked.node, int) and len(forked.decoders.edges) == 5
+        assert isinstance(alone.node, int) and alone.node == forked.node
+        assert alone.oracle.decoders is forked.oracle.decoders and len(oracle.decoders.edges) == 5
+
+
+SLIPPY_CHAIN = make_chain(5, p_slip=0.3)
+POOL = list(SLIPPY_CHAIN.embedding)
+SHARED_SPECS = ["S^2", "S_l:0.5", "conv:1,-0.5", "D^1", CORR, "S^1+" + CORR]
+
+
+def as_bytes(x):
+    """Arrays as their bytes, through nested lists and tuples, for exact comparison."""
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    return tuple(map(as_bytes, x)) if isinstance(x, (list, tuple)) else x
+
+
+def answers(oracle, h):
+    """Every transition and candidate list of `oracle` at `h`, as bytes, and its
+    dependency structure; the History form replays a `begin()` stream."""
+    rows = [as_bytes(oracle.transition(h, a)) for a in range(oracle.num_actions)]
+    cands = [as_bytes(oracle.substitution_candidates(h, i, POOL)) for i in range(h.t + 2)]
+    return rows, cands, empirical_dependency(oracle, h, POOL)
+
+
+def assert_shared_oracle_matches_fresh(spec):
+    """One oracle reused across every reachable history against a fresh oracle
+    per history; returns the reused oracle."""
+    shared = as_nmdp_oracle(SLIPPY_CHAIN, spec)
+    histories = list(reachable_histories(shared, max_t=4))
+    assert len(histories) > 100
+    for h in histories:
+        assert answers(shared, h) == answers(as_nmdp_oracle(SLIPPY_CHAIN, spec), h)
+    return shared
+
+
+class TestSharedDecoder:
+    @pytest.mark.parametrize("spec", SHARED_SPECS)
+    def test_reused_oracle_matches_fresh_oracles(self, spec):
+        shared = assert_shared_oracle_matches_fresh(spec)
+        assert shared.memo and len(shared.decoders.nodes) > 1
+
+    @pytest.mark.parametrize("spec", ["S_l:0.5", "S^1+" + CORR])
+    def test_memo_stops_storing_at_node_cap(self, spec, monkeypatch):
+        monkeypatch.setattr(aggregators, "NODE_CAP", 7)
+        shared = assert_shared_oracle_matches_fresh(spec)
+        assert len(shared.memo) == 7 and len(shared.decoders.nodes) == 7
+
+    def test_stream_off_the_memo_stores_nothing(self, monkeypatch):
+        # past NODE_CAP nodes a stream decodes on its own filter, which changes
+        # in place: a later t must not be answered from an earlier one
+        monkeypatch.setattr(aggregators, "NODE_CAP", 3)
+        oracle = as_nmdp_oracle(make_chain(3), "S_l:0.5")
+        e0 = oracle.mdp.embedding[0]
+        encoder, stream = oracle.spec.begin(), oracle.begin()
+        h = None
+        for t in range(6):
+            g = encoder.push(e0)
+            stream.pull(g, 0, 0.0)
+            h = initial_history(g) if h is None else h.extend(0, 0.0, g)
+            if t >= 2:
+                assert isinstance(stream.node, Filter)
+                want = as_bytes(as_nmdp_oracle(make_chain(3), "S_l:0.5").transition(h, 0))
+                assert as_bytes(stream.transition(0)) == want
+        assert oracle.memo == {}
+
+    def test_history_form_answers_from_a_warm_memo(self):
+        oracle = as_nmdp_oracle(SLIPPY_CHAIN, "S_l:0.5")
+        for h in reachable_histories(oracle, max_t=3):
+            stream = oracle.begin()
+            for step in zip(h.states, (None, *h.actions), (None, *h.rewards)):
+                stream.pull(*step)
+            for a in range(oracle.num_actions):
+                want = as_bytes(stream.transition(a))
+                size = len(oracle.memo)
+                assert as_bytes(oracle.transition(h, a)) == want and len(oracle.memo) == size
+
+    def test_returned_lists_are_fresh(self):
+        oracle = as_nmdp_oracle(SLIPPY_CHAIN, "S^2")
+        stream = oracle.begin()
+        stream.pull(oracle.initial()[0][0])
+        for answer in (lambda: stream.transition(1), lambda: stream.candidates(None, POOL)):
+            first = answer()
+            want = as_bytes(first)
+            first.clear()
+            assert as_bytes(answer()) == want and len(want) > 1
+        assert as_bytes(stream.candidates(None, POOL[:0:-1])) == want[:0:-1]  # keyed by pool
 
 
 class TestUnkeyedObservations:
