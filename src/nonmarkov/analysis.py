@@ -308,11 +308,12 @@ def _reward_image(phi_R: dict, r: float, tol: float = PROB_TOL) -> float:
 
 def verify_morphism(m: FiniteMDP, m2: FiniteMDP, phi_S, phi_A, phi_R: dict,
                     tol: float = PROB_TOL) -> dict:
-    """Literal pointwise verification of the two morphism conditions.
+    """Pointwise verification of the two morphism conditions.
 
     phi_S and phi_A are index maps (lists), phi_R a finite map on the
     reward support of `m`.  Checks rho0 = rho0' o phi_S and
-    T(s,a)(s',r) = T'(phi_S s, phi_A a)(phi_S s', phi_R r) on all cells.
+    T(s,a)(s',r) = T'(phi_S s, phi_A a)(phi_S s', phi_R r) on all cells,
+    visiting only the s' that either side of a cell reaches.
     """
     phi_S = list(phi_S)
     phi_A = list(phi_A)
@@ -327,15 +328,19 @@ def verify_morphism(m: FiniteMDP, m2: FiniteMDP, phi_S, phi_A, phi_R: dict,
             violations.append({"where": f"rho0, state {s}", "expected": lhs, "got": rhs})
 
     rewards = m.reward_support()
+    images = [_reward_image(phi_R, r, tol) for r in rewards]
+    preimage = {}  # state of m2 -> the states phi_S maps onto it
+    for s_next, x in enumerate(phi_S):
+        preimage.setdefault(x, []).append(s_next)
     for s in range(m.num_states):
         for a in range(m.num_actions):
             row = m.row(s, a)
             row2 = m2.row(phi_S[s], phi_A[a])
-            for s_next in range(m.num_states):
-                for r in rewards:
+            for s_next in sorted({o.next_state for o in row}.union(  # else both sums are 0
+                    *(preimage.get(o.next_state, ()) for o in row2))):
+                for r, r2 in zip(rewards, images):
                     lhs = sum(o.prob for o in row
                               if o.next_state == s_next and abs(o.reward - r) <= tol)
-                    r2 = _reward_image(phi_R, r, tol)
                     rhs = sum(o.prob for o in row2
                               if o.next_state == phi_S[s_next] and abs(o.reward - r2) <= tol)
                     if abs(lhs - rhs) > tol:

@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .core import ValidationError, is_int, load_json, load_mdp
 from .envs import make_mdp_from_id
-from .experiments import CSVFormatError, SweepConfig, render_plot, run_cell, run_sweep
+from .experiments import SweepConfig, render_plot, run_cell, run_sweep
 from .wrappers import as_nmdp_oracle
 
 
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, CSVFormatError, FileNotFoundError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -230,32 +230,27 @@ class FiniteMDP:
                 raise ValidationError(f"embedding is not injective: states {other} and {s}")
         emb.flags.writeable = False
         object.__setattr__(self, "embedding", emb)
-        object.__setattr__(self, "_rows", first)  # row bytes -> state, for match_state
+        object.__setattr__(self, "_rows", first)  # row bytes -> state, for match_states
 
     def row(self, state: int, action: int):
         return self.outcomes[state][action]
 
-    def match_state(self, vec):
-        """Index of the embedded state nearest to `vec` in max-abs distance
-        (lowest index on ties), or None if beyond EMBED_MATCH_TOL.  An exact
-        row is the unique distance-0 match (the embedding is injective)."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != self.embedding.shape[1:]:
-            raise ValidationError(f"state of shape {vec.shape} does not match the "
-                                  f"embedding rows of shape {self.embedding.shape[1:]}")
-        exact = self._rows.get((vec + 0.0).tobytes())
-        if exact is not None:
-            return exact
-        d = np.max(np.abs(self.embedding - vec), axis=1)
-        best = int(np.argmin(d))
-        return best if d[best] <= EMBED_MATCH_TOL else None
-
     def match_states(self, states) -> list:
-        """`match_state` of each of the equal-shape `states`, stacked once."""
-        vecs = np.array(states, dtype=float) + 0.0
-        data, width, rows = vecs.tobytes(), vecs[0].nbytes, self._rows
-        found = [rows.get(data[i:i + width]) for i in range(0, len(data), width)]
-        return [self.match_state(vecs[i]) if s is None else s for i, s in enumerate(found)]
+        """For each of the equal-shape `states`, the index of the embedded state nearest
+        to it in max-abs distance (lowest index on ties), or None if beyond
+        EMBED_MATCH_TOL.  An exact row is the unique distance-0 match (the embedding is
+        injective), so it is looked up by its bytes first."""
+        vecs = np.array(states, dtype=float) + 0.0  # -0.0 -> 0.0, as in `_rows`
+        if vecs.shape[1:] != self.embedding.shape[1:]:
+            raise ValidationError(f"state of shape {vecs.shape[1:]} does not match the "
+                                  f"embedding rows of shape {self.embedding.shape[1:]}")
+        data, width = vecs.tobytes(), self.embedding[0].nbytes
+        found = [self._rows.get(data[i:i + width]) for i in range(0, len(data), width)]
+        for i, s in enumerate(found):
+            if s is None:
+                d = np.max(np.abs(self.embedding - vecs[i]), axis=1)
+                found[i] = int(np.argmin(d)) if d.min() <= EMBED_MATCH_TOL else None
+        return found
 
     def reward_support(self):
         return sorted({o.reward for row in self.outcomes for lst in row for o in lst})
@@ -358,6 +353,8 @@ def mdp_from_dict(data: dict, source: str = "<dict>") -> FiniteMDP:
             return int(v)
         raise TypeError(f"{what} {v!r}")
 
+    if not isinstance(data, dict):
+        fail("top level", f"expected a JSON object, got {json.dumps(data, default=repr)[:40]}")
     for key in ("num_states", "num_actions", "rho0", "outcomes", "embedding"):
         if key not in data:
             fail(key, "missing field")
@@ -385,12 +382,14 @@ def mdp_from_dict(data: dict, source: str = "<dict>") -> FiniteMDP:
 
 
 def load_json(path: str):
-    """Parse a JSON file; a syntax error becomes a ValidationError naming its line."""
-    with open(path) as f:
+    """Parse a UTF-8 JSON file; a syntax or decoding error becomes a ValidationError."""
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def load_mdp(path: str) -> FiniteMDP:

@@ -162,28 +162,31 @@ def run_sweep(cfg: SweepConfig, out_path: str = None) -> str:
 # plotting
 # ---------------------------------------------------------------------------
 
-class CSVFormatError(ValueError):
+class CSVFormatError(ValidationError):
     """Malformed results CSV, with the offending line number."""
 
 
 def _read_results(csv_path: str):
     rows = []
-    with open(csv_path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != CSV_HEADER:
-            raise CSVFormatError(f"{csv_path}: line 1: unexpected header {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            if row["status"] != "ok":
-                continue
-            try:
-                rows.append({
-                    "agent": row["agent"],
-                    "family": row["wrapper_family"],
-                    "param": float(row["param"]),
-                    "mean": float(row["mean_return"]),
-                })
-            except (TypeError, ValueError) as exc:
-                raise CSVFormatError(f"{csv_path}: line {lineno}: {exc}") from exc
+    with open(csv_path, newline="", encoding="utf-8") as f:
+        try:
+            reader = csv.DictReader(list(f))
+        except UnicodeDecodeError as exc:
+            raise CSVFormatError(f"{csv_path}: not UTF-8 text ({exc.reason})") from exc
+    if reader.fieldnames != CSV_HEADER:
+        raise CSVFormatError(f"{csv_path}: line 1: unexpected header {reader.fieldnames}")
+    for lineno, row in enumerate(reader, start=2):
+        if row["status"] != "ok":
+            continue
+        try:
+            rows.append({
+                "agent": row["agent"],
+                "family": row["wrapper_family"],
+                "param": float(row["param"]),
+                "mean": float(row["mean_return"]),
+            })
+        except (TypeError, ValueError) as exc:
+            raise CSVFormatError(f"{csv_path}: line {lineno}: {exc}") from exc
     if not rows:
         raise CSVFormatError(f"{csv_path}: no data rows")
     return rows

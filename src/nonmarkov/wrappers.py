@@ -86,16 +86,16 @@ class AggregatedMDPOracle(NMDPOracle):
     stream, looks up the tabular row for the latest state, and maps each
     outcome to the unique next aggregate that decodes back to it.  With the
     identity filter this is the tabular process viewed as history-conditioned.
-    Outcomes come in table order, unmerged.  One decoder `Transducer` and one memo of
-    answers at its nodes, both bounded by `NODE_CAP`, serve every `begin()` (so every
-    History-form call) for the oracle's whole life.
+    Outcomes come in table order, unmerged.  One decoder `Transducer`, whose edges store
+    the index of the embedded state they decode to (or None), and one memo of answers at its
+    nodes, both bounded by `NODE_CAP`, serve every `begin()` for the oracle's whole life.
     """
 
     def __init__(self, mdp: FiniteMDP, spec: Filter):
         self.mdp = mdp
         self.spec = spec
         self.num_actions = mdp.num_actions
-        self.decoders = Transducer(spec, Filter.pull)
+        self.decoders = Transducer(spec, lambda stream, g: mdp.match_states([stream.pull(g)])[0])
         self.memo = {}  # (node, index, action) -> row; (node, pool bytes) -> candidates
 
     def initial(self):
@@ -114,25 +114,24 @@ class AggregatedMDPOracle(NMDPOracle):
 
 
 class DecoderStream:
-    """An `AggregatedMDPOracle` after a prefix: a `node` of the oracle's decoder, t, the
-    last decoded state and its index.  Its answers go through the oracle's memo."""
+    """An `AggregatedMDPOracle` after a prefix: a `node` of the oracle's decoder, t, and
+    `idx`, the index its last decoder edge matched (None when the decoded state matches
+    no embedded state).  Its answers go through the oracle's memo."""
 
-    def __init__(self, oracle: AggregatedMDPOracle, node, t=-1, last=None, idx=None):
-        self.oracle, self.node, self.t, self.last, self.idx = oracle, node, t, last, idx
+    def __init__(self, oracle: AggregatedMDPOracle, node, t=-1, idx=None):
+        self.oracle, self.node, self.t, self.idx = oracle, node, t, idx
 
     def fork(self) -> "DecoderStream":
-        return DecoderStream(self.oracle, self.oracle.decoders.fork(self.node),
-                             self.t, self.last, self.idx)
+        return DecoderStream(self.oracle, self.oracle.decoders.fork(self.node), self.t, self.idx)
 
     def pull(self, obs, action=None, reward=None) -> None:
-        self.node, self.last = self.oracle.decoders.step(self.node, obs)
-        self.t, self.idx = self.t + 1, None
+        self.node, self.idx = self.oracle.decoders.step(self.node, obs)
+        self.t += 1
 
     def transition(self, action: int):
-        oracle = self.oracle
-        self.idx = oracle.mdp.match_state(self.last) if self.idx is None else self.idx
         if self.idx is None:
             raise UndecodableHistoryError(f"decoded state at t={self.t} matches no embedded state")
+        oracle = self.oracle
         key = (self.node, self.idx, action)
         dist = oracle.memo.get(key)
         if dist is None:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -558,7 +560,7 @@ class TestMorphism:
             verify_morphism(CHAIN5, CHAIN5, [0, 1, 2, 3, 9], [0, 1], phi_R)
 
     def test_missing_reward_image_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"reward map undefined at 1\.0"):
             verify_morphism(CHAIN5, CHAIN5, list(range(5)), [0, 1], {0.0: 0.0})
 
     def test_composition_closure(self):
@@ -575,6 +577,60 @@ class TestMorphism:
         assert verify_morphism(CHAIN5, m3, *comp)["pass"]
 
 
+def literal_verify_morphism(m, m2, phi_S, phi_A, phi_R, tol=PROB_TOL):
+    """The reference: `verify_morphism`'s two conditions over every (s, a, s', r)."""
+    violations = []
+    for s in range(m.num_states):
+        lhs, rhs = float(m.rho0[s]), float(m2.rho0[phi_S[s]])
+        if abs(lhs - rhs) > tol:
+            violations.append({"where": f"rho0, state {s}", "expected": lhs, "got": rhs})
+    for s in range(m.num_states):
+        for a in range(m.num_actions):
+            row, row2 = m.row(s, a), m2.row(phi_S[s], phi_A[a])
+            for s_next in range(m.num_states):
+                for r in m.reward_support():
+                    lhs = sum(o.prob for o in row
+                              if o.next_state == s_next and abs(o.reward - r) <= tol)
+                    r2 = next(v for k, v in phi_R.items() if abs(k - r) <= tol)
+                    rhs = sum(o.prob for o in row2
+                              if o.next_state == phi_S[s_next] and abs(o.reward - r2) <= tol)
+                    if abs(lhs - rhs) > tol:
+                        violations.append({"where": f"T({s},{a}) at (s'={s_next}, r={r})",
+                                           "expected": lhs, "got": rhs})
+    return {"pass": not violations, "violations": violations}
+
+
+def morphism_cases():
+    """(m, m2, phi) for identity, random, collapsing and permutation maps, within one
+    process and onto a second one."""
+    rng = np.random.default_rng(11)
+    processes = [CHAIN5, make_chain(5, p_slip=0.3), make_random_mdp(0, 6, 2, 3)]
+    for m in processes:
+        rewards = m.reward_support()
+        rid = {r: r for r in rewards}
+        yield m, m, (list(range(m.num_states)), list(range(m.num_actions)), rid)
+        yield m, m, ([0] * m.num_states, [0] * m.num_actions, rid)
+        perm = rng.permutation(m.num_states).tolist()
+        yield m, permutation_mdp(m, perm), (perm, list(range(m.num_actions)), rid)
+        for m2 in processes:
+            for _ in range(4):
+                yield m, m2, (rng.integers(m2.num_states, size=m.num_states).tolist(),
+                              rng.integers(m2.num_actions, size=m.num_actions).tolist(),
+                              {r: float(rng.choice(m2.reward_support())) for r in rewards})
+
+
+class TestMorphismSupport:
+    def test_report_equals_the_literal_loop(self):
+        cases = list(morphism_cases())
+        int_zero = 0
+        for m, m2, phi in cases:
+            want = literal_verify_morphism(m, m2, *phi)
+            assert json.dumps(verify_morphism(m, m2, *phi)) == json.dumps(want)
+            int_zero += sum(type(v["expected"]) is int or type(v["got"]) is int
+                            for v in want["violations"])
+        assert len(cases) > 40 and int_zero > 0
+
+
 class TestReachableHistories:
     def test_counts(self):
         oracle = as_nmdp_oracle(CHAIN5, "S^1")
@@ -586,7 +642,7 @@ class TestReachableHistories:
         m = make_random_mdp(1, 4, 2, 2)
         hs = list(reachable_histories(as_nmdp_oracle(m, "S^1"), max_t=0))
         assert [h.t for h in hs] == [0, 0, 0, 0]
-        assert sorted(m.match_state(h.states[0]) for h in hs) == [0, 1, 2, 3]
+        assert sorted(m.match_states([h.states[0]])[0] for h in hs) == [0, 1, 2, 3]
         with pytest.raises(ValidationError):
             build_markov_abstraction(as_nmdp_oracle(m, "S^1"), horizon=0)
         with pytest.raises(ValidationError):

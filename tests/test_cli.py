@@ -361,6 +361,33 @@ class TestBadInputExit2:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {mapping}: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("text", ["5", "null", "true", "[1, 2]", '"chain"'])
+    def test_mdp_file_not_an_object(self, text, tmp_path, capsys):
+        # a scalar used to raise TypeError, and a list or string to report a missing field
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert main(["verify-category", "--env", f"mdp-file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: top level: expected a JSON object") \
+            and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["mdp-file", "sweep", "--m", "--m2", "--map", "plot"])
+    def test_input_not_utf8(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad").write_bytes(b"\xff\xfe")
+        (tmp_path / "m.json").write_text(json.dumps(mdp_to_json(make_chain(3))))
+        (tmp_path / "map.json").write_text(json.dumps({
+            "phi_S": [0, 1, 2], "phi_A": [0, 1], "phi_R": {"0.0": 0.0, "1.0": 1.0}}))
+        morphism = {"--m": "m.json", "--m2": "m.json", "--map": "map.json", command: "bad"}
+        argv = {"mdp-file": ["verify-category", "--env", "mdp-file:bad"],
+                "sweep": ["sweep", "--config", "bad", "--out", "r.csv"],
+                "plot": ["plot", "--in", "bad", "--out", "p.svg"]}.get(
+            command, ["verify-morphism", *(x for kv in morphism.items() for x in kv)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad: not UTF-8 text") and err.count("\n") == 1, err
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "p.svg").exists()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exit2(self):

@@ -178,15 +178,15 @@ class TestFiniteMDP:
                       embedding=(np.array([0.0]),))
 
     def test_match_state(self):
+        # within EMBED_MATCH_TOL of row 0, and far from both rows
         m = simple_mdp()
-        assert m.match_state([1.0, 1e-10]) == 0
-        assert m.match_state([0.5, 0.5]) is None
+        assert m.match_states([[1.0, 1e-10], [0.5, 0.5]]) == [0, None]
 
     def test_match_state_tie_picks_lowest_index(self):
         m = FiniteMDP(num_states=2, num_actions=1, rho0=np.array([1.0, 0.0]),
                       outcomes=(((Outcome(0, 0.0, 1.0),),),) * 2,
                       embedding=([0.0], [2e-10]))
-        assert m.match_state([1e-10]) == 0
+        assert m.match_states([[1e-10]]) == [0]
 
     def test_match_state_rejects_wrong_shape(self):
         # a (1,) vector used to broadcast against the (2, 2) embedding and match state 1
@@ -196,7 +196,7 @@ class TestFiniteMDP:
         for vec in ([1.0], [[1.0, 1.0]], np.ones((2, 1))):
             shapes = f"shape {np.shape(vec)} does not match the embedding rows of shape (2,)"
             with pytest.raises(ValidationError, match=re.escape(shapes)):
-                m.match_state(vec)
+                m.match_states([vec])
         with pytest.raises(ValidationError, match=re.escape("shape (1,) does not match")):
             as_nmdp_oracle(m, "S^0").transition(initial_history([1.0]), 0)
 
@@ -311,18 +311,18 @@ class TestMatchStateFastPath:
         rng = np.random.default_rng(4)
         for s, row in enumerate(m.embedding):
             for k, vec in enumerate(match_inputs(row, rng)):
-                assert m.match_state(vec) == nearest_by_distance(m, vec), (s, k)
-            assert m.match_state(row) == s
-            assert m.match_state(np.where(row == 0.0, -0.0, row)) == s
+                assert m.match_states([vec]) == [nearest_by_distance(m, vec)], (s, k)
+            assert m.match_states([row, np.where(row == 0.0, -0.0, row)]) == [s, s]
 
     @pytest.mark.parametrize("name", sorted(MATCH_EMBEDDINGS))
     def test_batch_agrees_with_single(self, name):
+        # one stacked call against the distance rule applied to one vector at a time
         emb = MATCH_EMBEDDINGS[name]
         m = FiniteMDP(num_states=len(emb), num_actions=1, rho0=np.eye(len(emb))[0],
                       outcomes=(((Outcome(0, 0.0, 1.0),),),) * len(emb), embedding=emb)
         rng = np.random.default_rng(5)
         vecs = [np.asarray(v, dtype=float) for row in m.embedding for v in match_inputs(row, rng)]
-        assert m.match_states(vecs) == [m.match_state(v) for v in vecs]
+        assert m.match_states(vecs) == [nearest_by_distance(m, v) for v in vecs]
         with pytest.raises(ValidationError, match="does not match the embedding rows"):
             m.match_states([np.zeros(m.embedding.shape[1] + 1)] * 2)
 

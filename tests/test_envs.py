@@ -121,16 +121,16 @@ class TestSampler:
         env = FiniteMDPEnv(m)
         for seed in range(300):
             expected = int(np.random.default_rng(seed).choice(m.num_states, p=m.rho0))
-            assert m.match_state(env.reset(seed)) == expected
+            assert m.match_states([env.reset(seed)])[0] == expected
 
     @pytest.mark.parametrize("m", _sampler_processes())
     def test_step_matches_choice(self, m):
         env = FiniteMDPEnv(m)
         actions = np.random.default_rng(99).integers(m.num_actions, size=3000)
-        got = [m.match_state(env.reset(7))]
+        got = [m.match_states([env.reset(7)])[0]]
         for a in actions:
             obs, reward, _, _ = env.step(int(a))
-            got.append((m.match_state(obs), reward))
+            got.append((m.match_states([obs])[0], reward))
         rng = np.random.default_rng(7)
         state = int(rng.choice(m.num_states, p=m.rho0))
         expected = [state]

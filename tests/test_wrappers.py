@@ -5,7 +5,7 @@ from nonmarkov import aggregators
 from nonmarkov.agents import parse_agent_spec, train
 from nonmarkov.analysis import empirical_dependency, reachable_histories
 from nonmarkov.aggregators import Filter, parse_har_spec, parse_spec
-from nonmarkov.core import UndecodableHistoryError, ValidationError, initial_history
+from nonmarkov.core import FiniteMDP, UndecodableHistoryError, ValidationError, initial_history
 from nonmarkov.envs import Environment, make_chain, make_env
 from nonmarkov.wrappers import AggregatedMDPOracle, WrappedEnvironment, as_nmdp_oracle, wrap
 
@@ -422,6 +422,39 @@ class TestSharedDecoder:
             first.clear()
             assert as_bytes(answer()) == want and len(want) > 1
         assert as_bytes(stream.candidates(None, POOL[:0:-1])) == want[:0:-1]  # keyed by pool
+
+
+class TestMatchedIndex:
+    """Each decoder edge stores the index its decoded state matches, once."""
+
+    @pytest.mark.parametrize("spec", SHARED_SPECS)
+    def test_index_equals_a_plain_decode(self, spec):
+        # the last state shifted off every aggregate decodes to no embedded state
+        oracle, nones = as_nmdp_oracle(SLIPPY_CHAIN, spec), 0
+        for h in reachable_histories(as_nmdp_oracle(SLIPPY_CHAIN, spec), max_t=4):
+            for states in (h.states, (*h.states[:-1], h.states[-1] + 0.25)):
+                stream, plain = oracle.begin(), parse_spec(spec).begin()
+                for t, step in enumerate(zip(states, (None, *h.actions), (None, *h.rewards))):
+                    stream.pull(*step)
+                    want = SLIPPY_CHAIN.match_states([plain.pull(step[0])])[0]
+                    assert (stream.t, stream.idx) == (t, want)
+                nones += want is None
+        assert nones > 0
+        with pytest.raises(UndecodableHistoryError, match=f"decoded state at t={stream.t} "):
+            stream.transition(0)
+
+    def test_warm_oracle_matches_nothing_again(self, monkeypatch):
+        calls, match = [], FiniteMDP.match_states
+        monkeypatch.setattr(FiniteMDP, "match_states",
+                            lambda m, states: calls.append(len(states)) or match(m, states))
+        histories = list(reachable_histories(as_nmdp_oracle(SLIPPY_CHAIN, "S^2"), max_t=4))
+        oracle = as_nmdp_oracle(SLIPPY_CHAIN, "S^2")
+        calls.clear()
+        first = [empirical_dependency(oracle, h, POOL) for h in histories]
+        assert 0 < len(calls) <= len(oracle.decoders.edges) and set(calls) == {1}
+        calls.clear()
+        assert [empirical_dependency(oracle, h, POOL) for h in histories] == first
+        assert calls == []
 
 
 class TestUnkeyedObservations:
