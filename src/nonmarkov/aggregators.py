@@ -258,47 +258,31 @@ class Filter:
 
 
 class Transducer:
-    """Streams of one template under `op` (such as `Filter.push`), interned by `state_key`
-    from node 0, `template.begin()`, with each (node, 1-d float64 x bytes) edge computed
-    once.  Other x, and misses once NODE_CAP nodes or edges exist, leave the memo: `step`
-    returns the stream in place of a node, and steps that stream in place from then on."""
+    """Streams of one template under `op` (such as `Filter.push`) from `root`,
+    `template.begin()`.  A node is its stream, never changed once `step` returns it.
+    Streams are interned by `state_key` while fewer than NODE_CAP nodes exist, and each
+    (node, 1-d float64 x bytes) edge is computed once while fewer than NODE_CAP edges
+    exist; other x store no edge."""
 
     def __init__(self, template: Filter, op):
-        self.op, self.nodes = op, [template.begin()]
-        self._ids = {self.nodes[0].state_key(): 0}  # state key -> node
+        self.op, self.root = op, template.begin()
+        self.nodes = {self.root.state_key(): self.root}  # state key -> stream
         self.edges = {}  # (node, x bytes) -> (next node, output)
 
-    def stream(self, node) -> Filter:
-        """The stream at `node`, to read (`project`) but not to advance."""
-        return node if isinstance(node, Filter) else self.nodes[node]
-
-    def fork(self, node):
-        """`node` for a second stream: off the memo a copy, or the node of its state."""
-        if not isinstance(node, Filter):
-            return node
-        i = self._ids.get(node.state_key())
-        return node.fork() if i is None else i
-
-    def step(self, node, x):
-        """(next node, output) of `op` on the stream at `node` and the input x."""
-        if isinstance(node, Filter):
-            return node, self.op(node, x)
+    def step(self, node: Filter, x):
+        """(next node, output) of `op` on a fork of `node` and the input x."""
         raw = vector_bytes(x)
         hit = self.edges.get((node, raw))
         if hit is not None:
             return hit
-        stream = self.nodes[node].fork()
+        stream = node.fork()
         y = self.op(stream, x)
-        if raw is None or len(self.edges) >= NODE_CAP:
-            return stream, y
         key = stream.state_key()
-        nxt = self._ids.get(key)
-        if nxt is None:
-            if len(self.nodes) >= NODE_CAP:
-                return stream, y
-            nxt = self._ids[key] = len(self.nodes)
-            self.nodes.append(stream)
-        self.edges[node, raw] = nxt, y
+        nxt = self.nodes.get(key, stream)
+        if nxt is stream and len(self.nodes) < NODE_CAP:
+            self.nodes[key] = stream
+        if raw is not None and len(self.edges) < NODE_CAP:
+            self.edges[node, raw] = nxt, y
         return nxt, y
 
 
@@ -361,7 +345,7 @@ def compose_kernels(w1: Filter, w2: Filter, truncate: int = 64) -> Filter:
 
 def _difference_power(n: int) -> np.ndarray:
     c = np.ones(1)
-    for _ in range(n):
+    while len(c) <= n and np.isfinite(c).all():  # past n = 1,029 float64 overflows
         c = np.convolve(c, (1.0, -1.0))
     return c
 

@@ -133,7 +133,7 @@ def _load_morphism_map(path: str):
     indices and an object from reward strings to rewards."""
     mapping = load_json(path)
     for key in ("phi_S", "phi_A", "phi_R"):
-        if not isinstance(mapping, dict) or key not in mapping:
+        if key not in mapping:
             raise ValidationError(f"{path}: missing field {key}")
     for key in ("phi_S", "phi_A"):
         if not (isinstance(mapping[key], list) and all(map(is_int, mapping[key]))):

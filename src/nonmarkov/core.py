@@ -381,15 +381,19 @@ def mdp_from_dict(data: dict, source: str = "<dict>") -> FiniteMDP:
         raise ValidationError(f"{source}: {exc}") from exc
 
 
-def load_json(path: str):
-    """Parse a UTF-8 JSON file; a syntax or decoding error becomes a ValidationError."""
+def load_json(path: str) -> dict:
+    """Parse a UTF-8 JSON file holding an object; anything else is a ValidationError."""
     with open(path, encoding="utf-8") as f:
         try:
-            return json.load(f)
+            data = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(
+            f"{path}: top level: expected a JSON object, got {json.dumps(data)[:40]}")
+    return data
 
 
 def load_mdp(path: str) -> FiniteMDP:

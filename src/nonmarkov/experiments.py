@@ -64,7 +64,7 @@ class SweepConfig:
         data = load_json(path)
         try:
             return cls(**data)
-        except TypeError as exc:  # unknown or missing keys, or not an object
+        except TypeError as exc:  # unknown or missing keys
             raise ValidationError(f"{path}: {exc}") from exc
 
 

@@ -36,7 +36,7 @@ class WrappedEnvironment(Environment):
         self.observation_dim = inner.observation_dim
         self.num_actions = inner.num_actions
         self._states = None if spec is None else Transducer(spec, Filter.push)
-        self._node = 0  # a node of _states, or the stream of an episode off its memo
+        self._node = None  # the node of _states the episode is at
         self._reward = None
 
     @property
@@ -46,7 +46,7 @@ class WrappedEnvironment(Environment):
     def reset(self, seed: int) -> np.ndarray:
         obs = self.inner.reset(seed)
         if self.spec is not None:
-            self._node, obs = self._states.step(0, obs)
+            self._node, obs = self._states.step(self._states.root, obs)
         if self.har_spec is not None:
             self._reward = self.har_spec.begin()
         return obs
@@ -87,8 +87,9 @@ class AggregatedMDPOracle(NMDPOracle):
     outcome to the unique next aggregate that decodes back to it.  With the
     identity filter this is the tabular process viewed as history-conditioned.
     Outcomes come in table order, unmerged.  One decoder `Transducer`, whose edges store
-    the index of the embedded state they decode to (or None), and one memo of answers at its
-    nodes, both bounded by `NODE_CAP`, serve every `begin()` for the oracle's whole life.
+    the index of the embedded state they decode to (or None), and one memo of answers keyed
+    by its node streams, both bounded by `NODE_CAP`, serve every `begin()` for the oracle's
+    whole life.
     """
 
     def __init__(self, mdp: FiniteMDP, spec: Filter):
@@ -103,26 +104,27 @@ class AggregatedMDPOracle(NMDPOracle):
                 for e, p in zip(self.mdp.embedding, self.mdp.rho0) if p > 0]
 
     def begin(self) -> "DecoderStream":
-        return DecoderStream(self, 0)
+        return DecoderStream(self, self.decoders.root)
 
     def store(self, key: tuple, answer: list) -> list:
-        """`answer`, kept in the memo under `key`, (node, ...), for an int node (a stream
-        off the memo changes in place) while the memo holds fewer than NODE_CAP entries."""
-        if isinstance(key[0], int) and len(self.memo) < aggregators.NODE_CAP:
+        """`answer`, kept in the memo under `key`, (node, ...), while the memo holds fewer
+        than NODE_CAP entries; a node never changes, interned by the decoder or not."""
+        if len(self.memo) < aggregators.NODE_CAP:
             self.memo[key] = answer
         return answer
 
 
 class DecoderStream:
-    """An `AggregatedMDPOracle` after a prefix: a `node` of the oracle's decoder, t, and
-    `idx`, the index its last decoder edge matched (None when the decoded state matches
-    no embedded state).  Its answers go through the oracle's memo."""
+    """An `AggregatedMDPOracle` after a prefix: `node`, the decoder stream the oracle's
+    transducer returned for it, t, and `idx`, the index its last decoder edge matched (None
+    when the decoded state matches no embedded state).  A node never changes, so `fork` is
+    a plain copy; `pull` moves this stream to the next node.  Answers go through the memo."""
 
     def __init__(self, oracle: AggregatedMDPOracle, node, t=-1, idx=None):
         self.oracle, self.node, self.t, self.idx = oracle, node, t, idx
 
     def fork(self) -> "DecoderStream":
-        return DecoderStream(self.oracle, self.oracle.decoders.fork(self.node), self.t, self.idx)
+        return DecoderStream(self.oracle, self.node, self.t, self.idx)
 
     def pull(self, obs, action=None, reward=None) -> None:
         self.node, self.idx = self.oracle.decoders.step(self.node, obs)
@@ -131,12 +133,11 @@ class DecoderStream:
     def transition(self, action: int):
         if self.idx is None:
             raise UndecodableHistoryError(f"decoded state at t={self.t} matches no embedded state")
-        oracle = self.oracle
+        oracle, mdp = self.oracle, self.oracle.mdp
         key = (self.node, self.idx, action)
         dist = oracle.memo.get(key)
         if dist is None:
-            decoder, mdp = oracle.decoders.stream(self.node), oracle.mdp
-            dist = oracle.store(key, [((decoder.project(mdp.embedding[o.next_state]), o.reward),
+            dist = oracle.store(key, [((self.node.project(mdp.embedding[o.next_state]), o.reward),
                                        o.prob) for o in mdp.row(self.idx, action)])
         return list(dist)
 
@@ -145,8 +146,7 @@ class DecoderStream:
         key = (self.node, tuple(p.tobytes() for p in state_pool))
         cands = self.oracle.memo.get(key)
         if cands is None:
-            decoder = self.oracle.decoders.stream(self.node)
-            cands = self.oracle.store(key, [decoder.project(p) for p in state_pool])
+            cands = self.oracle.store(key, [self.node.project(p) for p in state_pool])
         return list(cands)
 
 

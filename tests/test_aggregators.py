@@ -432,54 +432,57 @@ class TestTransducer:
             raw = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 9))]
             encoder = template.begin()
             aggregates = [encoder.push(s) for s in raw]
-            node, fresh = 0, template.begin()
+            node, fresh = decoders.root, template.begin()
             for g in aggregates:
                 node, got = decoders.step(node, g)
                 assert got.tobytes() == fresh.pull(g).tobytes()
-                assert isinstance(node, int)
+                assert decoders.nodes[node.state_key()] is node
                 steps += 1
         assert len(decoders.nodes) <= len(decoders.edges) + 1 < steps  # edges were looked up
 
     def test_corr_streams_at_different_t_do_not_merge(self):
         zero, one = as_state([0.0]), as_state([1.0])
         sums = Transducer(corr_spec((1.0, 2.0, 3.0)), Filter.push)
-        n1, _ = sums.step(0, zero)
+        n1, _ = sums.step(sums.root, zero)
         n2, _ = sums.step(n1, zero)
-        a, b = sums.nodes[n1], sums.nodes[n2]
-        assert [x.tobytes() for x in a._x + a._g] == [x.tobytes() for x in b._x + b._g]
-        assert n2 != n1  # the gains ahead differ: 2 at t = 1, 3 at t = 2
+        assert [x.tobytes() for x in n1._x + n1._g] == [x.tobytes() for x in n2._x + n2._g]
+        assert n2 is not n1  # the gains ahead differ: 2 at t = 1, 3 at t = 2
         assert sums.step(n1, one)[1][0] == 2.0 and sums.step(n2, one)[1][0] == 3.0
         plain = Transducer(group_power_spec(1), Filter.push)
-        m1, _ = plain.step(0, zero)
-        assert plain.step(m1, zero)[0] == m1  # without a gain the same streams merge
+        m1, _ = plain.step(plain.root, zero)
+        assert plain.step(m1, zero)[0] is m1  # without a gain the same streams merge
 
     def test_unkeyed_input_and_full_transducer_leave_the_memo(self, monkeypatch):
+        # unkeyed input stores no edge, and past NODE_CAP nodes a new state is not
+        # interned; a state that is interned still merges into its node
         monkeypatch.setattr(aggregators, "NODE_CAP", 2)
-        template = group_power_spec(1)
-        sums = Transducer(template, Filter.push)
-        stream, _ = sums.step(0, [1.0, 2.0])  # a list: validated and streamed
-        assert isinstance(stream, Filter) and sums.edges == {}
-        same, g = sums.step(stream, [1.0, 1.0])
-        assert same is stream and g.tolist() == [2.0, 3.0]
-        n1, _ = sums.step(0, as_state([1.0, 2.0]))
-        off, g = sums.step(n1, as_state([1.0, 1.0]))  # a new state past cap nodes
-        assert isinstance(off, Filter) and g.tolist() == [2.0, 3.0]
-        assert len(sums.nodes) == 2 and len(sums.edges) == 1
-
-    def test_fork_of_a_stream_off_the_memo(self):
-        # an off-memo stream whose state is interned rejoins the memo at that
-        # node; any other is copied, and the copy steps on its own
         sums = Transducer(group_power_spec(1), Filter.push)
+        n1, g = sums.step(sums.root, [1.0, 2.0])  # a list: validated and streamed
+        assert g.tolist() == [1.0, 2.0] and sums.edges == {}
+        assert sums.nodes[n1.state_key()] is n1
+        one = as_state([1.0, 1.0])
+        off, g = sums.step(n1, one)  # a new state past cap nodes
+        assert g.tolist() == [2.0, 3.0] and off.state_key() not in sums.nodes
+        assert sums.edges == {(n1, one.tobytes()): (off, g)}
+        off2, g = sums.step(off, one)
+        assert g.tolist() == [3.0, 4.0] and len(sums.nodes) == 2 and len(sums.edges) == 2
+        back, g = sums.step(off2, as_state([-2.0, -2.0]))  # past cap edges too
+        assert back is n1 and g.tolist() == [1.0, 2.0] and len(sums.edges) == 2
+
+    def test_stream_past_the_cap_never_changes(self, monkeypatch):
+        # a stream that is not interned is still a node: steps from it fork it
+        monkeypatch.setattr(aggregators, "NODE_CAP", 1)
+        sums = Transducer(group_power_spec(2), Filter.push)
         one = as_state([1.0])
-        n1, _ = sums.step(0, one)
-        assert sums.fork(n1) == n1 and sums.fork(group_power_spec(1).begin()) == 0
-        off = group_power_spec(1).begin()
-        off.push(one)
-        assert sums.fork(off) == n1
-        off.push(one)
-        copy = sums.fork(off)
-        assert isinstance(copy, Filter) and copy is not off
-        assert sums.step(copy, one)[1][0] == 3.0 and off.project(one)[0] == 3.0
+        off, _ = sums.step(sums.root, one)
+        key = off.state_key()
+        outputs = [sums.step(off, one)[1][0] for _ in range(3)]
+        assert off.state_key() == key and outputs == [3.0, 3.0, 3.0]
+        node = off
+        for want in (3.0, 6.0, 10.0):
+            node, g = sums.step(node, one)
+            assert g[0] == want
+        assert off.state_key() == key and len(sums.nodes) == 1
 
 
 class TestChain:
@@ -587,6 +590,19 @@ class TestParseSpec:
 
     def test_label_preserved(self):
         assert parse_spec("S^1+D^1").label == "S^1+D^1"
+
+    @pytest.mark.parametrize("text", ["S^100000000", "D^100000", "S^1030", "D^1030"])
+    def test_power_past_float64_rejected_at_once(self, text):
+        # (1 - z)^n overflows past n = 1,029; the n convolutions used to run to the end
+        with pytest.raises(ValidationError, match="coefficients must be finite"):
+            parse_spec(text)
+
+    def test_largest_finite_power_unchanged(self):
+        c = np.ones(1)
+        for _ in range(1029):
+            c = np.convolve(c, (1.0, -1.0))
+        assert np.array(parse_spec("D^1029").b).tobytes() == c.tobytes()
+        assert np.array(parse_spec("S^1029").a).tobytes() == c.tobytes()
 
 
 class TestHar:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -239,6 +240,20 @@ class TestBadInputExit2:
         assert main(argv) == 2
         _assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--wrapper", "S^100000000", "--episodes", "5", "--eval-episodes", "5"],
+        ["analyze-deps", "--wrapper", "D^100000", "--t", "2"],
+        ["sweep", "--env", "chain:5", "--wrapper", "S^100000000", "--agent", "random",
+         "--out", "r.csv"],
+    ])
+    def test_huge_power_exits_at_once(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        _assert_one_line_error(capsys)
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("wrapper", ["conv:0.5,0.9", "conv:1,-1.5"])
     def test_unstable_decoder(self, wrapper, capsys):
         argv = ["run", "--wrapper", wrapper, "--episodes", "5", "--eval-episodes", "5"]
@@ -370,6 +385,22 @@ class TestBadInputExit2:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: top level: expected a JSON object") \
             and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["sweep", "--m", "--m2", "--map"])
+    def test_json_input_not_an_object(self, command, tmp_path, monkeypatch, capsys):
+        # a map used to report a missing phi_S, and a sweep config a TypeError
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad").write_text("[0, 1]")
+        (tmp_path / "m.json").write_text(json.dumps(mdp_to_json(make_chain(3))))
+        (tmp_path / "map.json").write_text(json.dumps({
+            "phi_S": [0, 1, 2], "phi_A": [0, 1], "phi_R": {"0.0": 0.0, "1.0": 1.0}}))
+        morphism = {"--m": "m.json", "--m2": "m.json", "--map": "map.json", command: "bad"}
+        argv = ["sweep", "--config", "bad", "--out", "r.csv"] if command == "sweep" else \
+            ["verify-morphism", *(x for kv in morphism.items() for x in kv)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: bad: top level: expected a JSON object, got [0, 1]\n"
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("command", ["mdp-file", "sweep", "--m", "--m2", "--map", "plot"])
     def test_input_not_utf8(self, command, tmp_path, monkeypatch, capsys):

@@ -4,7 +4,7 @@ import pytest
 from nonmarkov import aggregators
 from nonmarkov.agents import parse_agent_spec, train
 from nonmarkov.analysis import empirical_dependency, reachable_histories
-from nonmarkov.aggregators import Filter, parse_har_spec, parse_spec
+from nonmarkov.aggregators import parse_har_spec, parse_spec
 from nonmarkov.core import FiniteMDP, UndecodableHistoryError, ValidationError, initial_history
 from nonmarkov.envs import Environment, make_chain, make_env
 from nonmarkov.wrappers import AggregatedMDPOracle, WrappedEnvironment, as_nmdp_oracle, wrap
@@ -279,9 +279,9 @@ class StubEnv(Environment):
 
 class TestMergedStates:
     def test_stateless_filter_stays_within_cap(self, monkeypatch):
-        # conv:2 keeps no state, so every miss merges into node 0: the cap
-        # bounds the edges of a stream that never repeats, and past it the
-        # episode streams on its own filter, off the memo
+        # conv:2 keeps no state, so every miss merges into the root: the cap
+        # bounds the edges of a stream that never repeats, and past it each
+        # step is computed again, stores no edge and still merges into the root
         monkeypatch.setattr(aggregators, "NODE_CAP", 50)
         episodes = [[np.array([e, t / 7.0]) for t in range(41)] for e in range(3)]
         env = wrap(StubEnv(episodes), "conv:2")
@@ -292,7 +292,7 @@ class TestMergedStates:
             for obs in episodes[seed][1:]:
                 assert env.step(0)[0].tobytes() == stream.push(obs).tobytes()
                 assert off is None or env._node is off
-        assert isinstance(off, Filter)
+        assert off is env._states.root
         assert env.node_count == 1 and len(env._states.edges) == 50
 
     def test_learn_cell_node_count(self):
@@ -324,10 +324,10 @@ class TestMergedStates:
 
     def test_stream_pulled_without_forking_shares_the_memo(self):
         # a begin() stream only pulled (as the History-form replay does) and a
-        # fork of another begin() step the oracle's one transducer from node 0
+        # fork of another begin() step the oracle's one transducer from its root
         oracle = as_nmdp_oracle(make_chain(3), "S^2")
         alone, forked = oracle.begin(), oracle.begin().fork()
-        assert forked.node == 0
+        assert forked.node is oracle.decoders.root
         (g, _), = oracle.initial()
         for a in (0, 0, 1, 0, 0):  # a state and action seen again at a later t
             for stream in (alone, forked):
@@ -336,7 +336,8 @@ class TestMergedStates:
             assert [(o.tobytes(), r, p) for (o, r), p in dists[0]] == \
                 [(o.tobytes(), r, p) for (o, r), p in dists[1]]
             (g, _), _ = dists[0][0]
-        assert isinstance(alone.node, int) and alone.node == forked.node
+        assert alone.node is forked.node
+        assert oracle.decoders.nodes[alone.node.state_key()] is alone.node
         assert alone.oracle.decoders is forked.oracle.decoders and len(oracle.decoders.edges) == 5
 
 
@@ -383,23 +384,26 @@ class TestSharedDecoder:
         shared = assert_shared_oracle_matches_fresh(spec)
         assert len(shared.memo) == 7 and len(shared.decoders.nodes) == 7
 
-    def test_stream_off_the_memo_stores_nothing(self, monkeypatch):
-        # past NODE_CAP nodes a stream decodes on its own filter, which changes
-        # in place: a later t must not be answered from an earlier one
+    def test_stream_past_the_cap_answers_as_a_fresh_oracle(self, monkeypatch):
+        # past NODE_CAP nodes a stream's new states are not interned, yet each is a
+        # node that never changes: a later t must not be answered from an earlier one
         monkeypatch.setattr(aggregators, "NODE_CAP", 3)
-        oracle = as_nmdp_oracle(make_chain(3), "S_l:0.5")
-        e0 = oracle.mdp.embedding[0]
+        chain = make_chain(3)
+        oracle, pool = as_nmdp_oracle(chain, "S_l:0.5"), list(chain.embedding)
         encoder, stream = oracle.spec.begin(), oracle.begin()
         h = None
         for t in range(6):
-            g = encoder.push(e0)
+            g = encoder.push(pool[0])
             stream.pull(g, 0, 0.0)
             h = initial_history(g) if h is None else h.extend(0, 0.0, g)
-            if t >= 2:
-                assert isinstance(stream.node, Filter)
-                want = as_bytes(as_nmdp_oracle(make_chain(3), "S_l:0.5").transition(h, 0))
-                assert as_bytes(stream.transition(0)) == want
-        assert oracle.memo == {}
+            assert (t < 2) == (stream.node.state_key() in oracle.decoders.nodes)
+            fresh = as_nmdp_oracle(chain, "S_l:0.5")
+            for _ in range(2):  # the second time from the memo, where it has room
+                for a in range(oracle.num_actions):
+                    assert as_bytes(stream.transition(a)) == as_bytes(fresh.transition(h, a))
+                assert as_bytes(stream.candidates(h, pool)) == \
+                    as_bytes(fresh.substitution_candidates(h, t + 1, pool))
+        assert len(oracle.memo) == 3
 
     def test_history_form_answers_from_a_warm_memo(self):
         oracle = as_nmdp_oracle(SLIPPY_CHAIN, "S_l:0.5")
@@ -479,7 +483,7 @@ class TestUnkeyedObservations:
                 env.step(0)
         assert env.node_count == 2
 
-    def test_float32_streams_as_before_and_is_not_interned(self):
+    def test_float32_streams_as_before_and_stores_no_edge(self):
         e0_32 = self.E0.astype(np.float32)
         episodes = [[self.E0, e0_32, np.array([0.5, 0.25], dtype=np.float32)],
                     [e0_32, self.E0], [self.E0.view(np.float32)]]  # E0's bytes
@@ -489,4 +493,7 @@ class TestUnkeyedObservations:
             assert env.reset(seed).tobytes() == stream.push(episodes[seed][0]).tobytes()
             for o in episodes[seed][1:]:
                 assert env.step(0)[0].tobytes() == stream.push(o).tobytes()
-        assert env.node_count == 2
+        # each state is interned, but only E0 stored edges: E0's bytes read as
+        # float32 never look one up
+        assert env.node_count == 5
+        assert [raw for _, raw in env._states.edges] == [self.E0.tobytes()] * 2
