@@ -89,14 +89,12 @@ class WindowedQAgent:
         return EPS_START + episode / cutoff * (EPS_FINAL - EPS_START)
 
 
-def train(agent, env: Environment, episodes: int, seed: int,
-          horizon: int = None):
-    """Q-learning over `episodes` seeded episodes; deterministic given seed.
-
-    Random agents pass through unchanged.
+def train(agent, env: Environment, episodes: int, seed: int, horizon: int):
+    """Q-learning over `episodes` seeded episodes of at most `horizon` steps;
+    deterministic given seed.  Random agents pass through unchanged.
     """
-    if episodes < 1:
-        raise ValidationError("episodes must be >= 1")
+    if episodes < 1 or horizon < 1:
+        raise ValidationError(f"episodes and horizon must be >= 1, got {episodes} and {horizon}")
     if isinstance(agent, RandomAgent):
         return agent
     rng = np.random.default_rng(seed)
@@ -121,15 +119,15 @@ def train(agent, env: Environment, episodes: int, seed: int,
                 target = reward + GAMMA * (max(next_row) if next_row is not None else 0.0)
             row[action] += ALPHA * (target - row[action])
             steps += 1
-            if terminated or truncated or (horizon is not None and steps >= horizon):
+            if terminated or truncated or steps >= horizon:
                 break
     return agent
 
 
 def evaluate(agent, env: Environment, episodes: int, horizon: int, seed: int):
     """Greedy rollouts; returns (mean return, std, per-episode list)."""
-    if episodes < 1:
-        raise ValidationError("episodes must be >= 1")
+    if episodes < 1 or horizon < 1:
+        raise ValidationError(f"episodes and horizon must be >= 1, got {episodes} and {horizon}")
     if isinstance(agent, RandomAgent):
         agent.seed(seed)
     rng = np.random.default_rng(seed)

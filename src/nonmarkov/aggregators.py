@@ -343,10 +343,13 @@ def compose_kernels(w1: Filter, w2: Filter, truncate: int = 64) -> Filter:
 # named specs and the string grammar
 # ---------------------------------------------------------------------------
 
-def _difference_power(n: int) -> np.ndarray:
+def _difference_power(n: int, label: str) -> np.ndarray:
     c = np.ones(1)
-    while len(c) <= n and np.isfinite(c).all():  # past n = 1,029 float64 overflows
+    while len(c) <= n:
         c = np.convolve(c, (1.0, -1.0))
+        if not np.isfinite(c).all():  # stop at the first overflow, not after n steps
+            raise ValidationError(f"{label}: (1 - z)^{n} overflows float64 past n = 1,029; "
+                                  "filter coefficients must be finite")
     return c
 
 
@@ -357,13 +360,13 @@ def identity_spec() -> Filter:
 def group_power_spec(n: int) -> Filter:
     if n < 0:
         raise ValidationError("group power must be >= 0")
-    return Filter((1.0,), _difference_power(n), label=f"S^{n}")
+    return Filter((1.0,), _difference_power(n, f"S^{n}"), label=f"S^{n}")
 
 
 def difference_power_spec(n: int) -> Filter:
     if n < 0:
         raise ValidationError("difference power must be >= 0")
-    return Filter(_difference_power(n), label=f"D^{n}")
+    return Filter(_difference_power(n, f"D^{n}"), label=f"D^{n}")
 
 
 def _check_lambda(lam: float) -> None:
@@ -399,27 +402,41 @@ def corr_spec(weights) -> Filter:
                   label="corr:" + ",".join(f"{w:g}" for w in ws))
 
 
+# prefix -> (number kind, constructor); the tuple kind reads comma-separated floats
+_ATOMS = {"S^": (int, group_power_spec), "D^": (int, difference_power_spec),
+          "S_l:": (float, smooth_spec), "D_l:": (float, damp_spec),
+          "conv:": (tuple, conv_spec), "corr:": (tuple, corr_spec)}
+
+
+def _split_atom(text: str):
+    """(table prefix, number text) of a stripped atom; the prefix is None off the
+    table.  A bare S or D is S^1 or D^1."""
+    text = {"S": "S^1", "D": "D^1"}.get(text, text)
+    prefix = next((p for p in _ATOMS if text.startswith(p)), None)
+    return prefix, text[len(prefix or ""):]
+
+
 def _parse_atom_spec(text: str) -> Filter:
     text = text.strip()
-    if text in ("id", "S^0", "D^0"):
-        return identity_spec()
-    if text.startswith("S^"):
-        return group_power_spec(parse_number(text[2:], int, text))
-    if text.startswith("D^"):
-        return difference_power_spec(parse_number(text[2:], int, text))
-    if text.startswith("S_l:"):
-        return smooth_spec(parse_number(text[4:], float, text))
-    if text.startswith("D_l:"):
-        return damp_spec(parse_number(text[4:], float, text))
-    if text.startswith("conv:"):
-        return conv_spec(parse_number(c, float, text) for c in text[5:].split(","))
-    if text.startswith("corr:"):
-        return corr_spec(parse_number(c, float, text) for c in text[5:].split(","))
-    if text == "S":
-        return group_power_spec(1)
-    if text == "D":
-        return difference_power_spec(1)
-    raise ValidationError(f"cannot parse functor spec {text!r}")
+    prefix, arg = _split_atom(text)
+    if prefix is None:
+        if text == "id":
+            return identity_spec()
+        raise ValidationError(f"cannot parse functor spec {text!r}")
+    kind, make = _ATOMS[prefix]
+    if kind is tuple:
+        return make(parse_number(c, float, text) for c in arg.split(","))
+    return make(parse_number(arg, kind, text))
+
+
+def spec_family(text: str):
+    """(sweep family, parameter) of a spec: S, D, S_l or D_l and the number of one
+    such atom; any other spec, chains included, is its own family with parameter 0."""
+    text = text.strip()
+    prefix, arg = _split_atom(text)
+    if prefix is None or "+" in text or _ATOMS[prefix][0] is tuple:
+        return text, 0.0
+    return prefix.rstrip("^:"), parse_number(arg, float, text)
 
 
 def parse_spec(text: str) -> Filter:
@@ -440,15 +457,15 @@ def parse_spec(text: str) -> Filter:
 # ---------------------------------------------------------------------------
 
 def parse_har_spec(text: str) -> Filter:
-    """Reward aggregator grammar: "sum", "conv:c0,c1,...", "id" (or "none")."""
+    """Reward aggregator grammar, atoms only: "sum" (S^1), "conv:c0,c1,...", "id"
+    and "none" (id)."""
     text = text.strip()
-    if text in ("id", "none"):
-        return identity_spec()
+    if text not in ("sum", "id", "none") and not text.startswith("conv:"):
+        raise ValidationError(f"cannot parse reward aggregator spec {text!r}")
+    spec = _parse_atom_spec({"sum": "S^1", "none": "id"}.get(text, text))
     if text == "sum":
-        return Filter((1.0,), (1.0, -1.0), label="sum")
-    if text.startswith("conv:"):
-        return conv_spec(parse_number(c, float, text) for c in text[5:].split(","))
-    raise ValidationError(f"cannot parse reward aggregator spec {text!r}")
+        spec.label = text
+    return spec
 
 
 def har_aggregate(spec: Filter, rewards) -> list:

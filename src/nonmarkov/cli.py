@@ -97,35 +97,28 @@ def reversibility_report(seed: int = 0, trajectories: int = 1000,
 # subcommand handlers (each returns an exit code)
 # ---------------------------------------------------------------------------
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args, summary: str) -> int:
+    """Write the report to --out, print it (--json) or else `summary`, and return
+    the exit code: 1 when `report["pass"]` is false, else 0."""
     text = json.dumps(report, indent=2, default=float)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
-    if getattr(args, "json", False):
-        print(text)
+    print(text if args.json else summary)
+    return 0 if report.get("pass", True) else 1
 
 
 def _cmd_verify_reversibility(args) -> int:
-    report = reversibility_report(seed=args.seed, trajectories=args.trajectories)
-    _emit(report, args)
-    if not args.json:
-        print(f"reversibility: {report['cases']} cases over {report['families']} "
-              f"families, max error {report['max_error']:.3e} "
-              f"-> {'PASS' if report['pass'] else 'FAIL'}")
-    return 0 if report["pass"] else 1
+    r = reversibility_report(seed=args.seed, trajectories=args.trajectories)
+    return _emit(r, args, f"reversibility: {r['cases']} cases over {r['families']} families, "
+                          f"max error {r['max_error']:.3e} -> {'PASS' if r['pass'] else 'FAIL'}")
 
 
 def _cmd_verify_category(args) -> int:
-    m = make_mdp_from_id(args.env)
-    report = verify_equivalence_roundtrip(m, horizon=args.horizon)
-    _emit(report, args)
-    if not args.json:
-        print(f"category round-trip on {args.env}, horizon {args.horizon}: "
-              f"{report['histories']} histories, "
-              f"{len(report['violations'])} violations "
-              f"-> {'PASS' if report['pass'] else 'FAIL'}")
-    return 0 if report["pass"] else 1
+    r = verify_equivalence_roundtrip(make_mdp_from_id(args.env), horizon=args.horizon)
+    return _emit(r, args, f"category round-trip on {args.env}, horizon {args.horizon}: "
+                          f"{r['histories']} histories, {len(r['violations'])} violations "
+                          f"-> {'PASS' if r['pass'] else 'FAIL'}")
 
 
 def _load_morphism_map(path: str):
@@ -148,14 +141,9 @@ def _load_morphism_map(path: str):
 
 
 def _cmd_verify_morphism(args) -> int:
-    m = load_mdp(args.m)
-    m2 = load_mdp(args.m2)
-    report = verify_morphism(m, m2, *_load_morphism_map(args.map))
-    _emit(report, args)
-    if not args.json:
-        print(f"morphism check: {len(report['violations'])} violations "
-              f"-> {'PASS' if report['pass'] else 'FAIL'}")
-    return 0 if report["pass"] else 1
+    r = verify_morphism(load_mdp(args.m), load_mdp(args.m2), *_load_morphism_map(args.map))
+    return _emit(r, args, f"morphism check: {len(r['violations'])} violations "
+                          f"-> {'PASS' if r['pass'] else 'FAIL'}")
 
 
 def _cmd_analyze_deps(args) -> int:
@@ -184,11 +172,8 @@ def _cmd_analyze_deps(args) -> int:
             for i, e in enumerate(empirical) if e.indices != analytical.indices
         ],
     }
-    _emit(report, args)
-    if not args.json:
-        print(f"dependency at t={args.t} for {args.wrapper} on {args.env}: "
-              f"indices {list(analytical.indices)}, match={match}")
-    return 0 if match else 1
+    return _emit(report, args, f"dependency at t={args.t} for {args.wrapper} on {args.env}: "
+                               f"indices {list(analytical.indices)}, match={match}")
 
 
 def _cmd_run(args) -> int:
@@ -197,11 +182,8 @@ def _cmd_run(args) -> int:
     report = {"env": args.env, "wrapper": args.wrapper, "agent": args.agent,
               "seed": args.seed, "episodes": args.episodes,
               "mean_return": mean, "std_return": std}
-    _emit(report, args)
-    if not args.json:
-        print(f"{args.env} | {args.wrapper} | {args.agent} | seed {args.seed}: "
-              f"mean return {mean:.4f} (std {std:.4f})")
-    return 0
+    return _emit(report, args, f"{args.env} | {args.wrapper} | {args.agent} | seed {args.seed}: "
+                               f"mean return {mean:.4f} (std {std:.4f})")
 
 
 def _cmd_sweep(args) -> int:

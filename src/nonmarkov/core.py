@@ -276,9 +276,10 @@ class NMDPOracle:
 
     Subclasses implement `initial()` returning a finite distribution over first
     observations as (obs, prob) pairs, and either `begin()` or both History-form
-    methods (each form replays the other): `transition(h, a)` returning a finite
-    distribution over (next observation, reward) as ((obs, reward), prob) pairs,
-    and `substitution_candidates`.  Observations are 1-d float arrays.  Both
+    methods (each form replays the other; `begin()` raises NotImplementedError when
+    neither is implemented): `transition(h, a)` returning a finite distribution over
+    (next observation, reward) as ((obs, reward), prob) pairs, and
+    `substitution_candidates`.  Observations are 1-d float arrays.  Both
     distributions must be deterministic functions of their arguments and sum
     to 1 within 1e-12; a key may repeat, and consumers sum the probabilities
     of equal keys.
@@ -300,6 +301,9 @@ class NMDPOracle:
     def begin(self) -> "ReplayStream":
         """A stream at the empty history: `pull` appends a step, `fork` copies, and
         `transition(a)` and `candidates(h, pool)` answer for the prefix pulled."""
+        if type(self).transition is NMDPOracle.transition:
+            raise NotImplementedError(f"{type(self).__name__} implements neither begin() "
+                                      "nor transition(h, a)")
         return ReplayStream(self)
 
     def _replay(self, h: History, n: int):

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .agents import evaluate, parse_agent_spec, train
-from .aggregators import parse_spec
+from .aggregators import parse_spec, spec_family as wrapper_family
 from .core import ValidationError, is_int, load_json
 from .envs import make_env
 from .wrappers import wrap
@@ -66,25 +66,6 @@ class SweepConfig:
             return cls(**data)
         except TypeError as exc:  # unknown or missing keys
             raise ValidationError(f"{path}: {exc}") from exc
-
-
-def wrapper_family(spec_str: str):
-    """Split a wrapper spec into (family, numeric parameter); chains are
-    their own family with parameter 0."""
-    s = spec_str.strip()
-    if s == "id" or "+" in s:
-        return s, 0.0
-    if s in ("S", "D"):
-        return s, 1.0
-    if s.startswith("S^"):
-        return "S", float(s[2:])
-    if s.startswith("D^"):
-        return "D", float(s[2:])
-    if s.startswith("S_l:"):
-        return "S_l", float(s[4:])
-    if s.startswith("D_l:"):
-        return "D_l", float(s[4:])
-    return s, 0.0
 
 
 def _fmt(x: float) -> str:

@@ -130,9 +130,24 @@ class TestTraining:
     def test_episode_count_validated(self):
         env = make_env("chain:5", max_steps=8)
         with pytest.raises(ValidationError):
-            train(WindowedQAgent(2), env, episodes=0, seed=0)
+            train(WindowedQAgent(2), env, episodes=0, seed=0, horizon=8)
         with pytest.raises(ValidationError):
             evaluate(WindowedQAgent(2), env, episodes=0, horizon=8, seed=0)
+
+    def test_train_needs_a_horizon(self):
+        # with no horizon, train on a chain made without max_steps looped forever;
+        # max_steps here keeps a regression a failure rather than a hang
+        with pytest.raises(TypeError, match="horizon"):
+            train(WindowedQAgent(2), make_env("chain:5", max_steps=8), episodes=1, seed=0)
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_below_one_rejected(self, horizon):
+        # evaluate used to play one step per episode
+        env = make_env("chain:5", max_steps=8)
+        with pytest.raises(ValidationError, match="horizon must be >= 1"):
+            train(WindowedQAgent(2), env, episodes=1, seed=0, horizon=horizon)
+        with pytest.raises(ValidationError, match="horizon must be >= 1"):
+            evaluate(WindowedQAgent(2), env, episodes=1, horizon=horizon, seed=0)
 
 
 class TestParseAgentSpec:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,6 +373,14 @@ class TestBatchKernelMemo:
             assert g == har_aggregate(parse_har_spec(text), r)
             assert har_decode(warm, g) == har_decode(parse_har_spec(text), g)
 
+    @pytest.mark.parametrize("method", ["aggregate", "decode"])
+    @pytest.mark.parametrize("rows, message", [([1.0, 2.0], "nonempty \\(T, k\\) array"),
+                                               ([[1.0], [np.nan]], "must be finite"),
+                                               ([[1.0], [np.inf]], "must be finite")])
+    def test_malformed_batch_rejected(self, method, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            getattr(parse_spec("S^1"), method)(rows)
+
     def test_stored_kernel_is_read_only(self):
         spec = parse_spec("S_l:0.5+D^1")  # both b and a have two coefficients
         spec.decode(spec.aggregate(np.ones((6, 1))))
@@ -581,7 +591,7 @@ class TestParseSpec:
     def test_accepts_grammar(self, text):
         parse_spec(text)
 
-    @pytest.mark.parametrize("text", ["", "Q^1", "S_l:2.0", "conv:0,1", "S^-1",
+    @pytest.mark.parametrize("text", ["", "Q^1", "S_l:2.0", "conv:0,1", "S^-1", "sum", "none",
                                       # a root of b(z) inside the unit disk: unstable decoder
                                       "conv:0.5,0.9", "conv:1,-1.5", "conv:1,0,-1.1"])
     def test_rejects_invalid(self, text):
@@ -595,6 +605,12 @@ class TestParseSpec:
     def test_power_past_float64_rejected_at_once(self, text):
         # (1 - z)^n overflows past n = 1,029; the n convolutions used to run to the end
         with pytest.raises(ValidationError, match="coefficients must be finite"):
+            parse_spec(text)
+
+    @pytest.mark.parametrize("text", ["S^1030", "D^1030"])
+    def test_power_overflow_names_the_spec(self, text):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{text}: (1 - z)^1030 overflows float64 past n = 1,029")):
             parse_spec(text)
 
     def test_largest_finite_power_unchanged(self):
@@ -621,5 +637,7 @@ class TestHar:
         assert [float(g[0]) for g in stream_push(spec, [[1.0], [2.0], [3.0]])] == [1.0, 3.0, 6.0]
 
     def test_parse_rejects_unknown(self):
-        with pytest.raises(ValidationError):
-            parse_har_spec("exp:0.5")
+        # the reward grammar is atoms only: no chain, and no state-grammar atom
+        for text in ("exp:0.5", "conv:1,-0.5+S", "S", "S^1"):
+            with pytest.raises(ValidationError, match="cannot parse"):
+                parse_har_spec(text)

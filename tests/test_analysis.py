@@ -76,7 +76,9 @@ class TestAnalyticalDependency:
         d = DependencyStructure(t=3, indices=(2, 3), weights={2: -0.5, 3: 1.0})
         j = d.to_json()
         assert j["t"] == 3 and j["indices"] == [2, 3]
-        assert j["weights"] == {"2": -0.5, "3": 1.0}
+        assert j["weights"] == {"2": -0.5, "3": 1.0} and "undecodable" not in j
+        assert DependencyStructure(t=1, indices=(), undecodable=4).to_json() == {
+            "t": 1, "indices": [], "undecodable": 4}
 
 
 class TestEmpiricalDependency:
@@ -179,6 +181,22 @@ class HistoryOnlyOracle(NMDPOracle):
 
     def substitution_candidates(self, h, index, state_pool):
         return self.inner.substitution_candidates(h, index, state_pool)
+
+
+class InitialOnlyOracle(NMDPOracle):
+    num_actions = 1
+
+    def initial(self):
+        return [(np.zeros(1), 1.0)]
+
+
+def test_oracle_with_neither_form_raises():
+    # each base-class form replayed the other, so these recursed until RecursionError
+    oracle = InitialOnlyOracle()
+    for call in (lambda: oracle.transition(initial_history([0.0]), 0),
+                 lambda: build_markov_abstraction(oracle, 2)):
+        with pytest.raises(NotImplementedError, match="InitialOnlyOracle implements neither"):
+            call()
 
 
 class TestStreamMatchesWholeHistory:

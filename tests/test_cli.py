@@ -121,14 +121,21 @@ class TestRunSweepPlot:
     def test_sweep_then_plot(self, tmp_path, capsys):
         csv_path = tmp_path / "r.csv"
         svg_path = tmp_path / "r.svg"
-        assert main(["sweep", "--env", "chain:5", "--wrapper", "S^0",
+        missing = f"mdp-file:{tmp_path / 'missing.json'}"
+        assert main(["sweep", "--env", "chain:5", "--env", missing, "--wrapper", "S^0",
                      "--wrapper", "S^1", "--agent", "qwin:1",
                      "--seeds", "0,1", "--episodes", "50",
                      "--eval-episodes", "10", "--horizon", "6",
                      "--workers", "1", "--out", str(csv_path)]) == 0
-        assert csv_path.exists()
+        lines = csv_path.read_text().splitlines()
+        assert sum("error:" in line for line in lines) == 4  # every cell of the missing file
         assert main(["plot", "--in", str(csv_path), "--out", str(svg_path)]) == 0
         assert svg_path.read_text().startswith("<svg")
+        # the plot skips the error rows: it equals the plot of the ok rows alone
+        ok_path = tmp_path / "ok.csv"
+        ok_path.write_text("\n".join(line for line in lines if "error:" not in line) + "\n")
+        assert main(["plot", "--in", str(ok_path), "--out", str(tmp_path / "ok.svg")]) == 0
+        assert svg_path.read_text() == (tmp_path / "ok.svg").read_text()
 
     def test_sweep_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -253,6 +260,17 @@ class TestBadInputExit2:
         assert time.perf_counter() - start < 1.0
         _assert_one_line_error(capsys)
         assert not (tmp_path / "r.csv").exists()
+
+    def test_power_overflow_names_the_spec(self, capsys):
+        assert main(["run", "--wrapper", "S^1030", "--episodes", "5",
+                     "--eval-episodes", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: S^1030: (1 - z)^1030 overflows float64 past n = 1,029; "
+            "filter coefficients must be finite\n")
+
+    def test_reward_only_atom_is_not_a_wrapper(self, capsys):
+        assert main(["run", "--wrapper", "sum", "--episodes", "5", "--eval-episodes", "5"]) == 2
+        assert capsys.readouterr().err == "error: cannot parse functor spec 'sum'\n"
 
     @pytest.mark.parametrize("wrapper", ["conv:0.5,0.9", "conv:1,-1.5"])
     def test_unstable_decoder(self, wrapper, capsys):

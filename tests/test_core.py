@@ -151,6 +151,19 @@ class TestFiniteMDP:
             FiniteMDP(num_states=2, num_actions=2, rho0=np.array([0.5, 0.4]),
                       outcomes=m.outcomes, embedding=m.embedding)
 
+    @pytest.mark.parametrize("change, match", [
+        ({"num_states": 0}, "num_states and num_actions must be >= 1"),
+        ({"rho0": np.array([1.0, 0.0, 0.0])}, re.escape("rho0 must have shape (2,)")),
+        ({"outcomes": simple_mdp(3).outcomes}, "one row per state"),
+        ({"embedding": ([0.0, 1.0], [np.nan, 0.0])}, "embedding entries must be finite"),
+    ], ids=["no-states", "rho0-shape", "row-count", "nan-embedding"])
+    def test_malformed_fields_rejected(self, change, match):
+        m = simple_mdp()
+        fields = dict(num_states=2, num_actions=2, rho0=m.rho0, outcomes=m.outcomes,
+                      embedding=m.embedding)
+        with pytest.raises(ValidationError, match=match):
+            FiniteMDP(**{**fields, **change})
+
     def test_embedding_injective(self):
         m = simple_mdp()
         with pytest.raises(ValidationError):

@@ -54,7 +54,9 @@ class TestWrapperFamily:
     @pytest.mark.parametrize("spec,family,param", [
         ("S^2", "S", 2.0), ("D^0", "D", 0.0), ("S_l:0.4", "S_l", 0.4),
         ("D_l:1", "D_l", 1.0), ("id", "id", 0.0), ("S", "S", 1.0), ("D", "D", 1.0),
-        ("S^1+D^1", "S^1+D^1", 0.0),
+        ("S^1+D^1", "S^1+D^1", 0.0), ("S^0", "S", 0.0), (" S_l:.5 ", "S_l", 0.5),
+        ("conv:1,-0.5", "conv:1,-0.5", 0.0), ("corr:1,2", "corr:1,2", 0.0),
+        ("+S^2", "+S^2", 0.0), ("D_l:0.5+corr:1,2", "D_l:0.5+corr:1,2", 0.0),
     ])
     def test_split(self, spec, family, param):
         assert wrapper_family(spec) == (family, param)

@@ -182,6 +182,9 @@ class TestOracleVsWrapStringForms:
         env = make_env("chain:5")
         assert wrap(env) is env
         assert wrap(env, "S^0") is env
+        assert wrap(env, "S^0", "none") is env
+        wrapped = wrap(env, "S^1", "none")
+        assert wrapped.har_spec is None and wrapped.spec.label == "S^1"
 
     def test_chain_is_one_layer(self):
         env = make_env("chain:5")
