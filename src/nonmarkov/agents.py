@@ -89,12 +89,20 @@ class WindowedQAgent:
         return EPS_START + episode / cutoff * (EPS_FINAL - EPS_START)
 
 
+def _check_run(agent, episodes: int, horizon: int):
+    """A window past an episode's horizon + 1 observations only pads keys and fills memory."""
+    if episodes < 1 or horizon < 1:
+        raise ValidationError(f"episodes and horizon must be >= 1, got {episodes} and {horizon}")
+    if getattr(agent, "window", 1) > horizon + 1:
+        raise ValidationError(f"window {agent.window} is longer than an episode of horizon "
+                              f"{horizon} ({horizon + 1} observations)")
+
+
 def train(agent, env: Environment, episodes: int, seed: int, horizon: int):
     """Q-learning over `episodes` seeded episodes of at most `horizon` steps;
     deterministic given seed.  Random agents pass through unchanged.
     """
-    if episodes < 1 or horizon < 1:
-        raise ValidationError(f"episodes and horizon must be >= 1, got {episodes} and {horizon}")
+    _check_run(agent, episodes, horizon)
     if isinstance(agent, RandomAgent):
         return agent
     rng = np.random.default_rng(seed)
@@ -126,8 +134,7 @@ def train(agent, env: Environment, episodes: int, seed: int, horizon: int):
 
 def evaluate(agent, env: Environment, episodes: int, horizon: int, seed: int):
     """Greedy rollouts; returns (mean return, std, per-episode list)."""
-    if episodes < 1 or horizon < 1:
-        raise ValidationError(f"episodes and horizon must be >= 1, got {episodes} and {horizon}")
+    _check_run(agent, episodes, horizon)
     if isinstance(agent, RandomAgent):
         agent.seed(seed)
     rng = np.random.default_rng(seed)

@@ -75,32 +75,31 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
     that makes the history undecodable also counts as a change (the
     original history was decodable, so the transition law visibly differs);
     such events are tallied in `undecodable`.  Each prefix of h is pulled once; a
-    perturbation forks prefix i and pulls the candidate and the suffix.  The
-    pool is validated here, once, so the streams take its entries as states.
+    perturbation pulls the candidate and the suffix onto prefix i, which stays as it
+    was.  The pool is validated here, once, so the oracle takes its entries as states.
     """
     state_pool = [as_state(p) for p in state_pool]
     for p in state_pool:
         if p.shape != h.states[0].shape:
             raise ValidationError(f"state pool entry of shape {p.shape} does not match "
                                   f"the history's states of shape {h.states[0].shape}")
-    actions = range(oracle.num_actions)
+    actions, pull, transition_at = range(oracle.num_actions), oracle.pull, oracle.transition_at
     steps = list(zip(h.states, (None, *h.actions), (None, *h.rewards)))
-    prefixes = [oracle.begin()]  # prefixes[i]: the stream after positions 0..i-1
+    prefixes = [oracle.begin()]  # prefixes[i]: the prefix of positions 0..i-1
     for step in steps:
-        prefixes.append(prefixes[-1].fork())
-        prefixes[-1].pull(*step)
-    base = {a: _flat_dist(prefixes[-1].transition(a)) for a in actions}
+        prefixes.append(pull(prefixes[-1], *step))
+    base = {a: _flat_dist(transition_at(prefixes[-1], a)) for a in actions}
     indices, undecodable = [], 0
     for i in range(h.t + 1):
-        cands = prefixes[i].candidates(h, state_pool)
+        cands = oracle.candidates_at(prefixes[i], h, state_pool)
         gap = np.abs(np.array(cands).reshape(-1, h.states[i].size) - h.states[i]).max(axis=1)
         for cand in compress(cands, gap > tol):  # substitutions only
-            stream = prefixes[i].fork()
-            for step in ((cand, *steps[i][1:]), *steps[i + 1:]):
-                stream.pull(*step)
+            p = pull(prefixes[i], cand, *steps[i][1:])
+            for step in steps[i + 1:]:
+                p = pull(p, *step)
             try:
                 changed = any(not canonical_equal(
-                    base[a], _flat_dist(stream.transition(a)), tol) for a in actions)
+                    base[a], _flat_dist(transition_at(p, a)), tol) for a in actions)
             except UndecodableHistoryError:
                 undecodable += 1
                 changed = True
@@ -156,15 +155,15 @@ class _HistoryWalk:
     each history's children when `rows()` expands it.  A history is its parent
     plus one step, so it is interned by (parent index, last action, last reward,
     last observation), rounded to 12 decimals; initial histories have no parent.
-    A history below the horizon keeps a stream, a fork of its parent's (or of
-    one `oracle.begin()`), until it is expanded.
+    A history below the horizon keeps its oracle prefix, its parent's (or
+    `oracle.begin()`) pulled one step, until it is expanded.
     """
 
     def __init__(self, oracle: NMDPOracle, horizon: int, cap: int):
         if horizon < 0:
             raise ValidationError("horizon must be >= 0")
         self.oracle, self.horizon, self.cap = oracle, horizon, cap
-        self.histories, self._index, self._streams, self._rounded = [], {}, {}, {}
+        self.histories, self._index, self._prefixes, self._rounded = [], {}, {}, {}
         self._root = oracle.begin()
         self.rho0 = [(self._intern(obs), float(p)) for obs, p in oracle.initial()]
 
@@ -178,7 +177,7 @@ class _HistoryWalk:
         key = (parent, action, round(float(reward), 12), rounded)
         i = self._index.get(key)
         if i is None:
-            histories, streams = self.histories, self._streams
+            histories, prefixes = self.histories, self._prefixes
             t = 0 if parent is None else histories[parent].t + 1
             if len(histories) >= self.cap:
                 raise StateExplosionError(
@@ -188,8 +187,8 @@ class _HistoryWalk:
             histories.append(initial_history(obs) if parent is None
                              else histories[parent].extend(action, reward, obs))
             if t < self.horizon:
-                streams[i] = (self._root if parent is None else streams[parent]).fork()
-                streams[i].pull(histories[i].states[-1], action, reward)
+                prefixes[i] = self.oracle.pull(self._root if parent is None else prefixes[parent],
+                                               histories[i].states[-1], action, reward)
         return i
 
     def rows(self):
@@ -199,11 +198,11 @@ class _HistoryWalk:
         for i, h in enumerate(self.histories):  # grows while it is iterated
             if h.t >= self.horizon:
                 return
-            stream = self._streams[i]
+            prefix = self._prefixes[i]  # the children's prefixes are pulled from it
             yield tuple(tuple(Outcome(self._intern(obs, i, a, reward), float(reward), float(p))
-                              for (obs, reward), p in stream.transition(a))
+                              for (obs, reward), p in self.oracle.transition_at(prefix, a))
                         for a in actions)
-            del self._streams[i]
+            del self._prefixes[i]
 
 
 def build_markov_abstraction(oracle: NMDPOracle, horizon: int,

@@ -274,15 +274,16 @@ class UndecodableHistoryError(ValueError):
 class NMDPOracle:
     """Exact transition evaluator for a finite non-Markovian decision process.
 
-    Subclasses implement `initial()` returning a finite distribution over first
-    observations as (obs, prob) pairs, and either `begin()` or both History-form
-    methods (each form replays the other; `begin()` raises NotImplementedError when
-    neither is implemented): `transition(h, a)` returning a finite distribution over
-    (next observation, reward) as ((obs, reward), prob) pairs, and
-    `substitution_candidates`.  Observations are 1-d float arrays.  Both
-    distributions must be deterministic functions of their arguments and sum
-    to 1 within 1e-12; a key may repeat, and consumers sum the probabilities
-    of equal keys.
+    Subclasses implement `initial()`, a finite distribution over first observations
+    as (obs, prob) pairs, and one of two forms, each of which the base class answers
+    with the other.  The History form is `transition(h, a)`, a finite distribution
+    over (next observation, reward) as ((obs, reward), prob) pairs, and
+    `substitution_candidates`.  The prefix form is `begin()`, `pull`, `transition_at`
+    and `candidates_at` on prefixes, immutable values: `pull(p, obs, action, reward)`
+    returns `p` one step longer.  A History-form prefix is the History (None before
+    the first pull).  Observations are 1-d float arrays.  Both distributions must be
+    deterministic functions of their arguments and sum to 1 within 1e-12; a key may
+    repeat, and consumers sum the probabilities of equal keys.
     """
 
     num_actions: int
@@ -291,45 +292,38 @@ class NMDPOracle:
         raise NotImplementedError
 
     def transition(self, h: History, action: int):
-        return self._replay(h, h.t + 1).transition(action)
+        return self.transition_at(self._replay(h, h.t + 1), action)
 
     def substitution_candidates(self, h: History, index: int, state_pool):
         """Candidate observations to substitute at `index` of `h`, one per
         raw state in `state_pool`."""
-        return self._replay(h, index).candidates(h, [as_state(p) for p in state_pool])
+        return self.candidates_at(self._replay(h, index), h, [as_state(p) for p in state_pool])
 
-    def begin(self) -> "ReplayStream":
-        """A stream at the empty history: `pull` appends a step, `fork` copies, and
-        `transition(a)` and `candidates(h, pool)` answer for the prefix pulled."""
+    def begin(self):
+        """The prefix of the empty history."""
         if type(self).transition is NMDPOracle.transition:
             raise NotImplementedError(f"{type(self).__name__} implements neither begin() "
                                       "nor transition(h, a)")
-        return ReplayStream(self)
+        return None
+
+    def pull(self, p, obs, action=None, reward=None):
+        return initial_history(obs) if p is None else p.extend(action, reward, obs)
+
+    def transition_at(self, p, action: int):
+        return self.transition(p, action)
+
+    def candidates_at(self, p, h: History, state_pool):
+        """`substitution_candidates` of `h` at the position after prefix `p`."""
+        if type(self).substitution_candidates is NMDPOracle.substitution_candidates:
+            raise NotImplementedError(f"{type(self).__name__} implements neither "
+                                      "candidates_at() nor substitution_candidates()")
+        return self.substitution_candidates(h, p.t + 1 if p else 0, state_pool)
 
     def _replay(self, h: History, n: int):
-        stream = self.begin()
+        p = self.begin()
         for step in zip(h.states[:n], (None, *h.actions), (None, *h.rewards)):
-            stream.pull(*step)
-        return stream
-
-
-class ReplayStream:
-    """The default oracle stream: the History pulled so far, replayed on every call."""
-
-    def __init__(self, oracle: NMDPOracle, h: History = None):
-        self.oracle, self.h = oracle, h
-
-    def fork(self) -> "ReplayStream":
-        return ReplayStream(self.oracle, self.h)
-
-    def pull(self, obs, action=None, reward=None) -> None:
-        self.h = initial_history(obs) if self.h is None else self.h.extend(action, reward, obs)
-
-    def transition(self, action: int):
-        return self.oracle.transition(self.h, action)
-
-    def candidates(self, h: History, state_pool):
-        return self.oracle.substitution_candidates(h, self.h.t + 1 if self.h else 0, state_pool)
+            p = self.pull(p, *step)
+        return p
 
 
 # -- JSON interchange --------------------------------------------------------

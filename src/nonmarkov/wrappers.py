@@ -82,14 +82,15 @@ def wrap(env: Environment, spec=None, har_spec=None) -> Environment:
 class AggregatedMDPOracle(NMDPOracle):
     """Exact transition law of a tabular process under a reversible aggregator.
 
-    Given a history of aggregated observations, decodes the raw state
-    stream, looks up the tabular row for the latest state, and maps each
-    outcome to the unique next aggregate that decodes back to it.  With the
-    identity filter this is the tabular process viewed as history-conditioned.
-    Outcomes come in table order, unmerged.  One decoder `Transducer`, whose edges store
-    the index of the embedded state they decode to (or None), and one memo of answers keyed
-    by its node streams, both bounded by `NODE_CAP`, serve every `begin()` for the oracle's
-    whole life.
+    Given a history of aggregated observations, decodes the raw state stream, looks up
+    the tabular row for the latest state, and maps each outcome to the unique next
+    aggregate that decodes back to it.  With the identity filter this is the tabular
+    process viewed as history-conditioned.  Outcomes come in table order, unmerged.
+    A prefix is the tuple (node, idx, t): the decoder stream one `Transducer` returned
+    for it, whose edges store the index of the embedded state they decode to (None
+    when none matches), that index, and t.  The transducer and one memo of answers
+    keyed by node, both bounded by `NODE_CAP`, serve every prefix for the oracle's
+    whole life; a node never changes, interned or not.
     """
 
     def __init__(self, mdp: FiniteMDP, spec: Filter):
@@ -103,51 +104,35 @@ class AggregatedMDPOracle(NMDPOracle):
         return [(self.spec.begin().push(e), float(p))
                 for e, p in zip(self.mdp.embedding, self.mdp.rho0) if p > 0]
 
-    def begin(self) -> "DecoderStream":
-        return DecoderStream(self, self.decoders.root)
+    def begin(self) -> tuple:
+        return self.decoders.root, None, -1
 
-    def store(self, key: tuple, answer: list) -> list:
-        """`answer`, kept in the memo under `key`, (node, ...), while the memo holds fewer
-        than NODE_CAP entries; a node never changes, interned by the decoder or not."""
+    def pull(self, p: tuple, obs, action=None, reward=None) -> tuple:
+        return (*self.decoders.step(p[0], obs), p[2] + 1)
+
+    def transition_at(self, p: tuple, action: int):
+        node, idx, t = p
+        if idx is None:
+            raise UndecodableHistoryError(f"decoded state at t={t} matches no embedded state")
+        key = (node, idx, action)
+        dist = self.memo.get(key)
+        if dist is None:
+            dist = self._store(key, [((node.project(self.mdp.embedding[o.next_state]), o.reward),
+                                      o.prob) for o in self.mdp.row(idx, action)])
+        return list(dist)
+
+    def candidates_at(self, p: tuple, h: History, state_pool):
+        """The aggregate the prefix's node would emit next for each raw pool state."""
+        key = (p[0], tuple(s.tobytes() for s in state_pool))
+        cands = self.memo.get(key)
+        if cands is None:
+            cands = self._store(key, [p[0].project(s) for s in state_pool])
+        return list(cands)
+
+    def _store(self, key: tuple, answer: list) -> list:
         if len(self.memo) < aggregators.NODE_CAP:
             self.memo[key] = answer
         return answer
-
-
-class DecoderStream:
-    """An `AggregatedMDPOracle` after a prefix: `node`, the decoder stream the oracle's
-    transducer returned for it, t, and `idx`, the index its last decoder edge matched (None
-    when the decoded state matches no embedded state).  A node never changes, so `fork` is
-    a plain copy; `pull` moves this stream to the next node.  Answers go through the memo."""
-
-    def __init__(self, oracle: AggregatedMDPOracle, node, t=-1, idx=None):
-        self.oracle, self.node, self.t, self.idx = oracle, node, t, idx
-
-    def fork(self) -> "DecoderStream":
-        return DecoderStream(self.oracle, self.node, self.t, self.idx)
-
-    def pull(self, obs, action=None, reward=None) -> None:
-        self.node, self.idx = self.oracle.decoders.step(self.node, obs)
-        self.t += 1
-
-    def transition(self, action: int):
-        if self.idx is None:
-            raise UndecodableHistoryError(f"decoded state at t={self.t} matches no embedded state")
-        oracle, mdp = self.oracle, self.oracle.mdp
-        key = (self.node, self.idx, action)
-        dist = oracle.memo.get(key)
-        if dist is None:
-            dist = oracle.store(key, [((self.node.project(mdp.embedding[o.next_state]), o.reward),
-                                       o.prob) for o in mdp.row(self.idx, action)])
-        return list(dist)
-
-    def candidates(self, h: History, state_pool):
-        """The aggregate this stream would emit next for each raw pool state."""
-        key = (self.node, tuple(p.tobytes() for p in state_pool))
-        cands = self.oracle.memo.get(key)
-        if cands is None:
-            cands = self.oracle.store(key, [self.node.project(p) for p in state_pool])
-        return list(cands)
 
 
 def as_nmdp_oracle(m: FiniteMDP, spec) -> AggregatedMDPOracle:

@@ -140,6 +140,17 @@ class TestTraining:
         with pytest.raises(TypeError, match="horizon"):
             train(WindowedQAgent(2), make_env("chain:5", max_steps=8), episodes=1, seed=0)
 
+    def test_window_longer_than_an_episode_rejected(self):
+        # a window past horizon + 1 observations only pads its keys, and qwin:100000000
+        # would build a tuple of 10^8 pads per step
+        env = make_env("chain:5", max_steps=8)
+        with pytest.raises(ValidationError, match="window 10 is longer than an episode"):
+            train(WindowedQAgent(2, window=10), env, episodes=1, seed=0, horizon=8)
+        with pytest.raises(ValidationError, match="window 10 is longer than an episode"):
+            evaluate(WindowedQAgent(2, window=10), env, episodes=1, horizon=8, seed=0)
+        agent = train(WindowedQAgent(2, window=9), env, episodes=2, seed=0, horizon=8)
+        assert len(evaluate(agent, env, episodes=2, horizon=8, seed=0)[2]) == 2
+
     @pytest.mark.parametrize("horizon", [0, -5])
     def test_horizon_below_one_rejected(self, horizon):
         # evaluate used to play one step per episode

@@ -19,7 +19,7 @@ from nonmarkov.analysis import (
     verify_morphism,
 )
 from nonmarkov.core import (
-    PROB_TOL, FiniteMDP, History, NMDPOracle, Outcome, ReplayStream, UndecodableHistoryError,
+    PROB_TOL, FiniteMDP, History, NMDPOracle, Outcome, UndecodableHistoryError,
     ValidationError, distributions_equal, initial_history, is_degenerate)
 from nonmarkov.envs import make_chain, make_random_mdp, optimal_return
 from nonmarkov.wrappers import as_nmdp_oracle
@@ -27,6 +27,7 @@ from nonmarkov.wrappers import as_nmdp_oracle
 
 CHAIN5 = make_chain(5)
 POOL = list(CHAIN5.embedding)
+SLIPPY_CHAIN5 = make_chain(5, p_slip=0.3)
 
 
 def histories_at(oracle, t):
@@ -167,7 +168,7 @@ def result_or_error(fn, *args):
 
 class HistoryOnlyOracle(NMDPOracle):
     """A proxy that forwards only `initial` and the History-form methods, as a
-    tracing wrapper would, so its streams are the base-class replay default."""
+    tracing wrapper would, so its prefixes are the base-class History default."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -199,6 +200,68 @@ def test_oracle_with_neither_form_raises():
             call()
 
 
+class TransitionOnlyOracle(InitialOnlyOracle):
+    def transition(self, h, action):
+        return [((np.zeros(1), 0.0), 1.0)]
+
+
+def test_history_form_without_candidates_raises():
+    # the base substitution_candidates and the base candidates_at each default to
+    # the other, so a History-form oracle without candidates must raise, not recurse
+    oracle, h = TransitionOnlyOracle(), initial_history([0.0])
+    assert build_markov_abstraction(oracle, 2).mdp.num_states == 3
+    for call in (lambda: oracle.substitution_candidates(h, 0, [np.zeros(1)]),
+                 lambda: empirical_dependency(oracle, h, [np.ones(1)])):
+        with pytest.raises(NotImplementedError,
+                           match="TransitionOnlyOracle implements neither candidates_at"):
+            call()
+
+
+def head(h, n):
+    """The first n states of `h` as a History."""
+    return History(h.states[:n], h.actions[:n - 1], h.rewards[:n - 1])
+
+
+def answers_at(oracle, p, k, h=None):
+    """Transition rows and candidates, as bytes, at prefix `p` of `k`, or at the
+    whole of `k` through the History form when `p` is None; the candidates
+    substitute into `h` (default `k`) at the position after `k`."""
+    h = k if h is None else h
+    if p is None:
+        rows = [oracle.transition(k, a) for a in range(2)]
+        cands = oracle.substitution_candidates(h, k.t + 1, POOL)
+    else:
+        rows = [oracle.transition_at(p, a) for a in range(2)]
+        cands = oracle.candidates_at(p, h, POOL)
+    return ([[(o.tobytes(), r, q) for (o, r), q in row] for row in rows],
+            [c.tobytes() for c in cands])
+
+
+class TestPrefixValues:
+    """A prefix is a value: pulling from it leaves it as it was."""
+
+    @pytest.mark.parametrize("make", [lambda o: o, HistoryOnlyOracle], ids=["prefix", "history"])
+    def test_two_suffixes_from_one_prefix(self, make):
+        def fresh():
+            return make(as_nmdp_oracle(SLIPPY_CHAIN5, "S^2"))
+
+        oracle, hs = fresh(), histories_at(fresh(), 3)
+        h = hs[0]
+        g = next(k for k in hs if whole_history_key(head(k, 2)) == whole_history_key(head(h, 2))
+                 and whole_history_key(k) != whole_history_key(h))
+        p = oracle.pull(oracle.pull(oracle.begin(), h.states[0]), h.states[1], h.actions[0],
+                        h.rewards[0])
+        before, got = answers_at(oracle, p, h), []
+        for k in (h, g):  # two different suffixes pulled from the one prefix
+            q = p
+            for step in zip(k.states[2:], k.actions[1:], k.rewards[1:]):
+                q = oracle.pull(q, *step)
+            got.append(answers_at(oracle, q, k))
+            assert got[-1] == answers_at(fresh(), None, k)
+        assert got[0] != got[1]
+        assert answers_at(oracle, p, h) == before == answers_at(fresh(), None, head(h, 2), h)
+
+
 class TestStreamMatchesWholeHistory:
     @pytest.mark.parametrize("spec", [
         "S^2", "conv:1,-0.5", "S_l:0.5", "D^1", "corr:1,2,3,4,5,6", "S^1+D_l:0.8"])
@@ -215,7 +278,8 @@ class TestStreamMatchesWholeHistory:
     def test_history_only_proxy(self, spec):
         oracle = as_nmdp_oracle(CHAIN5, spec)
         proxy = HistoryOnlyOracle(oracle)
-        assert isinstance(proxy.begin(), ReplayStream)
+        assert proxy.begin() is None
+        assert isinstance(proxy.pull(None, oracle.initial()[0][0]), History)
         for h in reachable_histories(oracle, max_t=3):
             assert empirical_dependency(proxy, h, POOL) == empirical_dependency(oracle, h, POOL)
         hm, hp = build_markov_abstraction(oracle, 4), build_markov_abstraction(proxy, 4)

@@ -320,6 +320,12 @@ class TestBadInputExit2:
         assert err == ("error: state explosion: history cap 50 reached at t=2 of horizon 9, "
                        "50 interned\n")
 
+    def test_window_longer_than_an_episode(self, capsys):
+        argv = ["run", "--agent", "qwin:10", "--horizon", "8", "--episodes", "5",
+                "--eval-episodes", "5"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys)
+
     def test_agent_field_past_bins(self, capsys):
         argv = ["run", "--agent", "qwin:1:2:3", "--episodes", "5", "--eval-episodes", "5"]
         assert main(argv) == 2

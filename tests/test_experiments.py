@@ -120,6 +120,13 @@ class TestRunSweep:
         assert len(rows) == 1
         assert "error:" in rows[0]
 
+    def test_window_longer_than_an_episode_recorded(self):
+        text = run_sweep(small_config(wrappers=["S^1"], agents=["qwin:10", "qwin:9"],
+                                      seeds=[0], episodes=5, eval_episodes=5, horizon=8))
+        rows = [r.split(",") for r in text.strip().split("\n")[1:]]
+        assert [(r[3], r[8]) for r in rows] == [("qwin:10", "error:ValidationError"),
+                                                ("qwin:9", "ok")]
+
     def test_degradation_trend_smoke(self):
         cfg = SweepConfig(envs=["chain:5:0.4"],
                           wrappers=["S^0", "S^1", "S^2", "S^3"],

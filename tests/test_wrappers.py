@@ -311,37 +311,33 @@ class TestMergedStates:
         # aggregate e0, is the state after the first step, so the nodes merge
         oracle = as_nmdp_oracle(make_chain(3), "S^1")
         e0 = oracle.mdp.embedding[0]
-        first = oracle.begin().fork()
-        first.pull(e0)
-        second = first.fork()
-        second.pull(e0, 0, 0.0)
-        assert second.node == first.node
-        assert len(first.transition(0)) == 1
+        first = oracle.pull(oracle.begin(), e0)
+        second = oracle.pull(first, e0, 0, 0.0)
+        assert second[0] == first[0] and (first[2], second[2]) == (0, 1)
+        assert len(oracle.transition_at(first, 0)) == 1
         with pytest.raises(UndecodableHistoryError, match="decoded state at t=1 matches"):
-            second.transition(0)
-        third = oracle.begin()
-        third.pull(np.zeros(3))
+            oracle.transition_at(second, 0)
+        third = oracle.pull(oracle.begin(), np.zeros(3))
         with pytest.raises(UndecodableHistoryError, match="decoded state at t=0 matches"):
-            third.transition(1)
+            oracle.transition_at(third, 1)
 
-
-    def test_stream_pulled_without_forking_shares_the_memo(self):
-        # a begin() stream only pulled (as the History-form replay does) and a
-        # fork of another begin() step the oracle's one transducer from its root
+    def test_prefixes_of_two_begins_share_the_memo(self):
+        # a prefix pulled by the History-form replay and one pulled by a caller step
+        # the oracle's one transducer from its root
         oracle = as_nmdp_oracle(make_chain(3), "S^2")
-        alone, forked = oracle.begin(), oracle.begin().fork()
-        assert forked.node is oracle.decoders.root
+        assert oracle.begin()[0] is oracle.decoders.root
         (g, _), = oracle.initial()
+        p, h = oracle.begin(), None
         for a in (0, 0, 1, 0, 0):  # a state and action seen again at a later t
-            for stream in (alone, forked):
-                stream.pull(g, a, 0.0)
-            dists = [stream.transition(a) for stream in (alone, forked)]
-            assert [(o.tobytes(), r, p) for (o, r), p in dists[0]] == \
-                [(o.tobytes(), r, p) for (o, r), p in dists[1]]
+            p = oracle.pull(p, g, a, 0.0)
+            h = initial_history(g) if h is None else h.extend(a, 0.0, g)
+            dists = [oracle.transition_at(p, a), oracle.transition(h, a)]
+            assert [(o.tobytes(), r, q) for (o, r), q in dists[0]] == \
+                [(o.tobytes(), r, q) for (o, r), q in dists[1]]
             (g, _), _ = dists[0][0]
-        assert alone.node is forked.node
-        assert oracle.decoders.nodes[alone.node.state_key()] is alone.node
-        assert alone.oracle.decoders is forked.oracle.decoders and len(oracle.decoders.edges) == 5
+        assert oracle._replay(h, h.t + 1)[0] is p[0]
+        assert oracle.decoders.nodes[p[0].state_key()] is p[0]
+        assert len(oracle.decoders.edges) == 5
 
 
 SLIPPY_CHAIN = make_chain(5, p_slip=0.3)
@@ -358,7 +354,7 @@ def as_bytes(x):
 
 def answers(oracle, h):
     """Every transition and candidate list of `oracle` at `h`, as bytes, and its
-    dependency structure; the History form replays a `begin()` stream."""
+    dependency structure; the History form replays a prefix from `begin()`."""
     rows = [as_bytes(oracle.transition(h, a)) for a in range(oracle.num_actions)]
     cands = [as_bytes(oracle.substitution_candidates(h, i, POOL)) for i in range(h.t + 2)]
     return rows, cands, empirical_dependency(oracle, h, POOL)
@@ -393,42 +389,42 @@ class TestSharedDecoder:
         monkeypatch.setattr(aggregators, "NODE_CAP", 3)
         chain = make_chain(3)
         oracle, pool = as_nmdp_oracle(chain, "S_l:0.5"), list(chain.embedding)
-        encoder, stream = oracle.spec.begin(), oracle.begin()
+        encoder, p = oracle.spec.begin(), oracle.begin()
         h = None
         for t in range(6):
             g = encoder.push(pool[0])
-            stream.pull(g, 0, 0.0)
+            p = oracle.pull(p, g, 0, 0.0)
             h = initial_history(g) if h is None else h.extend(0, 0.0, g)
-            assert (t < 2) == (stream.node.state_key() in oracle.decoders.nodes)
+            assert (t < 2) == (p[0].state_key() in oracle.decoders.nodes)
             fresh = as_nmdp_oracle(chain, "S_l:0.5")
             for _ in range(2):  # the second time from the memo, where it has room
                 for a in range(oracle.num_actions):
-                    assert as_bytes(stream.transition(a)) == as_bytes(fresh.transition(h, a))
-                assert as_bytes(stream.candidates(h, pool)) == \
+                    assert as_bytes(oracle.transition_at(p, a)) == as_bytes(fresh.transition(h, a))
+                assert as_bytes(oracle.candidates_at(p, h, pool)) == \
                     as_bytes(fresh.substitution_candidates(h, t + 1, pool))
         assert len(oracle.memo) == 3
 
     def test_history_form_answers_from_a_warm_memo(self):
         oracle = as_nmdp_oracle(SLIPPY_CHAIN, "S_l:0.5")
         for h in reachable_histories(oracle, max_t=3):
-            stream = oracle.begin()
+            p = oracle.begin()
             for step in zip(h.states, (None, *h.actions), (None, *h.rewards)):
-                stream.pull(*step)
+                p = oracle.pull(p, *step)
             for a in range(oracle.num_actions):
-                want = as_bytes(stream.transition(a))
+                want = as_bytes(oracle.transition_at(p, a))
                 size = len(oracle.memo)
                 assert as_bytes(oracle.transition(h, a)) == want and len(oracle.memo) == size
 
     def test_returned_lists_are_fresh(self):
         oracle = as_nmdp_oracle(SLIPPY_CHAIN, "S^2")
-        stream = oracle.begin()
-        stream.pull(oracle.initial()[0][0])
-        for answer in (lambda: stream.transition(1), lambda: stream.candidates(None, POOL)):
+        p = oracle.pull(oracle.begin(), oracle.initial()[0][0])
+        for answer in (lambda: oracle.transition_at(p, 1),
+                       lambda: oracle.candidates_at(p, None, POOL)):
             first = answer()
             want = as_bytes(first)
             first.clear()
             assert as_bytes(answer()) == want and len(want) > 1
-        assert as_bytes(stream.candidates(None, POOL[:0:-1])) == want[:0:-1]  # keyed by pool
+        assert as_bytes(oracle.candidates_at(p, None, POOL[:0:-1])) == want[:0:-1]  # keyed by pool
 
 
 class TestMatchedIndex:
@@ -440,15 +436,15 @@ class TestMatchedIndex:
         oracle, nones = as_nmdp_oracle(SLIPPY_CHAIN, spec), 0
         for h in reachable_histories(as_nmdp_oracle(SLIPPY_CHAIN, spec), max_t=4):
             for states in (h.states, (*h.states[:-1], h.states[-1] + 0.25)):
-                stream, plain = oracle.begin(), parse_spec(spec).begin()
+                p, plain = oracle.begin(), parse_spec(spec).begin()
                 for t, step in enumerate(zip(states, (None, *h.actions), (None, *h.rewards))):
-                    stream.pull(*step)
+                    p = oracle.pull(p, *step)
                     want = SLIPPY_CHAIN.match_states([plain.pull(step[0])])[0]
-                    assert (stream.t, stream.idx) == (t, want)
+                    assert (p[2], p[1]) == (t, want)
                 nones += want is None
         assert nones > 0
-        with pytest.raises(UndecodableHistoryError, match=f"decoded state at t={stream.t} "):
-            stream.transition(0)
+        with pytest.raises(UndecodableHistoryError, match=f"decoded state at t={p[2]} "):
+            oracle.transition_at(p, 0)
 
     def test_warm_oracle_matches_nothing_again(self, monkeypatch):
         calls, match = [], FiniteMDP.match_states
