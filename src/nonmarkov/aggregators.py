@@ -269,9 +269,9 @@ class Transducer:
         self.nodes = {self.root.state_key(): self.root}  # state key -> stream
         self.edges = {}  # (node, x bytes) -> (next node, output)
 
-    def step(self, node: Filter, x):
-        """(next node, output) of `op` on a fork of `node` and the input x."""
-        raw = vector_bytes(x)
+    def step(self, node: Filter, x, raw=None):
+        """(next node, output) of `op` on a fork of `node` and the input x (bytes `raw`)."""
+        raw = vector_bytes(x) if raw is None else raw
         hit = self.edges.get((node, raw))
         if hit is not None:
             return hit

@@ -10,10 +10,12 @@ cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 
 import numpy as np
 
+from . import aggregators
 from .aggregators import Filter, identity_spec, parse_spec
 from .core import (
     PROB_TOL,
@@ -33,6 +35,7 @@ from .core import (
 from .wrappers import AggregatedMDPOracle
 
 DEP_WEIGHT_TOL = 1e-9
+_UNDECODABLE = "undecodable"  # a verdict: the perturbed prefix has no transition law
 
 
 class StateExplosionError(ValidationError):
@@ -77,6 +80,8 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
     such events are tallied in `undecodable`.  Each prefix of h is pulled once; a
     perturbation pulls the candidate and the suffix onto prefix i, which stays as it
     was.  The pool is validated here, once, so the oracle takes its entries as states.
+    With prefix keys, each verdict is cached in `oracle.verdicts` by (key of h, key of the
+    perturbed prefix, tol), up to NODE_CAP entries, so two keys' rows compare once.
     """
     state_pool = [as_state(p) for p in state_pool]
     for p in state_pool:
@@ -84,29 +89,45 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
             raise ValidationError(f"state pool entry of shape {p.shape} does not match "
                                   f"the history's states of shape {h.states[0].shape}")
     actions, pull, transition_at = range(oracle.num_actions), oracle.pull, oracle.transition_at
-    steps = list(zip(h.states, (None, *h.actions), (None, *h.rewards)))
+    steps = list(zip(h.states, (None, *h.actions), (None, *h.rewards),
+                     map(vector_bytes, h.states)))
     prefixes = [oracle.begin()]  # prefixes[i]: the prefix of positions 0..i-1
     for step in steps:
         prefixes.append(pull(prefixes[-1], *step))
-    base = {a: _flat_dist(transition_at(prefixes[-1], a)) for a in actions}
+    base_key, base = oracle.key(prefixes[-1]), None  # base: h's rows, on the first miss
+    verdicts = {} if base_key is None else oracle.verdicts  # empty for an unkeyed oracle
     indices, undecodable = [], 0
     for i in range(h.t + 1):
         cands = oracle.candidates_at(prefixes[i], h, state_pool)
         gap = np.abs(np.array(cands).reshape(-1, h.states[i].size) - h.states[i]).max(axis=1)
         for cand in compress(cands, gap > tol):  # substitutions only
-            p = pull(prefixes[i], cand, *steps[i][1:])
+            p = pull(prefixes[i], cand, *steps[i][1:3])
             for step in steps[i + 1:]:
                 p = pull(p, *step)
-            try:
-                changed = any(not canonical_equal(
-                    base[a], _flat_dist(transition_at(p, a)), tol) for a in actions)
-            except UndecodableHistoryError:
-                undecodable += 1
-                changed = True
-            if changed:
+            vkey = (base_key, oracle.key(p), tol)
+            verdict = verdicts.get(vkey)  # whether the rows differ, or _UNDECODABLE
+            if verdict is None:
+                base = base or {a: _flat_dist(transition_at(prefixes[-1], a)) for a in actions}
+                try:
+                    verdict = any(not canonical_equal(
+                        base[a], _flat_dist(transition_at(p, a)), tol) for a in actions)
+                except UndecodableHistoryError:
+                    verdict = _UNDECODABLE
+                if base_key is not None and len(verdicts) < aggregators.NODE_CAP:
+                    verdicts[vkey] = verdict
+            undecodable += verdict is _UNDECODABLE
+            if verdict:
                 indices.append(i)
                 break
     return DependencyStructure(t=h.t, indices=tuple(indices), undecodable=undecodable)
+
+
+@lru_cache(maxsize=256)
+def _series_upto(a: tuple, b: tuple, n: int) -> np.ndarray:
+    """`Filter(a, b).coeffs_upto(n)`, read-only, computed once per (a, b, n)."""
+    series = Filter(a, b).coeffs_upto(n)
+    series.flags.writeable = False
+    return series
 
 
 def analytical_dependency(spec, t: int) -> DependencyStructure:
@@ -126,7 +147,7 @@ def analytical_dependency(spec, t: int) -> DependencyStructure:
                                  and (spec.b, spec.a) != ((1.0,), (1.0, -1.0))):
         raise ValidationError(
             f"no analytical dependency form for {spec.label!r}: corr chained with other atoms")
-    series = Filter(spec.a, spec.b).coeffs_upto(t + 1) / spec.weight(t)
+    series = _series_upto(spec.a, spec.b, t + 1) / spec.weight(t)
     weights = {t - tau: float(c) for tau, c in enumerate(series) if abs(c) > DEP_WEIGHT_TOL}
     return DependencyStructure(t=t, indices=tuple(sorted(weights)), weights=weights)
 

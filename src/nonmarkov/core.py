@@ -55,9 +55,10 @@ def as_state(x) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class History:
-    """A (s_{0:t}, a_{0:t-1}, r_{0:t-1}) triple; |states| = |actions|+1 = |rewards|+1."""
+    """A (s_{0:t}, a_{0:t-1}, r_{0:t-1}) triple; |states| = |actions|+1 = |rewards|+1.
+    Two histories are equal when their actions, rewards and states' bytes are."""
 
     states: tuple
     actions: tuple
@@ -78,6 +79,15 @@ class History:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "rewards", rewards)
+
+    def _key(self) -> tuple:
+        return self.actions, self.rewards, tuple(s.tobytes() for s in self.states)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, History) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def t(self) -> int:
@@ -283,7 +293,9 @@ class NMDPOracle:
     returns `p` one step longer.  A History-form prefix is the History (None before
     the first pull).  Observations are 1-d float arrays.  Both distributions must be
     deterministic functions of their arguments and sum to 1 within 1e-12; a key may
-    repeat, and consumers sum the probabilities of equal keys.
+    repeat, and consumers sum the probabilities of equal keys.  `key(p)` is None, or for
+    every prefix a hashable value; prefixes with equal keys have equal `transition_at` rows,
+    and the oracle has `verdicts`, where `empirical_dependency` caches row comparisons.
     """
 
     num_actions: int
@@ -306,8 +318,11 @@ class NMDPOracle:
                                       "nor transition(h, a)")
         return None
 
-    def pull(self, p, obs, action=None, reward=None):
+    def pull(self, p, obs, action=None, reward=None, raw=None):  # raw: obs's bytes, if known
         return initial_history(obs) if p is None else p.extend(action, reward, obs)
+
+    def key(self, p):
+        return None
 
     def transition_at(self, p, action: int):
         return self.transition(p, action)

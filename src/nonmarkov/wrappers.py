@@ -90,7 +90,7 @@ class AggregatedMDPOracle(NMDPOracle):
     for it, whose edges store the index of the embedded state they decode to (None
     when none matches), that index, and t.  The transducer and one memo of answers
     keyed by node, both bounded by `NODE_CAP`, serve every prefix for the oracle's
-    whole life; a node never changes, interned or not.
+    whole life; a node never changes, interned or not, so (node, idx) is a prefix's key.
     """
 
     def __init__(self, mdp: FiniteMDP, spec: Filter):
@@ -99,6 +99,7 @@ class AggregatedMDPOracle(NMDPOracle):
         self.num_actions = mdp.num_actions
         self.decoders = Transducer(spec, lambda stream, g: mdp.match_states([stream.pull(g)])[0])
         self.memo = {}  # (node, index, action) -> row; (node, pool bytes) -> candidates
+        self.verdicts = {}  # filled by empirical_dependency, bounded by NODE_CAP
 
     def initial(self):
         return [(self.spec.begin().push(e), float(p))
@@ -107,8 +108,11 @@ class AggregatedMDPOracle(NMDPOracle):
     def begin(self) -> tuple:
         return self.decoders.root, None, -1
 
-    def pull(self, p: tuple, obs, action=None, reward=None) -> tuple:
-        return (*self.decoders.step(p[0], obs), p[2] + 1)
+    def pull(self, p: tuple, obs, action=None, reward=None, raw=None) -> tuple:
+        return (*self.decoders.step(p[0], obs, raw), p[2] + 1)
+
+    def key(self, p: tuple) -> tuple:
+        return p[:2]
 
     def transition_at(self, p: tuple, action: int):
         node, idx, t = p

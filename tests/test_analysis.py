@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nonmarkov.aggregators import parse_spec
+from nonmarkov import aggregators, analysis
+from nonmarkov.aggregators import Filter, parse_spec
 from nonmarkov.analysis import (
     DependencyStructure,
     _flat_dist,
@@ -22,7 +23,7 @@ from nonmarkov.core import (
     PROB_TOL, FiniteMDP, History, NMDPOracle, Outcome, UndecodableHistoryError,
     ValidationError, distributions_equal, initial_history, is_degenerate)
 from nonmarkov.envs import make_chain, make_random_mdp, optimal_return
-from nonmarkov.wrappers import as_nmdp_oracle
+from nonmarkov.wrappers import AggregatedMDPOracle, as_nmdp_oracle
 
 
 CHAIN5 = make_chain(5)
@@ -67,6 +68,20 @@ class TestAnalyticalDependency:
             ana = analytical_dependency(text, h.t)
             assert ana.indices == tuple(range(max(0, h.t - lag), h.t + 1))
             assert empirical_dependency(oracle, h, POOL).indices == ana.indices
+
+    @pytest.mark.parametrize("text", ["S^0", "S^2", "S^3", "D^2", "conv:1,-0.5", "S_l:0.5",
+                                      "D_l:0.8", "S_l:0.9+D^1", "corr:1,2,3,4,5,6,7,8"])
+    def test_repeated_calls_match_a_fresh_series(self, text):
+        spec = parse_spec(text)
+        for _ in range(2):
+            for t in range(8):
+                fresh = Filter(spec.a, spec.b).coeffs_upto(t + 1) / spec.weight(t)
+                got = analytical_dependency(spec, t).weights
+                assert got == {t - tau: float(c) for tau, c in enumerate(fresh)
+                               if abs(c) > analysis.DEP_WEIGHT_TOL}
+                assert all(type(w) is float for w in got.values())
+        assert not analysis._series_upto(spec.a, spec.b, 3).flags.writeable
+        assert analysis._series_upto.cache_info().maxsize is not None
 
     def test_corr_chained_with_other_atoms_rejected(self):
         for text in ("S^1+corr:1,2,3", "corr:1,2,3+S^1"):
@@ -287,6 +302,74 @@ class TestStreamMatchesWholeHistory:
                 == [whole_history_key(h) for h in hm.histories])
         assert hp.mdp.outcomes == hm.mdp.outcomes
         assert np.array_equal(hp.mdp.rho0, hm.mdp.rho0)
+
+
+class UnkeyedOracle(AggregatedMDPOracle):
+    """The oracle without prefix keys, so every verdict is decided afresh."""
+
+    def key(self, p):
+        return None
+
+
+VERDICT_SPECS = ["S^0", "S^2", "D^1", "conv:1,-0.5", "S_l:0.5", "S^1+corr:1,2,3,0.5,1,2,3"]
+
+
+def dependency_pass(oracle, hs, tol=PROB_TOL):
+    return [empirical_dependency(oracle, h, POOL, tol) for h in hs]
+
+
+class TestVerdictsByKey:
+    """`empirical_dependency` decides each (base key, key, tol) verdict once per oracle."""
+
+    @pytest.mark.parametrize("m", [CHAIN5, SLIPPY_CHAIN5], ids=["chain", "slippy"])
+    @pytest.mark.parametrize("spec", VERDICT_SPECS)
+    def test_keyed_equals_unkeyed(self, m, spec):
+        keyed, unkeyed = (cls(m, parse_spec(spec)) for cls in (AggregatedMDPOracle, UnkeyedOracle))
+        hs = list(reachable_histories(keyed, max_t=5))
+        expected = dependency_pass(unkeyed, hs)
+        for _ in ("cold", "warm"):  # a warm pass counts each undecodable verdict it hits
+            assert dependency_pass(keyed, hs) == expected
+        assert dependency_pass(unkeyed, hs) == expected
+        assert keyed.verdicts and not unkeyed.verdicts
+        assert (sum(d.undecodable for d in expected) > 0) == (spec != "S^0")
+
+    def test_warm_pass_compares_no_rows(self, monkeypatch):
+        calls, compare = [0], analysis.canonical_equal
+
+        def counted(*args):
+            calls[0] += 1
+            return compare(*args)
+
+        monkeypatch.setattr(analysis, "canonical_equal", counted)
+        oracle = as_nmdp_oracle(SLIPPY_CHAIN5, "S^2")
+        hs = list(reachable_histories(oracle, max_t=5))
+        cold = dependency_pass(oracle, hs)
+        assert calls[0] > 0
+        calls[0] = 0
+        assert dependency_pass(oracle, hs) == cold
+        assert calls[0] == 0
+
+    def test_other_tol_decides_afresh(self):
+        oracle = as_nmdp_oracle(SLIPPY_CHAIN5, "S_l:0.5")
+        hs = list(reachable_histories(oracle, max_t=4))
+        dependency_pass(oracle, hs)
+        for vkey, verdict in oracle.verdicts.items():  # poison every verdict at PROB_TOL
+            oracle.verdicts[vkey] = not verdict
+        assert dependency_pass(oracle, hs) != dependency_pass(as_nmdp_oracle(SLIPPY_CHAIN5,
+                                                                             "S_l:0.5"), hs)
+        tol = 1e-9
+        expected = dependency_pass(UnkeyedOracle(SLIPPY_CHAIN5, parse_spec("S_l:0.5")), hs, tol)
+        assert dependency_pass(oracle, hs, tol) == expected
+        assert {vkey[2] for vkey in oracle.verdicts} == {PROB_TOL, tol}
+
+    def test_verdicts_stop_at_node_cap(self, monkeypatch):
+        hs = list(reachable_histories(as_nmdp_oracle(CHAIN5, "S^2"), max_t=5))
+        expected = dependency_pass(as_nmdp_oracle(CHAIN5, "S^2"), hs)
+        monkeypatch.setattr(aggregators, "NODE_CAP", 8)
+        oracle = as_nmdp_oracle(CHAIN5, "S^2")
+        for _ in ("cold", "warm"):
+            assert dependency_pass(oracle, hs) == expected
+            assert len(oracle.verdicts) == 8
 
 
 class TestNonMarkovEmbedding:

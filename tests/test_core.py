@@ -97,6 +97,25 @@ class TestHistory:
         assert type(h2.actions[-1]) is int and type(h2.rewards[-1]) is float
         assert not h2.states[-1].flags.writeable
 
+    @pytest.mark.parametrize("s0,s1", [([1.0], [2.0]), ([0.0, 1.0], [2.0, 3.0])],
+                             ids=["1-entry", "2-entry"])
+    def test_equality_and_hash(self, s0, s1):
+        # the generated dataclass __eq__ compared tuples of arrays, which raised for
+        # states of two or more entries, and its __hash__ raised on the arrays
+        h = initial_history(s0).extend(1, 0.5, s1)
+        same = History((np.array(s0), np.array(s1)), (1,), (0.5,))
+        assert h == same and not h != same and hash(h) == hash(same)
+        others = [initial_history(s0), initial_history(s0).extend(0, 0.5, s1),
+                  initial_history(s0).extend(1, 0.25, s1),
+                  initial_history(s0).extend(1, 0.5, [x + 1.0 for x in s1]),
+                  initial_history(s1).extend(1, 0.5, s0)]
+        for other in others:
+            assert h != other and not h == other
+        assert h != (h.states, h.actions, h.rewards)
+        histories = {h, *others}
+        assert same in histories and len(histories) == 1 + len(others)
+        assert len({h, same}) == 1
+
 
 class TestDistributions:
     def test_canonical_merges_duplicates(self):

@@ -426,6 +426,20 @@ class TestSharedDecoder:
             assert as_bytes(answer()) == want and len(want) > 1
         assert as_bytes(oracle.candidates_at(p, None, POOL[:0:-1])) == want[:0:-1]  # keyed by pool
 
+    def test_pull_with_the_caller_s_bytes(self):
+        # bytes the caller already has key the decoder edge as the observation's own would
+        oracle, given = (as_nmdp_oracle(SLIPPY_CHAIN, "S^2") for _ in range(2))
+        for h in reachable_histories(as_nmdp_oracle(SLIPPY_CHAIN, "S^2"), max_t=3):
+            p, q = oracle.begin(), given.begin()
+            for obs, *step in zip(h.states, (None, *h.actions), (None, *h.rewards)):
+                node = q[0]
+                p, q = oracle.pull(p, obs, *step), given.pull(q, obs, *step, obs.tobytes())
+                assert (p[1], p[2]) == (q[1], q[2])
+                assert given.decoders.edges[node, obs.tobytes()][0] is q[0]
+            assert given.key(q) == (q[0], q[1]) and oracle.key(p) == (p[0], p[1])
+        assert ({(n.state_key(), x) for n, x in oracle.decoders.edges}
+                == {(n.state_key(), x) for n, x in given.decoders.edges})
+
 
 class TestMatchedIndex:
     """Each decoder edge stores the index its decoded state matches, once."""
