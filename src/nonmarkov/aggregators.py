@@ -27,8 +27,8 @@ the history positions the aggregated process depends on (see
 
 Two paths share the coefficients.  Batch: `aggregate` / `decode` convolve
 each column of a whole (T, k) array with the first T coefficients of the
-kernel b/a (a/b to decode); each filter computes that series once per
-direction, and again only when a longer batch arrives.  Streaming: `begin()`
+kernel b/a (a/b to decode), read from `_series`, the one memo of each (b, a)
+series for every filter and kernel reader.  Streaming: `begin()`
 starts a stream whose state is the last len(b)-1 filter inputs and the last
 len(a)-1 aggregates; `push(s)` emits the next aggregate, `pull(g)` decodes the next
 aggregate, and `project(s)` is the aggregate `push(s)` would emit, without
@@ -46,6 +46,7 @@ from .core import ValidationError, as_state, parse_number, vector_bytes
 KERNEL_HEAD_TOL = 1e-9
 UNIT_ROOT_TOL = 1e-3  # keeps repeated unit-circle roots, as in conv:1,-2,1, legal
 NODE_CAP = 1 << 13  # nodes and edges of a transducer, bounding a stream that never repeats
+_SERIES = {}  # (num, den) -> the longest read-only series computed, for up to NODE_CAP pairs
 
 
 class NonInvertibleKernelError(ValidationError):
@@ -65,19 +66,29 @@ def _poly(coeffs) -> tuple:
 
 
 def _series(num, den, n: int) -> np.ndarray:
-    """First n coefficients of the power series num/den (den_0 != 0)."""
-    w = [0.0] * n
-    for t in range(n):
-        acc = num[t] if t < len(num) else 0.0
-        for j in range(1, min(len(den) - 1, t) + 1):
-            acc -= den[j] * w[t - j]
-        w[t] = acc / den[0]
-    return np.array(w)
+    """First n coefficients of the power series num/den (den_0 != 0), read-only; past the
+    longest series kept for (num, den), the recursion continues from it (causal prefix)."""
+    if n < 0:
+        raise ValidationError(f"series length must be >= 0, got {n}")
+    w = _SERIES.get((num, den))
+    if w is None or len(w) < n:
+        w = [] if w is None else w.tolist()
+        for t in range(len(w), n):
+            acc = num[t] if t < len(num) else 0.0
+            for j in range(1, min(len(den) - 1, t) + 1):
+                acc -= den[j] * w[t - j]
+            w.append(acc / den[0])
+        w = np.array(w)
+        w.flags.writeable = False
+        if len(_SERIES) < NODE_CAP or (num, den) in _SERIES:
+            _SERIES[num, den] = w
+    return w[:n]
 
 
-def _convolve(w, x) -> np.ndarray:
-    """w x along axis 0: each column convolved with the kernel coefficients w."""
+def _convolve(num, den, x) -> np.ndarray:
+    """(num/den) x along axis 0, the series cut to the band when den is a constant."""
     n = len(x)
+    w = _series(num, den, min(n, len(num)) if len(den) == 1 else n)
     out = np.empty_like(x)
     for d in range(x.shape[1]):
         out[:, d] = np.convolve(w, x[:, d])[:n]
@@ -114,7 +125,6 @@ class Filter:
         self.then = then
         self._t = 0
         self._x, self._g = [], []  # newest first; shorter than the filter early on
-        self._kernels = {}  # (num, den) -> longest read-only series computed; shared by streams
 
     @property
     def is_identity(self) -> bool:
@@ -211,23 +221,12 @@ class Filter:
             self.weight(int(bad[0]) if bad.size else len(w))  # raises the first error
         return w[:, None]
 
-    def _kernel(self, num, den, n: int) -> np.ndarray:
-        """First n coefficients of num/den, from the longest series kept for (num, den)."""
-        if len(den) == 1:
-            return np.asarray(num[:n]) / den[0]
-        w = self._kernels.get((num, den))
-        if w is None or len(w) < n:
-            w = _series(num, den, n)  # causal: a longer series keeps the same prefix
-            w.flags.writeable = False
-            self._kernels[(num, den)] = w
-        return w[:n]
-
     def aggregate(self, trajectory) -> np.ndarray:
         """Aggregates of a whole (T, k) trajectory."""
         x = _batch(trajectory)
         if self.gain is not None:
             x = x * self._gains(len(x))
-        g = _convolve(self._kernel(self.b, self.a, len(x)), x)
+        g = _convolve(self.b, self.a, x)
         return g if self.then is None else self.then.aggregate(g)
 
     def decode(self, aggregates) -> np.ndarray:
@@ -235,7 +234,7 @@ class Filter:
         g = _batch(aggregates)
         if self.then is not None:
             g = self.then.decode(g)
-        x = _convolve(self._kernel(self.a, self.b, len(g)), g)
+        x = _convolve(self.a, self.b, g)
         return x if self.gain is None else x / self._gains(len(x))
 
     # -- kernel view -------------------------------------------------------
@@ -245,7 +244,7 @@ class Filter:
             raise ValidationError(f"time-varying filter {self.label!r} has no kernel form")
 
     def coeffs_upto(self, length: int) -> np.ndarray:
-        """First `length` coefficients w_tau of the kernel b/a (impulse response)."""
+        """First `length` coefficients w_tau of the kernel b/a (impulse response), read-only."""
         self._require_lti()
         return _series(self.b, self.a, length)
 
@@ -317,11 +316,8 @@ def geometric_kernel(first: float, ratio: float) -> Filter:
 
 
 def invert_kernel(w: Filter, length: int) -> list:
-    """First `length` coefficients of the power-series inverse a/b of w.
-
-    Equivalently the first column of the inverse of the lower-triangular
-    Toeplitz matrix built from w.
-    """
+    """First `length` coefficients of the power-series inverse a/b of w: the first
+    column of the inverse of the lower-triangular Toeplitz matrix built from w."""
     if length < 1:
         raise ValidationError("inverse length must be >= 1")
     w._require_lti()

@@ -10,22 +10,21 @@ cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 
 import numpy as np
 
 from . import aggregators
-from .aggregators import Filter, identity_spec, parse_spec
+from .aggregators import identity_spec, parse_spec
 from .core import (
     PROB_TOL,
     FiniteMDP,
     History,
     NMDPOracle,
     Outcome,
+    StatePool,
     UndecodableHistoryError,
     ValidationError,
-    as_state,
     canonical_distribution,
     canonical_equal,
     distributions_equal,
@@ -35,6 +34,7 @@ from .core import (
 from .wrappers import AggregatedMDPOracle
 
 DEP_WEIGHT_TOL = 1e-9
+HISTORY_CAP = 100_000  # interned histories of one walk
 _UNDECODABLE = "undecodable"  # a verdict: the perturbed prefix has no transition law
 
 
@@ -79,11 +79,11 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
     original history was decodable, so the transition law visibly differs);
     such events are tallied in `undecodable`.  Each prefix of h is pulled once; a
     perturbation pulls the candidate and the suffix onto prefix i, which stays as it
-    was.  The pool is validated here, once, so the oracle takes its entries as states.
+    was.  The pool becomes a `StatePool` here, once: validated states and their bytes.
     With prefix keys, each verdict is cached in `oracle.verdicts` by (key of h, key of the
     perturbed prefix, tol), up to NODE_CAP entries, so two keys' rows compare once.
     """
-    state_pool = [as_state(p) for p in state_pool]
+    state_pool = StatePool(state_pool)
     for p in state_pool:
         if p.shape != h.states[0].shape:
             raise ValidationError(f"state pool entry of shape {p.shape} does not match "
@@ -122,14 +122,6 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
     return DependencyStructure(t=h.t, indices=tuple(indices), undecodable=undecodable)
 
 
-@lru_cache(maxsize=256)
-def _series_upto(a: tuple, b: tuple, n: int) -> np.ndarray:
-    """`Filter(a, b).coeffs_upto(n)`, read-only, computed once per (a, b, n)."""
-    series = Filter(a, b).coeffs_upto(n)
-    series.flags.writeable = False
-    return series
-
-
 def analytical_dependency(spec, t: int) -> DependencyStructure:
     """Predicted dependency set at time t from the aggregator's filter.
 
@@ -147,7 +139,8 @@ def analytical_dependency(spec, t: int) -> DependencyStructure:
                                  and (spec.b, spec.a) != ((1.0,), (1.0, -1.0))):
         raise ValidationError(
             f"no analytical dependency form for {spec.label!r}: corr chained with other atoms")
-    series = _series_upto(spec.a, spec.b, t + 1) / spec.weight(t)
+    num, den = (tuple(x / spec.b[0] for x in c) for c in (spec.a, spec.b))  # as Filter(a, b)
+    series = aggregators._series(num, den, t + 1) / spec.weight(t)
     weights = {t - tau: float(c) for tau, c in enumerate(series) if abs(c) > DEP_WEIGHT_TOL}
     return DependencyStructure(t=t, indices=tuple(sorted(weights)), weights=weights)
 
@@ -227,7 +220,7 @@ class _HistoryWalk:
 
 
 def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
-                             cap: int = 100_000) -> HistoryMDP:
+                             cap: int = HISTORY_CAP) -> HistoryMDP:
     """Enumerate reachable histories up to `horizon` as explicit states.
 
     Transition probabilities are inherited exactly; histories at the
@@ -253,7 +246,7 @@ def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
     return HistoryMDP(mdp=mdp, histories=tuple(walk.histories))
 
 
-def reachable_histories(oracle: NMDPOracle, max_t: int, cap: int = 100_000):
+def reachable_histories(oracle: NMDPOracle, max_t: int, cap: int = HISTORY_CAP):
     """The reachable histories of the oracle with t <= max_t, breadth first.
 
     Lazy: the walk expands the next history only when the caller has taken

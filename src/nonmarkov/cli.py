@@ -19,6 +19,7 @@ import numpy as np
 
 from .aggregators import parse_spec
 from .analysis import (
+    HISTORY_CAP,
     analytical_dependency,
     empirical_dependency,
     reachable_histories,
@@ -152,6 +153,8 @@ def _cmd_analyze_deps(args) -> int:
     m = make_mdp_from_id(args.env)
     spec = parse_spec(args.wrapper)
     oracle = as_nmdp_oracle(m, spec)
+    if args.t >= HISTORY_CAP:  # a history at t is the last of t + 1 interned ones
+        raise ValidationError(f"--t must be below the history cap {HISTORY_CAP}, got {args.t}")
     analytical = analytical_dependency(spec, args.t)
     pool = list(m.embedding)
     at_t = list(itertools.islice((h for h in reachable_histories(oracle, max_t=args.t)

@@ -55,6 +55,14 @@ def as_state(x) -> np.ndarray:
     return v
 
 
+class StatePool(tuple):
+    """States (`as_state` results) with their bytes, `raw`, computed once."""
+    def __new__(cls, states):
+        pool = super().__new__(cls, map(as_state, states))
+        pool.raw = tuple(s.tobytes() for s in pool)
+        return pool
+
+
 @dataclass(frozen=True, eq=False)
 class History:
     """A (s_{0:t}, a_{0:t-1}, r_{0:t-1}) triple; |states| = |actions|+1 = |rewards|+1.
@@ -309,7 +317,7 @@ class NMDPOracle:
     def substitution_candidates(self, h: History, index: int, state_pool):
         """Candidate observations to substitute at `index` of `h`, one per
         raw state in `state_pool`."""
-        return self.candidates_at(self._replay(h, index), h, [as_state(p) for p in state_pool])
+        return self.candidates_at(self._replay(h, index), h, StatePool(state_pool))
 
     def begin(self):
         """The prefix of the empty history."""

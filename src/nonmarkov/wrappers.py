@@ -127,7 +127,7 @@ class AggregatedMDPOracle(NMDPOracle):
 
     def candidates_at(self, p: tuple, h: History, state_pool):
         """The aggregate the prefix's node would emit next for each raw pool state."""
-        key = (p[0], tuple(s.tobytes() for s in state_pool))
+        key = (p[0], getattr(state_pool, "raw", None) or tuple(s.tobytes() for s in state_pool))
         cands = self.memo.get(key)
         if cands is None:
             cands = self._store(key, [p[0].project(s) for s in state_pool])

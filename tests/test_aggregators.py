@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -25,6 +26,7 @@ from nonmarkov.aggregators import (
     parse_spec,
     smooth_spec,
 )
+from nonmarkov.analysis import analytical_dependency
 from nonmarkov.core import ValidationError, as_state
 
 ALGEBRA_TOL = 1e-9
@@ -143,6 +145,13 @@ class TestKernel:
     def test_geometric_ratio_bound(self):
         with pytest.raises(ValidationError):
             geometric_kernel(1.0, 1.5)
+
+    def test_negative_length_rejected(self):
+        w = parse_spec("S^2")
+        assert len(w.coeffs_upto(8)) == 8  # a warm series must not answer w[:-3]
+        with pytest.raises(ValidationError, match="length must be >= 0, got -3"):
+            w.coeffs_upto(-3)
+        assert len(w.coeffs_upto(0)) == 0
 
 
 class TestInvertKernel:
@@ -347,9 +356,63 @@ MEMO_SPECS = {text: text for text in ("S^1", "S^3", "D^3", "S_l:0.5", "D_l:0.8",
 MEMO_SPECS.update({"corr": MEMO_WEIGHTS, "S^1+corr+S_l:0.5": f"S^1+{MEMO_WEIGHTS}+S_l:0.5"})
 
 
+GOLDEN_SPECS = ("id", "S^1", "S^3", "D^2", "S_l:0.5", "D_l:0.8", "conv:2,1",
+                "conv:1.5,-0.4,0.2", "conv:-0.7,0.3", MEMO_WEIGHTS, "S^1+D_l:0.8",
+                "S_l:0.9+D^1", "conv:2,1+S^2", f"S^1+{MEMO_WEIGHTS}+S_l:0.5")
+
+
+@pytest.fixture
+def series_memo(monkeypatch):
+    """An empty series memo for the test, whatever earlier tests left in it."""
+    monkeypatch.setattr(aggregators, "_SERIES", {})
+    return aggregators._SERIES
+
+
 class TestBatchKernelMemo:
-    """Each filter keeps the longest batch kernel series it computed; reusing it
-    must not change a single output bit."""
+    """One memo keeps the longest series a/b of each (num, den) pair for every
+    filter and kernel reader; reusing it must not change a single output bit."""
+
+    def test_golden_digest(self):
+        # batch aggregate/decode bytes and analytical weights over FIR, IIR, corr,
+        # chains and a head != 1; the lengths grow, shrink and repeat per spec
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(25)
+        for text in GOLDEN_SPECS:
+            spec = parse_spec(text)
+            for n in (7, 1, 16, 3, 40, 2):
+                x = rng.uniform(-1.0, 1.0, size=(n, 2))
+                g = spec.aggregate(x)
+                for arr in (g, spec.decode(g), spec.decode(x)):
+                    digest.update(arr.tobytes())
+                if spec.then is None:
+                    weights = analytical_dependency(spec, n - 1).weights
+                    digest.update(repr(sorted(weights.items())).encode())
+        assert digest.hexdigest() == (
+            "acd4d3e37f03ead20820df747099ada38bfa2769985d1de0b77a2ce1846820a2")
+
+    @pytest.mark.parametrize("num, den", [((1.0,), (1.0, -2.0, 1.0)), ((1.0, -0.5), (1.0,)),
+                                          ((2.0, 1.0), (1.0, -0.9)), ((1.0, 0.3), (2.0, 1.0))])
+    def test_short_then_long_matches_one_long(self, num, den, series_memo):
+        for n in (3, 10, 7, 25, 0, 12):
+            short = aggregators._series(num, den, n)
+        assert len(short) == 12 and len(series_memo[num, den]) == 25
+        long = aggregators._series(num, den, 25)
+        series_memo.clear()
+        assert long.tobytes() == aggregators._series(num, den, 25).tobytes()
+        assert short.tobytes() == long[:12].tobytes()
+
+    def test_memo_is_bounded(self, series_memo, monkeypatch):
+        monkeypatch.setattr(aggregators, "NODE_CAP", 4)
+        pairs = [((1.0,), (1.0, -lam)) for lam in np.linspace(0.1, 0.9, 9).tolist()]
+        first = [aggregators._series(num, den, 6) for num, den in pairs]
+        assert list(series_memo) == pairs[:4]
+        longer = aggregators._series(*pairs[0], 9)  # a stored pair still grows
+        assert len(series_memo[pairs[0]]) == 9 and len(series_memo) == 4
+        series_memo.clear()
+        monkeypatch.setattr(aggregators, "NODE_CAP", 64)
+        for (num, den), w in zip(pairs, first):
+            assert w.tobytes() == aggregators._series(num, den, 6).tobytes()
+        assert longer[:6].tobytes() == first[0].tobytes()
 
     @pytest.mark.parametrize("name", MEMO_SPECS)
     def test_warm_filter_matches_fresh(self, name):
@@ -381,24 +444,25 @@ class TestBatchKernelMemo:
         with pytest.raises(ValidationError, match=message):
             getattr(parse_spec("S^1"), method)(rows)
 
-    def test_stored_kernel_is_read_only(self):
+    def test_stored_kernel_is_read_only(self, series_memo):
         spec = parse_spec("S_l:0.5+D^1")  # both b and a have two coefficients
         spec.decode(spec.aggregate(np.ones((6, 1))))
-        assert len(spec._kernels) == 2  # one series per direction
-        for (num, den), stored in spec._kernels.items():
-            with pytest.raises(ValueError):
-                stored[-1] = 5.0
-            with pytest.raises(ValueError):
-                spec._kernel(num, den, 3)[0] = 5.0
+        assert set(series_memo) == {(spec.b, spec.a), (spec.a, spec.b)}  # one per direction
+        for (num, den), stored in series_memo.items():
+            for w in (stored, aggregators._series(num, den, 3)):
+                with pytest.raises(ValueError):
+                    w[-1] = 5.0
+        with pytest.raises(ValueError):
+            spec.coeffs_upto(3)[0] = 5.0
 
     @pytest.mark.parametrize("name", ["S^2", "S_l:0.5+D^1", "corr"])
-    def test_streams_of_warm_filter_match_fresh(self, name):
+    def test_streams_of_warm_filter_match_fresh(self, name, series_memo):
         text = MEMO_SPECS.get(name, name)
         warm, fresh = parse_spec(text), parse_spec(text)
         traj = np.random.default_rng(24).uniform(-1.0, 1.0, size=(12, 3))
         warm.decode(warm.aggregate(traj[:10]))
+        assert len(series_memo[warm.b, warm.a]) == 10  # kept in the memo, not the filter
         a, b = warm.begin(), fresh.begin()
-        assert a._kernels is warm._kernels
         for s in traj[:5]:
             assert a.push(s).tobytes() == b.push(s).tobytes()
         a, b = a.fork(), b.fork()

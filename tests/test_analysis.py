@@ -71,17 +71,20 @@ class TestAnalyticalDependency:
 
     @pytest.mark.parametrize("text", ["S^0", "S^2", "S^3", "D^2", "conv:1,-0.5", "S_l:0.5",
                                       "D_l:0.8", "S_l:0.9+D^1", "corr:1,2,3,4,5,6,7,8"])
-    def test_repeated_calls_match_a_fresh_series(self, text):
+    def test_repeated_calls_match_a_fresh_series(self, text, monkeypatch):
         spec = parse_spec(text)
-        for _ in range(2):
-            for t in range(8):
-                fresh = Filter(spec.a, spec.b).coeffs_upto(t + 1) / spec.weight(t)
-                got = analytical_dependency(spec, t).weights
-                assert got == {t - tau: float(c) for tau, c in enumerate(fresh)
+        inverse = Filter(spec.a, spec.b)  # the normalised pair the analytical series reads
+        monkeypatch.setattr(aggregators, "_SERIES", {})
+        ts = (2, 7, *range(8), *range(8))  # cold, longer, then every prefix twice
+        got = [analytical_dependency(spec, t).weights for t in ts]
+        stored = aggregators._SERIES[inverse.b, inverse.a]
+        assert len(stored) == 8 and not stored.flags.writeable
+        for t, weights in zip(ts, got):
+            aggregators._SERIES.clear()
+            fresh = inverse.coeffs_upto(t + 1) / spec.weight(t)
+            assert weights == {t - tau: float(c) for tau, c in enumerate(fresh)
                                if abs(c) > analysis.DEP_WEIGHT_TOL}
-                assert all(type(w) is float for w in got.values())
-        assert not analysis._series_upto(spec.a, spec.b, 3).flags.writeable
-        assert analysis._series_upto.cache_info().maxsize is not None
+            assert all(type(w) is float for w in weights.values())
 
     def test_corr_chained_with_other_atoms_rejected(self):
         for text in ("S^1+corr:1,2,3", "corr:1,2,3+S^1"):

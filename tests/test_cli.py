@@ -309,6 +309,33 @@ class TestBadInputExit2:
         assert main(argv) == 2
         _assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("t", ["100000", "30000000"])
+    def test_t_past_the_history_cap_exits_at_once(self, t, capsys):
+        # a history at t is the last of t + 1 interned ones, so the walk could never
+        # reach it; no series is computed and no history walked
+        start = time.perf_counter()
+        assert main(["analyze-deps", "--wrapper", "S^2", "--t", t]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: --t must be below the history cap 100000, got {t}\n")
+
+    def test_t_at_the_history_cap_boundary(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "HISTORY_CAP", 5)
+        assert main(["analyze-deps", "--wrapper", "S^2", "--t", "4"]) == 0
+        assert main(["analyze-deps", "--wrapper", "S^2", "--t", "5"]) == 2
+        assert capsys.readouterr().err == "error: --t must be below the history cap 5, got 5\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--wrapper", "Z^1"], "cannot parse functor spec 'Z^1'"),
+        (["--wrapper", "S^2", "--max-histories", "0"], "--max-histories must be >= 1, got 0"),
+        (["--wrapper", "S^2", "--env", "nowhere:1"], None),
+    ])
+    def test_earlier_errors_keep_their_message_past_the_cap(self, argv, message, capsys):
+        assert main(["analyze-deps", "--t", "30000000", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "history cap" not in err and err.startswith("error: ")
+        assert message is None or err == f"error: {message}\n"
+
     def test_state_explosion(self, monkeypatch, capsys):
         # the default cap of 100,000 histories takes seconds to reach; a cap of
         # 50 takes the same path

@@ -10,6 +10,7 @@ from nonmarkov.core import (
     FiniteMDP,
     History,
     Outcome,
+    StatePool,
     ValidationError,
     as_state,
     canonical_distribution,
@@ -60,6 +61,20 @@ class TestAsState:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             as_state([])
+
+
+class TestStatePool:
+    def test_states_and_their_bytes(self):
+        pool = StatePool([[1, 2], np.array([0.5, -1.0])])
+        assert isinstance(pool, tuple) and len(pool) == 2
+        assert all(isinstance(s, np.ndarray) and not s.flags.writeable for s in pool)
+        assert pool.raw == (np.array([1.0, 2.0]).tobytes(), np.array([0.5, -1.0]).tobytes())
+        assert StatePool(pool).raw == pool.raw and StatePool([]).raw == ()
+
+    @pytest.mark.parametrize("bad", [[[1.0], [np.nan]], [[[1.0, 2.0]]], [[]]])
+    def test_entries_validated(self, bad):
+        with pytest.raises(ValidationError):
+            StatePool(bad)
 
 
 class TestHistory:

@@ -5,7 +5,8 @@ from nonmarkov import aggregators
 from nonmarkov.agents import parse_agent_spec, train
 from nonmarkov.analysis import empirical_dependency, reachable_histories
 from nonmarkov.aggregators import parse_har_spec, parse_spec
-from nonmarkov.core import FiniteMDP, UndecodableHistoryError, ValidationError, initial_history
+from nonmarkov.core import (
+    FiniteMDP, StatePool, UndecodableHistoryError, ValidationError, initial_history)
 from nonmarkov.envs import Environment, make_chain, make_env
 from nonmarkov.wrappers import AggregatedMDPOracle, WrappedEnvironment, as_nmdp_oracle, wrap
 
@@ -425,6 +426,27 @@ class TestSharedDecoder:
             first.clear()
             assert as_bytes(answer()) == want and len(want) > 1
         assert as_bytes(oracle.candidates_at(p, None, POOL[:0:-1])) == want[:0:-1]  # keyed by pool
+
+    def test_pool_bytes_computed_once_per_dependency_call(self):
+        pools = []
+
+        class Recording(AggregatedMDPOracle):
+            def candidates_at(self, p, h, state_pool):
+                pools.append(state_pool)
+                return super().candidates_at(p, h, state_pool)
+
+        oracle = Recording(SLIPPY_CHAIN, parse_spec("S^2"))
+        fresh = as_nmdp_oracle(SLIPPY_CHAIN, "S^2")
+        for h in reachable_histories(fresh, max_t=3):
+            pools.clear()
+            got = empirical_dependency(oracle, h, POOL)
+            assert got == empirical_dependency(fresh, h, POOL)
+            assert len(pools) == h.t + 1 and all(p is pools[0] for p in pools)
+            assert isinstance(pools[0], StatePool)
+            assert pools[0].raw == tuple(np.asarray(s, dtype=float).tobytes() for s in POOL)
+        p = oracle.pull(oracle.begin(), oracle.initial()[0][0])  # a plain list still works
+        assert as_bytes(oracle.candidates_at(p, None, list(POOL))) == \
+            as_bytes(oracle.candidates_at(p, None, StatePool(POOL)))
 
     def test_pull_with_the_caller_s_bytes(self):
         # bytes the caller already has key the decoder edge as the observation's own would
