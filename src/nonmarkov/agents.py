@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .aggregators import remember
 from .core import ValidationError, parse_number, vector_bytes
 from .envs import Environment
 
 SENTINEL = "<pad>"
-KEY_CAP = 1 << 13  # ExactDiscretizer memoises keys of 1-d float64 arrays, up to this many
 DECIMALS = 6  # ExactDiscretizer rounds observations to this many decimals
 ALPHA, GAMMA = 0.1, 0.99  # Q-learning step size and discount
 # epsilon falls linearly from EPS_START to EPS_FINAL over the first EPS_DECAY_FRAC of training
@@ -31,8 +31,8 @@ class ExactDiscretizer:
         key = self._memo.get(raw)
         if key is None:
             key = tuple(np.asarray(obs, dtype=float).round(DECIMALS).tolist())
-            if raw is not None and len(self._memo) < KEY_CAP:
-                self._memo[raw] = key
+            if raw is not None:
+                remember(self._memo, raw, key)
         return key
 
 

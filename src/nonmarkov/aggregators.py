@@ -45,8 +45,15 @@ from .core import ValidationError, as_state, parse_number, vector_bytes
 
 KERNEL_HEAD_TOL = 1e-9
 UNIT_ROOT_TOL = 1e-3  # keeps repeated unit-circle roots, as in conv:1,-2,1, legal
-NODE_CAP = 1 << 13  # nodes and edges of a transducer, bounding a stream that never repeats
+NODE_CAP = 1 << 13  # entries of each memo that `remember` writes: a bound on endless input
 _SERIES = {}  # (num, den) -> the longest read-only series computed, for up to NODE_CAP pairs
+
+
+def remember(memo: dict, key, value):
+    """Store value at key unless memo is full (NODE_CAP keys) without key; return value."""
+    if len(memo) < NODE_CAP or key in memo:
+        memo[key] = value
+    return value
 
 
 class NonInvertibleKernelError(ValidationError):
@@ -80,8 +87,7 @@ def _series(num, den, n: int) -> np.ndarray:
             w.append(acc / den[0])
         w = np.array(w)
         w.flags.writeable = False
-        if len(_SERIES) < NODE_CAP or (num, den) in _SERIES:
-            _SERIES[num, den] = w
+        remember(_SERIES, (num, den), w)
     return w[:n]
 
 
@@ -259,9 +265,8 @@ class Filter:
 class Transducer:
     """Streams of one template under `op` (such as `Filter.push`) from `root`,
     `template.begin()`.  A node is its stream, never changed once `step` returns it.
-    Streams are interned by `state_key` while fewer than NODE_CAP nodes exist, and each
-    (node, 1-d float64 x bytes) edge is computed once while fewer than NODE_CAP edges
-    exist; other x store no edge."""
+    Streams are interned by `state_key`, and each (node, 1-d float64 x bytes) edge is
+    computed once, both through `remember`; other x store no edge."""
 
     def __init__(self, template: Filter, op):
         self.op, self.root = op, template.begin()
@@ -277,12 +282,8 @@ class Transducer:
         stream = node.fork()
         y = self.op(stream, x)
         key = stream.state_key()
-        nxt = self.nodes.get(key, stream)
-        if nxt is stream and len(self.nodes) < NODE_CAP:
-            self.nodes[key] = stream
-        if raw is not None and len(self.edges) < NODE_CAP:
-            self.edges[node, raw] = nxt, y
-        return nxt, y
+        nxt = self.nodes.get(key) or remember(self.nodes, key, stream)
+        return (nxt, y) if raw is None else remember(self.edges, (node, raw), (nxt, y))
 
 
 def chain(first: Filter, second: Filter) -> Filter:

@@ -15,7 +15,7 @@ from itertools import compress
 import numpy as np
 
 from . import aggregators
-from .aggregators import identity_spec, parse_spec
+from .aggregators import identity_spec, parse_spec, remember
 from .core import (
     PROB_TOL,
     FiniteMDP,
@@ -79,9 +79,9 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
     original history was decodable, so the transition law visibly differs);
     such events are tallied in `undecodable`.  Each prefix of h is pulled once; a
     perturbation pulls the candidate and the suffix onto prefix i, which stays as it
-    was.  The pool becomes a `StatePool` here, once: validated states and their bytes.
+    was.  The pool becomes a `StatePool` here, unless it is one: validated states and bytes.
     With prefix keys, each verdict is cached in `oracle.verdicts` by (key of h, key of the
-    perturbed prefix, tol), up to NODE_CAP entries, so two keys' rows compare once.
+    perturbed prefix, tol), through `remember`, so two keys' rows compare once.
     """
     state_pool = StatePool(state_pool)
     for p in state_pool:
@@ -113,8 +113,8 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
                         base[a], _flat_dist(transition_at(p, a)), tol) for a in actions)
                 except UndecodableHistoryError:
                     verdict = _UNDECODABLE
-                if base_key is not None and len(verdicts) < aggregators.NODE_CAP:
-                    verdicts[vkey] = verdict
+                if base_key is not None:
+                    remember(verdicts, vkey, verdict)
             undecodable += verdict is _UNDECODABLE
             if verdict:
                 indices.append(i)
@@ -184,10 +184,10 @@ class _HistoryWalk:
     def _intern(self, obs, parent=None, action=None, reward=0.0) -> int:
         raw = vector_bytes(obs)
         rounded = self._rounded.get(raw)
-        if rounded is None:  # once per distinct 1-d float64 observation
+        if rounded is None:  # once per distinct 1-d float64 observation, while remembered
             rounded = tuple(round(float(x), 12) for x in obs)
             if raw is not None:
-                self._rounded[raw] = rounded
+                remember(self._rounded, raw, rounded)
         key = (parent, action, round(float(reward), 12), rounded)
         i = self._index.get(key)
         if i is None:

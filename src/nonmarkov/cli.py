@@ -3,8 +3,8 @@
 Exit codes: 0 success / all checks pass; 1 check failure; 2 usage or
 validation error.  `--seed` exists only on `run` and `verify-reversibility`,
 and seeds must be >= 0.  `analyze-deps --t 0` checks the initial histories.
-The sweep's pool size is `--workers` when given, else the config file's
-`workers` (default 1), else, for a grid given by flags, the CPU count.
+The sweep uses `--workers` processes when given, else the config file's
+`workers` (default 1), else, for a flag grid, the CPU count; never more than one per cell.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .analysis import (
     verify_equivalence_roundtrip,
     verify_morphism,
 )
-from .core import ValidationError, is_int, load_json, load_mdp
+from .core import StatePool, ValidationError, is_int, load_json, load_mdp
 from .envs import make_mdp_from_id
 from .experiments import SweepConfig, render_plot, run_cell, run_sweep
 from .wrappers import as_nmdp_oracle
@@ -156,7 +156,7 @@ def _cmd_analyze_deps(args) -> int:
     if args.t >= HISTORY_CAP:  # a history at t is the last of t + 1 interned ones
         raise ValidationError(f"--t must be below the history cap {HISTORY_CAP}, got {args.t}")
     analytical = analytical_dependency(spec, args.t)
-    pool = list(m.embedding)
+    pool = StatePool(m.embedding)  # validated once for every history
     at_t = list(itertools.islice((h for h in reachable_histories(oracle, max_t=args.t)
                                   if h.t == args.t), args.max_histories))
     if not at_t:

@@ -56,8 +56,10 @@ def as_state(x) -> np.ndarray:
 
 
 class StatePool(tuple):
-    """States (`as_state` results) with their bytes, `raw`, computed once."""
+    """States (`as_state` results) with their bytes, `raw`, computed once; a pool passes as is."""
     def __new__(cls, states):
+        if isinstance(states, StatePool):
+            return states
         pool = super().__new__(cls, map(as_state, states))
         pool.raw = tuple(s.tobytes() for s in pool)
         return pool

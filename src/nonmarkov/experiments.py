@@ -119,9 +119,10 @@ def _run_cell(cfg: SweepConfig, cell: tuple) -> dict:
 def run_sweep(cfg: SweepConfig, out_path: str = None) -> str:
     """Run every grid cell and return the CSV text (optionally written to out_path)."""
     run = functools.partial(_run_cell, cfg)
-    cells = itertools.product(cfg.envs, cfg.wrappers, cfg.agents, cfg.seeds)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    cells = list(itertools.product(cfg.envs, cfg.wrappers, cfg.agents, cfg.seeds))
+    workers = min(cfg.workers, len(cells))  # a pool may start all its processes at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run, cells))
     else:
         rows = list(map(run, cells))

@@ -12,8 +12,7 @@ import warnings
 
 import numpy as np
 
-from . import aggregators
-from .aggregators import Filter, Transducer, parse_har_spec, parse_spec
+from .aggregators import Filter, Transducer, parse_har_spec, parse_spec, remember
 from .core import FiniteMDP, History, NMDPOracle, UndecodableHistoryError, is_degenerate
 from .envs import Environment
 
@@ -89,7 +88,7 @@ class AggregatedMDPOracle(NMDPOracle):
     A prefix is the tuple (node, idx, t): the decoder stream one `Transducer` returned
     for it, whose edges store the index of the embedded state they decode to (None
     when none matches), that index, and t.  The transducer and one memo of answers
-    keyed by node, both bounded by `NODE_CAP`, serve every prefix for the oracle's
+    keyed by node, both written through `remember`, serve every prefix for the oracle's
     whole life; a node never changes, interned or not, so (node, idx) is a prefix's key.
     """
 
@@ -99,7 +98,7 @@ class AggregatedMDPOracle(NMDPOracle):
         self.num_actions = mdp.num_actions
         self.decoders = Transducer(spec, lambda stream, g: mdp.match_states([stream.pull(g)])[0])
         self.memo = {}  # (node, index, action) -> row; (node, pool bytes) -> candidates
-        self.verdicts = {}  # filled by empirical_dependency, bounded by NODE_CAP
+        self.verdicts = {}  # filled by empirical_dependency through `remember`
 
     def initial(self):
         return [(self.spec.begin().push(e), float(p))
@@ -121,8 +120,9 @@ class AggregatedMDPOracle(NMDPOracle):
         key = (node, idx, action)
         dist = self.memo.get(key)
         if dist is None:
-            dist = self._store(key, [((node.project(self.mdp.embedding[o.next_state]), o.reward),
-                                      o.prob) for o in self.mdp.row(idx, action)])
+            embed = self.mdp.embedding
+            dist = remember(self.memo, key, [((node.project(embed[o.next_state]), o.reward), o.prob)
+                                             for o in self.mdp.row(idx, action)])
         return list(dist)
 
     def candidates_at(self, p: tuple, h: History, state_pool):
@@ -130,13 +130,8 @@ class AggregatedMDPOracle(NMDPOracle):
         key = (p[0], getattr(state_pool, "raw", None) or tuple(s.tobytes() for s in state_pool))
         cands = self.memo.get(key)
         if cands is None:
-            cands = self._store(key, [p[0].project(s) for s in state_pool])
+            cands = remember(self.memo, key, [p[0].project(s) for s in state_pool])
         return list(cands)
-
-    def _store(self, key: tuple, answer: list) -> list:
-        if len(self.memo) < aggregators.NODE_CAP:
-            self.memo[key] = answer
-        return answer
 
 
 def as_nmdp_oracle(m: FiniteMDP, spec) -> AggregatedMDPOracle:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonmarkov import agents
+from nonmarkov import aggregators
 from nonmarkov.agents import (
     ExactDiscretizer,
     RandomAgent,
@@ -208,7 +208,7 @@ class TestExactDiscretizerMemo:
         assert d.key(y) == self.rounded(y)
 
     def test_past_the_cap(self, monkeypatch):
-        monkeypatch.setattr(agents, "KEY_CAP", 3)
+        monkeypatch.setattr(aggregators, "NODE_CAP", 3)
         d = ExactDiscretizer()
         xs = [np.array([i / 7.0, -i / 3.0]) for i in range(10)]
         for _ in range(2):

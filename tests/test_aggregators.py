@@ -361,6 +361,15 @@ GOLDEN_SPECS = ("id", "S^1", "S^3", "D^2", "S_l:0.5", "D_l:0.8", "conv:2,1",
                 "S_l:0.9+D^1", "conv:2,1+S^2", f"S^1+{MEMO_WEIGHTS}+S_l:0.5")
 
 
+def test_remember_stores_below_the_cap_or_over_a_held_key(monkeypatch):
+    monkeypatch.setattr(aggregators, "NODE_CAP", 2)  # read at call time
+    memo, value = {}, object()
+    assert aggregators.remember(memo, "a", 1) == 1 and aggregators.remember(memo, "b", 2) == 2
+    assert aggregators.remember(memo, "c", value) is value  # returned, not stored
+    assert aggregators.remember(memo, "a", 3) == 3  # a held key is overwritten
+    assert memo == {"a": 3, "b": 2}
+
+
 @pytest.fixture
 def series_memo(monkeypatch):
     """An empty series memo for the test, whatever earlier tests left in it."""

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nonmarkov import aggregators, analysis
+from nonmarkov import aggregators, analysis, experiments
 from nonmarkov.aggregators import Filter, parse_spec
 from nonmarkov.analysis import (
     DependencyStructure,
@@ -22,7 +22,8 @@ from nonmarkov.analysis import (
 from nonmarkov.core import (
     PROB_TOL, FiniteMDP, History, NMDPOracle, Outcome, UndecodableHistoryError,
     ValidationError, distributions_equal, initial_history, is_degenerate)
-from nonmarkov.envs import make_chain, make_random_mdp, optimal_return
+from nonmarkov.envs import make_chain, make_mdp_from_id, make_random_mdp, optimal_return
+from nonmarkov.experiments import SweepConfig, run_sweep
 from nonmarkov.wrappers import AggregatedMDPOracle, as_nmdp_oracle
 
 
@@ -373,6 +374,60 @@ class TestVerdictsByKey:
         for _ in ("cold", "warm"):
             assert dependency_pass(oracle, hs) == expected
             assert len(oracle.verdicts) == 8
+
+
+def recording(make, made: list):
+    """`make`, which also appends each object it returns to `made`."""
+    def record(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+    return record
+
+
+class TestEveryCacheUnderTheCap:
+    """A small NODE_CAP bounds every memo that `aggregators.remember` writes, and
+    changes no result: past the cap an answer is computed again, not stored."""
+
+    SPECS = ["S^1", "S^2", "S^3", "D^2", "S_l:0.5", "D_l:0.5", "conv:1,0.5", "S^1+D_l:0.25"]
+
+    def run_all(self, made):
+        """The results of one learn cell, a deps pass, an abstraction and batch round trips,
+        and the size of every memo they wrote."""
+        for objects in made.values():
+            objects.clear()
+        aggregators._SERIES.clear()
+        csv = run_sweep(SweepConfig(envs=["chain:5:0.4"], wrappers=["S_l:0.5"], agents=["qwin:2"],
+                                    seeds=[0], episodes=500, eval_episodes=20, horizon=8))
+        oracle = as_nmdp_oracle(CHAIN5, "S^2")
+        deps = [empirical_dependency(oracle, h, POOL) for h in reachable_histories(oracle, 4)]
+        abstraction = build_markov_abstraction(
+            as_nmdp_oracle(make_mdp_from_id("random:1:4:2:2"), "S^1"), horizon=3)
+        x = np.random.default_rng(0).normal(size=(12, 2))
+        batch = [(f.aggregate(x).tobytes(), f.decode(x).tobytes())
+                 for f in map(parse_spec, self.SPECS)]
+        (env,), (agent,), walks = made["envs"], made["agents"], made["walks"]
+        sizes = {"learn nodes": len(env._states.nodes), "learn edges": len(env._states.edges),
+                 "discretizer": len(agent.discretizer._memo),
+                 "decoder nodes": len(oracle.decoders.nodes),
+                 "decoder edges": len(oracle.decoders.edges),
+                 "oracle memo": len(oracle.memo), "verdicts": len(oracle.verdicts),
+                 "deps walk rounding": len(walks[0]._rounded),
+                 "abstraction walk rounding": len(walks[1]._rounded),
+                 "series": len(aggregators._SERIES)}
+        assert ",ok," in csv and ",0,0,500," not in csv  # the cell learned something
+        return (csv, deps, abstraction.mdp.outcomes, batch), sizes
+
+    def test_every_cache_stays_within_the_cap(self, monkeypatch):
+        made = {"envs": [], "agents": [], "walks": []}
+        for module, name, key in ((experiments, "wrap", "envs"),
+                                  (experiments, "parse_agent_spec", "agents"),
+                                  (analysis, "_HistoryWalk", "walks")):
+            monkeypatch.setattr(module, name, recording(getattr(module, name), made[key]))
+        monkeypatch.setattr(aggregators, "_SERIES", {})
+        results, uncapped = self.run_all(made)
+        assert min(uncapped.values()) > 8, uncapped  # so every cache meets the cap below
+        monkeypatch.setattr(aggregators, "NODE_CAP", 8)
+        assert self.run_all(made) == (results, dict.fromkeys(uncapped, 8))
 
 
 class TestNonMarkovEmbedding:

@@ -76,6 +76,14 @@ class TestStatePool:
         with pytest.raises(ValidationError):
             StatePool(bad)
 
+    def test_a_pool_passes_through(self):
+        pool = StatePool([[1.0, 2.0], [0.5, -1.0]])
+        assert StatePool(pool) is pool
+        again = StatePool(list(pool))  # a list of a pool's states is validated again
+        assert again is not pool and again.raw == pool.raw
+        with pytest.raises(ValidationError):
+            StatePool([*pool, [np.inf, 0.0]])
+
 
 class TestHistory:
     def test_initial_history(self):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from nonmarkov import experiments
 from nonmarkov.core import ValidationError
 from nonmarkov.experiments import (
     CSV_HEADER,
@@ -101,6 +102,29 @@ class TestRunSweep:
         serial = run_sweep(small_config(workers=1))
         parallel = run_sweep(small_config(workers=4))
         assert serial == parallel
+
+    def test_pool_at_most_one_worker_per_cell(self, monkeypatch):
+        asked = []  # max_workers of each pool the sweep opens
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        two_cells = run_sweep(small_config(seeds=[0], workers=10**6))
+        assert asked == [2]
+        assert two_cells == run_sweep(small_config(seeds=[0], workers=1))
+        run_sweep(small_config(wrappers=["S^1"], seeds=[0], workers=10**6))
+        assert asked == [2]  # one cell runs serially, with no pool
 
     def test_every_cell_once(self):
         cfg = small_config()
