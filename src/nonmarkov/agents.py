@@ -110,8 +110,7 @@ def train(agent, env: Environment, episodes: int, seed: int, horizon: int):
     for ep in range(episodes):
         eps = agent.epsilon(ep, episodes)
         agent.observe_reset(env.reset(int(rng.integers(2 ** 31))))
-        steps = 0
-        while True:
+        for _ in range(horizon):
             key = agent.key
             if rng.random() < eps:
                 action = int(rng.integers(agent.num_actions))
@@ -126,8 +125,7 @@ def train(agent, env: Environment, episodes: int, seed: int, horizon: int):
                 next_row = q.get(agent.key)
                 target = reward + GAMMA * (max(next_row) if next_row is not None else 0.0)
             row[action] += ALPHA * (target - row[action])
-            steps += 1
-            if terminated or truncated or steps >= horizon:
+            if terminated or truncated:
                 break
     return agent
 
@@ -142,13 +140,11 @@ def evaluate(agent, env: Environment, episodes: int, horizon: int, seed: int):
     for _ in range(episodes):
         agent.observe_reset(env.reset(int(rng.integers(2 ** 31))))
         total = 0.0
-        steps = 0
-        while True:
+        for _ in range(horizon):
             obs, reward, terminated, truncated = env.step(agent.act_greedy())
             agent.observe(obs)
             total += reward
-            steps += 1
-            if terminated or truncated or steps >= horizon:
+            if terminated or truncated:
                 break
         returns.append(total)
     arr = np.array(returns)

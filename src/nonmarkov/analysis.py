@@ -34,7 +34,7 @@ from .core import (
 from .wrappers import AggregatedMDPOracle
 
 DEP_WEIGHT_TOL = 1e-9
-HISTORY_CAP = 100_000  # interned histories of one walk
+HISTORY_CAP = 100_000  # interned histories of one walk, read when a walk interns one
 _UNDECODABLE = "undecodable"  # a verdict: the perturbed prefix has no transition law
 
 
@@ -69,19 +69,18 @@ def _flat_dist(dist):
     return canonical_distribution([((*obs.tolist(), reward), p) for (obs, reward), p in dist])
 
 
-def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
-                         tol: float = PROB_TOL) -> DependencyStructure:
+def empirical_dependency(oracle: NMDPOracle, h: History, state_pool) -> DependencyStructure:
     """Exhaustive perturbation test of every history position.
 
-    Position i is a dependency when substituting some candidate state there
-    changes the transition distribution for some action.  A perturbation
-    that makes the history undecodable also counts as a change (the
-    original history was decodable, so the transition law visibly differs);
-    such events are tallied in `undecodable`.  Each prefix of h is pulled once; a
-    perturbation pulls the candidate and the suffix onto prefix i, which stays as it
-    was.  The pool becomes a `StatePool` here, unless it is one: validated states and bytes.
-    With prefix keys, each verdict is cached in `oracle.verdicts` by (key of h, key of the
-    perturbed prefix, tol), through `remember`, so two keys' rows compare once.
+    Position i is a dependency when substituting some candidate state there changes
+    the transition distribution for some action, compared at `PROB_TOL`.  A perturbation
+    that makes the history undecodable also counts as a change (the original history
+    was decodable, so the transition law visibly differs); such events are tallied in
+    `undecodable`.  Each prefix of h is pulled once; a perturbation pulls the candidate
+    and the suffix onto prefix i, which stays as it was.  The pool becomes a `StatePool`
+    here, unless it is one: validated states and bytes.  With prefix keys, each verdict
+    is cached in `oracle.verdicts` by (key of h, key of the perturbed prefix), through
+    `remember`, so two keys' rows compare once.
     """
     state_pool = StatePool(state_pool)
     for p in state_pool:
@@ -100,17 +99,17 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool,
     for i in range(h.t + 1):
         cands = oracle.candidates_at(prefixes[i], h, state_pool)
         gap = np.abs(np.array(cands).reshape(-1, h.states[i].size) - h.states[i]).max(axis=1)
-        for cand in compress(cands, gap > tol):  # substitutions only
+        for cand in compress(cands, gap > PROB_TOL):  # substitutions only
             p = pull(prefixes[i], cand, *steps[i][1:3])
             for step in steps[i + 1:]:
                 p = pull(p, *step)
-            vkey = (base_key, oracle.key(p), tol)
+            vkey = (base_key, oracle.key(p))
             verdict = verdicts.get(vkey)  # whether the rows differ, or _UNDECODABLE
             if verdict is None:
                 base = base or {a: _flat_dist(transition_at(prefixes[-1], a)) for a in actions}
                 try:
                     verdict = any(not canonical_equal(
-                        base[a], _flat_dist(transition_at(p, a)), tol) for a in actions)
+                        base[a], _flat_dist(transition_at(p, a)), PROB_TOL) for a in actions)
                 except UndecodableHistoryError:
                     verdict = _UNDECODABLE
                 if base_key is not None:
@@ -173,10 +172,10 @@ class _HistoryWalk:
     `oracle.begin()`) pulled one step, until it is expanded.
     """
 
-    def __init__(self, oracle: NMDPOracle, horizon: int, cap: int):
+    def __init__(self, oracle: NMDPOracle, horizon: int):
         if horizon < 0:
             raise ValidationError("horizon must be >= 0")
-        self.oracle, self.horizon, self.cap = oracle, horizon, cap
+        self.oracle, self.horizon = oracle, horizon
         self.histories, self._index, self._prefixes, self._rounded = [], {}, {}, {}
         self._root = oracle.begin()
         self.rho0 = [(self._intern(obs), float(p)) for obs, p in oracle.initial()]
@@ -193,9 +192,9 @@ class _HistoryWalk:
         if i is None:
             histories, prefixes = self.histories, self._prefixes
             t = 0 if parent is None else histories[parent].t + 1
-            if len(histories) >= self.cap:
+            if len(histories) >= HISTORY_CAP:
                 raise StateExplosionError(
-                    f"state explosion: history cap {self.cap} reached at t={t} "
+                    f"state explosion: history cap {HISTORY_CAP} reached at t={t} "
                     f"of horizon {self.horizon}, {len(histories)} interned")
             i = self._index[key] = len(histories)
             histories.append(initial_history(obs) if parent is None
@@ -219,8 +218,7 @@ class _HistoryWalk:
             del self._prefixes[i]
 
 
-def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
-                             cap: int = HISTORY_CAP) -> HistoryMDP:
+def build_markov_abstraction(oracle: NMDPOracle, horizon: int) -> HistoryMDP:
     """Enumerate reachable histories up to `horizon` as explicit states.
 
     Transition probabilities are inherited exactly; histories at the
@@ -228,7 +226,7 @@ def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    walk = _HistoryWalk(oracle, horizon, cap)
+    walk = _HistoryWalk(oracle, horizon)
     outcomes = list(walk.rows())
     n = len(walk.histories)
     outcomes += [tuple((Outcome(i, 0.0, 1.0),) for _ in range(oracle.num_actions))
@@ -246,14 +244,14 @@ def build_markov_abstraction(oracle: NMDPOracle, horizon: int,
     return HistoryMDP(mdp=mdp, histories=tuple(walk.histories))
 
 
-def reachable_histories(oracle: NMDPOracle, max_t: int, cap: int = HISTORY_CAP):
+def reachable_histories(oracle: NMDPOracle, max_t: int):
     """The reachable histories of the oracle with t <= max_t, breadth first.
 
     Lazy: the walk expands the next history only when the caller has taken
     every history interned so far, so a caller that stops early skips the
     rest of the tree.  At max_t = 0 there are no rows: it yields the initial
     histories."""
-    walk = _HistoryWalk(oracle, max_t, cap)
+    walk = _HistoryWalk(oracle, max_t)
     done = 0
     for _ in walk.rows():
         yield from walk.histories[done:]
@@ -312,21 +310,19 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
             "histories": len(abstraction.histories), "horizon": horizon}
 
 
-def _reward_image(phi_R: dict, r: float, tol: float = PROB_TOL) -> float:
+def _reward_image(phi_R: dict, r: float) -> float:
     for key, val in phi_R.items():
-        if abs(key - r) <= tol:
+        if abs(key - r) <= PROB_TOL:
             return val
     raise ValidationError(f"reward map undefined at {r!r}")
 
 
-def verify_morphism(m: FiniteMDP, m2: FiniteMDP, phi_S, phi_A, phi_R: dict,
-                    tol: float = PROB_TOL) -> dict:
+def verify_morphism(m: FiniteMDP, m2: FiniteMDP, phi_S, phi_A, phi_R: dict) -> dict:
     """Pointwise verification of the two morphism conditions.
 
-    phi_S and phi_A are index maps (lists), phi_R a finite map on the
-    reward support of `m`.  Checks rho0 = rho0' o phi_S and
-    T(s,a)(s',r) = T'(phi_S s, phi_A a)(phi_S s', phi_R r) on all cells,
-    visiting only the s' that either side of a cell reaches.
+    phi_S and phi_A are index maps (lists), phi_R a finite map on the reward support of `m`.
+    Checks rho0 = rho0' o phi_S and T(s,a)(s',r) = T'(phi_S s, phi_A a)(phi_S s', phi_R r)
+    at `PROB_TOL` on all cells, visiting only the s' that either side of a cell reaches.
     """
     phi_S = list(phi_S)
     phi_A = list(phi_A)
@@ -337,11 +333,11 @@ def verify_morphism(m: FiniteMDP, m2: FiniteMDP, phi_S, phi_A, phi_R: dict,
     violations = []
     for s in range(m.num_states):
         lhs, rhs = float(m.rho0[s]), float(m2.rho0[phi_S[s]])
-        if abs(lhs - rhs) > tol:
+        if abs(lhs - rhs) > PROB_TOL:
             violations.append({"where": f"rho0, state {s}", "expected": lhs, "got": rhs})
 
     rewards = m.reward_support()
-    images = [_reward_image(phi_R, r, tol) for r in rewards]
+    images = [_reward_image(phi_R, r) for r in rewards]
     preimage = {}  # state of m2 -> the states phi_S maps onto it
     for s_next, x in enumerate(phi_S):
         preimage.setdefault(x, []).append(s_next)
@@ -353,10 +349,10 @@ def verify_morphism(m: FiniteMDP, m2: FiniteMDP, phi_S, phi_A, phi_R: dict,
                     *(preimage.get(o.next_state, ()) for o in row2))):
                 for r, r2 in zip(rewards, images):
                     lhs = sum(o.prob for o in row
-                              if o.next_state == s_next and abs(o.reward - r) <= tol)
+                              if o.next_state == s_next and abs(o.reward - r) <= PROB_TOL)
                     rhs = sum(o.prob for o in row2
-                              if o.next_state == phi_S[s_next] and abs(o.reward - r2) <= tol)
-                    if abs(lhs - rhs) > tol:
+                              if o.next_state == phi_S[s_next] and abs(o.reward - r2) <= PROB_TOL)
+                    if abs(lhs - rhs) > PROB_TOL:
                         violations.append({
                             "where": f"T({s},{a}) at (s'={s_next}, r={r})",
                             "expected": lhs, "got": rhs,

@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
+from . import analysis
 from .aggregators import parse_spec
 from .analysis import (
-    HISTORY_CAP,
     analytical_dependency,
     empirical_dependency,
     reachable_histories,
@@ -153,9 +153,12 @@ def _cmd_analyze_deps(args) -> int:
     m = make_mdp_from_id(args.env)
     spec = parse_spec(args.wrapper)
     oracle = as_nmdp_oracle(m, spec)
-    if args.t >= HISTORY_CAP:  # a history at t is the last of t + 1 interned ones
-        raise ValidationError(f"--t must be below the history cap {HISTORY_CAP}, got {args.t}")
+    cap = analysis.HISTORY_CAP  # a history at t is the last of t + 1 interned ones
+    if args.t >= cap:
+        raise ValidationError(f"--t must be below the history cap {cap}, got {args.t}")
     analytical = analytical_dependency(spec, args.t)
+    if m.num_states < 2:  # a one-state pool has nothing to substitute
+        raise ValidationError(f"analyze-deps needs >= 2 states, {args.env} has {m.num_states}")
     pool = StatePool(m.embedding)  # validated once for every history
     at_t = list(itertools.islice((h for h in reachable_histories(oracle, max_t=args.t)
                                   if h.t == args.t), args.max_histories))

@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -161,14 +162,14 @@ def _read_results(csv_path: str):
         if row["status"] != "ok":
             continue
         try:
-            rows.append({
-                "agent": row["agent"],
-                "family": row["wrapper_family"],
-                "param": float(row["param"]),
-                "mean": float(row["mean_return"]),
-            })
+            param, mean = float(row["param"]), float(row["mean_return"])
         except (TypeError, ValueError) as exc:
             raise CSVFormatError(f"{csv_path}: line {lineno}: {exc}") from exc
+        if not (math.isfinite(param) and math.isfinite(mean)):
+            raise CSVFormatError(f"{csv_path}: line {lineno}: param and mean_return must be "
+                                 f"finite, got {row['param']!r} and {row['mean_return']!r}")
+        rows.append({"agent": row["agent"], "family": row["wrapper_family"],
+                     "param": param, "mean": mean})
     if not rows:
         raise CSVFormatError(f"{csv_path}: no data rows")
     return rows

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .aggregators import Filter, Transducer, parse_har_spec, parse_spec, remember
-from .core import FiniteMDP, History, NMDPOracle, UndecodableHistoryError, is_degenerate
+from .core import FiniteMDP, History, NMDPOracle, StatePool, UndecodableHistoryError, is_degenerate
 from .envs import Environment
 
 
@@ -126,8 +126,9 @@ class AggregatedMDPOracle(NMDPOracle):
         return list(dist)
 
     def candidates_at(self, p: tuple, h: History, state_pool):
-        """The aggregate the prefix's node would emit next for each raw pool state."""
-        key = (p[0], getattr(state_pool, "raw", None) or tuple(s.tobytes() for s in state_pool))
+        """The aggregate the prefix's node would emit next for each state of the pool."""
+        state_pool = StatePool(state_pool)
+        key = (p[0], state_pool.raw)
         cands = self.memo.get(key)
         if cands is None:
             cands = remember(self.memo, key, [p[0].project(s) for s in state_pool])

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -149,7 +150,7 @@ class TestEmpiricalDependency:
             empirical_dependency(oracle, h, [*POOL, entry])
 
 
-def whole_history_dependency(oracle, h, state_pool, tol=PROB_TOL):
+def whole_history_dependency(oracle, h, state_pool):
     """Reference empirical dependency: every perturbed History is built whole
     and every transition asks the oracle's History form."""
     actions = range(oracle.num_actions)
@@ -158,7 +159,7 @@ def whole_history_dependency(oracle, h, state_pool, tol=PROB_TOL):
     for i in range(h.t + 1):
         hit = False
         for cand in oracle.substitution_candidates(h, i, state_pool):
-            if np.max(np.abs(cand - h.states[i])) <= tol:
+            if np.max(np.abs(cand - h.states[i])) <= PROB_TOL:
                 continue
             perturbed = History(h.states[:i] + (cand,) + h.states[i + 1:], h.actions, h.rewards)
             for a in actions:
@@ -168,7 +169,7 @@ def whole_history_dependency(oracle, h, state_pool, tol=PROB_TOL):
                     undecodable += 1
                     hit = True
                     break
-                if not distributions_equal(base[a], d, tol):
+                if not distributions_equal(base[a], d, PROB_TOL):
                     hit = True
                     break
             if hit:
@@ -318,12 +319,12 @@ class UnkeyedOracle(AggregatedMDPOracle):
 VERDICT_SPECS = ["S^0", "S^2", "D^1", "conv:1,-0.5", "S_l:0.5", "S^1+corr:1,2,3,0.5,1,2,3"]
 
 
-def dependency_pass(oracle, hs, tol=PROB_TOL):
-    return [empirical_dependency(oracle, h, POOL, tol) for h in hs]
+def dependency_pass(oracle, hs):
+    return [empirical_dependency(oracle, h, POOL) for h in hs]
 
 
 class TestVerdictsByKey:
-    """`empirical_dependency` decides each (base key, key, tol) verdict once per oracle."""
+    """`empirical_dependency` decides each (base key, key) verdict once per oracle."""
 
     @pytest.mark.parametrize("m", [CHAIN5, SLIPPY_CHAIN5], ids=["chain", "slippy"])
     @pytest.mark.parametrize("spec", VERDICT_SPECS)
@@ -335,6 +336,7 @@ class TestVerdictsByKey:
             assert dependency_pass(keyed, hs) == expected
         assert dependency_pass(unkeyed, hs) == expected
         assert keyed.verdicts and not unkeyed.verdicts
+        assert {len(vkey) for vkey in keyed.verdicts} == {2}
         assert (sum(d.undecodable for d in expected) > 0) == (spec != "S^0")
 
     def test_warm_pass_compares_no_rows(self, monkeypatch):
@@ -352,19 +354,6 @@ class TestVerdictsByKey:
         calls[0] = 0
         assert dependency_pass(oracle, hs) == cold
         assert calls[0] == 0
-
-    def test_other_tol_decides_afresh(self):
-        oracle = as_nmdp_oracle(SLIPPY_CHAIN5, "S_l:0.5")
-        hs = list(reachable_histories(oracle, max_t=4))
-        dependency_pass(oracle, hs)
-        for vkey, verdict in oracle.verdicts.items():  # poison every verdict at PROB_TOL
-            oracle.verdicts[vkey] = not verdict
-        assert dependency_pass(oracle, hs) != dependency_pass(as_nmdp_oracle(SLIPPY_CHAIN5,
-                                                                             "S_l:0.5"), hs)
-        tol = 1e-9
-        expected = dependency_pass(UnkeyedOracle(SLIPPY_CHAIN5, parse_spec("S_l:0.5")), hs, tol)
-        assert dependency_pass(oracle, hs, tol) == expected
-        assert {vkey[2] for vkey in oracle.verdicts} == {PROB_TOL, tol}
 
     def test_verdicts_stop_at_node_cap(self, monkeypatch):
         hs = list(reachable_histories(as_nmdp_oracle(CHAIN5, "S^2"), max_t=5))
@@ -468,12 +457,13 @@ class TestMarkovAbstraction:
         probs = sorted(o.prob for o in hm.mdp.row(0, 1))
         assert probs == [0.25, 0.75]
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         # 1 + 2 + 4 histories up to t=2 fit, then the cap stops t=3 at 3 of 8
+        monkeypatch.setattr(analysis, "HISTORY_CAP", 10)
         oracle = build_nonmarkov_embedding(CHAIN5)
         with pytest.raises(StateExplosionError,
                            match=r"history cap 10 reached at t=3 of horizon 6, 10 interned"):
-            build_markov_abstraction(oracle, horizon=6, cap=10)
+            build_markov_abstraction(oracle, horizon=6)
 
     def test_horizon_states_absorbing(self):
         oracle = build_nonmarkov_embedding(make_chain(2))
@@ -800,12 +790,12 @@ class TestMorphism:
         assert verify_morphism(CHAIN5, m3, *comp)["pass"]
 
 
-def literal_verify_morphism(m, m2, phi_S, phi_A, phi_R, tol=PROB_TOL):
+def literal_verify_morphism(m, m2, phi_S, phi_A, phi_R):
     """The reference: `verify_morphism`'s two conditions over every (s, a, s', r)."""
     violations = []
     for s in range(m.num_states):
         lhs, rhs = float(m.rho0[s]), float(m2.rho0[phi_S[s]])
-        if abs(lhs - rhs) > tol:
+        if abs(lhs - rhs) > PROB_TOL:
             violations.append({"where": f"rho0, state {s}", "expected": lhs, "got": rhs})
     for s in range(m.num_states):
         for a in range(m.num_actions):
@@ -813,11 +803,11 @@ def literal_verify_morphism(m, m2, phi_S, phi_A, phi_R, tol=PROB_TOL):
             for s_next in range(m.num_states):
                 for r in m.reward_support():
                     lhs = sum(o.prob for o in row
-                              if o.next_state == s_next and abs(o.reward - r) <= tol)
-                    r2 = next(v for k, v in phi_R.items() if abs(k - r) <= tol)
+                              if o.next_state == s_next and abs(o.reward - r) <= PROB_TOL)
+                    r2 = next(v for k, v in phi_R.items() if abs(k - r) <= PROB_TOL)
                     rhs = sum(o.prob for o in row2
-                              if o.next_state == phi_S[s_next] and abs(o.reward - r2) <= tol)
-                    if abs(lhs - rhs) > tol:
+                              if o.next_state == phi_S[s_next] and abs(o.reward - r2) <= PROB_TOL)
+                    if abs(lhs - rhs) > PROB_TOL:
                         violations.append({"where": f"T({s},{a}) at (s'={s_next}, r={r})",
                                            "expected": lhs, "got": rhs})
     return {"pass": not violations, "violations": violations}
@@ -854,6 +844,13 @@ class TestMorphismSupport:
         assert len(cases) > 40 and int_zero > 0
 
 
+@pytest.mark.parametrize("check", [reachable_histories, build_markov_abstraction,
+                                   empirical_dependency, verify_morphism])
+def test_exact_checks_take_no_cap_or_tol(check):
+    # the walk reads HISTORY_CAP, and the checks PROB_TOL, when they run
+    assert not {"cap", "tol"} & set(inspect.signature(check).parameters)
+
+
 class TestReachableHistories:
     def test_counts(self):
         oracle = as_nmdp_oracle(CHAIN5, "S^1")
@@ -871,14 +868,15 @@ class TestReachableHistories:
         with pytest.raises(ValidationError):
             list(reachable_histories(as_nmdp_oracle(m, "S^1"), max_t=-1))
 
-    def test_lazy(self):
+    def test_lazy(self, monkeypatch):
         # the tree to t=9 passes a cap of 50, but its first history at t=2 is
         # yielded once 4 + 16 + 4 histories are interned
+        monkeypatch.setattr(analysis, "HISTORY_CAP", 50)
         oracle = as_nmdp_oracle(make_random_mdp(1, 4, 2, 2), "S^1")
-        first = next(h for h in reachable_histories(oracle, max_t=9, cap=50) if h.t == 2)
+        first = next(h for h in reachable_histories(oracle, max_t=9) if h.t == 2)
         assert first.t == 2
         with pytest.raises(StateExplosionError):
-            list(reachable_histories(oracle, max_t=9, cap=50))
+            list(reachable_histories(oracle, max_t=9))
 
     def test_same_order_as_abstraction(self):
         oracle = as_nmdp_oracle(make_random_mdp(1, 4, 2, 2), "S^1")

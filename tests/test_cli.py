@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from nonmarkov import cli
+from nonmarkov import analysis, cli
 from nonmarkov.analysis import empirical_dependency, reachable_histories
 from nonmarkov.cli import main, reversibility_report
 from nonmarkov.core import mdp_to_json
@@ -319,10 +319,17 @@ class TestBadInputExit2:
         assert capsys.readouterr().err == (
             f"error: --t must be below the history cap 100000, got {t}\n")
 
-    def test_t_at_the_history_cap_boundary(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "HISTORY_CAP", 5)
-        assert main(["analyze-deps", "--wrapper", "S^2", "--t", "4"]) == 0
-        assert main(["analyze-deps", "--wrapper", "S^2", "--t", "5"]) == 2
+    def test_t_at_the_history_cap_boundary(self, tmp_path, monkeypatch, capsys):
+        # one action on a deterministic 2-cycle: one history per t, so t=4 is the fifth
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({
+            "num_states": 2, "num_actions": 1, "rho0": [1, 0], "embedding": [[0], [1]],
+            "outcomes": [[[{"next": 1, "reward": 0, "prob": 1}]],
+                         [[{"next": 0, "reward": 1, "prob": 1}]]]}))
+        monkeypatch.setattr(analysis, "HISTORY_CAP", 5)
+        argv = ["analyze-deps", "--env", f"mdp-file:{path}", "--wrapper", "S^2", "--t"]
+        assert main([*argv, "4"]) == 0
+        assert main([*argv, "5"]) == 2
         assert capsys.readouterr().err == "error: --t must be below the history cap 5, got 5\n"
 
     @pytest.mark.parametrize("argv, message", [
@@ -339,13 +346,43 @@ class TestBadInputExit2:
     def test_state_explosion(self, monkeypatch, capsys):
         # the default cap of 100,000 histories takes seconds to reach; a cap of
         # 50 takes the same path
-        monkeypatch.setattr(cli, "reachable_histories",
-                            lambda oracle, max_t: reachable_histories(oracle, max_t, cap=50))
+        monkeypatch.setattr(analysis, "HISTORY_CAP", 50)
         argv = ["analyze-deps", "--env", "random:1:4:2:2", "--wrapper", "S^1", "--t", "9"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == ("error: state explosion: history cap 50 reached at t=2 of horizon 9, "
                        "50 interned\n")
+
+    def test_walk_and_t_read_one_history_cap(self, monkeypatch, capsys):
+        # both read analysis.HISTORY_CAP when they run, not a copy taken at import
+        monkeypatch.setattr(analysis, "HISTORY_CAP", 7)
+        oracle = as_nmdp_oracle(make_chain(5), "S^1")
+        with pytest.raises(analysis.StateExplosionError,
+                           match=r"^state explosion: history cap 7 reached at t=3 of horizon 3, "
+                                 r"7 interned$"):
+            list(reachable_histories(oracle, max_t=3))
+        assert main(["analyze-deps", "--wrapper", "S^1", "--t", "7"]) == 2
+        assert capsys.readouterr().err == "error: --t must be below the history cap 7, got 7\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--t", "3"], "analyze-deps needs >= 2 states, random:1:1:1:1 has 1"),
+        (["--t", "0"], "analyze-deps needs >= 2 states, random:1:1:1:1 has 1"),
+        (["--t", "30000000"], "--t must be below the history cap 100000, got 30000000"),
+        (["--t", "3", "--max-histories", "0"], "--max-histories must be >= 1, got 0"),
+    ])
+    def test_one_state_process(self, argv, message, capsys):
+        # one state leaves nothing to substitute, so no dependency could ever be seen;
+        # the check comes after the others, which keep their messages
+        assert main(["analyze-deps", "--env", "random:1:1:1:1", "--wrapper", "S^2", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_plot_non_finite_value(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text("env,wrapper_family,param,agent,seed,mean_return,std_return,episodes,"
+                        "status,wall_ms\nchain:5,S,1,qwin:1,0,nan,0,100,ok,0\n")
+        assert main(["plot", "--in", str(path), "--out", str(tmp_path / "p.svg")]) == 2
+        _assert_one_line_error(capsys)
+        assert not (tmp_path / "p.svg").exists()
 
     def test_window_longer_than_an_episode(self, capsys):
         argv = ["run", "--agent", "qwin:10", "--horizon", "8", "--episodes", "5",

@@ -217,6 +217,20 @@ class TestRenderPlot:
         with pytest.raises(CSVFormatError, match="line 3"):
             render_plot(self.make_csv(tmp_path, rows), str(tmp_path / "p.svg"))
 
+    @pytest.mark.parametrize("row", [
+        "chain:5,S,nan,qwin:1,0,4.0,0,100,ok,0",
+        "chain:5,S,inf,qwin:1,0,4.0,0,100,ok,0",
+        "chain:5,S,2,qwin:1,0,nan,0,100,ok,0",
+        "chain:5,S,2,qwin:1,0,-inf,0,100,ok,0",
+    ], ids=["param-nan", "param-inf", "mean-nan", "mean-minus-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, row):
+        # float() reads nan and inf, which would put nan coordinates in the SVG
+        rows = ["chain:5,S,1,qwin:1,0,4.0,0,100,ok,0", row]
+        out = tmp_path / "p.svg"
+        with pytest.raises(CSVFormatError, match="line 3: param and mean_return must be finite"):
+            render_plot(self.make_csv(tmp_path, rows), str(out))
+        assert not out.exists()
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -448,6 +448,14 @@ class TestSharedDecoder:
         assert as_bytes(oracle.candidates_at(p, None, list(POOL))) == \
             as_bytes(oracle.candidates_at(p, None, StatePool(POOL)))
 
+    def test_list_pool_with_a_non_finite_entry_is_rejected(self):
+        oracle = as_nmdp_oracle(SLIPPY_CHAIN, "S^2")
+        p = oracle.pull(oracle.begin(), oracle.initial()[0][0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                oracle.candidates_at(p, None, [*POOL, np.full_like(POOL[0], bad)])
+        assert not oracle.memo
+
     def test_pull_with_the_caller_s_bytes(self):
         # bytes the caller already has key the decoder edge as the observation's own would
         oracle, given = (as_nmdp_oracle(SLIPPY_CHAIN, "S^2") for _ in range(2))
