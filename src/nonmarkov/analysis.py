@@ -221,16 +221,15 @@ class _HistoryWalk:
 def build_markov_abstraction(oracle: NMDPOracle, horizon: int) -> HistoryMDP:
     """Enumerate reachable histories up to `horizon` as explicit states.
 
-    Transition probabilities are inherited exactly; histories at the
-    horizon become absorbing (zero reward) so the table stays closed.
+    Transition probabilities are inherited exactly; histories at the horizon
+    become absorbing (zero reward, one row for all actions) so the table stays closed.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     walk = _HistoryWalk(oracle, horizon)
     outcomes = list(walk.rows())
     n = len(walk.histories)
-    outcomes += [tuple((Outcome(i, 0.0, 1.0),) for _ in range(oracle.num_actions))
-                 for i in range(len(outcomes), n)]
+    outcomes += [((Outcome(i, 0.0, 1.0),),) * oracle.num_actions for i in range(len(outcomes), n)]
     rho0 = np.zeros(n)
     for i, p in walk.rho0:
         rho0[i] += p
@@ -272,6 +271,8 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
     state and action, exactly the original table row for (last state,
     action) under the history-to-state correspondence.
     """
+    if not 0 <= tol < np.inf:  # inf would pass any row, nan or a negative tol fail some
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     if abstraction is None:
         abstraction = build_markov_abstraction(build_nonmarkov_embedding(m), horizon)
     hm, histories, k = abstraction.mdp, abstraction.histories, m.num_actions
@@ -296,10 +297,10 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
                                "got": "undecodable last state"})
             continue
         row = hm.row(i, a)
-        if any(decoded[o.next_state] < 0 for o in row):
+        if any(decoded[n] < 0 for n, _, _ in row):
             continue  # the undecodable child is a violation of its own
-        got = [((float(decoded[o.next_state]), o.reward), o.prob) for o in row]
-        expected = [((float(o.next_state), o.reward), o.prob) for o in m.row(decoded[i], a)]
+        got = [((float(decoded[n]), r), p) for n, r, p in row]
+        expected = [((float(n), r), p) for n, r, p in m.row(decoded[i], a)]
         if not distributions_equal(expected, got, tol):
             violations.append({
                 "where": f"history {i} (t={h.t}), action {a}",
@@ -345,13 +346,12 @@ def verify_morphism(m: FiniteMDP, m2: FiniteMDP, phi_S, phi_A, phi_R: dict) -> d
         for a in range(m.num_actions):
             row = m.row(s, a)
             row2 = m2.row(phi_S[s], phi_A[a])
-            for s_next in sorted({o.next_state for o in row}.union(  # else both sums are 0
-                    *(preimage.get(o.next_state, ()) for o in row2))):
+            for s_next in sorted({n for n, _, _ in row}.union(  # else both sums are 0
+                    *(preimage.get(n, ()) for n, _, _ in row2))):
                 for r, r2 in zip(rewards, images):
-                    lhs = sum(o.prob for o in row
-                              if o.next_state == s_next and abs(o.reward - r) <= PROB_TOL)
-                    rhs = sum(o.prob for o in row2
-                              if o.next_state == phi_S[s_next] and abs(o.reward - r2) <= PROB_TOL)
+                    lhs = sum(p for n, x, p in row if n == s_next and abs(x - r) <= PROB_TOL)
+                    rhs = sum(p for n, x, p in row2
+                              if n == phi_S[s_next] and abs(x - r2) <= PROB_TOL)
                     if abs(lhs - rhs) > PROB_TOL:
                         violations.append({
                             "where": f"T({s},{a}) at (s'={s_next}, r={r})",

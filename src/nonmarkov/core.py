@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,8 +160,7 @@ def canonical_equal(c1, c2, tol: float = PROB_TOL) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """One branch of a transition: next state index, reward, probability."""
 
     next_state: int
@@ -205,10 +205,12 @@ class FiniteMDP:
         cells = [c for row in rows for c in row]  # errors in a cell-by-cell walk's order
         length = np.array([len(c) for c in cells], dtype=np.intp)
         flat = [o for c in cells for o in c]
+        table = np.array(flat or np.zeros((0, 3)), dtype=float)  # row j: outcome j's triple
+        if table.shape != (len(flat), 3):  # as a bare Outcome given as a cell: three numbers
+            raise ValidationError("each outcome must be a (next_state, reward, prob) triple")
         live = np.arange(length.max(initial=1)) < length[:, None]
         nxt, reward, prob = np.zeros((3, *live.shape))  # padding passes every check below
-        nxt[live], reward[live], prob[live] = np.array(
-            [[o.next_state for o in flat], [o.reward for o in flat], [o.prob for o in flat]])
+        nxt[live], reward[live], prob[live] = table.T
         with np.errstate(all="ignore"):  # in the order of `total += prob`; inf - inf is nan
             total = reduce(np.add, prob.T, np.zeros(len(cells)))
         bad_next = ~((nxt >= 0) & (nxt < self.num_states) & (nxt == np.floor(nxt)))
@@ -219,7 +221,7 @@ class FiniteMDP:
             c = int(np.argmax(bad))
             j = int(np.argmax(bad_slot[c]))
             msg = ("empty outcome list" if not length[c]
-                   else f"next state {cells[c][j].next_state} out of range" if bad_next[c, j]
+                   else f"next state {cells[c][j][0]} out of range" if bad_next[c, j]
                    else "non-finite reward or probability" if bad_num[c, j]
                    else "negative probability" if bad_slot[c, j]
                    else f"outcome probs sum to {float(total[c])!r}, not 1")
@@ -273,15 +275,14 @@ class FiniteMDP:
         return found
 
     def reward_support(self):
-        return sorted({o.reward for row in self.outcomes for lst in row for o in lst})
+        return sorted({r for row in self.outcomes for lst in row for _, r, _ in lst})
 
 
 def is_degenerate(m: FiniteMDP) -> bool:
     """True iff two distinct states have identical outcome rows for every action."""
     buckets = {}  # by the canonical rows' next states, which equal rows share
     for per_action in m.outcomes:
-        rows = [canonical_distribution(((o.next_state, o.reward), o.prob) for o in lst)
-                for lst in per_action]
+        rows = [canonical_distribution(((n, r), p) for n, r, p in lst) for lst in per_action]
         buckets.setdefault(tuple(tuple(key[0] for key, _ in r) for r in rows), []).append(rows)
     return any(all(map(canonical_equal, r1, r2))
                for bucket in buckets.values() for r1, r2 in combinations(bucket, 2))
@@ -359,7 +360,7 @@ def mdp_to_json(m: FiniteMDP) -> dict:
         "num_actions": m.num_actions,
         "rho0": [float(p) for p in m.rho0],
         "outcomes": [
-            [[{"next": o.next_state, "reward": o.reward, "prob": o.prob} for o in lst]
+            [[{"next": n, "reward": r, "prob": p} for n, r, p in lst]
              for lst in row]
             for row in m.outcomes
         ],

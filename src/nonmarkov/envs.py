@@ -69,13 +69,12 @@ class FiniteMDPEnv(Environment):
         if not 0 <= action < self.num_actions:
             raise ValidationError(f"action {action} out of range")
         idx = bisect_right(self._cdf[self._state * self.num_actions + action], self._rng.random())
-        outcome = self.mdp.row(self._state, action)[idx]
-        self._state = outcome.next_state
+        self._state, reward, _ = self.mdp.row(self._state, action)[idx]
         self._steps += 1
         truncated = self.max_steps is not None and self._steps >= self.max_steps
         if truncated:
             self._done = True
-        return self.mdp.embedding[self._state], outcome.reward, False, truncated
+        return self.mdp.embedding[self._state], reward, False, truncated
 
 
 def _choice_cdf(p: np.ndarray) -> list:

@@ -77,10 +77,10 @@ def run_cell(env_id: str, wrapper: str, agent_spec: str, seed: int, episodes: in
              eval_episodes: int, horizon: int):
     """Train one agent on one wrapped environment; return the (mean, std) of
     its evaluation returns, evaluated on seeds from `seed + 10_000` on."""
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    for name, value, low in (("horizon", horizon, 1), ("seed", seed, 0),
+                             ("eval_episodes", eval_episodes, 1)):  # all before training
+        if value < low:
+            raise ValidationError(f"{name} must be >= {low}, got {value}")
     env = wrap(make_env(env_id, max_steps=horizon), wrapper)
     agent = parse_agent_spec(agent_spec, env.num_actions)
     train(agent, env, episodes=episodes, seed=seed, horizon=horizon)

@@ -120,9 +120,8 @@ class AggregatedMDPOracle(NMDPOracle):
         key = (node, idx, action)
         dist = self.memo.get(key)
         if dist is None:
-            embed = self.mdp.embedding
-            dist = remember(self.memo, key, [((node.project(embed[o.next_state]), o.reward), o.prob)
-                                             for o in self.mdp.row(idx, action)])
+            dist = remember(self.memo, key, [((node.project(self.mdp.embedding[n]), r), p)
+                                             for n, r, p in self.mdp.row(idx, action)])
         return list(dist)
 
     def candidates_at(self, p: tuple, h: History, state_pool):

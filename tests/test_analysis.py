@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -474,6 +475,15 @@ class TestMarkovAbstraction:
                     (o,) = hm.mdp.row(i, a)
                     assert o.next_state == i and o.reward == 0.0
 
+    def test_horizon_row_shared_by_actions(self):
+        oracle = build_nonmarkov_embedding(make_random_mdp(0, 3, 3, 2))
+        hm = build_markov_abstraction(oracle, horizon=2)
+        horizon = [i for i, h in enumerate(hm.histories) if h.t == 2]
+        assert horizon
+        for i in horizon:
+            assert all(hm.mdp.row(i, a) is hm.mdp.row(i, 0) for a in range(3))
+            assert hm.mdp.row(i, 0) == (Outcome(i, 0.0, 1.0),)
+
 
 def whole_history_key(h):
     return (
@@ -679,6 +689,20 @@ class TestRoundtripRowComparison:
             {"where": "history 3 (t=1), action 1",
              "expected": [((0.0, 0.0), 0.25), ((1.0, 0.0), 0.75)],
              "got": [((0.0, 0.0), 0.25), ((1.0, 0.5), 0.75)]}]
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # cell (0, 1) reads 0.95/0.05 where the process has 0.75/0.25; tol=inf passed it
+        row = self.HM.mdp.row(0, 1)
+        bad = self.with_cell(0, 1, [Outcome(n, r, {0.75: 0.95, 0.25: 0.05}[p]) for n, r, p in row])
+        assert not verify_equivalence_roundtrip(self.M, 2, abstraction=bad)["pass"]
+        assert not verify_equivalence_roundtrip(self.M, 2, abstraction=bad, tol=1e-12)["pass"]
+        message = f"tol must be finite and >= 0, got {tol!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            verify_equivalence_roundtrip(self.M, 2, abstraction=bad, tol=tol)
+
+    def test_zero_tol_accepted(self):
+        assert verify_equivalence_roundtrip(self.M, 2, abstraction=self.HM, tol=0.0)["pass"]
 
     def test_abstraction_with_other_action_count_rejected(self):
         other = build_markov_abstraction(build_nonmarkov_embedding(make_random_mdp(0, 3, 3, 2)), 2)

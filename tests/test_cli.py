@@ -288,6 +288,10 @@ class TestBadInputExit2:
         assert main(["run", "--horizon", value, "--episodes", "5", "--eval-episodes", "5"]) == 2
         _assert_one_line_error(capsys)
 
+    def test_eval_episodes_below_one(self, capsys):
+        assert main(["run", "--eval-episodes", "0", "--episodes", "5"]) == 2
+        assert capsys.readouterr().err == "error: eval_episodes must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("argv", [
         ["run", "--seed", "-1", "--episodes", "5", "--eval-episodes", "5"],
         ["verify-reversibility", "--seed", "-1", "--trajectories", "5"],

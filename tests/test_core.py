@@ -22,7 +22,8 @@ from nonmarkov.core import (
     mdp_to_json,
     save_mdp,
 )
-from nonmarkov.envs import make_random_mdp
+from nonmarkov.analysis import build_markov_abstraction, build_nonmarkov_embedding
+from nonmarkov.envs import make_chain, make_random_mdp
 from nonmarkov.wrappers import as_nmdp_oracle
 
 
@@ -330,6 +331,89 @@ class TestFiniteMDP:
         for arr in (m.next, m.reward, m.prob, m.length):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+
+def reference_arrays(m):
+    """`next`, `reward`, `prob` and `length` built outcome by outcome, field by field."""
+    cells = [cell for row in m.outcomes for cell in row]
+    nxt, reward, prob = np.zeros((3, len(cells), max(map(len, cells))))
+    for c, cell in enumerate(cells):
+        for j, o in enumerate(cell):
+            nxt[c, j], reward[c, j], prob[c, j] = o.next_state, o.reward, o.prob
+    return nxt.astype(np.intp), reward, prob, np.array(list(map(len, cells)), dtype=np.intp)
+
+
+def signed_zero_and_int_rewards():
+    return FiniteMDP(num_states=2, num_actions=1, rho0=np.array([1.0, 0.0]),
+                     outcomes=(((Outcome(1, -0.0, 0.5), Outcome(0, 2, 0.5)),),
+                               ((Outcome(0, 0, 1.0),),)),
+                     embedding=([0.0], [1.0]))
+
+
+def loaded(m, tmp_path):
+    save_mdp(m, tmp_path / "m.json")
+    return load_mdp(tmp_path / "m.json")
+
+
+COMPILE_CASES = {
+    "chain5": lambda tmp: make_chain(5, 0.2),
+    **{f"random{s}": lambda tmp, s=s: make_random_mdp(s, 4, 2, 2) for s in range(5)},
+    "chain5-loaded": lambda tmp: loaded(make_chain(5, 0.2), tmp),
+    "random3-loaded": lambda tmp: loaded(make_random_mdp(3, 4, 2, 2), tmp),
+    "abstraction": lambda tmp: build_markov_abstraction(
+        build_nonmarkov_embedding(make_chain(3, 0.25)), 3).mdp,
+    "signed-zero-int-reward": lambda tmp: signed_zero_and_int_rewards(),
+}
+
+
+class TestOutcomeCompile:
+    @pytest.mark.parametrize("case", COMPILE_CASES)
+    def test_arrays_equal_field_by_field_reference(self, case, tmp_path):
+        m = COMPILE_CASES[case](tmp_path)
+        for got, want in zip((m.next, m.reward, m.prob, m.length), reference_arrays(m)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_signed_zero_and_int_reward_compiled(self):
+        m = signed_zero_and_int_rewards()
+        assert np.signbit(m.reward[0, 0]) and m.reward[0, 1] == 2.0
+        assert m.reward_support() == [0, 2] and type(m.reward_support()[1]) is int
+
+    def test_outcome_is_a_named_triple(self):
+        o = Outcome(next_state=1, reward=0.0, prob=1.0)
+        next_state, reward, prob = o
+        assert (next_state, reward, prob) == (o.next_state, o.reward, o.prob) == (1, 0.0, 1.0)
+        assert o == Outcome(1, 0.0, 1.0) and hash(o) == hash(Outcome(1, 0.0, 1.0))
+        assert repr(o) == "Outcome(next_state=1, reward=0.0, prob=1.0)"
+        with pytest.raises(AttributeError):
+            o.prob = 0.5
+
+    def test_plain_triples_compile_as_outcomes(self):
+        m = simple_mdp()
+        plain = tuple(tuple(tuple(map(tuple, cell)) for cell in row) for row in m.outcomes)
+        again = FiniteMDP(num_states=2, num_actions=2, rho0=m.rho0, outcomes=plain,
+                          embedding=m.embedding)
+        for name in ("next", "reward", "prob", "length"):
+            assert getattr(again, name).tobytes() == getattr(m, name).tobytes()
+
+    @pytest.mark.parametrize("cell", [
+        Outcome(0, 0.0, 1 / 3),  # three numbers, not three outcomes of probability 1/3
+        Outcome(0, 0.0, 1.0),
+        ((0, 1.0),),
+        ((0, 0.0, 1.0, 0.0),),
+        ("001",),
+        (((0, 0.0, 1.0),),),
+    ], ids=["bare-outcome-third", "bare-outcome", "pair", "quadruple", "string", "nested"])
+    def test_entry_that_is_not_a_triple_rejected(self, cell):
+        with pytest.raises(ValidationError, match=re.escape(
+                "each outcome must be a (next_state, reward, prob) triple")):
+            FiniteMDP(num_states=1, num_actions=1, rho0=np.array([1.0]),
+                      outcomes=((cell,),), embedding=([0.0],))
+
+    def test_bare_outcome_beside_outcomes_rejected(self):
+        with pytest.raises(ValueError):
+            FiniteMDP(num_states=1, num_actions=2, rho0=np.array([1.0]),
+                      outcomes=(((Outcome(0, 0.0, 1.0),), Outcome(0, 0.0, 1.0)),),
+                      embedding=([0.0],))
 
 
 def nearest_by_distance(m, vec):

@@ -22,6 +22,17 @@ def small_config(**kw):
     return SweepConfig(**base)
 
 
+@pytest.mark.parametrize("eval_episodes", [0, -1])
+def test_run_cell_checks_eval_episodes_before_training(eval_episodes, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("reached before eval_episodes was checked")
+
+    monkeypatch.setattr(experiments, "make_env", never)
+    monkeypatch.setattr(experiments, "train", never)
+    with pytest.raises(ValidationError, match=f"eval_episodes must be >= 1, got {eval_episodes}"):
+        experiments.run_cell("chain:5", "S", "qwin:1", 0, 20_000, eval_episodes, 8)
+
+
 class TestSweepConfig:
     def test_grid_nonempty(self):
         with pytest.raises(ValidationError):
