@@ -153,7 +153,7 @@ def build_nonmarkov_embedding(m: FiniteMDP) -> AggregatedMDPOracle:
     return AggregatedMDPOracle(m, identity_spec())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryMDP:
     """Explicit tabular process whose states enumerate reachable histories."""
 

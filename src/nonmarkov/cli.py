@@ -26,7 +26,7 @@ from .analysis import (
     verify_equivalence_roundtrip,
     verify_morphism,
 )
-from .core import StatePool, ValidationError, is_int, load_json, load_mdp
+from .core import StatePool, ValidationError, is_int, json_number, load_json, load_mdp
 from .envs import make_mdp_from_id
 from .experiments import SweepConfig, render_plot, run_cell, run_sweep
 from .wrappers import as_nmdp_oracle
@@ -124,7 +124,7 @@ def _cmd_verify_category(args) -> int:
 
 def _load_morphism_map(path: str):
     """(phi_S, phi_A, phi_R) from a JSON map file: two lists of integer
-    indices and an object from reward strings to rewards."""
+    indices and an object from reward strings to finite JSON numbers."""
     mapping = load_json(path)
     for key in ("phi_S", "phi_A", "phi_R"):
         if key not in mapping:
@@ -134,9 +134,11 @@ def _load_morphism_map(path: str):
             raise ValidationError(f"{path}: {key} must be a list of integers, "
                                   f"got {mapping[key]!r}")
     try:
-        phi_R = {float(k): float(v) for k, v in mapping["phi_R"].items()}
-    except (AttributeError, TypeError, ValueError):
-        raise ValidationError(f"{path}: phi_R must map reward strings to numbers, "
+        phi_R = {float(k): json_number(v) for k, v in mapping["phi_R"].items()}
+        if not np.isfinite([*phi_R, *phi_R.values()]).all():
+            raise ValueError
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{path}: phi_R must map reward strings to finite numbers, "
                               f"got {mapping['phi_R']!r}") from None
     return mapping["phi_S"], mapping["phi_A"], phi_R
 

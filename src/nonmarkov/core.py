@@ -38,6 +38,12 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def json_number(v, at=""):  # JSON ints and floats, as floats, at any list depth; not true or "1"
+    if isinstance(v, list) or is_int(v) or isinstance(v, float):
+        return [json_number(x, at) for x in v] if isinstance(v, list) else float(v)
+    raise TypeError(f"{at}non-number {v!r}")
+
+
 def vector_bytes(x):
     """The bytes of a 1-d float64 array, which identify its values and shape; else None."""
     keyed = isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 1
@@ -168,7 +174,7 @@ class Outcome(NamedTuple):
     prob: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMDP:
     """Tabular time-homogeneous decision process with an injective vector embedding.
 
@@ -205,9 +211,15 @@ class FiniteMDP:
         cells = [c for row in rows for c in row]  # errors in a cell-by-cell walk's order
         length = np.array([len(c) for c in cells], dtype=np.intp)
         flat = [o for c in cells for o in c]
-        table = np.array(flat or np.zeros((0, 3)), dtype=float)  # row j: outcome j's triple
-        if table.shape != (len(flat), 3):  # as a bare Outcome given as a cell: three numbers
-            raise ValidationError("each outcome must be a (next_state, reward, prob) triple")
+        try:  # no dtype=float, which would parse the string '1'; kind O: ints past int64
+            table = np.array(flat or np.zeros((0, 3)))  # row j: outcome j's triple
+        except ValueError:  # ragged, as a bare Outcome beside outcomes
+            table = np.zeros(0)
+        if table.shape != (len(flat), 3) or table.dtype.kind not in "iufO":
+            s, a = divmod(next(c for c, cell in enumerate(cells) for o in cell if not (
+                np.shape(o) == (3,) and np.asarray(o).dtype.kind in "iufO")), self.num_actions)
+            raise ValidationError(f"state {s}, action {a}: each outcome must be a "
+                                  "(next_state, reward, prob) triple of numbers")
         live = np.arange(length.max(initial=1)) < length[:, None]
         nxt, reward, prob = np.zeros((3, *live.shape))  # padding passes every check below
         nxt[live], reward[live], prob[live] = table.T
@@ -288,7 +300,7 @@ def is_degenerate(m: FiniteMDP) -> bool:
                for bucket in buckets.values() for r1, r2 in combinations(bucket, 2))
 
 
-class UndecodableHistoryError(ValueError):
+class UndecodableHistoryError(ValidationError):
     """Raised when a decoded observation matches no embedded state."""
 
 
@@ -296,13 +308,13 @@ class NMDPOracle:
     """Exact transition evaluator for a finite non-Markovian decision process.
 
     Subclasses implement `initial()`, a finite distribution over first observations
-    as (obs, prob) pairs, and one of two forms, each of which the base class answers
-    with the other.  The History form is `transition(h, a)`, a finite distribution
-    over (next observation, reward) as ((obs, reward), prob) pairs, and
-    `substitution_candidates`.  The prefix form is `begin()`, `pull`, `transition_at`
-    and `candidates_at` on prefixes, immutable values: `pull(p, obs, action, reward)`
-    returns `p` one step longer.  A History-form prefix is the History (None before
-    the first pull).  Observations are 1-d float arrays.  Both distributions must be
+    as (obs, prob) pairs, and the History form: `transition(h, a)`, a finite
+    distribution over (next observation, reward) as ((obs, reward), prob) pairs, and
+    `substitution_candidates`.  The analysis reads the prefix form, which a subclass may
+    override and which defaults to the History form: `begin()`, `pull`, `key`,
+    `transition_at` and `candidates_at`, where a prefix is the History (None before the
+    first pull).  Prefixes are immutable; `pull(p, obs, action, reward)` returns `p` one
+    step longer.  Observations are 1-d float arrays.  Both distributions must be
     deterministic functions of their arguments and sum to 1 within 1e-12; a key may
     repeat, and consumers sum the probabilities of equal keys.  `key(p)` is None, or for
     every prefix a hashable value; prefixes with equal keys have equal `transition_at` rows,
@@ -312,21 +324,18 @@ class NMDPOracle:
     num_actions: int
 
     def initial(self):
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} does not implement initial()")
 
     def transition(self, h: History, action: int):
-        return self.transition_at(self._replay(h, h.t + 1), action)
+        raise NotImplementedError(f"{type(self).__name__} does not implement transition(h, a)")
 
     def substitution_candidates(self, h: History, index: int, state_pool):
-        """Candidate observations to substitute at `index` of `h`, one per
-        raw state in `state_pool`."""
-        return self.candidates_at(self._replay(h, index), h, StatePool(state_pool))
+        """Observations to substitute at `index` of `h`, one per raw state in `state_pool`."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement substitution_candidates()")
 
     def begin(self):
         """The prefix of the empty history."""
-        if type(self).transition is NMDPOracle.transition:
-            raise NotImplementedError(f"{type(self).__name__} implements neither begin() "
-                                      "nor transition(h, a)")
         return None
 
     def pull(self, p, obs, action=None, reward=None, raw=None):  # raw: obs's bytes, if known
@@ -340,16 +349,7 @@ class NMDPOracle:
 
     def candidates_at(self, p, h: History, state_pool):
         """`substitution_candidates` of `h` at the position after prefix `p`."""
-        if type(self).substitution_candidates is NMDPOracle.substitution_candidates:
-            raise NotImplementedError(f"{type(self).__name__} implements neither "
-                                      "candidates_at() nor substitution_candidates()")
         return self.substitution_candidates(h, p.t + 1 if p else 0, state_pool)
-
-    def _replay(self, h: History, n: int):
-        p = self.begin()
-        for step in zip(h.states[:n], (None, *h.actions), (None, *h.rewards)):
-            p = self.pull(p, *step)
-        return p
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -372,10 +372,10 @@ def mdp_from_dict(data: dict, source: str = "<dict>") -> FiniteMDP:
     def fail(path, msg):
         raise ValidationError(f"{source}: {path}: {msg}")
 
-    def whole(v, what="non-integer") -> int:  # JSON ints and floats such as 2.0, not true or "2"
+    def whole(v, at="") -> int:  # JSON ints and floats such as 2.0, not true or "2"
         if is_int(v) or isinstance(v, float) and v.is_integer():
             return int(v)
-        raise TypeError(f"{what} {v!r}")
+        raise TypeError(f"{at}non-integer {v!r}")
 
     if not isinstance(data, dict):
         fail("top level", f"expected a JSON object, got {json.dumps(data, default=repr)[:40]}")
@@ -383,24 +383,22 @@ def mdp_from_dict(data: dict, source: str = "<dict>") -> FiniteMDP:
         if key not in data:
             fail(key, "missing field")
     try:
-        outcomes = tuple(
-            tuple(tuple(Outcome(whole(o["next"], f"state {s}, action {a}, outcome {j}: "
-                                      "non-integer next"), float(o["reward"]), float(o["prob"]))
-                        for j, o in enumerate(lst))
-                  for a, lst in enumerate(row))
-            for s, row in enumerate(data["outcomes"])
-        )
+        outcomes = tuple(tuple(tuple(Outcome(*(
+            convert(o[k], f"state {s}, action {a}, outcome {j}: {k}: ")
+            for k, convert in (("next", whole), ("reward", json_number), ("prob", json_number))))
+            for j, o in enumerate(lst)) for a, lst in enumerate(row))
+            for s, row in enumerate(data["outcomes"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         fail("outcomes", f"malformed outcome entry ({exc})")
     fields = {}
     for key, convert in (("num_states", whole), ("num_actions", whole),
-                         ("rho0", lambda v: np.asarray(v, dtype=float))):
+                         ("rho0", json_number), ("embedding", json_number)):
         try:
             fields[key] = convert(data[key])
         except (TypeError, ValueError, OverflowError) as exc:
             fail(key, f"malformed value ({exc})")
     try:
-        return FiniteMDP(**fields, outcomes=outcomes, embedding=data["embedding"])
+        return FiniteMDP(**fields, outcomes=outcomes)
     except (ValidationError, OverflowError) as exc:  # a next state past float range
         raise ValidationError(f"{source}: {exc}") from exc
 

@@ -57,8 +57,10 @@ class SweepConfig:
             raise ValidationError("sweep grid must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError("sweep seeds must be distinct")
-        for wrapper in self.wrappers:  # a malformed wrapper fails before any cell runs
+        for wrapper in self.wrappers:  # a malformed wrapper or agent fails before any cell runs
             parse_spec(wrapper)
+        for agent in self.agents:  # qwin:k past the horizon is still a cell's error
+            parse_agent_spec(agent, 1)
 
     @classmethod
     def from_json(cls, path: str) -> "SweepConfig":

@@ -104,6 +104,18 @@ class AggregatedMDPOracle(NMDPOracle):
         return [(self.spec.begin().push(e), float(p))
                 for e, p in zip(self.mdp.embedding, self.mdp.rho0) if p > 0]
 
+    def transition(self, h: History, action: int):
+        return self.transition_at(self._replay(h, h.t + 1), action)
+
+    def substitution_candidates(self, h: History, index: int, state_pool):
+        return self.candidates_at(self._replay(h, index), h, state_pool)
+
+    def _replay(self, h: History, n: int) -> tuple:  # the prefix of h's first n observations
+        p = self.begin()
+        for obs in h.states[:n]:
+            p = self.pull(p, obs)
+        return p
+
     def begin(self) -> tuple:
         return self.decoders.root, None, -1
 

@@ -213,11 +213,13 @@ class InitialOnlyOracle(NMDPOracle):
 
 
 def test_oracle_with_neither_form_raises():
-    # each base-class form replayed the other, so these recursed until RecursionError
+    # the base class once replayed each form through the other, so these recursed
+    # until RecursionError; now each ends in the History form's stub
     oracle = InitialOnlyOracle()
     for call in (lambda: oracle.transition(initial_history([0.0]), 0),
-                 lambda: build_markov_abstraction(oracle, 2)):
-        with pytest.raises(NotImplementedError, match="InitialOnlyOracle implements neither"):
+                 lambda: build_markov_abstraction(oracle, 2),
+                 lambda: empirical_dependency(oracle, initial_history([0.0]), [np.ones(1)])):
+        with pytest.raises(NotImplementedError, match="InitialOnlyOracle does not implement"):
             call()
 
 
@@ -227,14 +229,14 @@ class TransitionOnlyOracle(InitialOnlyOracle):
 
 
 def test_history_form_without_candidates_raises():
-    # the base substitution_candidates and the base candidates_at each default to
-    # the other, so a History-form oracle without candidates must raise, not recurse
+    # a History-form oracle without candidates builds its abstraction, and the
+    # base candidates_at ends in the substitution_candidates stub
     oracle, h = TransitionOnlyOracle(), initial_history([0.0])
     assert build_markov_abstraction(oracle, 2).mdp.num_states == 3
     for call in (lambda: oracle.substitution_candidates(h, 0, [np.zeros(1)]),
                  lambda: empirical_dependency(oracle, h, [np.ones(1)])):
         with pytest.raises(NotImplementedError,
-                           match="TransitionOnlyOracle implements neither candidates_at"):
+                           match="TransitionOnlyOracle does not implement substitution_candidates"):
             call()
 
 
@@ -395,7 +397,8 @@ class TestEveryCacheUnderTheCap:
         x = np.random.default_rng(0).normal(size=(12, 2))
         batch = [(f.aggregate(x).tobytes(), f.decode(x).tobytes())
                  for f in map(parse_spec, self.SPECS)]
-        (env,), (agent,), walks = made["envs"], made["agents"], made["walks"]
+        # the sweep config parses each agent spec once up front, then the cell makes its own
+        (env,), (_, agent), walks = made["envs"], made["agents"], made["walks"]
         sizes = {"learn nodes": len(env._states.nodes), "learn edges": len(env._states.edges),
                  "discretizer": len(agent.discretizer._memo),
                  "decoder nodes": len(oracle.decoders.nodes),

@@ -406,6 +406,24 @@ class TestBadInputExit2:
         _assert_one_line_error(capsys)
         assert not (tmp_path / "r.csv").exists()
 
+    def test_sweep_malformed_agent_before_any_cell(self, tmp_path, capsys):
+        # the bad agent's cells used to become error:ValidationError rows, exit 0
+        args = _sweep_args(tmp_path / "r.csv")
+        args[args.index("--agent") + 1:args.index("--agent") + 2] = ["bad", "--agent", "qwin:1"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: cannot parse agent spec 'bad'\n"
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("argv, t", [
+        (["--env", "random:1:4:2:2", "--wrapper", "S^40", "--t", "6", "--max-histories", "2"], 6),
+        (["--wrapper", "corr:1e-5,1e5,1e-5,1e5", "--t", "3"], 2),
+    ])
+    def test_undecodable_history(self, argv, t, capsys):
+        # the walk's UndecodableHistoryError used to escape as a traceback, exit 1
+        assert main(["analyze-deps", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: decoded state at t={t} matches no embedded state\n"
+
     def test_verify_morphism_ragged_embedding(self, tmp_path, capsys):
         data = mdp_to_json(make_chain(3))
         data["embedding"][1] = [0.0, 1.0]
@@ -426,7 +444,12 @@ class TestBadInputExit2:
                                               (("outcomes", 0, 0, 0, "reward"), 10 ** 400),
                                               (("num_states",), float("inf")),
                                               (("num_actions",), 2.9),
-                                              (("num_states",), "3")])
+                                              (("num_states",), "3"),
+                                              (("outcomes", 0, 0, 0, "reward"), "1"),
+                                              (("outcomes", 0, 0, 0, "prob"), True),
+                                              (("rho0",), ["1", "0", "0"]),
+                                              (("embedding",), [["0"], ["1"], ["2"]]),
+                                              (("embedding",), [[True], [False], [False]])])
     def test_malformed_mdp_file(self, where, value, tmp_path, capsys):
         data = mdp_to_json(make_chain(3))
         target = data
@@ -456,7 +479,13 @@ class TestBadInputExit2:
 
     @pytest.mark.parametrize("bad", [{"phi_R": [0.0, 1.0]}, {"phi_R": {"a": 0.0}},
                                      {"phi_S": [0, "x", 2]}, {"phi_S": [0, 2.5, 2]},
-                                     {"phi_A": None}])
+                                     {"phi_A": None},
+                                     {"phi_R": {"0.0": "0", "1.0": 1.0}},
+                                     {"phi_R": {"0.0": 0.0, "1.0": True}},
+                                     {"phi_R": {"0.0": "nan", "1.0": 1.0}},
+                                     {"phi_R": {"0.0": float("nan"), "1.0": 1.0}},
+                                     {"phi_R": {"nan": 0.0, "1.0": 1.0}},
+                                     {"phi_R": {"0.0": 0.0, "inf": 1.0}}])
     def test_verify_morphism_malformed_map(self, bad, tmp_path, capsys):
         p1 = tmp_path / "m.json"
         p1.write_text(json.dumps(mdp_to_json(make_chain(3))))

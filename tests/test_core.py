@@ -332,6 +332,16 @@ class TestFiniteMDP:
             with pytest.raises(ValueError):
                 arr[0] = 1
 
+    def test_equality_and_hash_by_identity(self):
+        # the generated __eq__ compared the arrays, whose truth value raised, and the
+        # generated __hash__ hashed them
+        m, again = make_chain(3), make_chain(3)
+        assert m == m and m != again and m in [again, m] and m not in [again]
+        assert len({m, again, m}) == 2 and hash(m) == hash(m)
+        oracle = as_nmdp_oracle(m, "S^1")
+        hm, hm2 = build_markov_abstraction(oracle, 2), build_markov_abstraction(oracle, 2)
+        assert hm == hm and hm != hm2 and len({hm, hm2}) == 2
+
 
 def reference_arrays(m):
     """`next`, `reward`, `prob` and `length` built outcome by outcome, field by field."""
@@ -402,18 +412,28 @@ class TestOutcomeCompile:
         ((0, 0.0, 1.0, 0.0),),
         ("001",),
         (((0, 0.0, 1.0),),),
-    ], ids=["bare-outcome-third", "bare-outcome", "pair", "quadruple", "string", "nested"])
+        (Outcome("0", "0", "1"),),  # numpy asked for floats parsed these, so the
+        (Outcome(0, "0", 1.0),),  # compile kept '0' and reward_support() returned ['0']
+    ], ids=["bare-outcome-third", "bare-outcome", "pair", "quadruple", "string", "nested",
+            "numeric-strings", "string-reward"])
     def test_entry_that_is_not_a_triple_rejected(self, cell):
         with pytest.raises(ValidationError, match=re.escape(
-                "each outcome must be a (next_state, reward, prob) triple")):
+                "state 0, action 0: each outcome must be a (next_state, reward, prob) triple")):
             FiniteMDP(num_states=1, num_actions=1, rho0=np.array([1.0]),
                       outcomes=((cell,),), embedding=([0.0],))
 
     def test_bare_outcome_beside_outcomes_rejected(self):
-        with pytest.raises(ValueError):
+        # numpy's ValueError about an inhomogeneous shape used to escape here
+        with pytest.raises(ValidationError, match=re.escape(
+                "state 0, action 1: each outcome must be a (next_state, reward, prob) triple")):
             FiniteMDP(num_states=1, num_actions=2, rho0=np.array([1.0]),
                       outcomes=(((Outcome(0, 0.0, 1.0),), Outcome(0, 0.0, 1.0)),),
                       embedding=([0.0],))
+
+    def test_ints_past_int64_still_compile(self):
+        m = FiniteMDP(num_states=1, num_actions=1, rho0=[1.0],
+                      outcomes=(((Outcome(0, 2 ** 64, 1.0),),),), embedding=([0.0],))
+        assert m.reward[0, 0] == 2.0 ** 64
 
 
 def nearest_by_distance(m, vec):
@@ -554,6 +574,29 @@ class TestJson:
         data = mdp_to_json(simple_mdp())
         data["embedding"] = [[1.0, 0.0], [1.0]]
         with pytest.raises(ValidationError, match="embedding"):
+            mdp_from_dict(data)
+
+    @pytest.mark.parametrize("where, value, message", [
+        (("outcomes", 2, 1, 0, "reward"), "1",
+         "outcomes: malformed outcome entry (state 2, action 1, outcome 0: "
+         "reward: non-number '1')"),
+        (("outcomes", 2, 1, 0, "prob"), True,
+         "outcomes: malformed outcome entry (state 2, action 1, outcome 0: "
+         "prob: non-number True)"),
+        (("rho0", 0), "1", "rho0: malformed value (non-number '1')"),
+        (("rho0", 1), False, "rho0: malformed value (non-number False)"),
+        (("embedding", 1, 0), "0", "embedding: malformed value (non-number '0')"),
+        (("embedding", 0, 0), True, "embedding: malformed value (non-number True)"),
+    ], ids=["string-reward", "bool-prob", "string-rho0", "bool-rho0", "string-embedding",
+            "bool-embedding"])
+    def test_numbers_must_be_json_numbers(self, where, value, message):
+        # float() and numpy turned "1" and true into 1.0 without a word
+        data = mdp_to_json(simple_mdp(3))
+        target = data
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        with pytest.raises(ValidationError, match=re.escape(f"<dict>: {message}")):
             mdp_from_dict(data)
 
     @pytest.mark.parametrize("value", [1.7, True, "1", None, float("inf")])

@@ -155,6 +155,11 @@ class TestRunSweep:
         assert len(rows) == 1
         assert "error:" in rows[0]
 
+    @pytest.mark.parametrize("agent", ["bad", "qwin:x", "qwin:0", "qwin:1:2"])
+    def test_malformed_agent_rejected_before_any_cell(self, agent):
+        with pytest.raises(ValidationError, match="cannot parse|window must be"):
+            small_config(agents=["qwin:1", agent])
+
     def test_window_longer_than_an_episode_recorded(self):
         text = run_sweep(small_config(wrappers=["S^1"], agents=["qwin:10", "qwin:9"],
                                       seeds=[0], episodes=5, eval_episodes=5, horizon=8))
