@@ -28,12 +28,13 @@ the history positions the aggregated process depends on (see
 Two paths share the coefficients.  Batch: `aggregate` / `decode` convolve
 each column of a whole (T, k) array with the first T coefficients of the
 kernel b/a (a/b to decode), read from `_series`, the one memo of each (b, a)
-series for every filter and kernel reader.  Streaming: `begin()`
-starts a stream whose state is the last len(b)-1 filter inputs and the last
-len(a)-1 aggregates; `push(s)` emits the next aggregate, `pull(g)` decodes the next
-aggregate, and `project(s)` is the aggregate `push(s)` would emit, without
-committing it (used by the exact transition oracle).  Only `push` validates its
-input: `pull` and `project` take states (`as_state` results, stream outputs).
+series for every filter and kernel reader.  Streaming: a stream state is a hashable
+tuple (t, xs, gs, rest) per stage: t for a gain stage (else None), the bytes of the
+last len(b)-1 filter inputs and len(a)-1 aggregates, newest first, and the next
+stage's state or None.  From `begin()`, `push(state, s)` and `pull(state, g)` return
+the next state with the next aggregate or decoded raw state; `project(state, s)` is
+the aggregate `push` would emit (used by the exact transition oracle).  Only `push`
+validates its input: `pull` and `project` take states (`as_state` results, outputs).
 """
 from __future__ import annotations
 
@@ -114,8 +115,8 @@ class Filter:
     """g = (b/a)(w . s) on each coordinate, optionally followed by `then`.
 
     `gain` is the tuple of time-indexed weights w_0, w_1, ... or None (all
-    ones).  Instances made by the spec constructors are templates: stream
-    with `begin()`, which returns a copy with its own empty history.
+    ones).  A filter holds only its coefficients; a stream is a state value
+    that `begin()` starts and `push`, `pull` and `project` take and return.
     """
 
     def __init__(self, b, a=(1.0,), gain=None, label: str = "", then: Filter = None):
@@ -129,8 +130,6 @@ class Filter:
             raise ValidationError("correlation weights must be finite and nonempty")
         self.label = label
         self.then = then
-        self._t = 0
-        self._x, self._g = [], []  # newest first; shorter than the filter early on
 
     @property
     def is_identity(self) -> bool:
@@ -149,74 +148,57 @@ class Filter:
 
     # -- streaming ---------------------------------------------------------
 
-    def begin(self) -> Filter:
-        """A new stream of this filter: a copy with an empty history at t = 0."""
-        return self._copy(0, [], [], None if self.then is None else self.then.begin())
+    def begin(self) -> tuple:
+        """The start state of a stream: per stage (t, xs, gs, rest), at t = 0."""
+        return (None if self.gain is None else 0, (), (),
+                None if self.then is None else self.then.begin())
 
-    def fork(self) -> Filter:
-        """A copy of this stream that continues from its current state."""
-        return self._copy(self._t, self._x, self._g,
-                          None if self.then is None else self.then.fork())
-
-    def _copy(self, t, x, g, then) -> Filter:
-        # the lists are never mutated in place (`_commit` rebinds them), so sharing is safe
-        stream = object.__new__(Filter)
-        stream.__dict__.update(self.__dict__)
-        stream._t, stream._x, stream._g, stream.then = t, x, g, then
-        return stream
-
-    def _fold(self, acc: np.ndarray, sign: float) -> np.ndarray:
+    def _fold(self, state: tuple, acc: np.ndarray, sign: float) -> np.ndarray:
         """acc + sign * sum_{j>=1} (b_j x_{t-j} - a_j g_{t-j}), added in place."""
-        recent = self._g or self._x
-        if recent and recent[0].shape != acc.shape:
+        recent = state[2] or state[1]
+        if recent and len(recent[0]) != acc.nbytes:
             raise ValidationError("dimension mismatch in filter stream")
-        for bj, xj in zip(self.b[1:], self._x):
-            acc += (sign * bj) * xj
-        for aj, gj in zip(self.a[1:], self._g):
-            acc -= (sign * aj) * gj
+        for bj, xj in zip(self.b[1:], state[1]):
+            acc += (sign * bj) * np.frombuffer(xj)
+        for aj, gj in zip(self.a[1:], state[2]):
+            acc -= (sign * aj) * np.frombuffer(gj)
         return acc
 
-    def _next(self, s):
-        """(filter input x_t, aggregate g_t) for a validated raw state s at the current t."""
-        x = s if self.gain is None else self.weight(self._t) * s
-        return x, self._fold(self.b[0] * x, 1.0)
+    def _next(self, state: tuple, s):
+        """(filter input x_t, aggregate g_t) for a validated raw state s."""
+        x = s if state[0] is None else self.weight(state[0]) * s
+        return x, self._fold(state, self.b[0] * x, 1.0)
 
-    def _commit(self, x, g) -> None:
-        # stored arrays are shared with callers, so they are made read-only
-        x.flags.writeable = g.flags.writeable = False
-        self._x = [x, *self._x][: len(self.b) - 1]
-        self._g = [g, *self._g][: len(self.a) - 1]
-        self._t += 1
+    def _commit(self, state: tuple, x, g, rest) -> tuple:
+        """The state after input x and aggregate g, with `rest` for the next stage."""
+        t, xs, gs, _ = state
+        return (None if t is None else t + 1, (x.tobytes(), *xs)[: len(self.b) - 1],
+                (g.tobytes(), *gs)[: len(self.a) - 1], rest)
 
-    def push(self, s) -> np.ndarray:
-        """Aggregate the next raw state; raw input is validated here."""
-        x, g = self._next(as_state(s))
-        self._commit(x, g)
-        return g if self.then is None else self.then.push(g)
+    def push(self, state: tuple, s) -> tuple:
+        """(next state, read-only aggregate) of the next raw state; raw input is validated here."""
+        x, g = self._next(state, as_state(s))
+        g.flags.writeable = False
+        rest, y = (None, g) if self.then is None else self.then.push(state[3], g)
+        return self._commit(state, x, g, rest), y
 
-    def pull(self, g) -> np.ndarray:
-        """Decode the next aggregate (a state, not raw input) back to its raw state."""
+    def pull(self, state: tuple, g) -> tuple:
+        """(next state, read-only raw state) of the next aggregate (a state, not raw input)."""
+        rest = state[3]
+        if rest is not None:
+            rest, g = self.then.pull(rest, g)
+        x = self._fold(state, g.copy(), -1.0) / self.b[0]
+        s = x if state[0] is None else x / self.weight(state[0])
+        s.flags.writeable = False
+        return self._commit(state, x, g, rest), s
+
+    def project(self, state: tuple, s) -> np.ndarray:
+        """The read-only aggregate `push(state, s)` would emit, for a validated state s."""
+        g = self._next(state, s)[1]
         if self.then is not None:
-            g = self.then.pull(g)
-        x = self._fold(g.copy(), -1.0) / self.b[0]
-        s = x if self.gain is None else x / self.weight(self._t)
-        self._commit(x, g)
-        return s
-
-    def project(self, s) -> np.ndarray:
-        """The read-only aggregate `push(s)` would emit next, without committing it."""
-        g = self._next(s)[1]
-        if self.then is not None:
-            return self.then.project(g)
-        g.flags.writeable = False  # a candidate may be pulled later
+            return self.then.project(state[3], g)
+        g.flags.writeable = False  # candidates are shared through the oracle's memo
         return g
-
-    def state_key(self) -> tuple:
-        """Equal for two streams of one template only when their futures are equal:
-        per stage, the stored inputs and aggregates, and t for a gain stage."""
-        key = (self._t if self.gain is not None else None,
-               tuple(x.tobytes() for x in self._x), tuple(g.tobytes() for g in self._g))
-        return key if self.then is None else (*key, self.then.state_key())
 
     # -- batch -------------------------------------------------------------
 
@@ -263,26 +245,24 @@ class Filter:
 
 
 class Transducer:
-    """Streams of one template under `op` (such as `Filter.push`) from `root`,
-    `template.begin()`.  A node is its stream, never changed once `step` returns it.
-    Streams are interned by `state_key`, and each (node, 1-d float64 x bytes) edge is
-    computed once, both through `remember`; other x store no edge."""
+    """Stream states of one template under `op(state, x) -> (next state, output)`, such as
+    `template.push`, from `root`, `template.begin()`.  A state is its own key: `nodes`
+    interns each state, and each (node, 1-d float64 x bytes) edge is computed once,
+    both through `remember`; other x store no edge."""
 
     def __init__(self, template: Filter, op):
         self.op, self.root = op, template.begin()
-        self.nodes = {self.root.state_key(): self.root}  # state key -> stream
+        self.nodes = {self.root: self.root}  # state -> its interned copy
         self.edges = {}  # (node, x bytes) -> (next node, output)
 
-    def step(self, node: Filter, x, raw=None):
-        """(next node, output) of `op` on a fork of `node` and the input x (bytes `raw`)."""
+    def step(self, node: tuple, x, raw=None):
+        """(next node, output) of `op` on `node` and the input x (bytes `raw`)."""
         raw = vector_bytes(x) if raw is None else raw
         hit = self.edges.get((node, raw))
         if hit is not None:
             return hit
-        stream = node.fork()
-        y = self.op(stream, x)
-        key = stream.state_key()
-        nxt = self.nodes.get(key) or remember(self.nodes, key, stream)
+        state, y = self.op(node, x)
+        nxt = self.nodes.get(state) or remember(self.nodes, state, state)
         return (nxt, y) if raw is None else remember(self.edges, (node, raw), (nxt, y))
 
 

@@ -38,6 +38,12 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def numeric(x: np.ndarray) -> bool:
+    """Numbers only: kind i, u or f, or kind O (ints past int64) of non-bool ints and floats."""
+    return x.dtype.kind in "iuf" or x.dtype.kind == "O" and all(
+        is_int(v) or isinstance(v, (float, np.integer)) for v in x.flat)
+
+
 def json_number(v, at=""):  # JSON ints and floats, as floats, at any list depth; not true or "1"
     if isinstance(v, list) or is_int(v) or isinstance(v, float):
         return [json_number(x, at) for x in v] if isinstance(v, list) else float(v)
@@ -215,9 +221,9 @@ class FiniteMDP:
             table = np.array(flat or np.zeros((0, 3)))  # row j: outcome j's triple
         except ValueError:  # ragged, as a bare Outcome beside outcomes
             table = np.zeros(0)
-        if table.shape != (len(flat), 3) or table.dtype.kind not in "iufO":
+        if table.shape != (len(flat), 3) or not numeric(table):
             s, a = divmod(next(c for c, cell in enumerate(cells) for o in cell if not (
-                np.shape(o) == (3,) and np.asarray(o).dtype.kind in "iufO")), self.num_actions)
+                np.shape(o) == (3,) and numeric(np.asarray(o)))), self.num_actions)
             raise ValidationError(f"state {s}, action {a}: each outcome must be a "
                                   "(next_state, reward, prob) triple of numbers")
         live = np.arange(length.max(initial=1)) < length[:, None]

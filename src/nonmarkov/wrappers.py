@@ -24,8 +24,9 @@ class WrappedEnvironment(Environment):
     observations (state filter `spec`) and/or rewards (reward filter
     `har_spec`, over a scalar stream) are transformed.  Either may be None.
 
-    Observations pass through an interned `Transducer` of `Filter.push`;
-    `node_count` is the number of distinct stream states it has interned.
+    Observations pass through an interned `Transducer` of `spec.push`;
+    `node_count` is the number of distinct stream states it has interned.  The
+    reward stream is a state value of `har_spec`, restarted at every reset.
     """
 
     def __init__(self, inner: Environment, spec: Filter = None, har_spec: Filter = None):
@@ -34,9 +35,9 @@ class WrappedEnvironment(Environment):
         self.har_spec = har_spec
         self.observation_dim = inner.observation_dim
         self.num_actions = inner.num_actions
-        self._states = None if spec is None else Transducer(spec, Filter.push)
+        self._states = None if spec is None else Transducer(spec, spec.push)
         self._node = None  # the node of _states the episode is at
-        self._reward = None
+        self._reward = None  # the reward stream's state
 
     @property
     def node_count(self) -> int:
@@ -55,7 +56,8 @@ class WrappedEnvironment(Environment):
         if self.spec is not None:
             self._node, obs = self._states.step(self._node, obs)
         if self._reward is not None:
-            reward = float(self._reward.push((reward,))[0])
+            self._reward, g = self.har_spec.push(self._reward, (reward,))
+            reward = float(g[0])
         return obs, reward, terminated, truncated
 
 
@@ -85,23 +87,28 @@ class AggregatedMDPOracle(NMDPOracle):
     the tabular row for the latest state, and maps each outcome to the unique next
     aggregate that decodes back to it.  With the identity filter this is the tabular
     process viewed as history-conditioned.  Outcomes come in table order, unmerged.
-    A prefix is the tuple (node, idx, t): the decoder stream one `Transducer` returned
-    for it, whose edges store the index of the embedded state they decode to (None
-    when none matches), that index, and t.  The transducer and one memo of answers
+    A prefix is the tuple (node, idx, t): the decoder stream state one `Transducer`
+    returned for it, whose edges store the index of the embedded state they decode to
+    (None when none matches), that index, and t.  The transducer and one memo of answers
     keyed by node, both written through `remember`, serve every prefix for the oracle's
-    whole life; a node never changes, interned or not, so (node, idx) is a prefix's key.
+    whole life; a state is a value, so (node, idx) is a prefix's key.
     """
 
     def __init__(self, mdp: FiniteMDP, spec: Filter):
         self.mdp = mdp
         self.spec = spec
         self.num_actions = mdp.num_actions
-        self.decoders = Transducer(spec, lambda stream, g: mdp.match_states([stream.pull(g)])[0])
+        self.decoders = Transducer(spec, self._decode)
         self.memo = {}  # (node, index, action) -> row; (node, pool bytes) -> candidates
         self.verdicts = {}  # filled by empirical_dependency through `remember`
 
+    def _decode(self, state: tuple, g):
+        """(next decoder state, index of the embedded state g decodes to, or None)."""
+        state, s = self.spec.pull(state, g)
+        return state, self.mdp.match_states([s])[0]
+
     def initial(self):
-        return [(self.spec.begin().push(e), float(p))
+        return [(self.spec.push(self.decoders.root, e)[1], float(p))
                 for e, p in zip(self.mdp.embedding, self.mdp.rho0) if p > 0]
 
     def transition(self, h: History, action: int):
@@ -132,8 +139,9 @@ class AggregatedMDPOracle(NMDPOracle):
         key = (node, idx, action)
         dist = self.memo.get(key)
         if dist is None:
-            dist = remember(self.memo, key, [((node.project(self.mdp.embedding[n]), r), p)
-                                             for n, r, p in self.mdp.row(idx, action)])
+            dist = remember(self.memo, key, [
+                ((self.spec.project(node, self.mdp.embedding[n]), r), p)
+                for n, r, p in self.mdp.row(idx, action)])
         return list(dist)
 
     def candidates_at(self, p: tuple, h: History, state_pool):
@@ -142,7 +150,7 @@ class AggregatedMDPOracle(NMDPOracle):
         key = (p[0], state_pool.raw)
         cands = self.memo.get(key)
         if cands is None:
-            cands = remember(self.memo, key, [p[0].project(s) for s in state_pool])
+            cands = remember(self.memo, key, [self.spec.project(p[0], s) for s in state_pool])
         return list(cands)
 
 

@@ -58,22 +58,45 @@ def trajectories(max_dim=4, max_len=16):
     ).map(lambda rows: np.array(rows, dtype=float))
 
 
+def stream(step, spec, xs):
+    """Outputs of `step` (spec.push or spec.pull) over xs from `spec.begin()`."""
+    state, out = spec.begin(), []
+    for x in xs:
+        state, y = step(state, x)
+        out.append(y)
+    return out
+
+
 def stream_push(spec, traj):
-    stream = spec.begin()
-    return [stream.push(s) for s in traj]
+    return stream(spec.push, spec, traj)
 
 
 def stream_pull(spec, aggs):
-    stream = spec.begin()
-    return [stream.pull(g) for g in aggs]
+    return stream(spec.pull, spec, aggs)
 
 
 def assert_projects(spec, traj, aggs, tol=ALGEBRA_TOL):
     """After pulling g_0..g_{t-1}, project(s_t) is g_t and pulling it gives s_t back."""
-    stream = spec.begin()
+    state = spec.begin()
     for s, g in zip(traj, aggs):
-        assert np.allclose(stream.project(s), g, atol=tol)
-        assert np.allclose(stream.pull(g), s, atol=tol)
+        assert np.allclose(spec.project(state, s), g, atol=tol)
+        state, back = spec.pull(state, g)
+        assert np.allclose(back, s, atol=tol)
+
+
+def assert_values(spec, traj, aggs):
+    """push, pull and project give equal bytes and equal, equally hashed states when
+    called twice on one state, and every output is read-only."""
+    state = spec.begin()
+    for s, g in zip(traj, aggs):
+        outputs = [spec.project(state, s) for _ in range(2)]
+        assert outputs[0].tobytes() == outputs[1].tobytes()
+        for step, x in ((spec.push, s), (spec.pull, g)):
+            (n1, y1), (n2, y2) = step(state, x), step(state, x)
+            assert n1 == n2 and hash(n1) == hash(n2) and y1.tobytes() == y2.tobytes()
+            outputs += [y1, y2]
+        assert not any(y.flags.writeable for y in outputs)
+        state = spec.push(state, s)[0]
 
 
 # -- random specs from the wrapper grammar --------------------------------------
@@ -115,6 +138,7 @@ def test_streaming_and_batch_paths_agree(text, traj):
     assert np.max(np.abs(spec.decode(aggs) - traj)) <= ROUNDTRIP_TOL
     assert np.max(np.abs(np.array(stream_pull(spec, aggs)) - traj)) <= ROUNDTRIP_TOL
     assert_projects(spec, traj, aggs)
+    assert_values(spec, traj, aggs)
 
 
 # -- kernels ---------------------------------------------------------------------
@@ -234,11 +258,11 @@ class TestGroup:
         assert np.allclose(stream_pull(spec, inc), traj, atol=ROUNDTRIP_TOL)
 
     def test_project(self):
-        stream = group_power_spec(1).begin()
-        stream.pull(np.array([1.0]))
-        g = stream.project(np.array([2.0]))
+        spec = group_power_spec(1)
+        state = spec.pull(spec.begin(), np.array([1.0]))[0]
+        g = spec.project(state, np.array([2.0]))
         assert g[0] == 3.0
-        assert stream.pull(g)[0] == 2.0
+        assert spec.pull(state, g)[1][0] == 2.0
 
 
 # (kernel, its coefficients w_0..w_31 written out independently of the filter)
@@ -313,29 +337,29 @@ class TestCorr:
                            group_power_spec(1).aggregate(traj))
 
     def test_weight_exhaustion(self):
-        stream = corr_spec((1.0, 2.0)).begin()
-        stream.push(np.array([1.0]))
-        stream.push(np.array([1.0]))
+        spec = corr_spec((1.0, 2.0))
+        state = spec.begin()
+        for _ in range(2):
+            state = spec.push(state, np.array([1.0]))[0]
         with pytest.raises(ValidationError, match="exhausted at t=2"):
-            stream.push(np.array([1.0]))
+            spec.push(state, np.array([1.0]))
         with pytest.raises(ValidationError, match="exhausted at t=2"):
             corr_spec((1.0, 2.0)).aggregate(np.ones((3, 1)))
 
     def test_zero_weight_rejected(self):
         spec = corr_spec((1.0, 0.0))
-        stream = spec.begin()
-        stream.push(np.array([1.0]))
+        state = spec.push(spec.begin(), np.array([1.0]))[0]
         with pytest.raises(NonInvertibleKernelError):
-            stream.push(np.array([1.0]))
+            spec.push(state, np.array([1.0]))
         with pytest.raises(NonInvertibleKernelError):
             spec.decode(np.ones((2, 1)))
 
     def test_project(self):
-        stream = corr_spec((1.0, 2.0)).begin()
-        stream.pull(np.array([3.0]))
-        g = stream.project(np.array([5.0]))
+        spec = corr_spec((1.0, 2.0))
+        state = spec.pull(spec.begin(), np.array([3.0]))[0]
+        g = spec.project(state, np.array([5.0]))
         assert g[0] == 3.0 + 2.0 * 5.0
-        assert np.allclose(stream.pull(g), [5.0])
+        assert np.allclose(spec.pull(state, g)[1], [5.0])
 
     @pytest.mark.parametrize("method", ["aggregate", "decode"])
     def test_small_weight_reported_before_exhaustion(self, method):
@@ -472,11 +496,9 @@ class TestBatchKernelMemo:
         warm.decode(warm.aggregate(traj[:10]))
         assert len(series_memo[warm.b, warm.a]) == 10  # kept in the memo, not the filter
         a, b = warm.begin(), fresh.begin()
-        for s in traj[:5]:
-            assert a.push(s).tobytes() == b.push(s).tobytes()
-        a, b = a.fork(), b.fork()
-        for s in traj[5:]:
-            assert a.push(s).tobytes() == b.push(s).tobytes()
+        for s in traj:
+            (a, ga), (b, gb) = warm.push(a, s), fresh.push(b, s)
+            assert ga.tobytes() == gb.tobytes() and a == b
 
 
 class TestPoly:
@@ -505,33 +527,33 @@ class TestTransducer:
     @pytest.mark.parametrize("name", PULL_SPECS)
     def test_pull_matches_fresh_streams(self, name):
         # aggregates of raw states from a small pool, so that edges repeat and
-        # forks merge: one shared transducer against a fresh stream per episode
+        # states merge: one shared transducer against a fresh stream per episode
         template = parse_spec(PULL_SPECS[name])
-        decoders = Transducer(template, Filter.pull)
+        decoders = Transducer(template, template.pull)
         rng = np.random.default_rng(41)
         pool = [as_state(p) for p in ([1.0, 0.0], [0.0, 1.0], [0.5, -0.5])]
         steps = 0
         for _ in range(150):
             raw = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 9))]
-            encoder = template.begin()
-            aggregates = [encoder.push(s) for s in raw]
             node, fresh = decoders.root, template.begin()
-            for g in aggregates:
+            for g in stream_push(template, raw):
                 node, got = decoders.step(node, g)
-                assert got.tobytes() == fresh.pull(g).tobytes()
-                assert decoders.nodes[node.state_key()] is node
+                fresh, want = template.pull(fresh, g)
+                assert got.tobytes() == want.tobytes() and node == fresh
+                assert decoders.nodes[node] is node
                 steps += 1
         assert len(decoders.nodes) <= len(decoders.edges) + 1 < steps  # edges were looked up
 
     def test_corr_streams_at_different_t_do_not_merge(self):
         zero, one = as_state([0.0]), as_state([1.0])
-        sums = Transducer(corr_spec((1.0, 2.0, 3.0)), Filter.push)
+        spec = corr_spec((1.0, 2.0, 3.0))
+        sums = Transducer(spec, spec.push)
         n1, _ = sums.step(sums.root, zero)
         n2, _ = sums.step(n1, zero)
-        assert [x.tobytes() for x in n1._x + n1._g] == [x.tobytes() for x in n2._x + n2._g]
-        assert n2 is not n1  # the gains ahead differ: 2 at t = 1, 3 at t = 2
+        assert n1[1:3] == n2[1:3]
+        assert n2 != n1  # the gains ahead differ: 2 at t = 1, 3 at t = 2
         assert sums.step(n1, one)[1][0] == 2.0 and sums.step(n2, one)[1][0] == 3.0
-        plain = Transducer(group_power_spec(1), Filter.push)
+        plain = Transducer(group_power_spec(1), group_power_spec(1).push)
         m1, _ = plain.step(plain.root, zero)
         assert plain.step(m1, zero)[0] is m1  # without a gain the same streams merge
 
@@ -539,13 +561,14 @@ class TestTransducer:
         # unkeyed input stores no edge, and past NODE_CAP nodes a new state is not
         # interned; a state that is interned still merges into its node
         monkeypatch.setattr(aggregators, "NODE_CAP", 2)
-        sums = Transducer(group_power_spec(1), Filter.push)
+        spec = group_power_spec(1)
+        sums = Transducer(spec, spec.push)
         n1, g = sums.step(sums.root, [1.0, 2.0])  # a list: validated and streamed
         assert g.tolist() == [1.0, 2.0] and sums.edges == {}
-        assert sums.nodes[n1.state_key()] is n1
+        assert sums.nodes[n1] is n1
         one = as_state([1.0, 1.0])
         off, g = sums.step(n1, one)  # a new state past cap nodes
-        assert g.tolist() == [2.0, 3.0] and off.state_key() not in sums.nodes
+        assert g.tolist() == [2.0, 3.0] and off not in sums.nodes
         assert sums.edges == {(n1, one.tobytes()): (off, g)}
         off2, g = sums.step(off, one)
         assert g.tolist() == [3.0, 4.0] and len(sums.nodes) == 2 and len(sums.edges) == 2
@@ -553,19 +576,20 @@ class TestTransducer:
         assert back is n1 and g.tolist() == [1.0, 2.0] and len(sums.edges) == 2
 
     def test_stream_past_the_cap_never_changes(self, monkeypatch):
-        # a stream that is not interned is still a node: steps from it fork it
+        # a state that is not interned is still a node: steps from it leave it as it was
         monkeypatch.setattr(aggregators, "NODE_CAP", 1)
-        sums = Transducer(group_power_spec(2), Filter.push)
+        spec = group_power_spec(2)
+        sums = Transducer(spec, spec.push)
         one = as_state([1.0])
         off, _ = sums.step(sums.root, one)
-        key = off.state_key()
+        fresh = spec.push(spec.begin(), one)[0]
         outputs = [sums.step(off, one)[1][0] for _ in range(3)]
-        assert off.state_key() == key and outputs == [3.0, 3.0, 3.0]
+        assert off == fresh and outputs == [3.0, 3.0, 3.0]
         node = off
         for want in (3.0, 6.0, 10.0):
             node, g = sums.step(node, one)
             assert g[0] == want
-        assert off.state_key() == key and len(sums.nodes) == 1
+        assert off == fresh and len(sums.nodes) == 1
 
 
 class TestChain:
@@ -589,17 +613,17 @@ class TestChain:
         rng = np.random.default_rng(12)
         traj = rng.uniform(-1, 1, size=(5, 2))
         aggs = spec.aggregate(traj)
-        stream = spec.begin()
+        state = spec.begin()
         for g in aggs[:-1]:
-            stream.pull(g)
-        assert np.allclose(stream.project(traj[-1]), aggs[-1], atol=ALGEBRA_TOL)
+            state = spec.pull(state, g)[0]
+        assert np.allclose(spec.project(state, traj[-1]), aggs[-1], atol=ALGEBRA_TOL)
 
     @pytest.mark.parametrize("text", ["id", "S^2", "D_l:0.5", "corr:1,2,3", "S^1+corr:1,2,3"])
     def test_project_is_read_only(self, text):
-        # a projected candidate is shared: the oracle pulls it into another stream
-        stream = parse_spec(text).begin()
-        stream.pull(stream.project(as_state([1.0, 2.0])))
-        g = stream.project(as_state([3.0, 4.0]))
+        # a projected candidate is shared through the oracle's memo
+        spec = parse_spec(text)
+        state = spec.pull(spec.begin(), spec.project(spec.begin(), as_state([1.0, 2.0])))[0]
+        g = spec.project(state, as_state([3.0, 4.0]))
         assert not g.flags.writeable
         with pytest.raises(ValueError):
             g[0] = 0.0

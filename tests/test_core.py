@@ -414,8 +414,10 @@ class TestOutcomeCompile:
         (((0, 0.0, 1.0),),),
         (Outcome("0", "0", "1"),),  # numpy asked for floats parsed these, so the
         (Outcome(0, "0", 1.0),),  # compile kept '0' and reward_support() returned ['0']
+        (Outcome(0, None, "1"),),  # object tables were reported as non-finite numbers
+        (Outcome(0, None, 1.0),),
     ], ids=["bare-outcome-third", "bare-outcome", "pair", "quadruple", "string", "nested",
-            "numeric-strings", "string-reward"])
+            "numeric-strings", "string-reward", "none-and-string", "none-reward"])
     def test_entry_that_is_not_a_triple_rejected(self, cell):
         with pytest.raises(ValidationError, match=re.escape(
                 "state 0, action 0: each outcome must be a (next_state, reward, prob) triple")):

@@ -4,7 +4,7 @@ import pytest
 from nonmarkov import aggregators
 from nonmarkov.agents import parse_agent_spec, train
 from nonmarkov.analysis import empirical_dependency, reachable_histories
-from nonmarkov.aggregators import parse_har_spec, parse_spec
+from nonmarkov.aggregators import har_aggregate, parse_har_spec, parse_spec
 from nonmarkov.core import (
     FiniteMDP, StatePool, UndecodableHistoryError, ValidationError, initial_history)
 from nonmarkov.envs import Environment, make_chain, make_env
@@ -55,6 +55,15 @@ class TestWrappedEnvironment:
         for a, b in zip(raw_s, wrapped_s):
             assert np.array_equal(a, b)  # bit-identical
         assert np.allclose(wrapped_r, np.cumsum(raw_r))
+
+    @pytest.mark.parametrize("har", ["sum", "conv:1,-0.5"])
+    def test_reward_stream_restarts_at_every_reset(self, har):
+        # two episodes in a row, each aggregated from its own first reward on
+        env, raw = wrap(make_env("random:3:4:2:2"), har_spec=har), make_env("random:3:4:2:2")
+        for seed in (0, 1):
+            _, raw_r = rollout(raw, seed, ACTIONS)
+            assert raw_r[-1] != 0.0  # a stream carried over would change the next episode
+            assert rollout(env, seed, ACTIONS)[1] == har_aggregate(parse_har_spec(har), raw_r)
 
     @pytest.mark.parametrize("spec", ["S^1", "D^1", "S_l:0.5", "conv:1,0.3,-0.2"])
     def test_decode_recovers_raw_stream(self, spec):
@@ -200,7 +209,7 @@ TRANSDUCER_SPECS = ["S^1", "S^3", "D^2", "S_l:0.5", CORR, "D_l:0.5+" + CORR]
 
 
 def assert_matches_fresh_streams(env_id, spec, episodes, seed, max_steps=8):
-    """The memoised wrapper against `spec.begin().push` over the raw stream of
+    """The memoised wrapper against `spec.push` from `spec.begin()` over the raw stream of
     a second inner env: same bytes, rewards and flags, episode by episode.
     Returns the wrapper and the number of observations it emitted."""
     wrapped = wrap(make_env(env_id, max_steps=max_steps), spec)
@@ -210,14 +219,14 @@ def assert_matches_fresh_streams(env_id, spec, episodes, seed, max_steps=8):
     emitted = 0
     for _ in range(episodes):
         episode_seed = int(rng.integers(2 ** 31))
-        stream = template.begin()
-        got, want = wrapped.reset(episode_seed), stream.push(raw.reset(episode_seed))
-        assert got.tobytes() == want.tobytes()
+        state, want = template.push(template.begin(), raw.reset(episode_seed))
+        assert wrapped.reset(episode_seed).tobytes() == want.tobytes()
         emitted += 1
         for _ in range(max_steps):
             action = int(rng.integers(raw.num_actions))
             got, want = wrapped.step(action), raw.step(action)
-            assert got[0].tobytes() == stream.push(want[0]).tobytes()
+            state, g = template.push(state, want[0])
+            assert got[0].tobytes() == g.tobytes()
             assert got[1:] == want[1:]
             emitted += 1
             if want[2] or want[3]:
@@ -246,10 +255,7 @@ class TestInternedTransducer:
         episodes = [[np.array([e, t / 7.0]) for t in range(41)] for e in range(3)]
         env = wrap(StubEnv(episodes), "S^1")
         for seed in range(3):
-            stream = parse_spec("S^1").begin()
-            assert env.reset(seed).tobytes() == stream.push(episodes[seed][0]).tobytes()
-            for obs in episodes[seed][1:]:
-                assert env.step(0)[0].tobytes() == stream.push(obs).tobytes()
+            assert_replays(env, seed, "S^1", episodes[seed])
         assert env.node_count == min(cap, 1 + 3 * 41)
 
     def test_aggregates_are_read_only(self):
@@ -262,6 +268,20 @@ class TestInternedTransducer:
                 assert not obs.flags.writeable
                 with pytest.raises(ValueError):
                     obs[0] = 1.0
+
+
+def assert_replays(env, seed, spec, episode):
+    """Each observation of `env`'s episode `seed` has the bytes `spec.push` gives on
+    `episode` from `spec.begin()`; returns the node `env` is at after each one."""
+    spec = parse_spec(spec)
+    state, g = spec.push(spec.begin(), episode[0])
+    assert env.reset(seed).tobytes() == g.tobytes()
+    nodes = [env._node]
+    for obs in episode[1:]:
+        state, g = spec.push(state, obs)
+        assert env.step(0)[0].tobytes() == g.tobytes()
+        nodes.append(env._node)
+    return nodes
 
 
 class StubEnv(Environment):
@@ -290,13 +310,8 @@ class TestMergedStates:
         episodes = [[np.array([e, t / 7.0]) for t in range(41)] for e in range(3)]
         env = wrap(StubEnv(episodes), "conv:2")
         for seed in range(3):
-            stream = parse_spec("conv:2").begin()
-            assert env.reset(seed).tobytes() == stream.push(episodes[seed][0]).tobytes()
-            off = env._node if seed == 2 else None  # 82 edges wanted before episode 2
-            for obs in episodes[seed][1:]:
-                assert env.step(0)[0].tobytes() == stream.push(obs).tobytes()
-                assert off is None or env._node is off
-        assert off is env._states.root
+            nodes = assert_replays(env, seed, "conv:2", episodes[seed])
+            assert all(n is env._states.root for n in nodes)  # past the edge cap in episode 2
         assert env.node_count == 1 and len(env._states.edges) == 50
 
     def test_learn_cell_node_count(self):
@@ -337,7 +352,7 @@ class TestMergedStates:
                 [(o.tobytes(), r, q) for (o, r), q in dists[1]]
             (g, _), _ = dists[0][0]
         assert oracle._replay(h, h.t + 1)[0] is p[0]
-        assert oracle.decoders.nodes[p[0].state_key()] is p[0]
+        assert oracle.decoders.nodes[p[0]] is p[0]
         assert len(oracle.decoders.edges) == 5
 
 
@@ -386,17 +401,17 @@ class TestSharedDecoder:
 
     def test_stream_past_the_cap_answers_as_a_fresh_oracle(self, monkeypatch):
         # past NODE_CAP nodes a stream's new states are not interned, yet each is a
-        # node that never changes: a later t must not be answered from an earlier one
+        # node that is a value: a later t must not be answered from an earlier one
         monkeypatch.setattr(aggregators, "NODE_CAP", 3)
         chain = make_chain(3)
         oracle, pool = as_nmdp_oracle(chain, "S_l:0.5"), list(chain.embedding)
         encoder, p = oracle.spec.begin(), oracle.begin()
         h = None
         for t in range(6):
-            g = encoder.push(pool[0])
+            encoder, g = oracle.spec.push(encoder, pool[0])
             p = oracle.pull(p, g, 0, 0.0)
             h = initial_history(g) if h is None else h.extend(0, 0.0, g)
-            assert (t < 2) == (p[0].state_key() in oracle.decoders.nodes)
+            assert (t < 2) == (p[0] in oracle.decoders.nodes)
             fresh = as_nmdp_oracle(chain, "S_l:0.5")
             for _ in range(2):  # the second time from the memo, where it has room
                 for a in range(oracle.num_actions):
@@ -467,8 +482,7 @@ class TestSharedDecoder:
                 assert (p[1], p[2]) == (q[1], q[2])
                 assert given.decoders.edges[node, obs.tobytes()][0] is q[0]
             assert given.key(q) == (q[0], q[1]) and oracle.key(p) == (p[0], p[1])
-        assert ({(n.state_key(), x) for n, x in oracle.decoders.edges}
-                == {(n.state_key(), x) for n, x in given.decoders.edges})
+        assert set(oracle.decoders.edges) == set(given.decoders.edges)
 
 
 class TestMatchedIndex:
@@ -480,10 +494,12 @@ class TestMatchedIndex:
         oracle, nones = as_nmdp_oracle(SLIPPY_CHAIN, spec), 0
         for h in reachable_histories(as_nmdp_oracle(SLIPPY_CHAIN, spec), max_t=4):
             for states in (h.states, (*h.states[:-1], h.states[-1] + 0.25)):
-                p, plain = oracle.begin(), parse_spec(spec).begin()
+                plain = parse_spec(spec)
+                p, state = oracle.begin(), plain.begin()
                 for t, step in enumerate(zip(states, (None, *h.actions), (None, *h.rewards))):
                     p = oracle.pull(p, *step)
-                    want = SLIPPY_CHAIN.match_states([plain.pull(step[0])])[0]
+                    state, s = plain.pull(state, step[0])
+                    want = SLIPPY_CHAIN.match_states([s])[0]
                     assert (p[2], p[1]) == (t, want)
                 nones += want is None
         assert nones > 0
@@ -532,10 +548,7 @@ class TestUnkeyedObservations:
                     [e0_32, self.E0], [self.E0.view(np.float32)]]  # E0's bytes
         env = wrap(StubEnv(episodes), "S^1")
         for seed in (0, 1, 0, 2):
-            stream = parse_spec("S^1").begin()
-            assert env.reset(seed).tobytes() == stream.push(episodes[seed][0]).tobytes()
-            for o in episodes[seed][1:]:
-                assert env.step(0)[0].tobytes() == stream.push(o).tobytes()
+            assert_replays(env, seed, "S^1", episodes[seed])
         # each state is interned, but only E0 stored edges: E0's bytes read as
         # float32 never look one up
         assert env.node_count == 5
