@@ -9,6 +9,7 @@ cell.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -25,10 +26,10 @@ from .core import (
     StatePool,
     UndecodableHistoryError,
     ValidationError,
+    as_state,
     canonical_distribution,
     canonical_equal,
     distributions_equal,
-    initial_history,
     vector_bytes,
 )
 from .wrappers import AggregatedMDPOracle
@@ -158,64 +159,89 @@ class HistoryMDP:
     """Explicit tabular process whose states enumerate reachable histories."""
 
     mdp: FiniteMDP
-    histories: tuple  # index -> History
+    histories: Sequence  # index -> History: the walk's `Histories`, or a tuple of History
+
+
+class Histories(Sequence):
+    """A walk's histories as a read-only trie: history i, at time `t[i]`, is `parent[i]`
+    (None before an initial one) one step longer by `action[i]`, `reward[i]` and `obs[last[i]]`.
+    A History is built on access and shares the arrays of `obs`, one per distinct observation."""
+
+    def __init__(self):
+        self.parent, self.action, self.reward, self.last, self.t, self.obs = ([] for _ in range(6))
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i, steps = range(len(self))[i], []  # an IndexError past either end
+        while i is not None:
+            steps.append((self.obs[self.last[i]], self.action[i], self.reward[i]))
+            i = self.parent[i]
+        states, actions, rewards = zip(*reversed(steps))
+        h = object.__new__(History)  # each state was validated as it entered `obs`
+        vars(h).update(states=states, actions=actions[1:], rewards=rewards[1:])
+        return h
 
 
 class _HistoryWalk:
     """The breadth-first walk of the histories an oracle reaches within `horizon` steps.
 
     `histories` grows as the walk goes: the initial histories on construction,
-    each history's children when `rows()` expands it.  A history is its parent
-    plus one step, so it is interned by (parent index, last action, last reward,
-    last observation), rounded to 12 decimals; initial histories have no parent.
-    A history below the horizon keeps its oracle prefix, its parent's (or
-    `oracle.begin()`) pulled one step, until it is expanded.
-    """
+    each history's children when `rows()` expands it.  A history is its parent plus
+    one step, so it is interned by (parent index, last action, last reward, last
+    observation), rounded to 12 decimals, and keeps the observation its key first saw;
+    an observation is validated and rounded once, as it enters `histories.obs`.  A
+    history below the horizon keeps its oracle prefix, its parent's (or `oracle.begin()`)
+    pulled one step, until `rows()` expands it and passes the prefix to its children."""
 
     def __init__(self, oracle: NMDPOracle, horizon: int):
         if horizon < 0:
             raise ValidationError("horizon must be >= 0")
-        self.oracle, self.horizon = oracle, horizon
-        self.histories, self._index, self._prefixes, self._rounded = [], {}, {}, {}
-        self._root = oracle.begin()
-        self.rho0 = [(self._intern(obs), float(p)) for obs, p in oracle.initial()]
+        self.oracle, self.horizon, self.histories = oracle, horizon, Histories()
+        self._index, self._prefixes, self._seen, root = {}, {}, {}, oracle.begin()
+        self.rho0 = [(self._intern(obs, root), float(p)) for obs, p in oracle.initial()]
 
-    def _intern(self, obs, parent=None, action=None, reward=0.0) -> int:
-        raw = vector_bytes(obs)
-        rounded = self._rounded.get(raw)
-        if rounded is None:  # once per distinct 1-d float64 observation, while remembered
-            rounded = tuple(round(float(x), 12) for x in obs)
-            if raw is not None:
-                remember(self._rounded, raw, rounded)
+    def _intern(self, obs, prefix, parent=None, action=None, reward=0.0) -> int:
+        hs, seen = self.histories, self._seen.get(vector_bytes(obs))  # bytes -> (j, rounding)
+        if seen is None:  # a new observation, or one that is not 1-d float64
+            obs = as_state(obs)
+            if hs.obs and obs.shape != hs.obs[0].shape:
+                raise ValidationError(f"state dimensions differ: {hs.obs[0].size} then {obs.size}")
+            seen = self._seen.setdefault(obs.tobytes(), (len(hs.obs), tuple(
+                round(float(x), 12) for x in obs)))
+            if seen[0] == len(hs.obs):
+                hs.obs.append(obs)
+        j, rounded = seen
         key = (parent, action, round(float(reward), 12), rounded)
         i = self._index.get(key)
         if i is None:
-            histories, prefixes = self.histories, self._prefixes
-            t = 0 if parent is None else histories[parent].t + 1
-            if len(histories) >= HISTORY_CAP:
-                raise StateExplosionError(
-                    f"state explosion: history cap {HISTORY_CAP} reached at t={t} "
-                    f"of horizon {self.horizon}, {len(histories)} interned")
-            i = self._index[key] = len(histories)
-            histories.append(initial_history(obs) if parent is None
-                             else histories[parent].extend(action, reward, obs))
+            i, t = len(hs.t), 0 if parent is None else hs.t[parent] + 1
+            if i >= HISTORY_CAP:
+                raise StateExplosionError(f"state explosion: history cap {HISTORY_CAP} reached "
+                                          f"at t={t} of horizon {self.horizon}, {i} interned")
+            self._index[key] = i
+            hs.parent.append(parent)
+            hs.action.append(action)
+            hs.reward.append(float(reward))
+            hs.last.append(j)
+            hs.t.append(t)
             if t < self.horizon:
-                prefixes[i] = self.oracle.pull(self._root if parent is None else prefixes[parent],
-                                               histories[i].states[-1], action, reward)
+                self._prefixes[i] = self.oracle.pull(prefix, hs.obs[j], action, reward)
         return i
 
     def rows(self):
         """The outcome row of each history below the horizon, in index order;
-        `histories` is breadth first, so it is its own queue."""
-        actions = range(self.oracle.num_actions)
-        for i, h in enumerate(self.histories):  # grows while it is iterated
-            if h.t >= self.horizon:
+        the walk is breadth first, so `histories.t` is its own queue."""
+        for i, t in enumerate(self.histories.t):  # grows while it is iterated
+            if t >= self.horizon:
                 return
-            prefix = self._prefixes[i]  # the children's prefixes are pulled from it
-            yield tuple(tuple(Outcome(self._intern(obs, i, a, reward), float(reward), float(p))
-                              for (obs, reward), p in self.oracle.transition_at(prefix, a))
-                        for a in actions)
-            del self._prefixes[i]
+            at = self._prefixes.pop(i)  # the children's prefixes are pulled from it
+            yield tuple(tuple(Outcome(self._intern(obs, at, i, a, r), float(r), float(p))
+                              for (obs, r), p in self.oracle.transition_at(at, a))
+                        for a in range(self.oracle.num_actions))
 
 
 def build_markov_abstraction(oracle: NMDPOracle, horizon: int) -> HistoryMDP:
@@ -230,17 +256,10 @@ def build_markov_abstraction(oracle: NMDPOracle, horizon: int) -> HistoryMDP:
     outcomes = list(walk.rows())
     n = len(walk.histories)
     outcomes += [((Outcome(i, 0.0, 1.0),),) * oracle.num_actions for i in range(len(outcomes), n)]
-    rho0 = np.zeros(n)
-    for i, p in walk.rho0:
-        rho0[i] += p
-    mdp = FiniteMDP(
-        num_states=n,
-        num_actions=oracle.num_actions,
-        rho0=rho0,
-        outcomes=tuple(outcomes),
-        embedding=np.arange(n, dtype=float)[:, None],
-    )
-    return HistoryMDP(mdp=mdp, histories=tuple(walk.histories))
+    rho0 = np.bincount([i for i, _ in walk.rho0], [p for _, p in walk.rho0], minlength=n)
+    mdp = FiniteMDP(num_states=n, num_actions=oracle.num_actions, rho0=rho0,
+                    outcomes=tuple(outcomes), embedding=np.arange(n, dtype=float)[:, None])
+    return HistoryMDP(mdp=mdp, histories=walk.histories)  # frees the walk's dicts and oracle
 
 
 def reachable_histories(oracle: NMDPOracle, max_t: int):
@@ -275,12 +294,13 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     if abstraction is None:
         abstraction = build_markov_abstraction(build_nonmarkov_embedding(m), horizon)
-    hm, histories, k = abstraction.mdp, abstraction.histories, m.num_actions
+    hm, hs, k = abstraction.mdp, abstraction.histories, m.num_actions
     if hm.num_actions != k:
         raise ValidationError(f"abstraction has {hm.num_actions} actions, the process {k}")
-    decoded = np.array([-1 if s is None else s
-                        for s in m.match_states([h.states[-1] for h in histories])])
-    live = np.flatnonzero((decoded >= 0) & (np.array([h.t for h in histories]) < horizon))
+    obs, last, depth = ((hs.obs, hs.last, hs.t) if isinstance(hs, Histories)  # match obs once
+                        else ([h.states[-1] for h in hs], slice(None), [h.t for h in hs]))
+    decoded = np.array([-1 if s is None else s for s in m.match_states(obs)])[last]
+    live = np.flatnonzero((decoded >= 0) & (np.array(depth) < horizon))
     cell = (live[:, None] * k + np.arange(k)).ravel()
     table = (decoded[live, None] * k + np.arange(k)).ravel()
     w = min(hm.prob.shape[1], m.prob.shape[1])  # a cell equal slot by slot passes at once
@@ -291,10 +311,9 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
     violations = []
     for i, a in sorted({(u, -1) for u in np.flatnonzero(decoded < 0).tolist()}
                        | {divmod(c, k) for c in slow}):
-        h = histories[i]
         if a < 0:
-            violations.append({"where": f"history {i} (t={h.t})", "expected": "embedded state",
-                               "got": "undecodable last state"})
+            violations.append({"where": f"history {i} (t={depth[i]})",
+                               "expected": "embedded state", "got": "undecodable last state"})
             continue
         row = hm.row(i, a)
         if any(decoded[n] < 0 for n, _, _ in row):
@@ -303,12 +322,12 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
         expected = [((float(n), r), p) for n, r, p in m.row(decoded[i], a)]
         if not distributions_equal(expected, got, tol):
             violations.append({
-                "where": f"history {i} (t={h.t}), action {a}",
+                "where": f"history {i} (t={depth[i]}), action {a}",
                 "expected": sorted(expected),
                 "got": sorted(got),
             })
     return {"pass": not violations, "violations": violations,
-            "histories": len(abstraction.histories), "horizon": horizon}
+            "histories": len(hs), "horizon": horizon}
 
 
 def _reward_image(phi_R: dict, r: float) -> float:

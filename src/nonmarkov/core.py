@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import NamedTuple
 
@@ -99,9 +99,7 @@ class History:
         dims = {s.shape[0] for s in states}
         if len(dims) > 1:
             raise ValidationError(f"inconsistent state dimensions in history: {dims}")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "rewards", rewards)
+        vars(self).update(states=states, actions=actions, rewards=rewards)  # past frozen
 
     def _key(self) -> tuple:
         return self.actions, self.rewards, tuple(s.tobytes() for s in self.states)
@@ -124,9 +122,8 @@ class History:
             raise ValidationError("inconsistent state dimensions in history: "
                                   f"{self.states[-1].shape[0]} then {state.shape[0]}")
         h = object.__new__(History)
-        object.__setattr__(h, "states", self.states + (state,))
-        object.__setattr__(h, "actions", self.actions + (int(action),))
-        object.__setattr__(h, "rewards", self.rewards + (float(reward),))
+        vars(h).update(states=self.states + (state,), actions=self.actions + (int(action),),
+                       rewards=self.rewards + (float(reward),))
         return h
 
 
@@ -262,15 +259,19 @@ class FiniteMDP:
                 f"embedding must have one nonempty vector per state, got shape {emb.shape}")
         if not np.all(np.isfinite(emb)):
             raise ValidationError("embedding entries must be finite")
-        # + 0.0 turns -0.0 into 0.0, so rows equal under == share their bytes
-        first, data, width = {}, (emb + 0.0).tobytes(), emb[0].nbytes
-        for s in range(self.num_states):
-            other = first.setdefault(data[s * width:(s + 1) * width], s)
-            if other != s:
-                raise ValidationError(f"embedding is not injective: states {other} and {s}")
+        _, first, twin = np.unique(emb + 0.0, axis=0, return_index=True, return_inverse=True)
+        first = first[twin].ravel()  # first[s]: the first state whose row equals s's row
+        dup = np.flatnonzero(first != np.arange(self.num_states))
+        if dup.size:  # the first duplicate state, and its first-seen twin
+            raise ValidationError("embedding is not injective: "
+                                  f"states {first[dup[0]]} and {dup[0]}")
         emb.flags.writeable = False
         object.__setattr__(self, "embedding", emb)
-        object.__setattr__(self, "_rows", first)  # row bytes -> state, for match_states
+
+    @cached_property
+    def _rows(self) -> dict:  # row bytes -> state, for match_states, built on its first call
+        data, width = (self.embedding + 0.0).tobytes(), self.embedding[0].nbytes  # -0.0 -> 0.0
+        return {data[s * width:(s + 1) * width]: s for s in range(self.num_states)}
 
     def row(self, state: int, action: int):
         return self.outcomes[state][action]

@@ -1,6 +1,8 @@
+import gc
 import inspect
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -378,13 +380,15 @@ def recording(make, made: list):
 
 class TestEveryCacheUnderTheCap:
     """A small NODE_CAP bounds every memo that `aggregators.remember` writes, and
-    changes no result: past the cap an answer is computed again, not stored."""
+    changes no result: past the cap an answer is computed again, not stored.  A
+    walk's observation table is no memo, as its histories index it: each history
+    adds at most one entry, so HISTORY_CAP bounds it."""
 
     SPECS = ["S^1", "S^2", "S^3", "D^2", "S_l:0.5", "D_l:0.5", "conv:1,0.5", "S^1+D_l:0.25"]
 
     def run_all(self, made):
         """The results of one learn cell, a deps pass, an abstraction and batch round trips,
-        and the size of every memo they wrote."""
+        the size of every memo they wrote and of the walks' observation tables."""
         for objects in made.values():
             objects.clear()
         aggregators._SERIES.clear()
@@ -404,11 +408,12 @@ class TestEveryCacheUnderTheCap:
                  "decoder nodes": len(oracle.decoders.nodes),
                  "decoder edges": len(oracle.decoders.edges),
                  "oracle memo": len(oracle.memo), "verdicts": len(oracle.verdicts),
-                 "deps walk rounding": len(walks[0]._rounded),
-                 "abstraction walk rounding": len(walks[1]._rounded),
                  "series": len(aggregators._SERIES)}
+        tables = {"deps walk": len(walks[0].histories.obs),
+                  "abstraction walk": len(walks[1].histories.obs)}
         assert ",ok," in csv and ",0,0,500," not in csv  # the cell learned something
-        return (csv, deps, abstraction.mdp.outcomes, batch), sizes
+        assert all(len(w.histories.obs) <= len(w.histories) <= analysis.HISTORY_CAP for w in walks)
+        return (csv, deps, abstraction.mdp.outcomes, batch), sizes, tables
 
     def test_every_cache_stays_within_the_cap(self, monkeypatch):
         made = {"envs": [], "agents": [], "walks": []}
@@ -417,10 +422,11 @@ class TestEveryCacheUnderTheCap:
                                   (analysis, "_HistoryWalk", "walks")):
             monkeypatch.setattr(module, name, recording(getattr(module, name), made[key]))
         monkeypatch.setattr(aggregators, "_SERIES", {})
-        results, uncapped = self.run_all(made)
+        results, uncapped, tables = self.run_all(made)
         assert min(uncapped.values()) > 8, uncapped  # so every cache meets the cap below
+        assert min(tables.values()) > 8, tables  # so a table the cap bounded would show
         monkeypatch.setattr(aggregators, "NODE_CAP", 8)
-        assert self.run_all(made) == (results, dict.fromkeys(uncapped, 8))
+        assert self.run_all(made) == (results, dict.fromkeys(uncapped, 8), tables)
 
 
 class TestNonMarkovEmbedding:
@@ -578,6 +584,80 @@ class TestWalkRounding:
         assert hm.mdp.num_states == 1 + 4 + 16 + 64  # one initial history, two children per action
         assert hm.mdp.rho0.tolist() == [1.0] + [0.0] * 84
         assert hm.histories[1].states[-1].tobytes() == np.array([0.0, 2.0]).tobytes()
+
+
+class TestHistorySequence:
+    """An abstraction's `histories` is a trie that builds each History on access,
+    and reads like the tuple of the same histories."""
+
+    M = make_chain(3, p_slip=0.25)
+    HM = build_markov_abstraction(build_nonmarkov_embedding(M), horizon=3)
+
+    def test_reads_like_a_tuple(self):
+        hs = self.HM.histories
+        ref = tuple(whole_history_walk(build_nonmarkov_embedding(self.M), 3)[0])
+        assert len(hs) == len(ref) == self.HM.mdp.num_states == 48
+        for i in (0, 1, 7, len(ref) - 1, -1, -len(ref)):
+            assert hs[i] == ref[i] and hs[i].t == ref[i].t
+        for i in (len(ref), -len(ref) - 1):
+            with pytest.raises(IndexError):
+                hs[i]
+        for cut in (slice(None), slice(1, 30, 3), slice(None, None, -2), slice(-4, None),
+                    slice(5, 2)):
+            assert hs[cut] == ref[cut]
+        assert list(hs) == list(ref) and tuple(reversed(hs)) == ref[::-1]
+
+    def test_each_access_builds_an_equal_history(self):
+        hs = self.HM.histories
+        for i in range(len(hs)):
+            assert hs[i] == hs[i] and hash(hs[i]) == hash(hs[i])
+
+    def test_one_array_per_distinct_observation(self):
+        hs = self.HM.histories
+        assert len(hs.obs) == 3  # the chain's three states, under 48 histories
+        shared = {}
+        for h in hs:
+            for s in h.states:
+                assert shared.setdefault(s.tobytes(), s) is s and not s.flags.writeable
+        assert len(shared) == len({id(h.states[-1]) for h in hs}) == 3
+
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_tuple_of_histories_gives_the_same_report(self, fault):
+        mdp = self.HM.mdp
+        if fault:  # a reward shifted in the cell (3, 1)
+            out = [list(row) for row in mdp.outcomes]
+            (n, r, p), *rest = out[3][1]
+            out[3][1] = (Outcome(n, r + 0.5, p), *rest)
+            mdp = FiniteMDP(num_states=mdp.num_states, num_actions=2, rho0=mdp.rho0,
+                            outcomes=tuple(map(tuple, out)), embedding=mdp.embedding)
+        reports = [verify_equivalence_roundtrip(self.M, 3, abstraction=HistoryMDP(mdp, hs))
+                   for hs in (self.HM.histories, tuple(self.HM.histories))]
+        assert reports[0] == reports[1]
+        assert reports[0]["pass"] is not fault and reports[0]["histories"] == 48
+
+    def test_the_walk_is_released(self):
+        oracle = build_nonmarkov_embedding(self.M)
+        ref = weakref.ref(oracle)
+        hs = build_markov_abstraction(oracle, horizon=2).histories
+        del oracle
+        gc.collect()
+        assert ref() is None
+        assert set(vars(hs)) == {"parent", "action", "reward", "last", "t", "obs"}
+
+
+class MixedDimensionOracle(NMDPOracle):
+    num_actions = 1
+
+    def initial(self):
+        return [(np.zeros(2), 1.0)]
+
+    def transition(self, h, action):
+        return [((np.zeros(3), 0.0), 1.0)]
+
+
+def test_walk_rejects_mixed_state_dimensions():
+    with pytest.raises(ValidationError, match="state dimensions differ: 2 then 3"):
+        build_markov_abstraction(MixedDimensionOracle(), horizon=2)
 
 
 class TestEquivalenceRoundtrip:

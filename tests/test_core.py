@@ -221,6 +221,18 @@ class TestFiniteMDP:
                       outcomes=(((Outcome(0, 0.0, 1.0),),),) * 2,
                       embedding=([0.0], [-0.0]))
 
+    def test_first_duplicate_named_with_its_first_twin(self):
+        with pytest.raises(ValidationError, match="not injective: states 0 and 2$"):
+            FiniteMDP(num_states=3, num_actions=1, rho0=np.array([1.0, 0.0, 0.0]),
+                      outcomes=(((Outcome(0, 0.0, 1.0),),),) * 3,
+                      embedding=([1.0, 2.0], [3.0, 4.0], [1.0, 2.0]))
+
+    def test_row_lookup_built_on_first_match(self):
+        m = simple_mdp(3)
+        assert "_rows" not in vars(m)
+        assert m.match_states([m.embedding[2], [0.0, -0.0, 1.0]]) == [2, 2]
+        assert len(vars(m)["_rows"]) == 3
+
     def test_embedding_is_read_only_matrix(self):
         m = simple_mdp(3)
         assert m.embedding.shape == (3, 3)
