@@ -25,16 +25,15 @@ stage starts a new stage (`Filter.then`).  The series a/b of one stage gives
 the history positions the aggregated process depends on (see
 `analysis.analytical_dependency`).
 
-Two paths share the coefficients.  Batch: `aggregate` / `decode` convolve
-each column of a whole (T, k) array with the first T coefficients of the
-kernel b/a (a/b to decode), read from `_series`, the one memo of each (b, a)
-series for every filter and kernel reader.  Streaming: a stream state is a hashable
-tuple (t, xs, gs, rest) per stage: t for a gain stage (else None), the bytes of the
-last len(b)-1 filter inputs and len(a)-1 aggregates, newest first, and the next
-stage's state or None.  From `begin()`, `push(state, s)` and `pull(state, g)` return
-the next state with the next aggregate or decoded raw state; `project(state, s)` is
-the aggregate `push` would emit (used by the exact transition oracle).  Only `push`
-validates its input: `pull` and `project` take states (`as_state` results, outputs).
+Two paths share the coefficients.  Batch: `aggregate` / `decode` convolve each column of
+a whole (T, k) array with the first T coefficients of the kernel b/a (a/b to decode),
+read from `_series`, the one memo of each (b, a) series for every filter and kernel
+reader.  Streaming: a stream state is a hashable tuple (t, xs, gs, rest) per stage: t
+for a gain stage (else None), the bytes of the last len(b)-1 filter inputs and len(a)-1
+aggregates, newest first, and the next stage's state or None.  From `begin()`,
+`push(state, s)` (encode) and `pull(state, g)` (decode) return the next state with the
+next aggregate or decoded raw state.  Only `push` validates its input, and it rejects an
+aggregate that overflows float64; `pull` takes states (`as_state` results, outputs).
 """
 from __future__ import annotations
 
@@ -116,7 +115,7 @@ class Filter:
 
     `gain` is the tuple of time-indexed weights w_0, w_1, ... or None (all
     ones).  A filter holds only its coefficients; a stream is a state value
-    that `begin()` starts and `push`, `pull` and `project` take and return.
+    that `begin()` starts and `push` and `pull` take and return.
     """
 
     def __init__(self, b, a=(1.0,), gain=None, label: str = "", then: Filter = None):
@@ -164,11 +163,6 @@ class Filter:
             acc -= (sign * aj) * np.frombuffer(gj)
         return acc
 
-    def _next(self, state: tuple, s):
-        """(filter input x_t, aggregate g_t) for a validated raw state s."""
-        x = s if state[0] is None else self.weight(state[0]) * s
-        return x, self._fold(state, self.b[0] * x, 1.0)
-
     def _commit(self, state: tuple, x, g, rest) -> tuple:
         """The state after input x and aggregate g, with `rest` for the next stage."""
         t, xs, gs, _ = state
@@ -176,8 +170,14 @@ class Filter:
                 (g.tobytes(), *gs)[: len(self.a) - 1], rest)
 
     def push(self, state: tuple, s) -> tuple:
-        """(next state, read-only aggregate) of the next raw state; raw input is validated here."""
-        x, g = self._next(state, as_state(s))
+        """(next state, read-only aggregate) of the next raw state; raw input is validated
+        here, and an aggregate that overflows float64 raises."""
+        s = as_state(s)
+        x = s if state[0] is None else self.weight(state[0]) * s
+        g = self._fold(state, self.b[0] * x, 1.0)
+        if not np.isfinite(g).all():
+            raise ValidationError(f"filter {self.label or 'stage'} overflows float64: "
+                                  "an aggregate is not finite")
         g.flags.writeable = False
         rest, y = (None, g) if self.then is None else self.then.push(state[3], g)
         return self._commit(state, x, g, rest), y
@@ -191,14 +191,6 @@ class Filter:
         s = x if state[0] is None else x / self.weight(state[0])
         s.flags.writeable = False
         return self._commit(state, x, g, rest), s
-
-    def project(self, state: tuple, s) -> np.ndarray:
-        """The read-only aggregate `push(state, s)` would emit, for a validated state s."""
-        g = self._next(state, s)[1]
-        if self.then is not None:
-            return self.then.project(state[3], g)
-        g.flags.writeable = False  # candidates are shared through the oracle's memo
-        return g
 
     # -- batch -------------------------------------------------------------
 

@@ -155,7 +155,7 @@ def _cmd_analyze_deps(args) -> int:
     m = make_mdp_from_id(args.env)
     spec = parse_spec(args.wrapper)
     oracle = as_nmdp_oracle(m, spec)
-    cap = analysis.HISTORY_CAP  # a history at t is the last of t + 1 interned ones
+    cap = analysis.HISTORY_CAP  # a walk's interned histories; one at t is the last of t + 1
     if args.t >= cap:
         raise ValidationError(f"--t must be below the history cap {cap}, got {args.t}")
     analytical = analytical_dependency(spec, args.t)
@@ -163,7 +163,7 @@ def _cmd_analyze_deps(args) -> int:
         raise ValidationError(f"analyze-deps needs >= 2 states, {args.env} has {m.num_states}")
     pool = StatePool(m.embedding)  # validated once for every history
     at_t = list(itertools.islice((h for h in reachable_histories(oracle, max_t=args.t)
-                                  if h.t == args.t), args.max_histories))
+                                  if h.t == args.t), min(args.max_histories, cap)))
     if not at_t:
         raise ValidationError(f"no reachable histories at t={args.t}")
     empirical = [empirical_dependency(oracle, h, pool) for h in at_t]

@@ -85,8 +85,9 @@ class AggregatedMDPOracle(NMDPOracle):
 
     Given a history of aggregated observations, decodes the raw state stream, looks up
     the tabular row for the latest state, and maps each outcome to the unique next
-    aggregate that decodes back to it.  With the identity filter this is the tabular
-    process viewed as history-conditioned.  Outcomes come in table order, unmerged.
+    aggregate that decodes back to it, which `spec.push` emits from the decoder state.
+    With the identity filter this is the tabular process viewed as history-conditioned.
+    Outcomes come in table order, unmerged.
     A prefix is the tuple (node, idx, t): the decoder stream state one `Transducer`
     returned for it, whose edges store the index of the embedded state they decode to
     (None when none matches), that index, and t.  The transducer and one memo of answers
@@ -140,7 +141,7 @@ class AggregatedMDPOracle(NMDPOracle):
         dist = self.memo.get(key)
         if dist is None:
             dist = remember(self.memo, key, [
-                ((self.spec.project(node, self.mdp.embedding[n]), r), p)
+                ((self.spec.push(node, self.mdp.embedding[n])[1], r), p)
                 for n, r, p in self.mdp.row(idx, action)])
         return list(dist)
 
@@ -150,7 +151,7 @@ class AggregatedMDPOracle(NMDPOracle):
         key = (p[0], state_pool.raw)
         cands = self.memo.get(key)
         if cands is None:
-            cands = remember(self.memo, key, [self.spec.project(p[0], s) for s in state_pool])
+            cands = remember(self.memo, key, [self.spec.push(p[0], s)[1] for s in state_pool])
         return list(cands)
 
 

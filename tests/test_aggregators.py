@@ -76,21 +76,21 @@ def stream_pull(spec, aggs):
 
 
 def assert_projects(spec, traj, aggs, tol=ALGEBRA_TOL):
-    """After pulling g_0..g_{t-1}, project(s_t) is g_t and pulling it gives s_t back."""
+    """After pulling g_0..g_{t-1}, pushing s_t emits g_t (the oracle's projection of a
+    next raw state) and pulling it gives s_t back."""
     state = spec.begin()
     for s, g in zip(traj, aggs):
-        assert np.allclose(spec.project(state, s), g, atol=tol)
+        assert np.allclose(spec.push(state, s)[1], g, atol=tol)
         state, back = spec.pull(state, g)
         assert np.allclose(back, s, atol=tol)
 
 
 def assert_values(spec, traj, aggs):
-    """push, pull and project give equal bytes and equal, equally hashed states when
-    called twice on one state, and every output is read-only."""
+    """push and pull give equal bytes and equal, equally hashed states when called
+    twice on one state, and every output is read-only."""
     state = spec.begin()
     for s, g in zip(traj, aggs):
-        outputs = [spec.project(state, s) for _ in range(2)]
-        assert outputs[0].tobytes() == outputs[1].tobytes()
+        outputs = []
         for step, x in ((spec.push, s), (spec.pull, g)):
             (n1, y1), (n2, y2) = step(state, x), step(state, x)
             assert n1 == n2 and hash(n1) == hash(n2) and y1.tobytes() == y2.tobytes()
@@ -260,7 +260,7 @@ class TestGroup:
     def test_project(self):
         spec = group_power_spec(1)
         state = spec.pull(spec.begin(), np.array([1.0]))[0]
-        g = spec.project(state, np.array([2.0]))
+        g = spec.push(state, np.array([2.0]))[1]
         assert g[0] == 3.0
         assert spec.pull(state, g)[1][0] == 2.0
 
@@ -301,7 +301,7 @@ class TestConv:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_project_consistency(self, kernel):
-        # project(s) must be exactly the aggregate that pull would decode to s
+        # push(s) must emit exactly the aggregate that pull would decode to s
         w, _ = kernel
         rng = np.random.default_rng(6)
         traj = rng.uniform(-1, 1, size=(8, 2))
@@ -357,7 +357,7 @@ class TestCorr:
     def test_project(self):
         spec = corr_spec((1.0, 2.0))
         state = spec.pull(spec.begin(), np.array([3.0]))[0]
-        g = spec.project(state, np.array([5.0]))
+        g = spec.push(state, np.array([5.0]))[1]
         assert g[0] == 3.0 + 2.0 * 5.0
         assert np.allclose(spec.pull(state, g)[1], [5.0])
 
@@ -616,17 +616,32 @@ class TestChain:
         state = spec.begin()
         for g in aggs[:-1]:
             state = spec.pull(state, g)[0]
-        assert np.allclose(spec.project(state, traj[-1]), aggs[-1], atol=ALGEBRA_TOL)
+        assert np.allclose(spec.push(state, traj[-1])[1], aggs[-1], atol=ALGEBRA_TOL)
 
     @pytest.mark.parametrize("text", ["id", "S^2", "D_l:0.5", "corr:1,2,3", "S^1+corr:1,2,3"])
     def test_project_is_read_only(self, text):
-        # a projected candidate is shared through the oracle's memo
+        # an aggregate pushed from a decoder state is shared through the oracle's memo
         spec = parse_spec(text)
-        state = spec.pull(spec.begin(), spec.project(spec.begin(), as_state([1.0, 2.0])))[0]
-        g = spec.project(state, as_state([3.0, 4.0]))
+        state = spec.pull(spec.begin(), spec.push(spec.begin(), as_state([1.0, 2.0]))[1])[0]
+        g = spec.push(state, as_state([3.0, 4.0]))[1]
         assert not g.flags.writeable
         with pytest.raises(ValueError):
             g[0] = 0.0
+
+    @pytest.mark.parametrize("text, stage, x, at", [
+        ("conv:1e308,1e308", "conv:1e308,1e308", [1.0, 0.5], 1),
+        ("S^1", "S^1", [1e308, 1.0], 1),
+        ("S^1+corr:1e308,2", "corr:1e+308,2", [2.0, 1.0], 0),
+        ("corr:1,1e308", "corr:1,1e308", [2.0, 1.0], 1)])
+    def test_overflowing_stage_raises(self, text, stage, x, at):
+        # the stage that overflows names itself, so a chain's message names the corr stage
+        spec = parse_spec(text)
+        state, pushed = spec.begin(), 0
+        with np.errstate(over="ignore"), pytest.raises(
+                ValidationError, match=re.escape(f"filter {stage} overflows float64")):
+            for pushed in range(3):
+                state = spec.push(state, x)[0]
+        assert pushed == at
 
 
 class TestSpecs:

@@ -109,6 +109,18 @@ class TestAnalyzeDeps:
         assert report["dependency"]["indices"] == [0]
         assert report["match"] is True and report["histories_checked"] == checked
 
+    def test_max_histories_past_sys_maxsize(self, capsys):
+        # a walk interns at most HISTORY_CAP histories, so a larger bound is the cap:
+        # an islice stop past sys.maxsize would raise ValueError
+        outputs = []
+        for bound in ("99999999999999999999", "64"):
+            for extra in ([], ["--json"]):
+                assert main(["analyze-deps", "--wrapper", "S^1", "--t", "3",
+                             "--max-histories", bound, *extra]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:]
+        assert json.loads(outputs[1])["histories_checked"] == 8
+
 
 class TestRunSweepPlot:
     def test_run_cell(self, capsys):
@@ -423,6 +435,21 @@ class TestBadInputExit2:
         assert main(["analyze-deps", *argv]) == 2
         err = capsys.readouterr().err
         assert err == f"error: decoded state at t={t} matches no embedded state\n"
+
+    @pytest.mark.parametrize("wrapper", ["conv:1e308,1e308", "S^1+corr:1e308,1e308,1e308"])
+    def test_filter_overflow(self, wrapper, capsys):
+        # the wrapped reset would emit [inf, -1.11e308, ...]: the run stops instead
+        stage = wrapper.split("+")[-1]  # the stage that overflows names itself
+        env = ["--env", "random:1:3:2:2"]
+        with np.errstate(over="ignore"):
+            assert main(["run", *env, "--wrapper", wrapper, "--episodes", "20",
+                         "--eval-episodes", "2", "--horizon", "3"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: filter {stage[:5]}") and "overflows float64" in err
+            # a chain with corr has no analytical form, so the check runs the stage alone
+            assert main(["analyze-deps", *env, "--wrapper", stage, "--t", "2"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: filter {stage} overflows float64: an aggregate is not finite\n")
 
     def test_verify_morphism_ragged_embedding(self, tmp_path, capsys):
         data = mdp_to_json(make_chain(3))

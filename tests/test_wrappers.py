@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,30 @@ class TestAggregatedOracle:
             freq = counts.get(key, 0) / collected
             se = np.sqrt(p * (1 - p) / collected)
             assert abs(freq - p) <= 3 * se + 1e-12, (key, freq, p)
+
+
+class TestOverflow:
+    """A filter whose aggregate overflows float64 stops the stream that pushes it."""
+
+    def test_reward_filter(self):
+        # rewards 0, 0, 0, 1, 1: the second 1 aggregates to 2e308
+        env, steps = wrap(make_env("chain:5"), har_spec="conv:1e308,1e308"), 0
+        env.reset(0)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValidationError, match=r"filter conv:1e\+308,1e\+308 overflows float64"):
+            for steps in range(8):
+                env.step(1)
+        assert steps == 4
+
+    def test_oracle_transition_and_candidates(self):
+        oracle = as_nmdp_oracle(SLIPPY_CHAIN, "conv:1e308,1e308")
+        p = oracle.pull(oracle.begin(), oracle.initial()[0][0])  # 1e308 e_0
+        with np.errstate(over="ignore"):
+            for answer in (lambda: oracle.transition_at(p, 0),  # a slip stays at e_0
+                           lambda: oracle.candidates_at(p, None, POOL)):
+                with pytest.raises(ValidationError, match="conv:1e308,1e308 overflows"):
+                    answer()
+        assert not oracle.memo
 
 
 class TestOracleVsWrapStringForms:
@@ -553,3 +579,50 @@ class TestUnkeyedObservations:
         # float32 never look one up
         assert env.node_count == 5
         assert [raw for _, raw in env._states.edges] == [self.E0.tobytes()] * 2
+
+
+GOLDEN_CORR = "corr:1,2,3,0.5,2,1"  # six weights: a row at t = 4 aggregates with w_5
+
+
+def oracle_digest(spec: str, max_t: int = 4) -> str:
+    """sha256 of the bytes of `initial()` and of every `transition_at` row and
+    `candidates_at` answer over each reachable prefix of chain:5:0.3 up to max_t."""
+    oracle, digest = as_nmdp_oracle(SLIPPY_CHAIN, spec), hashlib.sha256()
+
+    def feed(answer):  # arrays, floats and ints in nested lists and tuples
+        if isinstance(answer, (list, tuple)):
+            for x in answer:
+                feed(x)
+        else:
+            digest.update(np.asarray(answer, dtype=float).tobytes())
+
+    feed(oracle.initial())
+    for h in reachable_histories(as_nmdp_oracle(SLIPPY_CHAIN, spec), max_t=max_t):
+        p = oracle.begin()
+        for step in zip(h.states, (None, *h.actions), (None, *h.rewards)):
+            p = oracle.pull(p, *step)
+        for a in range(oracle.num_actions):
+            feed(oracle.transition_at(p, a))
+        feed(oracle.candidates_at(p, h, POOL))
+    return digest.hexdigest()
+
+
+class TestOracleGoldenDigest:
+    """Pins the exact oracle's output bytes, not only its two forms against each other."""
+
+    @pytest.mark.parametrize("spec, want", [
+        ("S^2",
+         "b8635692508550e71edcfcf7e8a30a0a16922d9299ecaa35ce9ac16d71d54b21"),
+        ("D^1",
+         "c5d307c7c16f1f95a7907617ceb5a017f3458f4071a537dbe84c347e3a7ec492"),
+        ("S_l:0.5",
+         "e763620cb4bfebe115ea3d5e6119f1391b3f1174e4ed2af363fb473f40f693ea"),
+        ("conv:2,1",
+         "3b2fde57e2e7769e615d03bc10c92bcc1084c06aed9d9fc26b9c539efd52ec24"),
+        (GOLDEN_CORR,
+         "8897083d57630627681f321a364242b5142896ad2edd7affda81f0657844e2ad"),
+        ("S^1+" + GOLDEN_CORR,
+         "7e2b26ed9b5ed508d6e311642d6732df8bd1c3abffb16974dee0569c1bc0e8ae"),
+    ])
+    def test_golden_digest(self, spec, want):
+        assert oracle_digest(spec) == want
