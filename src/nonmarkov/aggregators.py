@@ -173,8 +173,9 @@ class Filter:
         """(next state, read-only aggregate) of the next raw state; raw input is validated
         here, and an aggregate that overflows float64 raises."""
         s = as_state(s)
-        x = s if state[0] is None else self.weight(state[0]) * s
-        g = self._fold(state, self.b[0] * x, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the stage
+            x = s if state[0] is None else self.weight(state[0]) * s
+            g = self._fold(state, self.b[0] * x, 1.0)
         if not np.isfinite(g).all():
             raise ValidationError(f"filter {self.label or 'stage'} overflows float64: "
                                   "an aggregate is not finite")

@@ -23,7 +23,6 @@ from .core import (
     History,
     NMDPOracle,
     Outcome,
-    StatePool,
     UndecodableHistoryError,
     ValidationError,
     as_state,
@@ -49,7 +48,8 @@ class StateExplosionError(ValidationError):
 
 @dataclass(frozen=True)
 class DependencyStructure:
-    """Set of history indices whose state, if substituted, changes transitions."""
+    """Set of history indices whose state, if substituted, changes transitions.  Analytical
+    `weights` are row t's decoder coefficients; an index without one is an offset position."""
 
     t: int
     indices: tuple
@@ -78,16 +78,18 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool) -> Dependen
     that makes the history undecodable also counts as a change (the original history
     was decodable, so the transition law visibly differs); such events are tallied in
     `undecodable`.  Each prefix of h is pulled once; a perturbation pulls the candidate
-    and the suffix onto prefix i, which stays as it was.  The pool becomes a `StatePool`
-    here, unless it is one: validated states and bytes.  With prefix keys, each verdict
-    is cached in `oracle.verdicts` by (key of h, key of the perturbed prefix), through
-    `remember`, so two keys' rows compare once.
+    and the suffix onto prefix i, which stays as it was.  Each pool entry is validated
+    here, and the entries become one read-only (n, k) array that every `candidates_at`
+    call gets.  With prefix keys, each verdict is cached in `oracle.verdicts` by (key of h,
+    key of the perturbed prefix), through `remember`, so two keys' rows compare once.
     """
-    state_pool = StatePool(state_pool)
-    for p in state_pool:
+    states = [as_state(s) for s in state_pool]
+    for p in states:
         if p.shape != h.states[0].shape:
             raise ValidationError(f"state pool entry of shape {p.shape} does not match "
                                   f"the history's states of shape {h.states[0].shape}")
+    state_pool = np.array(states).reshape(-1, h.states[0].size)  # (0, k) when empty
+    state_pool.flags.writeable = False
     actions, pull, transition_at = range(oracle.num_actions), oracle.pull, oracle.transition_at
     steps = list(zip(h.states, (None, *h.actions), (None, *h.rewards),
                      map(vector_bytes, h.states)))
@@ -123,26 +125,28 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool) -> Dependen
 
 
 def analytical_dependency(spec, t: int) -> DependencyStructure:
-    """Predicted dependency set at time t from the aggregator's filter.
+    """Predicted dependency set at time t from a one-stage filter (b/a)(w . s).
 
-    The raw state s_t is (a/b)(g)_t / w_t, so position t - tau is a
-    dependency exactly where the tau-th coefficient of the series a/b is
-    nonzero; those coefficients, divided by the gain w_t, are attached as
-    weights.  A lone `corr` atom (a/b = 1 - z) gives {t-1, t}; chains that
-    mix `corr` with other atoms have no analytical form here.
+    With c = (a/b) / w_t, the decoded raw state s_t is sum_tau c_tau g_{t-tau} (row t of
+    the decoder), and the next aggregate's offset -b_0 sum_{tau>=1} (a/b)_tau g_{t+1-tau}
+    reads row t+1, so position i in [0, t] is a dependency where c_{t-i} or c_{t+1-i}
+    passes `DEP_WEIGHT_TOL`.  `weights` keep row t's coefficients c_{t-i}: an index
+    without a weight is an offset position.  A gain after another stage, as in
+    `S^1+corr:...`, has no form here.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if t < 0:
         raise ValidationError("t must be >= 0")
-    if spec.then is not None or (spec.gain is not None
-                                 and (spec.b, spec.a) != ((1.0,), (1.0, -1.0))):
-        raise ValidationError(
-            f"no analytical dependency form for {spec.label!r}: corr chained with other atoms")
+    if spec.then is not None:
+        raise ValidationError(f"no analytical dependency form for {spec.label!r}: "
+                              "a gain after another stage")
     num, den = (tuple(x / spec.b[0] for x in c) for c in (spec.a, spec.b))  # as Filter(a, b)
-    series = aggregators._series(num, den, t + 1) / spec.weight(t)
-    weights = {t - tau: float(c) for tau, c in enumerate(series) if abs(c) > DEP_WEIGHT_TOL}
-    return DependencyStructure(t=t, indices=tuple(sorted(weights)), weights=weights)
+    c = (aggregators._series(num, den, t + 2) / spec.weight(t)).tolist()
+    big = [abs(x) > DEP_WEIGHT_TOL for x in c]
+    weights = {t - tau: c[tau] for tau in range(t + 1) if big[tau]}
+    indices = tuple(i for i in range(t + 1) if big[t - i] or big[t + 1 - i])
+    return DependencyStructure(t=t, indices=indices, weights=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .analysis import (
     verify_equivalence_roundtrip,
     verify_morphism,
 )
-from .core import StatePool, ValidationError, is_int, json_number, load_json, load_mdp
+from .core import ValidationError, is_int, json_number, load_json, load_mdp
 from .envs import make_mdp_from_id
 from .experiments import SweepConfig, render_plot, run_cell, run_sweep
 from .wrappers import as_nmdp_oracle
@@ -161,12 +161,11 @@ def _cmd_analyze_deps(args) -> int:
     analytical = analytical_dependency(spec, args.t)
     if m.num_states < 2:  # a one-state pool has nothing to substitute
         raise ValidationError(f"analyze-deps needs >= 2 states, {args.env} has {m.num_states}")
-    pool = StatePool(m.embedding)  # validated once for every history
     at_t = list(itertools.islice((h for h in reachable_histories(oracle, max_t=args.t)
                                   if h.t == args.t), min(args.max_histories, cap)))
     if not at_t:
         raise ValidationError(f"no reachable histories at t={args.t}")
-    empirical = [empirical_dependency(oracle, h, pool) for h in at_t]
+    empirical = [empirical_dependency(oracle, h, m.embedding) for h in at_t]
     match = all(e.indices == analytical.indices for e in empirical)
     report = {
         "pass": match,

@@ -68,16 +68,6 @@ def as_state(x) -> np.ndarray:
     return v
 
 
-class StatePool(tuple):
-    """States (`as_state` results) with their bytes, `raw`, computed once; a pool passes as is."""
-    def __new__(cls, states):
-        if isinstance(states, StatePool):
-            return states
-        pool = super().__new__(cls, map(as_state, states))
-        pool.raw = tuple(s.tobytes() for s in pool)
-        return pool
-
-
 @dataclass(frozen=True, eq=False)
 class History:
     """A (s_{0:t}, a_{0:t-1}, r_{0:t-1}) triple; |states| = |actions|+1 = |rewards|+1.
@@ -337,7 +327,8 @@ class NMDPOracle:
         raise NotImplementedError(f"{type(self).__name__} does not implement transition(h, a)")
 
     def substitution_candidates(self, h: History, index: int, state_pool):
-        """Observations to substitute at `index` of `h`, one per raw state in `state_pool`."""
+        """Observations to substitute at `index` of `h`, one per raw state (or array row) of
+        `state_pool`; `empirical_dependency` passes one read-only (n, k) array."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement substitution_candidates()")
 

@@ -12,6 +12,7 @@ import functools
 import io
 import itertools
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -114,6 +115,8 @@ def _run_cell(cfg: SweepConfig, cell: tuple) -> dict:
         row["std_return"] = _fmt(std)
     except Exception as exc:  # cell failures become rows, the sweep continues
         row["status"] = f"error:{type(exc).__name__}"
+        print(f"error: {env_id} | {wrapper} | {agent} | seed {seed}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
     if cfg.record_walltime:
         row["wall_ms"] = str(int((time.perf_counter() - start) * 1000))
     return row

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .aggregators import Filter, Transducer, parse_har_spec, parse_spec, remember
-from .core import FiniteMDP, History, NMDPOracle, StatePool, UndecodableHistoryError, is_degenerate
+from .core import FiniteMDP, History, NMDPOracle, UndecodableHistoryError, is_degenerate
 from .envs import Environment
 
 
@@ -100,7 +100,7 @@ class AggregatedMDPOracle(NMDPOracle):
         self.spec = spec
         self.num_actions = mdp.num_actions
         self.decoders = Transducer(spec, self._decode)
-        self.memo = {}  # (node, index, action) -> row; (node, pool bytes) -> candidates
+        self.memo = {}  # (node, index, action) -> row; (node, pool shape, bytes) -> candidates
         self.verdicts = {}  # filled by empirical_dependency through `remember`
 
     def _decode(self, state: tuple, g):
@@ -146,12 +146,12 @@ class AggregatedMDPOracle(NMDPOracle):
         return list(dist)
 
     def candidates_at(self, p: tuple, h: History, state_pool):
-        """The aggregate the prefix's node would emit next for each state of the pool."""
-        state_pool = StatePool(state_pool)
-        key = (p[0], state_pool.raw)
+        """The aggregate the prefix's node would emit next for each row of the pool's array."""
+        pool = np.asarray(state_pool, dtype=float)
+        key = (p[0], pool.shape, pool.tobytes())  # the root takes states of any length
         cands = self.memo.get(key)
         if cands is None:
-            cands = remember(self.memo, key, [self.spec.push(p[0], s)[1] for s in state_pool])
+            cands = remember(self.memo, key, [self.spec.push(p[0], s)[1] for s in pool])
         return list(cands)
 
 

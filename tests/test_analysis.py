@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nonmarkov import aggregators, analysis, experiments
 from nonmarkov.aggregators import Filter, parse_spec
@@ -63,11 +65,14 @@ class TestAnalyticalDependency:
         assert d.indices == (5, 6)
 
     @pytest.mark.parametrize("text,max_t,lag", [
-        ("corr:1,2,3,4,5", 3, 1), ("S^1+D^1", 4, 0), ("S_l:0.5+D_l:0.5", 4, 0)])
+        ("corr:1,2,3,4,5", 3, 1), ("S^1+D^1", 4, 0), ("S_l:0.5+D_l:0.5", 4, 0),
+        ("conv:1,0,0.5", 4, 4), ("corr:1,2,3,4,5+S^1", 3, 2)])
     def test_lone_corr_and_cancelling_chains_match_empirical(self, text, max_t, lag):
         # corr alone depends on {t-1, t}; the two chains cancel to {t}.  Five
         # weights define the corr process through t = 4, so its last
-        # transition the oracle can evaluate leaves a history at t = 3.
+        # transition the oracle can evaluate leaves a history at t = 3.  The
+        # interior zero of conv:1,0,0.5's inverse series is filled by the next
+        # aggregate's offset (row t+1), and corr+S^1 merges into one stage.
         oracle = as_nmdp_oracle(CHAIN5, text)
         for h in reachable_histories(oracle, max_t=max_t):
             ana = analytical_dependency(text, h.t)
@@ -83,7 +88,7 @@ class TestAnalyticalDependency:
         ts = (2, 7, *range(8), *range(8))  # cold, longer, then every prefix twice
         got = [analytical_dependency(spec, t).weights for t in ts]
         stored = aggregators._SERIES[inverse.b, inverse.a]
-        assert len(stored) == 8 and not stored.flags.writeable
+        assert len(stored) == 9 and not stored.flags.writeable
         for t, weights in zip(ts, got):
             aggregators._SERIES.clear()
             fresh = inverse.coeffs_upto(t + 1) / spec.weight(t)
@@ -92,9 +97,12 @@ class TestAnalyticalDependency:
             assert all(type(w) is float for w in weights.values())
 
     def test_corr_chained_with_other_atoms_rejected(self):
-        for text in ("S^1+corr:1,2,3", "corr:1,2,3+S^1"):
-            with pytest.raises(ValidationError):
-                analytical_dependency(text, 2)
+        with pytest.raises(ValidationError, match="a gain after another stage"):
+            analytical_dependency("S^1+corr:1,2,3", 2)
+
+    def test_offset_positions_carry_no_weight(self):
+        d = analytical_dependency("conv:1,0,0.5", 4)  # a/b = 1 - 0.5 z^2 + 0.25 z^4 - ...
+        assert d.indices == (0, 1, 2, 3, 4) and d.weights == {4: 1.0, 2: -0.5, 0: 0.25}
 
     def test_to_json(self):
         d = DependencyStructure(t=3, indices=(2, 3), weights={2: -0.5, 3: 1.0})
@@ -103,6 +111,28 @@ class TestAnalyticalDependency:
         assert j["weights"] == {"2": -0.5, "3": 1.0} and "undecodable" not in j
         assert DependencyStructure(t=1, indices=(), undecodable=4).to_json() == {
             "t": 1, "indices": [], "undecodable": 4}
+
+
+CONV_TEXTS = st.builds(
+    lambda head, tail: "conv:" + ",".join(f"{c:g}" for c in (head, *tail)),
+    st.sampled_from([1.0, 2.0, -2.0]),
+    st.lists(st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, -1.0]), max_size=3))
+CORR_CHAINS = st.builds(
+    lambda ws, conv: "corr:" + ",".join(f"{w:g}" for w in ws) + "+" + conv,
+    st.lists(st.sampled_from([1.0, 2.0, -1.0, 0.5, 3.0]), min_size=6, max_size=6), CONV_TEXTS)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(CONV_TEXTS, CORR_CHAINS))
+def test_analytical_set_is_the_empirical_set(text):
+    # interior zeros of the inverse series are where row t alone misses the offset
+    try:
+        oracle = as_nmdp_oracle(SLIPPY_CHAIN5, text)
+    except ValidationError:  # an unstable decoder
+        assume(False)
+    want = [analytical_dependency(text, t).indices for t in range(5)]
+    for h in reachable_histories(oracle, max_t=4):
+        assert empirical_dependency(oracle, h, POOL).indices == want[h.t], (text, h.t)
 
 
 class TestEmpiricalDependency:
@@ -140,8 +170,9 @@ class TestEmpiricalDependency:
         ([0.0, np.nan, 0.0, 0.0, 0.0], "finite"),
         ([0.0, np.inf, 0.0, 0.0, 0.0], "finite"),
         (np.eye(5)[:2], "1-d"),
+        ([], "nonempty"),
         ([1.0, 0.0, 0.0, 0.0], r"shape \(4,\) does not match the history's states of shape \(5,\)"),
-    ], ids=["nan", "inf", "2-d", "wrong-length"])
+    ], ids=["nan", "inf", "2-d", "empty", "wrong-length"])
     def test_pool_validated_before_any_pull(self, entry, match):
         class NoStreams(HistoryOnlyOracle):
             def begin(self):

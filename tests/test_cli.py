@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -108,6 +110,21 @@ class TestAnalyzeDeps:
         report = json.loads(capsys.readouterr().out)
         assert report["dependency"]["indices"] == [0]
         assert report["match"] is True and report["histories_checked"] == checked
+
+    @pytest.mark.parametrize("env, wrapper, indices", [
+        ("chain:5", "conv:1,0,0.5", [0, 1, 2, 3, 4]), ("chain:5", "conv:1,-1,1", [0, 1, 2, 3, 4]),
+        ("chain:5", "conv:1,-1,0.5", [0, 1, 2, 3, 4]),
+        ("chain:5:0.3", "corr:1,2,3,4,5,6+S^1", [2, 3, 4])])
+    def test_offset_positions_predicted(self, env, wrapper, indices, capsys):
+        # row t+1 of the decoder, the next aggregate's offset, fills row t's interior zeros
+        assert main(["analyze-deps", "--env", env, "--wrapper", wrapper, "--t", "4"]) == 0
+        assert capsys.readouterr().out == (
+            f"dependency at t=4 for {wrapper} on {env}: indices {indices}, match=True\n")
+
+    def test_gain_after_another_stage_exit2(self, capsys):
+        assert main(["analyze-deps", "--wrapper", "S^1+corr:1,2,3,4,5,6", "--t", "3"]) == 2
+        assert capsys.readouterr().err == ("error: no analytical dependency form for "
+                                           "'S^1+corr:1,2,3,4,5,6': a gain after another stage\n")
 
     def test_max_histories_past_sys_maxsize(self, capsys):
         # a walk interns at most HISTORY_CAP histories, so a larger bound is the cap:
@@ -450,6 +467,17 @@ class TestBadInputExit2:
             assert main(["analyze-deps", *env, "--wrapper", stage, "--t", "2"]) == 2
             assert capsys.readouterr().err == (
                 f"error: filter {stage} overflows float64: an aggregate is not finite\n")
+
+    def test_filter_overflow_is_one_stderr_line(self):
+        # numpy's RuntimeWarning, with the source line of Filter.push, used to come first
+        run = subprocess.run(
+            [sys.executable, "-m", "nonmarkov.cli", "run", "--env", "random:1:3:2:2",
+             "--wrapper", "conv:1e308,1e308", "--episodes", "5", "--eval-episodes", "2"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})  # this import path
+        assert run.returncode == 2
+        assert run.stderr == ("error: filter conv:1e308,1e308 overflows float64: "
+                              "an aggregate is not finite\n")
 
     def test_verify_morphism_ragged_embedding(self, tmp_path, capsys):
         data = mdp_to_json(make_chain(3))

@@ -10,7 +10,6 @@ from nonmarkov.core import (
     FiniteMDP,
     History,
     Outcome,
-    StatePool,
     ValidationError,
     as_state,
     canonical_distribution,
@@ -62,28 +61,6 @@ class TestAsState:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             as_state([])
-
-
-class TestStatePool:
-    def test_states_and_their_bytes(self):
-        pool = StatePool([[1, 2], np.array([0.5, -1.0])])
-        assert isinstance(pool, tuple) and len(pool) == 2
-        assert all(isinstance(s, np.ndarray) and not s.flags.writeable for s in pool)
-        assert pool.raw == (np.array([1.0, 2.0]).tobytes(), np.array([0.5, -1.0]).tobytes())
-        assert StatePool(pool).raw == pool.raw and StatePool([]).raw == ()
-
-    @pytest.mark.parametrize("bad", [[[1.0], [np.nan]], [[[1.0, 2.0]]], [[]]])
-    def test_entries_validated(self, bad):
-        with pytest.raises(ValidationError):
-            StatePool(bad)
-
-    def test_a_pool_passes_through(self):
-        pool = StatePool([[1.0, 2.0], [0.5, -1.0]])
-        assert StatePool(pool) is pool
-        again = StatePool(list(pool))  # a list of a pool's states is validated again
-        assert again is not pool and again.raw == pool.raw
-        with pytest.raises(ValidationError):
-            StatePool([*pool, [np.inf, 0.0]])
 
 
 class TestHistory:

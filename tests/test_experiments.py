@@ -155,6 +155,16 @@ class TestRunSweep:
         assert len(rows) == 1
         assert "error:" in rows[0]
 
+    def test_failed_cell_names_its_error(self, capsys):
+        cfg = SweepConfig(envs=["random:1:3:2:2"], wrappers=["conv:1e308,1e308"],
+                          agents=["random"], seeds=[0], episodes=5, eval_episodes=2,
+                          horizon=6, workers=1)
+        text = run_sweep(cfg)
+        assert text.strip().split("\n")[1].split(",")[-2] == "error:ValidationError"
+        assert capsys.readouterr().err == (
+            "error: random:1:3:2:2 | conv:1e308,1e308 | random | seed 0: ValidationError: "
+            "filter conv:1e308,1e308 overflows float64: an aggregate is not finite\n")
+
     @pytest.mark.parametrize("agent", ["bad", "qwin:x", "qwin:0", "qwin:1:2"])
     def test_malformed_agent_rejected_before_any_cell(self, agent):
         with pytest.raises(ValidationError, match="cannot parse|window must be"):

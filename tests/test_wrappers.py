@@ -8,7 +8,7 @@ from nonmarkov.agents import parse_agent_spec, train
 from nonmarkov.analysis import empirical_dependency, reachable_histories
 from nonmarkov.aggregators import har_aggregate, parse_har_spec, parse_spec
 from nonmarkov.core import (
-    FiniteMDP, StatePool, UndecodableHistoryError, ValidationError, initial_history)
+    FiniteMDP, UndecodableHistoryError, ValidationError, initial_history)
 from nonmarkov.envs import Environment, make_chain, make_env
 from nonmarkov.wrappers import AggregatedMDPOracle, WrappedEnvironment, as_nmdp_oracle, wrap
 
@@ -483,11 +483,19 @@ class TestSharedDecoder:
             got = empirical_dependency(oracle, h, POOL)
             assert got == empirical_dependency(fresh, h, POOL)
             assert len(pools) == h.t + 1 and all(p is pools[0] for p in pools)
-            assert isinstance(pools[0], StatePool)
-            assert pools[0].raw == tuple(np.asarray(s, dtype=float).tobytes() for s in POOL)
+            assert pools[0].dtype == float and not pools[0].flags.writeable
+            assert pools[0].tobytes() == np.array(POOL, dtype=float).tobytes()
         p = oracle.pull(oracle.begin(), oracle.initial()[0][0])  # a plain list still works
         assert as_bytes(oracle.candidates_at(p, None, list(POOL))) == \
-            as_bytes(oracle.candidates_at(p, None, StatePool(POOL)))
+            as_bytes(oracle.candidates_at(p, None, pools[0]))
+
+    def test_pool_shape_keys_the_memo(self):
+        # the root takes states of any length, so two pools with equal bytes differ by shape
+        oracle, pool = as_nmdp_oracle(SLIPPY_CHAIN, "S^2"), np.arange(10.0)
+        p = oracle.begin()
+        assert as_bytes(oracle.candidates_at(p, None, pool.reshape(2, 5))) == \
+            (pool[:5].tobytes(), pool[5:].tobytes())
+        assert as_bytes(oracle.candidates_at(p, None, pool.reshape(1, 10))) == (pool.tobytes(),)
 
     def test_list_pool_with_a_non_finite_entry_is_rejected(self):
         oracle = as_nmdp_oracle(SLIPPY_CHAIN, "S^2")
