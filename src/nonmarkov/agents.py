@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .aggregators import remember
-from .core import ValidationError, parse_number, vector_bytes
+from .core import ValidationError, frozen, parse_number, vector_bytes
 from .envs import Environment
 
 SENTINEL = "<pad>"
@@ -24,15 +24,21 @@ class ExactDiscretizer:
     """Pass observations through by rounding; suited to one-hot and small-integer streams."""
 
     def __init__(self):
-        self._memo = {}
+        self._memo = {}  # 1-d float64 observation bytes -> key
+        self._seen = {}  # id(obs) -> (obs, key) for a `core.frozen` obs, held so ids stay unique
 
     def key(self, obs) -> tuple:
+        hit = self._seen.get(id(obs))
+        if hit is not None and hit[0] is obs:
+            return hit[1]
         raw = vector_bytes(obs)
         key = self._memo.get(raw)
         if key is None:
             key = tuple(np.asarray(obs, dtype=float).round(DECIMALS).tolist())
             if raw is not None:
                 remember(self._memo, raw, key)
+        if frozen(obs):
+            remember(self._seen, id(obs), (obs, key))
         return key
 
 

@@ -56,6 +56,12 @@ def vector_bytes(x):
     return x.tobytes() if keyed else None
 
 
+def frozen(x) -> bool:
+    """A 1-d float64 array that neither it nor the array it views can write (taken as constant)."""
+    return (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 1 and not (
+        x.flags.writeable or isinstance(x.base, np.ndarray) and x.base.flags.writeable))
+
+
 def as_state(x) -> np.ndarray:
     """Coerce to a read-only float vector, rejecting NaN/Inf and non-1d input."""
     v = np.asarray(x, dtype=float)

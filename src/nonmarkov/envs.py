@@ -10,7 +10,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .core import FiniteMDP, Outcome, ValidationError, is_degenerate, load_mdp, parse_number
+from .core import FiniteMDP, Outcome, ValidationError, is_degenerate, is_int, load_mdp, parse_number
 
 MAX_RETRIES = 100  # make_random_mdp redraws a degenerate process up to this many times
 
@@ -39,42 +39,48 @@ class Environment:
 class FiniteMDPEnv(Environment):
     """Sampling adapter around a tabular process.
 
-    Every `reset` and `step` draws exactly one `Generator.random()` and picks
-    the outcome from a cumulative table compiled once per row, so it returns
-    the index `Generator.choice(p=...)` would return for the same stream.
+    `reset` and `step` hand out one read-only row object per state, and pick the outcome
+    `Generator.choice(p=...)` would pick with the episode's next `Generator.random()` double
+    from a cumulative table compiled once per row.  The doubles are drawn in batches, which
+    give the same doubles: `max_steps + 1` at `reset`, else 4 at a time.
     """
 
     def __init__(self, mdp: FiniteMDP, max_steps: int = None):
+        if max_steps is not None and not (is_int(max_steps) and max_steps >= 1):
+            raise ValidationError(f"max_steps must be None or an integer >= 1, got {max_steps!r}")
         self.mdp = mdp
         self.max_steps = max_steps
         self.observation_dim = mdp.embedding.shape[1]
         self.num_actions = mdp.num_actions
         self._rho0_cdf = _choice_cdf(mdp.rho0)
         self._cdf = [_choice_cdf(p[:n] / p[:n].sum()) for p, n in zip(mdp.prob, mdp.length)]
-        self._state = None
-        self._steps = 0
-        self._done = True
-        self._rng = None
+        self._rows = [row for per_action in mdp.outcomes for row in per_action]  # by cell
+        self._obs = list(mdp.embedding)  # views of the read-only embedding
+        self._batch = 4 if max_steps is None else max_steps + 1  # doubles drawn at a time
+        self._done = True  # until reset sets the episode's _draws, _state and _steps
 
     def reset(self, seed: int) -> np.ndarray:
-        self._rng = np.random.default_rng(seed)
-        self._state = bisect_right(self._rho0_cdf, self._rng.random())
+        self._draws = _uniforms(np.random.default_rng(seed), self._batch)
+        self._state = bisect_right(self._rho0_cdf, next(self._draws))
         self._steps = 0
         self._done = False
-        return self.mdp.embedding[self._state]
+        return self._obs[self._state]
 
     def step(self, action: int):
         if self._done:
             raise EpisodeFinishedError("step() after episode end; call reset()")
         if not 0 <= action < self.num_actions:
             raise ValidationError(f"action {action} out of range")
-        idx = bisect_right(self._cdf[self._state * self.num_actions + action], self._rng.random())
-        self._state, reward, _ = self.mdp.row(self._state, action)[idx]
+        cell = self._state * self.num_actions + action
+        self._state, reward, _ = self._rows[cell][bisect_right(self._cdf[cell], next(self._draws))]
         self._steps += 1
-        truncated = self.max_steps is not None and self._steps >= self.max_steps
-        if truncated:
-            self._done = True
-        return self.mdp.embedding[self._state], reward, False, truncated
+        self._done = self._steps == self.max_steps  # truncated
+        return self._obs[self._state], reward, False, self._done
+
+
+def _uniforms(rng: np.random.Generator, n: int):  # rng.random() doubles, drawn n at a time
+    while True:
+        yield from rng.random(n).tolist()
 
 
 def _choice_cdf(p: np.ndarray) -> list:

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .aggregators import Filter, Transducer, parse_har_spec, parse_spec, remember
-from .core import FiniteMDP, History, NMDPOracle, UndecodableHistoryError, is_degenerate
+from .core import FiniteMDP, History, NMDPOracle, UndecodableHistoryError, frozen, is_degenerate
 from .envs import Environment
 
 
@@ -25,7 +25,8 @@ class WrappedEnvironment(Environment):
     `har_spec`, over a scalar stream) are transformed.  Either may be None.
 
     Observations pass through an interned `Transducer` of `spec.push`;
-    `node_count` is the number of distinct stream states it has interned.  The
+    `node_count` is the number of distinct stream states it has interned, and a
+    `core.frozen` observation repeated at a node takes an identity edge.  The
     reward stream is a state value of `har_spec`, restarted at every reset.
     """
 
@@ -37,6 +38,7 @@ class WrappedEnvironment(Environment):
         self.num_actions = inner.num_actions
         self._states = None if spec is None else Transducer(spec, spec.push)
         self._node = None  # the node of _states the episode is at
+        self._seen = {}  # (id(node), id(obs)) -> (obs, node, next node, output), held ids
         self._reward = None  # the reward stream's state
 
     @property
@@ -46,15 +48,25 @@ class WrappedEnvironment(Environment):
     def reset(self, seed: int) -> np.ndarray:
         obs = self.inner.reset(seed)
         if self.spec is not None:
-            self._node, obs = self._states.step(self._states.root, obs)
+            obs = self._push(self._states.root, obs)
         if self.har_spec is not None:
             self._reward = self.har_spec.begin()
         return obs
 
+    def _push(self, node: tuple, obs):
+        """The output of the stream at `node` on obs; `_node` moves to the next node."""
+        hit = self._seen.get((id(node), id(obs)))
+        if hit is None or hit[0] is not obs:
+            hit = (obs, node, *self._states.step(node, obs))
+            if frozen(obs):
+                remember(self._seen, (id(node), id(obs)), hit)
+        self._node = hit[2]
+        return hit[3]
+
     def step(self, action: int):
         obs, reward, terminated, truncated = self.inner.step(action)
         if self.spec is not None:
-            self._node, obs = self._states.step(self._node, obs)
+            obs = self._push(self._node, obs)
         if self._reward is not None:
             self._reward, g = self.har_spec.push(self._reward, (reward,))
             reward = float(g[0])

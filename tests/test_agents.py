@@ -215,3 +215,34 @@ class TestExactDiscretizerMemo:
             for x in xs:
                 assert d.key(x) == self.rounded(x)
         assert len(d._memo) == 3
+
+    def test_writable_array_mutated_in_place_gets_its_new_key(self):
+        d = ExactDiscretizer()
+        base = np.array([0.25, 0.5])
+        view = base[:]
+        view.flags.writeable = False  # read-only, but its values change with base
+        for x in (base, view):
+            base[:] = (0.25, 0.5)
+            assert d.key(x) == (0.25, 0.5)
+            base[0] = 0.75
+            assert d.key(x) == (0.75, 0.5)
+        assert d._seen == {}
+
+    def test_repeated_read_only_object_is_keyed_by_identity(self):
+        d = ExactDiscretizer()
+        x = np.array([0.1234567, 1.0])
+        x.flags.writeable = False
+        assert d.key(x) == d.key(x) == self.rounded(x)
+        assert list(d._seen.values()) == [(x, self.rounded(x))]
+
+    def test_short_lived_read_only_arrays_reusing_ids(self, monkeypatch):
+        # past the cap an array is not held, so the next one may take its id
+        monkeypatch.setattr(aggregators, "NODE_CAP", 8)
+        d, ids = ExactDiscretizer(), set()
+        for i in range(3000):
+            x = np.array([i / 7.0, -i / 3.0])
+            x.flags.writeable = False
+            ids.add(id(x))
+            assert d.key(x) == self.rounded(x)
+        assert len(ids) < 3000 - 8  # ids were reused
+        assert len(d._seen) == len(d._memo) == 8

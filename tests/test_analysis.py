@@ -435,7 +435,9 @@ class TestEveryCacheUnderTheCap:
         # the sweep config parses each agent spec once up front, then the cell makes its own
         (env,), (_, agent), walks = made["envs"], made["agents"], made["walks"]
         sizes = {"learn nodes": len(env._states.nodes), "learn edges": len(env._states.edges),
+                 "learn identity edges": len(env._seen),
                  "discretizer": len(agent.discretizer._memo),
+                 "discretizer identity": len(agent.discretizer._seen),
                  "decoder nodes": len(oracle.decoders.nodes),
                  "decoder edges": len(oracle.decoders.edges),
                  "oracle memo": len(oracle.memo), "verdicts": len(oracle.verdicts),

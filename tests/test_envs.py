@@ -98,6 +98,12 @@ class TestEnvDeterminism:
         with pytest.raises(ValidationError):
             env.step(2)
 
+    @pytest.mark.parametrize("max_steps", [0, -1, True, 2.5])
+    def test_bad_max_steps_rejected(self, max_steps):
+        # 0, -1 and True used to give one-step episodes, and 2.5 three-step ones
+        with pytest.raises(ValidationError, match="max_steps"):
+            make_env("chain:5", max_steps=max_steps)
+
 
 def _sampler_processes():
     """Rows branching to every state, rho0 with zeros, single-outcome rows."""
@@ -141,6 +147,35 @@ class TestSampler:
             state = o.next_state
             expected.append((state, o.reward))
         assert got == expected
+
+    @pytest.mark.parametrize("m", _sampler_processes())
+    def test_bounded_episodes_match_choice(self, m):
+        # the sweep's shape: many resets, episodes of at most max_steps = 8 steps, some
+        # cut short, so an episode's batch of draws is not always used up
+        env = FiniteMDPEnv(m, max_steps=8)
+        rng = np.random.default_rng(98)
+        for seed in range(400):
+            actions = rng.integers(m.num_actions, size=int(rng.integers(1, 9))).tolist()
+            got = [m.match_states([env.reset(seed)])[0]]
+            for a in actions:
+                obs, reward, _, truncated = env.step(a)
+                got.append((m.match_states([obs])[0], reward))
+            assert truncated == (len(actions) == 8)
+            assert got == _choice_episode(m, seed, actions)
+
+
+def _choice_episode(m, seed, actions) -> list:
+    """The start state, then (state, reward) per action, of the `Generator.choice` sampler."""
+    rng = np.random.default_rng(seed)
+    state = int(rng.choice(m.num_states, p=m.rho0))
+    expected = [state]
+    for a in actions:
+        row = m.row(state, a)
+        probs = np.array([o.prob for o in row])
+        o = row[int(rng.choice(len(row), p=probs / probs.sum()))]
+        state = o.next_state
+        expected.append((state, o.reward))
+    return expected
 
 
 class TestEnvIds:

@@ -589,6 +589,37 @@ class TestUnkeyedObservations:
         assert [raw for _, raw in env._states.edges] == [self.E0.tobytes()] * 2
 
 
+class TestIdentityEdges:
+    @staticmethod
+    def frozen(*values):
+        x = np.array(values)
+        x.flags.writeable = False
+        return x
+
+    def test_writable_array_mutated_in_place_gets_its_new_aggregate(self):
+        base = np.array([1.0, 0.0])
+        view = base[:]
+        view.flags.writeable = False  # read-only, but its values change with base
+        for x in (base, view):
+            env = wrap(StubEnv([[x, x]]), "S^1")
+            for values in ([1.0, 0.0], [0.0, 1.0]):
+                base[:] = values
+                assert_replays(env, 0, "S^1", [base.copy()] * 2)
+            assert env._seen == {}
+
+    def test_repeated_frozen_object_is_answered_by_identity(self, monkeypatch):
+        e0, e1 = self.frozen(1.0, 0.0), self.frozen(0.0, 1.0)
+        episodes = [[e0, e1, e1, e0], [e1, e0, e0]]
+        env = wrap(StubEnv(episodes), "S_l:0.5")
+        nodes = [assert_replays(env, seed, "S_l:0.5", episodes[seed]) for seed in (0, 1)]
+        assert len(env._seen) == len(env._states.edges) == 7
+        with monkeypatch.context() as m:
+            m.setattr(env._states, "step", lambda *args: pytest.fail("reached the transducer"))
+            assert [assert_replays(env, s, "S_l:0.5", episodes[s]) for s in (0, 1)] == nodes
+        # equal values in a new object take the bytes-keyed edge to the same node
+        assert assert_replays(env, 0, "S_l:0.5", [x.copy() for x in episodes[0]]) == nodes[0]
+
+
 GOLDEN_CORR = "corr:1,2,3,0.5,2,1"  # six weights: a row at t = 4 aggregates with w_5
 
 
