@@ -4,13 +4,15 @@ The windowed agent keys its Q-table on the last k discretized observations,
 so window size directly controls how much history it can exploit when the
 environment's observations are aggregated histories.  Both agents share one
 interface: `observe_reset(obs)`, then `observe(obs)` after each step, and `act_greedy()`.
+Their draws come from `Draws`, which computes numpy's `default_rng(seed)` doubles and bounded
+ints from the raw PCG64 words; a differential test pins it to numpy's own.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .aggregators import remember
-from .core import ValidationError, frozen, parse_number, vector_bytes
+from .core import ValidationError, frozen, is_int, parse_number, vector_bytes
 from .envs import Environment
 
 SENTINEL = "<pad>"
@@ -18,6 +20,40 @@ DECIMALS = 6  # ExactDiscretizer rounds observations to this many decimals
 ALPHA, GAMMA = 0.1, 0.99  # Q-learning step size and discount
 # epsilon falls linearly from EPS_START to EPS_FINAL over the first EPS_DECAY_FRAC of training
 EPS_START, EPS_FINAL, EPS_DECAY_FRAC = 1.0, 0.05, 0.8
+
+
+class Draws:
+    """The `random()` doubles and `int(integers(n))` ints, 1 <= n <= 2**32, of
+    `np.random.default_rng(seed)`, computed from its raw 64-bit words in numpy's order.
+
+    A double is a word's top 53 bits.  An int takes a 32-bit half through PCG64's one-word
+    buffer, low half first, and applies Lemire's method with numpy's rejection loop.
+    """
+
+    def __init__(self, seed: int):
+        self._words = _raw_words(np.random.default_rng(seed).bit_generator)
+        self._high = None  # the buffered high half of the last word split for ints
+
+    def random(self) -> float:
+        return (next(self._words) >> 11) * 2.0 ** -53
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0  # numpy draws nothing
+        while True:
+            if self._high is None:
+                word = next(self._words)
+                half, self._high = word & 0xFFFFFFFF, word >> 32
+            else:
+                half, self._high = self._high, None
+            m = half * n
+            if (m & 0xFFFFFFFF) >= 2 ** 32 % n:
+                return m >> 32
+
+
+def _raw_words(bits):  # the generator's raw 64-bit words as ints, fetched 64 at a time
+    while True:
+        yield from bits.random_raw(64).tolist()
 
 
 class ExactDiscretizer:
@@ -47,10 +83,10 @@ class RandomAgent:
 
     def __init__(self, num_actions: int):
         self.num_actions = num_actions
-        self._rng = np.random.default_rng(0)
+        self._rng = Draws(0)
 
     def seed(self, seed: int):
-        self._rng = np.random.default_rng(seed)
+        self._rng = Draws(seed)
 
     def observe_reset(self, obs):
         pass
@@ -58,7 +94,7 @@ class RandomAgent:
     observe = observe_reset
 
     def act_greedy(self) -> int:
-        return int(self._rng.integers(self.num_actions))
+        return self._rng.integers(self.num_actions)
 
 
 class WindowedQAgent:
@@ -97,6 +133,11 @@ class WindowedQAgent:
 
 def _check_run(agent, episodes: int, horizon: int):
     """A window past an episode's horizon + 1 observations only pads keys and fills memory."""
+    if not (is_int(episodes) and is_int(horizon)):
+        raise ValidationError(
+            f"episodes and horizon must be integers, got {episodes!r} and {horizon!r}")
+    if not 1 <= getattr(agent, "num_actions", 1) <= 2 ** 32:  # the range Draws.integers covers
+        raise ValidationError(f"num_actions must be in [1, 2**32], got {agent.num_actions}")
     if episodes < 1 or horizon < 1:
         raise ValidationError(f"episodes and horizon must be >= 1, got {episodes} and {horizon}")
     if getattr(agent, "window", 1) > horizon + 1:
@@ -111,15 +152,16 @@ def train(agent, env: Environment, episodes: int, seed: int, horizon: int):
     _check_run(agent, episodes, horizon)
     if isinstance(agent, RandomAgent):
         return agent
-    rng = np.random.default_rng(seed)
+    draws = Draws(seed)
+    random, integers = draws.random, draws.integers
     q = agent.q
     for ep in range(episodes):
         eps = agent.epsilon(ep, episodes)
-        agent.observe_reset(env.reset(int(rng.integers(2 ** 31))))
+        agent.observe_reset(env.reset(integers(2 ** 31)))
         for _ in range(horizon):
             key = agent.key
-            if rng.random() < eps:
-                action = int(rng.integers(agent.num_actions))
+            if random() < eps:
+                action = integers(agent.num_actions)
             else:
                 action = agent.act_greedy()
             obs, reward, terminated, truncated = env.step(action)
@@ -141,10 +183,10 @@ def evaluate(agent, env: Environment, episodes: int, horizon: int, seed: int):
     _check_run(agent, episodes, horizon)
     if isinstance(agent, RandomAgent):
         agent.seed(seed)
-    rng = np.random.default_rng(seed)
+    draws = Draws(seed)
     returns = []
     for _ in range(episodes):
-        agent.observe_reset(env.reset(int(rng.integers(2 ** 31))))
+        agent.observe_reset(env.reset(draws.integers(2 ** 31)))
         total = 0.0
         for _ in range(horizon):
             obs, reward, terminated, truncated = env.step(agent.act_greedy())

@@ -261,8 +261,8 @@ class FiniteMDP:
         if dup.size:  # the first duplicate state, and its first-seen twin
             raise ValidationError("embedding is not injective: "
                                   f"states {first[dup[0]]} and {dup[0]}")
-        emb.flags.writeable = False
-        object.__setattr__(self, "embedding", emb)
+        # memory over bytes, which no caller can make writable again (`core.frozen` rows)
+        object.__setattr__(self, "embedding", np.frombuffer(emb.tobytes()).reshape(emb.shape))
 
     @cached_property
     def _rows(self) -> dict:  # row bytes -> state, for match_states, built on its first call

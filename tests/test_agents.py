@@ -3,6 +3,9 @@ import pytest
 
 from nonmarkov import aggregators
 from nonmarkov.agents import (
+    GAMMA,
+    ALPHA,
+    Draws,
     ExactDiscretizer,
     RandomAgent,
     SENTINEL,
@@ -28,6 +31,12 @@ class TestRandomAgent:
         a1.seed(5)
         a2.seed(5)
         assert [a1.act_greedy() for _ in range(20)] == [a2.act_greedy() for _ in range(20)]
+
+    def test_actions_are_default_rng_draws(self):
+        agent = RandomAgent(3)
+        agent.seed(5)
+        ref = np.random.default_rng(5)
+        assert [agent.act_greedy() for _ in range(50)] == [int(ref.integers(3)) for _ in range(50)]
 
     def test_training_is_noop(self):
         env = make_env("chain:5", max_steps=8)
@@ -159,6 +168,131 @@ class TestTraining:
             train(WindowedQAgent(2), env, episodes=1, seed=0, horizon=horizon)
         with pytest.raises(ValidationError, match="horizon must be >= 1"):
             evaluate(WindowedQAgent(2), env, episodes=1, horizon=horizon, seed=0)
+
+
+    @pytest.mark.parametrize("episodes, horizon", [(2.5, 8), (1, 2.5), (True, 8), (1, True),
+                                                   (np.int64(1), 8), ("1", 8)])
+    def test_run_sizes_must_be_integers(self, episodes, horizon):
+        # 2.5 raised a bare TypeError from range(), and True ran one episode or step
+        env = make_env("chain:5", max_steps=8)
+        with pytest.raises(ValidationError, match="must be integers"):
+            train(WindowedQAgent(2), env, episodes=episodes, seed=0, horizon=horizon)
+        with pytest.raises(ValidationError, match="must be integers"):
+            evaluate(WindowedQAgent(2), env, episodes=episodes, horizon=horizon, seed=0)
+
+    @pytest.mark.parametrize("num_actions", [0, -1, 2 ** 32 + 1])
+    def test_num_actions_within_what_draws_cover(self, num_actions):
+        env = make_env("chain:5", max_steps=8)
+        for agent in (WindowedQAgent(num_actions), RandomAgent(num_actions)):
+            with pytest.raises(ValidationError, match="num_actions must be in"):
+                train(agent, env, episodes=1, seed=0, horizon=8)
+            with pytest.raises(ValidationError, match="num_actions must be in"):
+                evaluate(agent, env, episodes=1, horizon=8, seed=0)
+
+
+BOUNDS = [1, 2, 3, 5, 7, 2 ** 31 - 1, 2 ** 31, 3 * 2 ** 30 + 7, 2 ** 32 - 1, 2 ** 32]
+
+
+class TestDraws:
+    """`Draws` recomputes numpy's PCG64 doubles and Lemire ints; if numpy ever changes
+    either algorithm these tests fail, and the learn CSV bytes change with them."""
+
+    def test_matches_default_rng(self):
+        pick = np.random.default_rng(12345)
+        calls, rejected = {}, {}  # per bound: integers calls, and calls that drew > 1 half
+        for seed in range(300):
+            ref, draws = np.random.default_rng(seed), Draws(seed)
+            words = [0]  # raw words read so far
+            raw = draws._words
+
+            def counted():
+                for w in raw:
+                    words[0] += 1
+                    yield w
+
+            draws._words = counted()
+            for i in range(400):
+                if pick.random() < 0.4:
+                    assert draws.random() == ref.random(), (seed, i)
+                    continue
+                n = BOUNDS[pick.integers(len(BOUNDS))]
+                before = 2 * words[0] - (draws._high is not None)  # halves used so far
+                got = draws.integers(n)
+                assert type(got) is int and got == int(ref.integers(n)), (seed, i, n)
+                used = 2 * words[0] - (draws._high is not None) - before
+                assert used == 0 if n == 1 else used >= 1  # numpy draws nothing for n = 1
+                calls[n] = calls.get(n, 0) + 1
+                rejected[n] = rejected.get(n, 0) + (used > 1)
+        assert set(calls) == set(BOUNDS)
+        n = 3 * 2 ** 30 + 7  # Lemire rejects 2**32 % n = 2**30 - 7 of the 2**32 halves
+        assert 0.2 < rejected[n] / calls[n] < 0.3, (rejected, calls)
+        assert rejected[2] == rejected[2 ** 31] == rejected[2 ** 32] == 0
+
+    def test_doubles_and_ints_share_one_stream(self):
+        ref, draws = np.random.default_rng(7), Draws(7)
+        for _ in range(200):  # each round's int leaves or takes a half buffered across doubles
+            assert [draws.integers(5), draws.random(), draws.random()] == [
+                int(ref.integers(5)), ref.random(), ref.random()]
+
+
+def _reference_train(agent, env, episodes, seed, horizon):
+    """The training loop on numpy's own generator, as it ran before `Draws`."""
+    rng = np.random.default_rng(seed)
+    q = agent.q
+    for ep in range(episodes):
+        eps = agent.epsilon(ep, episodes)
+        agent.observe_reset(env.reset(int(rng.integers(2 ** 31))))
+        for _ in range(horizon):
+            key = agent.key
+            if rng.random() < eps:
+                action = int(rng.integers(agent.num_actions))
+            else:
+                action = agent.act_greedy()
+            obs, reward, terminated, truncated = env.step(action)
+            agent.observe(obs)
+            row = q.setdefault(key, [0.0] * agent.num_actions)
+            if terminated:
+                target = reward
+            else:
+                next_row = q.get(agent.key)
+                target = reward + GAMMA * (max(next_row) if next_row is not None else 0.0)
+            row[action] += ALPHA * (target - row[action])
+            if terminated or truncated:
+                break
+    return agent
+
+
+def _reference_evaluate(agent, env, episodes, horizon, seed):
+    rng = np.random.default_rng(seed)
+    returns = []
+    for _ in range(episodes):
+        agent.observe_reset(env.reset(int(rng.integers(2 ** 31))))
+        total = 0.0
+        for _ in range(horizon):
+            obs, reward, terminated, truncated = env.step(agent.act_greedy())
+            agent.observe(obs)
+            total += reward
+            if terminated or truncated:
+                break
+        returns.append(total)
+    return returns
+
+
+class TestTrainMatchesNumpyLoop:
+    @pytest.mark.parametrize("wrapper", ["S^0", "S^1", "S^3", "D^2", "S_l:0.5"])
+    @pytest.mark.parametrize("spec", ["qwin:1", "qwin:2"])
+    def test_same_q_table_and_returns(self, wrapper, spec):
+        runs = []
+        for train_fn, evaluate_fn in ((train, lambda *a: evaluate(*a)[2]),
+                                      (_reference_train, _reference_evaluate)):
+            env = wrap(make_env("chain:5:0.4", max_steps=8), wrapper)
+            agent = parse_agent_spec(spec, env.num_actions)
+            train_fn(agent, env, 400, 3, 8)
+            returns = evaluate_fn(agent, env, 50, 8, 10_003)
+            runs.append((agent.q, returns))
+        (q, returns), (ref_q, ref_returns) = runs
+        assert len(q) > 4 and q == ref_q and list(q) == list(ref_q)  # q_keys, in order
+        assert returns == ref_returns
 
 
 class TestParseAgentSpec:

@@ -14,6 +14,7 @@ from nonmarkov.core import (
     as_state,
     canonical_distribution,
     distributions_equal,
+    frozen,
     initial_history,
     is_degenerate,
     load_mdp,
@@ -22,7 +23,7 @@ from nonmarkov.core import (
     save_mdp,
 )
 from nonmarkov.analysis import build_markov_abstraction, build_nonmarkov_embedding
-from nonmarkov.envs import make_chain, make_random_mdp
+from nonmarkov.envs import make_chain, make_env, make_random_mdp
 from nonmarkov.wrappers import as_nmdp_oracle
 
 
@@ -215,6 +216,20 @@ class TestFiniteMDP:
         assert m.embedding.shape == (3, 3)
         with pytest.raises(ValueError):
             m.embedding[0, 0] = 5.0
+
+    def test_embedding_cannot_be_made_writable(self):
+        # a row handed out again is keyed by identity, so its values must never change
+        env = make_env("chain:3", max_steps=4)
+        for arr in (env.mdp.embedding, env.mdp.embedding[1], env.reset(0)):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
+
+    def test_embedding_rows_stay_frozen(self):
+        env = make_env("chain:3", max_steps=4)
+        assert all(frozen(row) for row in env.mdp.embedding)
+        obs = env.reset(0)
+        assert frozen(obs) and obs is env.reset(1)
+        assert frozen(env.step(1)[0])
 
     def test_next_state_range(self):
         with pytest.raises(ValidationError):
