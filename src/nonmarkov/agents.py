@@ -2,8 +2,8 @@
 
 The windowed agent keys its Q-table on the last k discretized observations,
 so window size directly controls how much history it can exploit when the
-environment's observations are aggregated histories.  Both agents share one
-interface: `observe_reset(obs)`, then `observe(obs)` after each step, and `act_greedy()`.
+environment's observations are aggregated histories.  Both agents share one interface over
+a key they do not keep: `start(obs)` and `advance(key, obs)` return keys, `act(key)` an action.
 Their draws come from `Draws`, which computes numpy's `default_rng(seed)` doubles and bounded
 ints from the raw PCG64 words; a differential test pins it to numpy's own.
 """
@@ -79,7 +79,7 @@ class ExactDiscretizer:
 
 
 class RandomAgent:
-    """Uniform random policy; it keeps no window, and training is a no-op."""
+    """Uniform random policy; its key is None, `act` ignores it, and training is a no-op."""
 
     def __init__(self, num_actions: int):
         self.num_actions = num_actions
@@ -88,40 +88,41 @@ class RandomAgent:
     def seed(self, seed: int):
         self._rng = Draws(seed)
 
-    def observe_reset(self, obs):
-        pass
+    def start(self, obs):
+        return None
 
-    observe = observe_reset
+    def advance(self, key, obs):
+        return None
 
-    def act_greedy(self) -> int:
+    def act(self, key) -> int:
         return self._rng.integers(self.num_actions)
 
 
 class WindowedQAgent:
     """Tabular Q-learning over a sliding window of discretized observations.
 
-    `key` is the window, a k-tuple of discretized observations padded with
-    SENTINEL before step k-1, and also the Q-table key.  Each row of `q` is a
-    list of floats, one per action; greedy ties break toward the lowest action.
+    A key is the window, a k-tuple of discretized observations padded with SENTINEL
+    before step k-1, and also the Q-table key.  `start` and `advance` build a new one,
+    so a key stays valid after it is advanced.  Each row of `q` is a list of floats,
+    one per action; greedy ties break toward the lowest action.
     """
 
     def __init__(self, num_actions: int, window: int = 1, discretizer=None):
-        if window < 1:
-            raise ValidationError("window must be >= 1")
+        if not (is_int(window) and window >= 1):
+            raise ValidationError(f"window must be an int >= 1, got {window!r}")
         self.num_actions = num_actions
         self.window = window
         self.discretizer = discretizer if discretizer is not None else ExactDiscretizer()
         self.q = {}
-        self.key = ()
 
-    def observe_reset(self, obs):
-        self.key = (SENTINEL,) * (self.window - 1) + (self.discretizer.key(obs),)
+    def start(self, obs) -> tuple:
+        return (SENTINEL,) * (self.window - 1) + (self.discretizer.key(obs),)
 
-    def observe(self, obs):
-        self.key = self.key[1:] + (self.discretizer.key(obs),)
+    def advance(self, key: tuple, obs) -> tuple:
+        return key[1:] + (self.discretizer.key(obs),)
 
-    def act_greedy(self) -> int:
-        row = self.q.get(self.key)
+    def act(self, key: tuple) -> int:
+        row = self.q.get(key)
         return 0 if row is None else row.index(max(row))
 
     def epsilon(self, episode: int, episodes: int) -> float:
@@ -157,20 +158,19 @@ def train(agent, env: Environment, episodes: int, seed: int, horizon: int):
     q = agent.q
     for ep in range(episodes):
         eps = agent.epsilon(ep, episodes)
-        agent.observe_reset(env.reset(integers(2 ** 31)))
+        key = agent.start(env.reset(integers(2 ** 31)))
         for _ in range(horizon):
-            key = agent.key
             if random() < eps:
                 action = integers(agent.num_actions)
             else:
-                action = agent.act_greedy()
+                action = agent.act(key)
             obs, reward, terminated, truncated = env.step(action)
-            agent.observe(obs)
             row = q.setdefault(key, [0.0] * agent.num_actions)
+            key = agent.advance(key, obs)
             if terminated:
                 target = reward
             else:
-                next_row = q.get(agent.key)
+                next_row = q.get(key)
                 target = reward + GAMMA * (max(next_row) if next_row is not None else 0.0)
             row[action] += ALPHA * (target - row[action])
             if terminated or truncated:
@@ -186,11 +186,11 @@ def evaluate(agent, env: Environment, episodes: int, horizon: int, seed: int):
     draws = Draws(seed)
     returns = []
     for _ in range(episodes):
-        agent.observe_reset(env.reset(draws.integers(2 ** 31)))
+        key = agent.start(env.reset(draws.integers(2 ** 31)))
         total = 0.0
         for _ in range(horizon):
-            obs, reward, terminated, truncated = env.step(agent.act_greedy())
-            agent.observe(obs)
+            obs, reward, terminated, truncated = env.step(agent.act(key))
+            key = agent.advance(key, obs)
             total += reward
             if terminated or truncated:
                 break

@@ -264,6 +264,9 @@ class FiniteMDP:
         # memory over bytes, which no caller can make writable again (`core.frozen` rows)
         object.__setattr__(self, "embedding", np.frombuffer(emb.tobytes()).reshape(emb.shape))
 
+    def __reduce__(self):  # copies rebuild through __post_init__, so their arrays stay frozen
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
     @cached_property
     def _rows(self) -> dict:  # row bytes -> state, for match_states, built on its first call
         data, width = (self.embedding + 0.0).tobytes(), self.embedding[0].nbytes  # -0.0 -> 0.0

@@ -30,13 +30,14 @@ class TestRandomAgent:
         a1, a2 = RandomAgent(3), RandomAgent(3)
         a1.seed(5)
         a2.seed(5)
-        assert [a1.act_greedy() for _ in range(20)] == [a2.act_greedy() for _ in range(20)]
+        assert [a1.act(None) for _ in range(20)] == [a2.act(None) for _ in range(20)]
 
     def test_actions_are_default_rng_draws(self):
         agent = RandomAgent(3)
         agent.seed(5)
         ref = np.random.default_rng(5)
-        assert [agent.act_greedy() for _ in range(50)] == [int(ref.integers(3)) for _ in range(50)]
+        assert [agent.act(None) for _ in range(50)] == [int(ref.integers(3)) for _ in range(50)]
+        assert agent.start(np.array([1.0])) is agent.advance(None, np.array([2.0])) is None
 
     def test_training_is_noop(self):
         env = make_env("chain:5", max_steps=8)
@@ -48,29 +49,35 @@ class TestRandomAgent:
 class TestWindowedQAgent:
     def test_window_padding(self):
         agent = WindowedQAgent(num_actions=2, window=3)
-        agent.observe_reset(np.array([1.0]))
-        assert agent.key == (SENTINEL, SENTINEL, (1.0,))
+        assert agent.start(np.array([1.0])) == (SENTINEL, SENTINEL, (1.0,))
 
     def test_window_slides(self):
         agent = WindowedQAgent(num_actions=2, window=2)
-        agent.observe_reset(np.array([1.0]))
-        agent.observe(np.array([2.0]))
-        assert agent.key == ((1.0,), (2.0,))
-        agent.observe(np.array([3.0]))
-        assert agent.key == ((2.0,), (3.0,))
+        key = agent.advance(agent.start(np.array([1.0])), np.array([2.0]))
+        assert key == ((1.0,), (2.0,))
+        assert agent.advance(key, np.array([3.0])) == ((2.0,), (3.0,))
+
+    def test_advance_branches_from_one_key(self):
+        # a key is a value: advancing it twice gives two windows and changes neither it nor q
+        agent = WindowedQAgent(num_actions=2, window=2)
+        key = agent.start(np.array([1.0]))
+        agent.q[key] = [0.25, 0.5]
+        left, right = agent.advance(key, np.array([2.0])), agent.advance(key, np.array([3.0]))
+        assert left == ((1.0,), (2.0,)) and right == ((1.0,), (3.0,))
+        assert key == (SENTINEL, (1.0,)) and agent.q == {key: [0.25, 0.5]}
+        assert agent.act(key) == 1 and agent.act(left) == agent.act(right) == 0
 
     def test_greedy_ties_low_action(self):
         agent = WindowedQAgent(num_actions=3, window=1)
-        agent.observe_reset(np.array([1.0]))
-        agent.q[agent.key] = [0.5, 0.5, 0.5]
-        assert agent.act_greedy() == 0
-        agent.q[agent.key] = [0.1, 0.5, 0.5]
-        assert agent.act_greedy() == 1
+        key = agent.start(np.array([1.0]))
+        agent.q[key] = [0.5, 0.5, 0.5]
+        assert agent.act(key) == 0
+        agent.q[key] = [0.1, 0.5, 0.5]
+        assert agent.act(key) == 1
 
     def test_unseen_key_default_action(self):
         agent = WindowedQAgent(num_actions=3, window=1)
-        agent.observe_reset(np.array([9.0]))
-        assert agent.act_greedy() == 0
+        assert agent.act(agent.start(np.array([9.0]))) == 0
 
     def test_epsilon_schedule(self):
         agent = WindowedQAgent(num_actions=2, window=1)
@@ -79,9 +86,11 @@ class TestWindowedQAgent:
         assert agent.epsilon(99, 100) == pytest.approx(0.05)
         assert agent.epsilon(40, 100) == pytest.approx(0.525)
 
-    def test_window_validated(self):
-        with pytest.raises(ValidationError):
-            WindowedQAgent(num_actions=2, window=0)
+    @pytest.mark.parametrize("window", [0, -1, 2.5, "2", True])
+    def test_window_validated(self, window):
+        # 2.5 and "2" raised a bare TypeError on the first step, and True trained as window 1
+        with pytest.raises(ValidationError, match=r"window must be an int >= 1, got "):
+            WindowedQAgent(num_actions=2, window=window)
 
 
 class TestTraining:
@@ -120,21 +129,32 @@ class TestTraining:
     def test_evaluate_drives_the_public_interface(self):
         class Recorder:
             def __init__(self):
-                self.calls = []
+                self.calls, self.last = [], None
 
-            def observe_reset(self, obs):
-                self.calls.append("reset")
+            def start(self, obs):
+                self.calls.append("start")
+                self.last = object()
+                return self.last
 
-            def observe(self, obs):
-                self.calls.append("observe")
+            def advance(self, key, obs):
+                assert key is self.last
+                self.calls.append("advance")
+                self.last = object()
+                return self.last
 
-            def act_greedy(self):
+            def act(self, key):
+                assert key is self.last  # the key the previous start or advance returned
                 self.calls.append("act")
                 return 1
 
         agent = Recorder()
         evaluate(agent, make_env("chain:5", max_steps=8), episodes=2, horizon=3, seed=0)
-        assert agent.calls == (["reset"] + ["act", "observe"] * 3) * 2
+        assert agent.calls == (["start"] + ["act", "advance"] * 3) * 2
+
+    def test_training_leaves_no_episode_state(self):
+        env = wrap(make_env("chain:5:0.2", max_steps=8), "S^1")
+        agent = train(WindowedQAgent(num_actions=2, window=2), env, episodes=20, seed=0, horizon=8)
+        assert set(vars(agent)) == {"num_actions", "window", "discretizer", "q"}
 
     def test_episode_count_validated(self):
         env = make_env("chain:5", max_steps=8)
@@ -241,24 +261,24 @@ def _reference_train(agent, env, episodes, seed, horizon):
     q = agent.q
     for ep in range(episodes):
         eps = agent.epsilon(ep, episodes)
-        agent.observe_reset(env.reset(int(rng.integers(2 ** 31))))
+        key = agent.start(env.reset(int(rng.integers(2 ** 31))))
         for _ in range(horizon):
-            key = agent.key
             if rng.random() < eps:
                 action = int(rng.integers(agent.num_actions))
             else:
-                action = agent.act_greedy()
+                action = agent.act(key)
             obs, reward, terminated, truncated = env.step(action)
-            agent.observe(obs)
+            next_key = agent.advance(key, obs)
             row = q.setdefault(key, [0.0] * agent.num_actions)
             if terminated:
                 target = reward
             else:
-                next_row = q.get(agent.key)
+                next_row = q.get(next_key)
                 target = reward + GAMMA * (max(next_row) if next_row is not None else 0.0)
             row[action] += ALPHA * (target - row[action])
             if terminated or truncated:
                 break
+            key = next_key
     return agent
 
 
@@ -266,11 +286,11 @@ def _reference_evaluate(agent, env, episodes, horizon, seed):
     rng = np.random.default_rng(seed)
     returns = []
     for _ in range(episodes):
-        agent.observe_reset(env.reset(int(rng.integers(2 ** 31))))
+        key = agent.start(env.reset(int(rng.integers(2 ** 31))))
         total = 0.0
         for _ in range(horizon):
-            obs, reward, terminated, truncated = env.step(agent.act_greedy())
-            agent.observe(obs)
+            obs, reward, terminated, truncated = env.step(agent.act(key))
+            key = agent.advance(key, obs)
             total += reward
             if terminated or truncated:
                 break

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 
 import numpy as np
@@ -223,6 +225,19 @@ class TestFiniteMDP:
         for arr in (env.mdp.embedding, env.mdp.embedding[1], env.reset(0)):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 arr.flags.writeable = True
+
+    @pytest.mark.parametrize("duplicate", [lambda m: pickle.loads(pickle.dumps(m)),
+                                           copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_stay_frozen(self, duplicate):
+        # pickle and deepcopy restored the fields without __post_init__: a writable embedding
+        m = make_chain(3)
+        dup = duplicate(m)
+        for arr in (dup.embedding, *dup.embedding):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
+        assert np.array_equal(dup.rho0, m.rho0) and dup.outcomes == m.outcomes
+        assert np.array_equal(dup.embedding, m.embedding)
 
     def test_embedding_rows_stay_frozen(self):
         env = make_env("chain:3", max_steps=4)
