@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .aggregators import remember
-from .core import ValidationError, frozen, is_int, parse_number, vector_bytes
+from .core import ValidationError, frozen, is_int, parse_number
 from .envs import Environment
 
 SENTINEL = "<pad>"
@@ -57,22 +57,17 @@ def _raw_words(bits):  # the generator's raw 64-bit words as ints, fetched 64 at
 
 
 class ExactDiscretizer:
-    """Pass observations through by rounding; suited to one-hot and small-integer streams."""
+    """Pass observations through by rounding; suited to one-hot and small-integer streams.
+    A repeated `core.frozen` observation object is keyed by identity."""
 
     def __init__(self):
-        self._memo = {}  # 1-d float64 observation bytes -> key
         self._seen = {}  # id(obs) -> (obs, key) for a `core.frozen` obs, held so ids stay unique
 
     def key(self, obs) -> tuple:
         hit = self._seen.get(id(obs))
         if hit is not None and hit[0] is obs:
             return hit[1]
-        raw = vector_bytes(obs)
-        key = self._memo.get(raw)
-        if key is None:
-            key = tuple(np.asarray(obs, dtype=float).round(DECIMALS).tolist())
-            if raw is not None:
-                remember(self._memo, raw, key)
+        key = tuple(np.asarray(obs, dtype=float).round(DECIMALS).tolist())
         if frozen(obs):
             remember(self._seen, id(obs), (obs, key))
         return key

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .core import ValidationError, as_state, parse_number, vector_bytes
+from .core import ValidationError, as_state, parse_number
 
 KERNEL_HEAD_TOL = 1e-9
 UNIT_ROOT_TOL = 1e-3  # keeps repeated unit-circle roots, as in conv:1,-2,1, legal
@@ -235,28 +235,6 @@ class Filter:
         if self.a != (1.0,):
             raise ValidationError("infinite kernel has no finite band")
         return self.b
-
-
-class Transducer:
-    """Stream states of one template under `op(state, x) -> (next state, output)`, such as
-    `template.push`, from `root`, `template.begin()`.  A state is its own key: `nodes`
-    interns each state, and each (node, 1-d float64 x bytes) edge is computed once,
-    both through `remember`; other x store no edge."""
-
-    def __init__(self, template: Filter, op):
-        self.op, self.root = op, template.begin()
-        self.nodes = {self.root: self.root}  # state -> its interned copy
-        self.edges = {}  # (node, x bytes) -> (next node, output)
-
-    def step(self, node: tuple, x, raw=None):
-        """(next node, output) of `op` on `node` and the input x (bytes `raw`)."""
-        raw = vector_bytes(x) if raw is None else raw
-        hit = self.edges.get((node, raw))
-        if hit is not None:
-            return hit
-        state, y = self.op(node, x)
-        nxt = self.nodes.get(state) or remember(self.nodes, state, state)
-        return (nxt, y) if raw is None else remember(self.edges, (node, raw), (nxt, y))
 
 
 def chain(first: Filter, second: Filter) -> Filter:

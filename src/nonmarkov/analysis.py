@@ -163,7 +163,7 @@ class HistoryMDP:
     """Explicit tabular process whose states enumerate reachable histories."""
 
     mdp: FiniteMDP
-    histories: Sequence  # index -> History: the walk's `Histories`, or a tuple of History
+    histories: Histories  # index -> History: the walk's trie
 
 
 class Histories(Sequence):
@@ -301,10 +301,10 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
     hm, hs, k = abstraction.mdp, abstraction.histories, m.num_actions
     if hm.num_actions != k:
         raise ValidationError(f"abstraction has {hm.num_actions} actions, the process {k}")
-    obs, last, depth = ((hs.obs, hs.last, hs.t) if isinstance(hs, Histories)  # match obs once
-                        else ([h.states[-1] for h in hs], slice(None), [h.t for h in hs]))
-    decoded = np.array([-1 if s is None else s for s in m.match_states(obs)])[last]
-    live = np.flatnonzero((decoded >= 0) & (np.array(depth) < horizon))
+    if not isinstance(hs, Histories):
+        raise ValidationError(f"histories must be a walk's Histories, got {type(hs).__name__}")
+    decoded = np.array([-1 if s is None else s for s in m.match_states(hs.obs)])[hs.last]
+    live = np.flatnonzero((decoded >= 0) & (np.array(hs.t) < horizon))
     cell = (live[:, None] * k + np.arange(k)).ravel()
     table = (decoded[live, None] * k + np.arange(k)).ravel()
     w = min(hm.prob.shape[1], m.prob.shape[1])  # a cell equal slot by slot passes at once
@@ -316,7 +316,7 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
     for i, a in sorted({(u, -1) for u in np.flatnonzero(decoded < 0).tolist()}
                        | {divmod(c, k) for c in slow}):
         if a < 0:
-            violations.append({"where": f"history {i} (t={depth[i]})",
+            violations.append({"where": f"history {i} (t={hs.t[i]})",
                                "expected": "embedded state", "got": "undecodable last state"})
             continue
         row = hm.row(i, a)
@@ -326,7 +326,7 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
         expected = [((float(n), r), p) for n, r, p in m.row(decoded[i], a)]
         if not distributions_equal(expected, got, tol):
             violations.append({
-                "where": f"history {i} (t={depth[i]}), action {a}",
+                "where": f"history {i} (t={hs.t[i]}), action {a}",
                 "expected": sorted(expected),
                 "got": sorted(got),
             })

@@ -42,7 +42,7 @@ class FiniteMDPEnv(Environment):
     `reset` and `step` hand out one read-only row object per state, and pick the outcome
     `Generator.choice(p=...)` would pick with the episode's next `Generator.random()` double
     from a cumulative table compiled once per row.  The doubles are drawn in batches, which
-    give the same doubles: `max_steps + 1` at `reset`, else 4 at a time.
+    give the same doubles: `min(max_steps + 1, 64)` at a time, or 4 with no `max_steps`.
     """
 
     def __init__(self, mdp: FiniteMDP, max_steps: int = None):
@@ -56,7 +56,7 @@ class FiniteMDPEnv(Environment):
         self._cdf = [_choice_cdf(p[:n] / p[:n].sum()) for p, n in zip(mdp.prob, mdp.length)]
         self._rows = [row for per_action in mdp.outcomes for row in per_action]  # by cell
         self._obs = list(mdp.embedding)  # views of the read-only embedding
-        self._batch = 4 if max_steps is None else max_steps + 1  # doubles drawn at a time
+        self._batch = 4 if max_steps is None else min(max_steps + 1, 64)  # doubles at a time
         self._done = True  # until reset sets the episode's _draws, _state and _steps
 
     def reset(self, seed: int) -> np.ndarray:

@@ -12,8 +12,9 @@ import warnings
 
 import numpy as np
 
-from .aggregators import Filter, Transducer, parse_har_spec, parse_spec, remember
-from .core import FiniteMDP, History, NMDPOracle, UndecodableHistoryError, frozen, is_degenerate
+from .aggregators import Filter, parse_har_spec, parse_spec, remember
+from .core import (
+    FiniteMDP, History, NMDPOracle, UndecodableHistoryError, frozen, is_degenerate, vector_bytes)
 from .envs import Environment
 
 
@@ -24,10 +25,10 @@ class WrappedEnvironment(Environment):
     observations (state filter `spec`) and/or rewards (reward filter
     `har_spec`, over a scalar stream) are transformed.  Either may be None.
 
-    Observations pass through an interned `Transducer` of `spec.push`;
-    `node_count` is the number of distinct stream states it has interned, and a
-    `core.frozen` observation repeated at a node takes an identity edge.  The
-    reward stream is a state value of `har_spec`, restarted at every reset.
+    Observations pass through `spec.push` from its `begin()` state.  Each next state is
+    interned, and `node_count` is the number of distinct stream states interned; a
+    `core.frozen` observation repeated at a node takes an identity edge, the only edge kept.
+    The reward stream is a state value of `har_spec`, restarted at every reset.
     """
 
     def __init__(self, inner: Environment, spec: Filter = None, har_spec: Filter = None):
@@ -36,19 +37,20 @@ class WrappedEnvironment(Environment):
         self.har_spec = har_spec
         self.observation_dim = inner.observation_dim
         self.num_actions = inner.num_actions
-        self._states = None if spec is None else Transducer(spec, spec.push)
-        self._node = None  # the node of _states the episode is at
+        self._root = None if spec is None else spec.begin()
+        self._nodes = {} if spec is None else {self._root: self._root}  # state -> interned copy
+        self._node = None  # the node the episode is at
         self._seen = {}  # (id(node), id(obs)) -> (obs, node, next node, output), held ids
         self._reward = None  # the reward stream's state
 
     @property
     def node_count(self) -> int:
-        return 0 if self._states is None else len(self._states.nodes)
+        return len(self._nodes)
 
     def reset(self, seed: int) -> np.ndarray:
         obs = self.inner.reset(seed)
         if self.spec is not None:
-            obs = self._push(self._states.root, obs)
+            obs = self._push(self._root, obs)
         if self.har_spec is not None:
             self._reward = self.har_spec.begin()
         return obs
@@ -57,7 +59,8 @@ class WrappedEnvironment(Environment):
         """The output of the stream at `node` on obs; `_node` moves to the next node."""
         hit = self._seen.get((id(node), id(obs)))
         if hit is None or hit[0] is not obs:
-            hit = (obs, node, *self._states.step(node, obs))
+            state, g = self.spec.push(node, obs)
+            hit = (obs, node, self._nodes.get(state) or remember(self._nodes, state, state), g)
             if frozen(obs):
                 remember(self._seen, (id(node), id(obs)), hit)
         self._node = hit[2]
@@ -100,28 +103,26 @@ class AggregatedMDPOracle(NMDPOracle):
     aggregate that decodes back to it, which `spec.push` emits from the decoder state.
     With the identity filter this is the tabular process viewed as history-conditioned.
     Outcomes come in table order, unmerged.
-    A prefix is the tuple (node, idx, t): the decoder stream state one `Transducer`
-    returned for it, whose edges store the index of the embedded state they decode to
-    (None when none matches), that index, and t.  The transducer and one memo of answers
-    keyed by node, both written through `remember`, serve every prefix for the oracle's
-    whole life; a state is a value, so (node, idx) is a prefix's key.
+    A prefix is the tuple (node, idx, t): a decoder stream state of `spec.pull`, the index
+    of the embedded state its last observation decodes to (None when none matches), and t.
+    The interned nodes, the edges that map (node, bytes of a 1-d float64 observation, which
+    `pull` takes as `raw` when the caller has them) to (next node, idx), and one memo of
+    answers keyed by node, all written through `remember`, serve every prefix for the
+    oracle's whole life; a state is a value, so (node, idx) is a prefix's key.
     """
 
     def __init__(self, mdp: FiniteMDP, spec: Filter):
         self.mdp = mdp
         self.spec = spec
         self.num_actions = mdp.num_actions
-        self.decoders = Transducer(spec, self._decode)
+        self.root = spec.begin()
+        self.nodes = {self.root: self.root}  # decoder state -> its interned copy
+        self.edges = {}  # (node, 1-d float64 observation bytes) -> (next node, idx)
         self.memo = {}  # (node, index, action) -> row; (node, pool shape, bytes) -> candidates
         self.verdicts = {}  # filled by empirical_dependency through `remember`
 
-    def _decode(self, state: tuple, g):
-        """(next decoder state, index of the embedded state g decodes to, or None)."""
-        state, s = self.spec.pull(state, g)
-        return state, self.mdp.match_states([s])[0]
-
     def initial(self):
-        return [(self.spec.push(self.decoders.root, e)[1], float(p))
+        return [(self.spec.push(self.root, e)[1], float(p))
                 for e, p in zip(self.mdp.embedding, self.mdp.rho0) if p > 0]
 
     def transition(self, h: History, action: int):
@@ -137,10 +138,19 @@ class AggregatedMDPOracle(NMDPOracle):
         return p
 
     def begin(self) -> tuple:
-        return self.decoders.root, None, -1
+        return self.root, None, -1
 
     def pull(self, p: tuple, obs, action=None, reward=None, raw=None) -> tuple:
-        return (*self.decoders.step(p[0], obs, raw), p[2] + 1)
+        node, _, t = p
+        raw = vector_bytes(obs) if raw is None else raw
+        hit = self.edges.get((node, raw))
+        if hit is None:
+            state, s = self.spec.pull(node, obs)
+            hit = (self.nodes.get(state) or remember(self.nodes, state, state),
+                   self.mdp.match_states([s])[0])
+            if raw is not None:
+                remember(self.edges, (node, raw), hit)
+        return (*hit, t + 1)
 
     def key(self, p: tuple) -> tuple:
         return p[:2]

@@ -349,8 +349,9 @@ class TestExactDiscretizerMemo:
                   np.array([-0.0, 0.0]), np.array([0.0, -0.0]), np.array([-0.0, 0.0]),
                   [0.1234567, 2.0], [3, -4], np.array([1, 2]),
                   np.array([0.1234567, 1.0], dtype=np.float32),
-                  np.array([0.25, 0.5]), np.array([[0.25, 0.5]])]
-        for _ in range(2):  # the second pass reads the memo
+                  np.array([0.25, 0.5]), np.array([[0.25, 0.5]]), np.array([-0.0, 0.5])]
+        inputs[-1].flags.writeable = False
+        for _ in range(2):  # the second pass reads the read-only array from the memo
             for obs in inputs:
                 assert repr(d.key(obs)) == repr(self.rounded(obs)), obs  # repr keeps -0.0
 
@@ -365,10 +366,12 @@ class TestExactDiscretizerMemo:
         monkeypatch.setattr(aggregators, "NODE_CAP", 3)
         d = ExactDiscretizer()
         xs = [np.array([i / 7.0, -i / 3.0]) for i in range(10)]
+        for x in xs[::2]:
+            x.flags.writeable = False  # five read-only arrays for three entries
         for _ in range(2):
             for x in xs:
                 assert d.key(x) == self.rounded(x)
-        assert len(d._memo) == 3
+        assert [id(x) for x, _ in d._seen.values()] == list(map(id, xs[:6:2]))
 
     def test_writable_array_mutated_in_place_gets_its_new_key(self):
         d = ExactDiscretizer()
@@ -399,4 +402,4 @@ class TestExactDiscretizerMemo:
             ids.add(id(x))
             assert d.key(x) == self.rounded(x)
         assert len(ids) < 3000 - 8  # ids were reused
-        assert len(d._seen) == len(d._memo) == 8
+        assert len(d._seen) == 8

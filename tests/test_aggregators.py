@@ -11,7 +11,6 @@ from nonmarkov import aggregators
 from nonmarkov.aggregators import (
     Filter,
     Kernel,
-    Transducer,
     NonInvertibleKernelError,
     band_kernel,
     compose_kernels,
@@ -28,7 +27,8 @@ from nonmarkov.aggregators import (
     smooth_spec,
 )
 from nonmarkov.analysis import analytical_dependency
-from nonmarkov.core import ValidationError, as_state
+from nonmarkov.core import FiniteMDP, Outcome, ValidationError, as_state
+from nonmarkov.wrappers import AggregatedMDPOracle
 
 ALGEBRA_TOL = 1e-9
 ROUNDTRIP_TOL = 1e-6
@@ -517,80 +517,95 @@ class TestPoly:
             Filter(b)
 
 
-# -- the interned transducer ----------------------------------------------------
+# -- the interned transducer of the oracle's decoder ----------------------------
 
 TRANSDUCER_CORR = "corr:" + ",".join(str(1 + t % 3) for t in range(8))
 PULL_SPECS = {text: text for text in ("S^2", "S_l:0.5", "D^1", "conv:1,-0.5")}
 PULL_SPECS.update({"corr": TRANSDUCER_CORR, "S^1+corr": f"S^1+{TRANSDUCER_CORR}"})
 
 
+def embedding_mdp(*rows):
+    """A one-action process that embeds `rows` and stays put; the decoder reads only
+    its embedding."""
+    n = len(rows)
+    return FiniteMDP(num_states=n, num_actions=1, rho0=np.eye(n)[0],
+                     outcomes=tuple(((Outcome(s, 0.0, 1.0),),) for s in range(n)),
+                     embedding=tuple(map(as_state, rows)))
+
+
 class TestTransducer:
+    """`AggregatedMDPOracle.pull` is a transducer of `spec.pull`: it interns each decoder
+    state as a node and stores each (node, 1-d float64 aggregate bytes) edge once."""
+
     @pytest.mark.parametrize("name", PULL_SPECS)
     def test_pull_matches_fresh_streams(self, name):
         # aggregates of raw states from a small pool, so that edges repeat and
-        # states merge: one shared transducer against a fresh stream per episode
+        # states merge: one oracle's decoder against a fresh stream per episode
         template = parse_spec(PULL_SPECS[name])
-        decoders = Transducer(template, template.pull)
+        mdp = embedding_mdp([1.0, 0.0], [0.0, 1.0], [0.5, -0.5])
+        oracle = AggregatedMDPOracle(mdp, template)
         rng = np.random.default_rng(41)
-        pool = [as_state(p) for p in ([1.0, 0.0], [0.0, 1.0], [0.5, -0.5])]
         steps = 0
         for _ in range(150):
-            raw = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 9))]
-            node, fresh = decoders.root, template.begin()
-            for g in stream_push(template, raw):
-                node, got = decoders.step(node, g)
+            raw = [mdp.embedding[i] for i in rng.integers(3, size=rng.integers(1, 9))]
+            p, fresh = oracle.begin(), template.begin()
+            for t, g in enumerate(stream_push(template, raw)):
+                p = oracle.pull(p, g)
                 fresh, want = template.pull(fresh, g)
-                assert got.tobytes() == want.tobytes() and node == fresh
-                assert decoders.nodes[node] is node
+                assert p == (fresh, mdp.match_states([want])[0], t)
+                assert oracle.nodes[p[0]] is p[0]
                 steps += 1
-        assert len(decoders.nodes) <= len(decoders.edges) + 1 < steps  # edges were looked up
+        assert len(oracle.nodes) <= len(oracle.edges) + 1 < steps  # edges were looked up
 
     def test_corr_streams_at_different_t_do_not_merge(self):
         zero, one = as_state([0.0]), as_state([1.0])
-        spec = corr_spec((1.0, 2.0, 3.0))
-        sums = Transducer(spec, spec.push)
-        n1, _ = sums.step(sums.root, zero)
-        n2, _ = sums.step(n1, zero)
-        assert n1[1:3] == n2[1:3]
-        assert n2 != n1  # the gains ahead differ: 2 at t = 1, 3 at t = 2
-        assert sums.step(n1, one)[1][0] == 2.0 and sums.step(n2, one)[1][0] == 3.0
-        plain = Transducer(group_power_spec(1), group_power_spec(1).push)
-        m1, _ = plain.step(plain.root, zero)
-        assert plain.step(m1, zero)[0] is m1  # without a gain the same streams merge
+        mdp = embedding_mdp([0.0], [1.0])
+        sums = AggregatedMDPOracle(mdp, corr_spec((1.0, 2.0, 3.0)))
+        p1 = sums.pull(sums.begin(), zero)
+        p2 = sums.pull(p1, zero)
+        assert p1[0][1:3] == p2[0][1:3]
+        assert p2[0] != p1[0]  # the gains ahead differ: 2 at t = 1, 3 at t = 2
+        assert [sums.pull(p, as_state([w]))[1] for p in (p1, p2) for w in (2.0, 3.0)] == \
+            [1, None, None, 1]
+        plain = AggregatedMDPOracle(mdp, group_power_spec(1))
+        m1 = plain.pull(plain.begin(), zero)
+        assert plain.pull(m1, zero)[0] is m1[0]  # without a gain the same streams merge
 
     def test_unkeyed_input_and_full_transducer_leave_the_memo(self, monkeypatch):
-        # unkeyed input stores no edge, and past NODE_CAP nodes a new state is not
-        # interned; a state that is interned still merges into its node
+        # unkeyed input (a float32 stream) stores no edge, and past NODE_CAP nodes a
+        # new state is not interned; a state that is interned still merges into its node
         monkeypatch.setattr(aggregators, "NODE_CAP", 2)
-        spec = group_power_spec(1)
-        sums = Transducer(spec, spec.push)
-        n1, g = sums.step(sums.root, [1.0, 2.0])  # a list: validated and streamed
-        assert g.tolist() == [1.0, 2.0] and sums.edges == {}
-        assert sums.nodes[n1] is n1
-        one = as_state([1.0, 1.0])
-        off, g = sums.step(n1, one)  # a new state past cap nodes
-        assert g.tolist() == [2.0, 3.0] and off not in sums.nodes
-        assert sums.edges == {(n1, one.tobytes()): (off, g)}
-        off2, g = sums.step(off, one)
-        assert g.tolist() == [3.0, 4.0] and len(sums.nodes) == 2 and len(sums.edges) == 2
-        back, g = sums.step(off2, as_state([-2.0, -2.0]))  # past cap edges too
-        assert back is n1 and g.tolist() == [1.0, 2.0] and len(sums.edges) == 2
+        mdp, spec = embedding_mdp([1.0, 2.0], [1.0, 1.0], [-2.0, -2.0]), group_power_spec(1)
+        unkeyed = AggregatedMDPOracle(mdp, spec)
+        p = unkeyed.pull(unkeyed.begin(), np.array([1.0, 2.0], dtype=np.float32))
+        assert p[1:] == (0, 0) and unkeyed.edges == {} and unkeyed.nodes[p[0]] is p[0]
+        sums = AggregatedMDPOracle(mdp, spec)
+        n1 = sums.pull(sums.begin(), as_state([1.0, 2.0]))
+        assert sums.nodes[n1[0]] is n1[0]
+        two = as_state([2.0, 3.0])
+        off = sums.pull(n1, two)  # a new state past cap nodes
+        assert off[1:] == (1, 1) and off[0] not in sums.nodes
+        assert sums.edges == {(sums.root, as_state([1.0, 2.0]).tobytes()): n1[:2],
+                              (n1[0], two.tobytes()): off[:2]}
+        off2 = sums.pull(off, as_state([3.0, 4.0]))
+        assert off2[1:] == (1, 2) and len(sums.nodes) == 2 and len(sums.edges) == 2
+        back = sums.pull(off2, as_state([1.0, 2.0]))  # past cap edges too
+        assert back[0] is n1[0] and back[1:] == (2, 3) and len(sums.edges) == 2
 
     def test_stream_past_the_cap_never_changes(self, monkeypatch):
-        # a state that is not interned is still a node: steps from it leave it as it was
+        # a state that is not interned is still a node: pulls from it leave it as it was
         monkeypatch.setattr(aggregators, "NODE_CAP", 1)
         spec = group_power_spec(2)
-        sums = Transducer(spec, spec.push)
-        one = as_state([1.0])
-        off, _ = sums.step(sums.root, one)
-        fresh = spec.push(spec.begin(), one)[0]
-        outputs = [sums.step(off, one)[1][0] for _ in range(3)]
-        assert off == fresh and outputs == [3.0, 3.0, 3.0]
-        node = off
-        for want in (3.0, 6.0, 10.0):
-            node, g = sums.step(node, one)
-            assert g[0] == want
-        assert off == fresh and len(sums.nodes) == 1
+        sums = AggregatedMDPOracle(embedding_mdp([1.0], [-2.0]), spec)
+        off = sums.pull(sums.begin(), as_state([1.0]))
+        fresh = spec.pull(spec.begin(), as_state([1.0]))[0]
+        assert [sums.pull(off, as_state([3.0]))[1] for _ in range(3)] == [0, 0, 0]
+        assert off[0] == fresh
+        p = off
+        for g in (3.0, 6.0, 10.0):  # S^2 of four ones
+            p = sums.pull(p, as_state([g]))
+            assert p[1] == 0
+        assert off[0] == fresh and len(sums.nodes) == 1
 
 
 class TestChain:

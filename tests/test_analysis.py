@@ -14,6 +14,7 @@ from nonmarkov.aggregators import Filter, parse_spec
 from nonmarkov.analysis import (
     DependencyStructure,
     _flat_dist,
+    Histories,
     HistoryMDP,
     StateExplosionError,
     analytical_dependency,
@@ -40,6 +41,16 @@ SLIPPY_CHAIN5 = make_chain(5, p_slip=0.3)
 
 def histories_at(oracle, t):
     return [h for h in reachable_histories(oracle, max_t=t) if h.t == t]
+
+
+def ending_in(hs: Histories, i: int, state) -> Histories:
+    """A copy of the walk's histories whose history i ends in `state`, a new `obs` entry."""
+    bad = Histories()
+    for name, values in vars(hs).items():
+        setattr(bad, name, list(values))
+    bad.last[i] = len(bad.obs)
+    bad.obs.append(np.array(state, dtype=float))
+    return bad
 
 
 class TestAnalyticalDependency:
@@ -434,12 +445,9 @@ class TestEveryCacheUnderTheCap:
                  for f in map(parse_spec, self.SPECS)]
         # the sweep config parses each agent spec once up front, then the cell makes its own
         (env,), (_, agent), walks = made["envs"], made["agents"], made["walks"]
-        sizes = {"learn nodes": len(env._states.nodes), "learn edges": len(env._states.edges),
-                 "learn identity edges": len(env._seen),
-                 "discretizer": len(agent.discretizer._memo),
+        sizes = {"learn nodes": env.node_count, "learn identity edges": len(env._seen),
                  "discretizer identity": len(agent.discretizer._seen),
-                 "decoder nodes": len(oracle.decoders.nodes),
-                 "decoder edges": len(oracle.decoders.edges),
+                 "decoder nodes": len(oracle.nodes), "decoder edges": len(oracle.edges),
                  "oracle memo": len(oracle.memo), "verdicts": len(oracle.verdicts),
                  "series": len(aggregators._SERIES)}
         tables = {"deps walk": len(walks[0].histories.obs),
@@ -654,20 +662,6 @@ class TestHistorySequence:
                 assert shared.setdefault(s.tobytes(), s) is s and not s.flags.writeable
         assert len(shared) == len({id(h.states[-1]) for h in hs}) == 3
 
-    @pytest.mark.parametrize("fault", [False, True])
-    def test_tuple_of_histories_gives_the_same_report(self, fault):
-        mdp = self.HM.mdp
-        if fault:  # a reward shifted in the cell (3, 1)
-            out = [list(row) for row in mdp.outcomes]
-            (n, r, p), *rest = out[3][1]
-            out[3][1] = (Outcome(n, r + 0.5, p), *rest)
-            mdp = FiniteMDP(num_states=mdp.num_states, num_actions=2, rho0=mdp.rho0,
-                            outcomes=tuple(map(tuple, out)), embedding=mdp.embedding)
-        reports = [verify_equivalence_roundtrip(self.M, 3, abstraction=HistoryMDP(mdp, hs))
-                   for hs in (self.HM.histories, tuple(self.HM.histories))]
-        assert reports[0] == reports[1]
-        assert reports[0]["pass"] is not fault and reports[0]["histories"] == 48
-
     def test_the_walk_is_released(self):
         oracle = build_nonmarkov_embedding(self.M)
         ref = weakref.ref(oracle)
@@ -743,17 +737,21 @@ class TestEquivalenceRoundtrip:
     def test_undecodable_history_at_horizon_detected(self):
         m = make_chain(3)
         hm = build_markov_abstraction(build_nonmarkov_embedding(m), horizon=2)
-        histories = list(hm.histories)
-        i = next(i for i, h in enumerate(histories) if h.t == 2)
-        h = histories[i]
-        histories[i] = History(h.states[:-1] + (np.array([9.0, 9.0, 9.0]),),
-                               h.actions, h.rewards)
-        bad = HistoryMDP(mdp=hm.mdp, histories=tuple(histories))
+        i = hm.histories.t.index(2)
+        bad = HistoryMDP(mdp=hm.mdp, histories=ending_in(hm.histories, i, [9.0, 9.0, 9.0]))
         report = verify_equivalence_roundtrip(m, horizon=2, abstraction=bad)
         assert not report["pass"]
         assert report["violations"] == [{"where": f"history {i} (t=2)",
                                          "expected": "embedded state",
                                          "got": "undecodable last state"}]
+
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_histories_other_than_a_walk_s_rejected(self, kind):
+        m = make_chain(3)
+        hm = build_markov_abstraction(build_nonmarkov_embedding(m), horizon=2)
+        bad = HistoryMDP(mdp=hm.mdp, histories=kind(hm.histories))
+        with pytest.raises(ValidationError, match=f"walk's Histories, got {kind.__name__}$"):
+            verify_equivalence_roundtrip(m, horizon=2, abstraction=bad)
 
 
 class TestRoundtripRowComparison:
@@ -794,10 +792,7 @@ class TestRoundtripRowComparison:
         # skipped), then a reward fault in history 3
         row = self.HM.mdp.row(3, 1)
         faulty = (Outcome(row[0].next_state, row[0].reward + 0.5, row[0].prob), *row[1:])
-        histories = list(self.HM.histories)
-        h = histories[2]
-        histories[2] = History(h.states[:-1] + (np.array([9.0, 9.0, 9.0]),), h.actions, h.rewards)
-        bad = self.with_cell(3, 1, faulty, tuple(histories))
+        bad = self.with_cell(3, 1, faulty, ending_in(self.HM.histories, 2, [9.0, 9.0, 9.0]))
         report = verify_equivalence_roundtrip(self.M, 2, abstraction=bad)
         assert report["violations"] == [
             {"where": "history 2 (t=1)", "expected": "embedded state",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,23 @@ class TestSampler:
                 got.append((m.match_states([obs])[0], reward))
             assert truncated == (len(actions) == 8)
             assert got == _choice_episode(m, seed, actions)
+
+    def test_long_horizon_reset_draws_a_bounded_batch(self):
+        # a reset drew all max_steps + 1 doubles of its episode: 38 MB traced at 10**6
+        m = make_chain(5, p_slip=0.3)
+        long, plain = FiniteMDPEnv(m, max_steps=10 ** 6), FiniteMDPEnv(m)
+        tracemalloc.start()
+        try:
+            long.reset(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        actions = np.random.default_rng(97).integers(2, size=100).tolist()
+        assert long.reset(5).tobytes() == plain.reset(5).tobytes()
+        for a in actions:
+            got, want = long.step(a), plain.step(a)
+            assert (got[0].tobytes(), *got[1:]) == (want[0].tobytes(), *want[1:])
 
 
 def _choice_episode(m, seed, actions) -> list:

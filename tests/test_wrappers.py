@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import aggregators
-from nonmarkov.agents import parse_agent_spec, train
+from nonmarkov.agents import evaluate, parse_agent_spec, train
 from nonmarkov.analysis import empirical_dependency, reachable_histories
 from nonmarkov.aggregators import har_aggregate, parse_har_spec, parse_spec
 from nonmarkov.core import (
@@ -228,7 +228,7 @@ class TestOracleVsWrapStringForms:
         assert isinstance(wrapped, WrappedEnvironment) and wrapped.inner is env
 
 
-# -- the interned transducer -----------------------------------------------------
+# -- the interned state stream ---------------------------------------------------
 
 CORR = "corr:" + ",".join(str(1 + t % 3) for t in range(12))
 TRANSDUCER_SPECS = ["S^1", "S^3", "D^2", "S_l:0.5", CORR, "D_l:0.5+" + CORR]
@@ -265,7 +265,7 @@ class TestInternedTransducer:
     @pytest.mark.parametrize("env_id", ["chain:5:0.4", "random:3:4:2:2"])
     def test_matches_fresh_stream(self, env_id, spec):
         env, emitted = assert_matches_fresh_streams(env_id, spec, episodes=300, seed=1)
-        assert 1 < env.node_count < emitted  # edges were looked up, not all recomputed
+        assert 1 < env.node_count < emitted  # next states merged into interned nodes
 
     @pytest.mark.parametrize("spec", TRANSDUCER_SPECS)
     def test_matches_fresh_stream_past_node_cap(self, spec, monkeypatch):
@@ -275,7 +275,7 @@ class TestInternedTransducer:
 
     @pytest.mark.parametrize("cap", [aggregators.NODE_CAP, 50], ids=["default_cap", "cap_50"])
     def test_stream_that_never_repeats(self, cap, monkeypatch):
-        # every observation is new, so each is a new edge until NODE_CAP nodes
+        # every observation is new, so each makes a new node until NODE_CAP nodes
         # exist; past the cap the rest of the episode streams without the memo
         monkeypatch.setattr(aggregators, "NODE_CAP", cap)
         episodes = [[np.array([e, t / 7.0]) for t in range(41)] for e in range(3)]
@@ -310,6 +310,12 @@ def assert_replays(env, seed, spec, episode):
     return nodes
 
 
+def read_only(*values):
+    x = np.array(values)
+    x.flags.writeable = False
+    return x
+
+
 class StubEnv(Environment):
     """Replays `episodes[seed]`, one observation per reset/step; reward 0."""
 
@@ -330,15 +336,15 @@ class StubEnv(Environment):
 class TestMergedStates:
     def test_stateless_filter_stays_within_cap(self, monkeypatch):
         # conv:2 keeps no state, so every miss merges into the root: the cap
-        # bounds the edges of a stream that never repeats, and past it each
-        # step is computed again, stores no edge and still merges into the root
+        # bounds the identity edges of a stream that never repeats, and past it
+        # each step is computed again, stores no edge and still merges into the root
         monkeypatch.setattr(aggregators, "NODE_CAP", 50)
-        episodes = [[np.array([e, t / 7.0]) for t in range(41)] for e in range(3)]
+        episodes = [[read_only(e, t / 7.0) for t in range(41)] for e in range(3)]
         env = wrap(StubEnv(episodes), "conv:2")
         for seed in range(3):
             nodes = assert_replays(env, seed, "conv:2", episodes[seed])
-            assert all(n is env._states.root for n in nodes)  # past the edge cap in episode 2
-        assert env.node_count == 1 and len(env._states.edges) == 50
+            assert all(n is env._root for n in nodes)  # past the edge cap in episode 2
+        assert env.node_count == 1 and len(env._seen) == 50
 
     def test_learn_cell_node_count(self):
         # D^2 keeps the last two observations, and chain:5 moves one state at a
@@ -365,9 +371,9 @@ class TestMergedStates:
 
     def test_prefixes_of_two_begins_share_the_memo(self):
         # a prefix pulled by the History-form replay and one pulled by a caller step
-        # the oracle's one transducer from its root
+        # the oracle's one decoder from its root
         oracle = as_nmdp_oracle(make_chain(3), "S^2")
-        assert oracle.begin()[0] is oracle.decoders.root
+        assert oracle.begin()[0] is oracle.root
         (g, _), = oracle.initial()
         p, h = oracle.begin(), None
         for a in (0, 0, 1, 0, 0):  # a state and action seen again at a later t
@@ -378,8 +384,8 @@ class TestMergedStates:
                 [(o.tobytes(), r, q) for (o, r), q in dists[1]]
             (g, _), _ = dists[0][0]
         assert oracle._replay(h, h.t + 1)[0] is p[0]
-        assert oracle.decoders.nodes[p[0]] is p[0]
-        assert len(oracle.decoders.edges) == 5
+        assert oracle.nodes[p[0]] is p[0]
+        assert len(oracle.edges) == 5
 
 
 SLIPPY_CHAIN = make_chain(5, p_slip=0.3)
@@ -417,13 +423,13 @@ class TestSharedDecoder:
     @pytest.mark.parametrize("spec", SHARED_SPECS)
     def test_reused_oracle_matches_fresh_oracles(self, spec):
         shared = assert_shared_oracle_matches_fresh(spec)
-        assert shared.memo and len(shared.decoders.nodes) > 1
+        assert shared.memo and len(shared.nodes) > 1
 
     @pytest.mark.parametrize("spec", ["S_l:0.5", "S^1+" + CORR])
     def test_memo_stops_storing_at_node_cap(self, spec, monkeypatch):
         monkeypatch.setattr(aggregators, "NODE_CAP", 7)
         shared = assert_shared_oracle_matches_fresh(spec)
-        assert len(shared.memo) == 7 and len(shared.decoders.nodes) == 7
+        assert len(shared.memo) == 7 and len(shared.nodes) == 7
 
     def test_stream_past_the_cap_answers_as_a_fresh_oracle(self, monkeypatch):
         # past NODE_CAP nodes a stream's new states are not interned, yet each is a
@@ -437,7 +443,7 @@ class TestSharedDecoder:
             encoder, g = oracle.spec.push(encoder, pool[0])
             p = oracle.pull(p, g, 0, 0.0)
             h = initial_history(g) if h is None else h.extend(0, 0.0, g)
-            assert (t < 2) == (p[0] in oracle.decoders.nodes)
+            assert (t < 2) == (p[0] in oracle.nodes)
             fresh = as_nmdp_oracle(chain, "S_l:0.5")
             for _ in range(2):  # the second time from the memo, where it has room
                 for a in range(oracle.num_actions):
@@ -514,9 +520,9 @@ class TestSharedDecoder:
                 node = q[0]
                 p, q = oracle.pull(p, obs, *step), given.pull(q, obs, *step, obs.tobytes())
                 assert (p[1], p[2]) == (q[1], q[2])
-                assert given.decoders.edges[node, obs.tobytes()][0] is q[0]
+                assert given.edges[node, obs.tobytes()][0] is q[0]
             assert given.key(q) == (q[0], q[1]) and oracle.key(p) == (p[0], p[1])
-        assert set(oracle.decoders.edges) == set(given.decoders.edges)
+        assert set(oracle.edges) == set(given.edges)
 
 
 class TestMatchedIndex:
@@ -548,7 +554,7 @@ class TestMatchedIndex:
         oracle = as_nmdp_oracle(SLIPPY_CHAIN, "S^2")
         calls.clear()
         first = [empirical_dependency(oracle, h, POOL) for h in histories]
-        assert 0 < len(calls) <= len(oracle.decoders.edges) and set(calls) == {1}
+        assert 0 < len(calls) <= len(oracle.edges) and set(calls) == {1}
         calls.clear()
         assert [empirical_dependency(oracle, h, POOL) for h in histories] == first
         assert calls == []
@@ -577,25 +583,21 @@ class TestUnkeyedObservations:
         assert env.node_count == 2
 
     def test_float32_streams_as_before_and_stores_no_edge(self):
-        e0_32 = self.E0.astype(np.float32)
-        episodes = [[self.E0, e0_32, np.array([0.5, 0.25], dtype=np.float32)],
-                    [e0_32, self.E0], [self.E0.view(np.float32)]]  # E0's bytes
+        e0 = read_only(*self.E0)
+        e0_32 = e0.astype(np.float32)
+        e0_32.flags.writeable = False
+        episodes = [[e0, e0_32, np.array([0.5, 0.25], dtype=np.float32)],
+                    [e0_32, e0], [e0.view(np.float32)]]  # e0's bytes, read-only
         env = wrap(StubEnv(episodes), "S^1")
         for seed in (0, 1, 0, 2):
             assert_replays(env, seed, "S^1", episodes[seed])
-        # each state is interned, but only E0 stored edges: E0's bytes read as
-        # float32 never look one up
+        # each state is interned, but only e0 stored edges: read-only float32
+        # arrays, e0's own bytes among them, never look one up
         assert env.node_count == 5
-        assert [raw for _, raw in env._states.edges] == [self.E0.tobytes()] * 2
+        assert [obs for _, obs in env._seen] == [id(e0)] * 2
 
 
 class TestIdentityEdges:
-    @staticmethod
-    def frozen(*values):
-        x = np.array(values)
-        x.flags.writeable = False
-        return x
-
     def test_writable_array_mutated_in_place_gets_its_new_aggregate(self):
         base = np.array([1.0, 0.0])
         view = base[:]
@@ -608,16 +610,29 @@ class TestIdentityEdges:
             assert env._seen == {}
 
     def test_repeated_frozen_object_is_answered_by_identity(self, monkeypatch):
-        e0, e1 = self.frozen(1.0, 0.0), self.frozen(0.0, 1.0)
+        e0, e1 = read_only(1.0, 0.0), read_only(0.0, 1.0)
         episodes = [[e0, e1, e1, e0], [e1, e0, e0]]
         env = wrap(StubEnv(episodes), "S_l:0.5")
         nodes = [assert_replays(env, seed, "S_l:0.5", episodes[seed]) for seed in (0, 1)]
-        assert len(env._seen) == len(env._states.edges) == 7
+        assert len(env._seen) == 7
         with monkeypatch.context() as m:
-            m.setattr(env._states, "step", lambda *args: pytest.fail("reached the transducer"))
+            m.setattr(env.spec, "push", lambda *args: pytest.fail("reached Filter.push"))
             assert [assert_replays(env, s, "S_l:0.5", episodes[s]) for s in (0, 1)] == nodes
-        # equal values in a new object take the bytes-keyed edge to the same node
+        # equal values in a new object are pushed again and merge into the same nodes
         assert assert_replays(env, 0, "S_l:0.5", [x.copy() for x in episodes[0]]) == nodes[0]
+
+    def test_repeated_evaluation_takes_only_identity_edges(self):
+        # a greedy evaluation replays the episodes of one with the same seed: each row
+        # the env hands out is frozen, so every push and every key is an identity hit
+        env = wrap(make_env("chain:5:0.4", max_steps=8), "S_l:0.5")
+        agent = parse_agent_spec("qwin:2", env.num_actions)
+        train(agent, env, episodes=2000, seed=123, horizon=8)
+        first = evaluate(agent, env, episodes=100, horizon=8, seed=7)
+        sizes = (env.node_count, len(env._seen), len(agent.discretizer._seen))
+        assert min(sizes) > 1
+        env.spec.push = lambda *args: pytest.fail("reached Filter.push")
+        assert evaluate(agent, env, episodes=100, horizon=8, seed=7) == first
+        assert (env.node_count, len(env._seen), len(agent.discretizer._seen)) == sizes
 
 
 GOLDEN_CORR = "corr:1,2,3,0.5,2,1"  # six weights: a row at t = 4 aggregates with w_5
