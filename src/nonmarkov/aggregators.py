@@ -163,15 +163,15 @@ class Filter:
             acc -= (sign * aj) * np.frombuffer(gj)
         return acc
 
-    def _commit(self, state: tuple, x, g, rest) -> tuple:
-        """The state after input x and aggregate g, with `rest` for the next stage."""
+    def _commit(self, state: tuple, x: bytes, g: bytes, rest) -> tuple:
+        """The state after input bytes x and aggregate bytes g, with `rest` for the next stage."""
         t, xs, gs, _ = state
-        return (None if t is None else t + 1, (x.tobytes(), *xs)[: len(self.b) - 1],
-                (g.tobytes(), *gs)[: len(self.a) - 1], rest)
+        return (None if t is None else t + 1, (x, *xs)[: len(self.b) - 1],
+                (g, *gs)[: len(self.a) - 1], rest)
 
     def push(self, state: tuple, s) -> tuple:
-        """(next state, read-only aggregate) of the next raw state; raw input is validated
-        here, and an aggregate that overflows float64 raises."""
+        """(next state, `core.frozen` aggregate over the bytes the state stores) of the next
+        raw state; raw input is validated here, and an aggregate that overflows float64 raises."""
         s = as_state(s)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the stage
             x = s if state[0] is None else self.weight(state[0]) * s
@@ -179,9 +179,10 @@ class Filter:
         if not np.isfinite(g).all():
             raise ValidationError(f"filter {self.label or 'stage'} overflows float64: "
                                   "an aggregate is not finite")
-        g.flags.writeable = False
+        data = g.tobytes()
+        g = np.frombuffer(data)
         rest, y = (None, g) if self.then is None else self.then.push(state[3], g)
-        return self._commit(state, x, g, rest), y
+        return self._commit(state, x.tobytes(), data, rest), y
 
     def pull(self, state: tuple, g) -> tuple:
         """(next state, read-only raw state) of the next aggregate (a state, not raw input)."""
@@ -191,7 +192,7 @@ class Filter:
         x = self._fold(state, g.copy(), -1.0) / self.b[0]
         s = x if state[0] is None else x / self.weight(state[0])
         s.flags.writeable = False
-        return self._commit(state, x, g, rest), s
+        return self._commit(state, x.tobytes(), g.tobytes(), rest), s
 
     # -- batch -------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from .core import (
     canonical_distribution,
     canonical_equal,
     distributions_equal,
-    vector_bytes,
+    frozen,
 )
 from .wrappers import AggregatedMDPOracle
 
@@ -91,8 +91,7 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool) -> Dependen
     state_pool = np.array(states).reshape(-1, h.states[0].size)  # (0, k) when empty
     state_pool.flags.writeable = False
     actions, pull, transition_at = range(oracle.num_actions), oracle.pull, oracle.transition_at
-    steps = list(zip(h.states, (None, *h.actions), (None, *h.rewards),
-                     map(vector_bytes, h.states)))
+    steps = list(zip(h.states, (None, *h.actions), (None, *h.rewards)))
     prefixes = [oracle.begin()]  # prefixes[i]: the prefix of positions 0..i-1
     for step in steps:
         prefixes.append(pull(prefixes[-1], *step))
@@ -103,7 +102,7 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool) -> Dependen
         cands = oracle.candidates_at(prefixes[i], h, state_pool)
         gap = np.abs(np.array(cands).reshape(-1, h.states[i].size) - h.states[i]).max(axis=1)
         for cand in compress(cands, gap > PROB_TOL):  # substitutions only
-            p = pull(prefixes[i], cand, *steps[i][1:3])
+            p = pull(prefixes[i], cand, *steps[i][1:])
             for step in steps[i + 1:]:
                 p = pull(p, *step)
             vkey = (base_key, oracle.key(p))
@@ -209,8 +208,8 @@ class _HistoryWalk:
         self.rho0 = [(self._intern(obs, root), float(p)) for obs, p in oracle.initial()]
 
     def _intern(self, obs, prefix, parent=None, action=None, reward=0.0) -> int:
-        hs, seen = self.histories, self._seen.get(vector_bytes(obs))  # bytes -> (j, rounding)
-        if seen is None:  # a new observation, or one that is not 1-d float64
+        hs, seen = self.histories, self._seen.get(frozen(obs) and obs.tobytes())  # (j, rounding)
+        if seen is None:  # a new observation, or one that is not frozen
             obs = as_state(obs)
             if hs.obs and obs.shape != hs.obs[0].shape:
                 raise ValidationError(f"state dimensions differ: {hs.obs[0].size} then {obs.size}")

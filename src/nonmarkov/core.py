@@ -50,28 +50,26 @@ def json_number(v, at=""):  # JSON ints and floats, as floats, at any list depth
     raise TypeError(f"{at}non-number {v!r}")
 
 
-def vector_bytes(x):
-    """The bytes of a 1-d float64 array, which identify its values and shape; else None."""
-    keyed = isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 1
-    return x.tobytes() if keyed else None
-
-
 def frozen(x) -> bool:
-    """A 1-d float64 array that neither it nor the array it views can write (taken as constant)."""
-    return (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 1 and not (
-        x.flags.writeable or isinstance(x.base, np.ndarray) and x.base.flags.writeable))
+    """A 1-d float64 array whose memory is a `bytes` object, directly or through views: numpy
+    will not make it writable, so its values are constant and its identity names them."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 1):
+        return False
+    while isinstance(x, np.ndarray):
+        x = x.base
+    return type(x) is bytes
 
 
 def as_state(x) -> np.ndarray:
-    """Coerce to a read-only float vector, rejecting NaN/Inf and non-1d input."""
-    v = np.asarray(x, dtype=float)
+    """A `frozen` float vector of x's values, rejecting NaN/Inf and non-1d input; a finite
+    frozen x is returned as it is."""
+    keep = frozen(x)
+    v = x if keep else np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValidationError(f"state vector must be 1-d and nonempty, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValidationError("state vector entries must be finite")
-    v = v.copy()
-    v.flags.writeable = False
-    return v
+    return x if keep else np.frombuffer(v.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +109,8 @@ class History:
         return len(self.states) - 1
 
     def extend(self, action: int, reward: float, state) -> "History":
-        """This history one step longer.  Only the appended step is validated:
-        the prefix was validated when it was built and is read-only."""
+        """This history one step longer, sharing a frozen `state`.  Only the appended step
+        is validated: the prefix was validated when it was built and is frozen."""
         state = as_state(state)
         if state.shape != self.states[-1].shape:
             raise ValidationError("inconsistent state dimensions in history: "
@@ -124,7 +122,7 @@ class History:
 
 
 def initial_history(s0) -> History:
-    return History((as_state(s0),), (), ())
+    return History((s0,), (), ())
 
 
 # -- finite distributions ----------------------------------------------------
@@ -345,7 +343,7 @@ class NMDPOracle:
         """The prefix of the empty history."""
         return None
 
-    def pull(self, p, obs, action=None, reward=None, raw=None):  # raw: obs's bytes, if known
+    def pull(self, p, obs, action=None, reward=None):
         return initial_history(obs) if p is None else p.extend(action, reward, obs)
 
     def key(self, p):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .aggregators import Filter, parse_har_spec, parse_spec, remember
 from .core import (
-    FiniteMDP, History, NMDPOracle, UndecodableHistoryError, frozen, is_degenerate, vector_bytes)
+    FiniteMDP, History, NMDPOracle, UndecodableHistoryError, as_state, frozen, is_degenerate)
 from .envs import Environment
 
 
@@ -105,8 +105,8 @@ class AggregatedMDPOracle(NMDPOracle):
     Outcomes come in table order, unmerged.
     A prefix is the tuple (node, idx, t): a decoder stream state of `spec.pull`, the index
     of the embedded state its last observation decodes to (None when none matches), and t.
-    The interned nodes, the edges that map (node, bytes of a 1-d float64 observation, which
-    `pull` takes as `raw` when the caller has them) to (next node, idx), and one memo of
+    The interned nodes, the identity edges that map (node, id of a `core.frozen` observation)
+    to (next node, idx, observation), as `WrappedEnvironment` keeps them, and one memo of
     answers keyed by node, all written through `remember`, serve every prefix for the
     oracle's whole life; a state is a value, so (node, idx) is a prefix's key.
     """
@@ -117,7 +117,7 @@ class AggregatedMDPOracle(NMDPOracle):
         self.num_actions = mdp.num_actions
         self.root = spec.begin()
         self.nodes = {self.root: self.root}  # decoder state -> its interned copy
-        self.edges = {}  # (node, 1-d float64 observation bytes) -> (next node, idx)
+        self.edges = {}  # (node, id(obs)) -> (next node, idx, obs), for a frozen obs
         self.memo = {}  # (node, index, action) -> row; (node, pool shape, bytes) -> candidates
         self.verdicts = {}  # filled by empirical_dependency through `remember`
 
@@ -140,17 +140,17 @@ class AggregatedMDPOracle(NMDPOracle):
     def begin(self) -> tuple:
         return self.root, None, -1
 
-    def pull(self, p: tuple, obs, action=None, reward=None, raw=None) -> tuple:
+    def pull(self, p: tuple, obs, action=None, reward=None) -> tuple:
         node, _, t = p
-        raw = vector_bytes(obs) if raw is None else raw
-        hit = self.edges.get((node, raw))
-        if hit is None:
-            state, s = self.spec.pull(node, obs)
+        key = (node, id(obs))
+        hit = self.edges.get(key)
+        if hit is None or hit[2] is not obs:
+            state, s = self.spec.pull(node, as_state(obs))
             hit = (self.nodes.get(state) or remember(self.nodes, state, state),
-                   self.mdp.match_states([s])[0])
-            if raw is not None:
-                remember(self.edges, (node, raw), hit)
-        return (*hit, t + 1)
+                   self.mdp.match_states([s])[0], obs)
+            if frozen(obs):
+                remember(self.edges, key, hit)
+        return hit[0], hit[1], t + 1
 
     def key(self, p: tuple) -> tuple:
         return p[:2]

@@ -15,7 +15,7 @@ from nonmarkov.agents import (
     train,
 )
 from nonmarkov.core import ValidationError
-from nonmarkov.envs import make_env, optimal_return, make_chain
+from nonmarkov.envs import Environment, make_env, optimal_return, make_chain
 from nonmarkov.wrappers import wrap
 
 
@@ -349,9 +349,9 @@ class TestExactDiscretizerMemo:
                   np.array([-0.0, 0.0]), np.array([0.0, -0.0]), np.array([-0.0, 0.0]),
                   [0.1234567, 2.0], [3, -4], np.array([1, 2]),
                   np.array([0.1234567, 1.0], dtype=np.float32),
-                  np.array([0.25, 0.5]), np.array([[0.25, 0.5]]), np.array([-0.0, 0.5])]
-        inputs[-1].flags.writeable = False
-        for _ in range(2):  # the second pass reads the read-only array from the memo
+                  np.array([0.25, 0.5]), np.array([[0.25, 0.5]]),
+                  np.frombuffer(np.array([-0.0, 0.5]).tobytes())]
+        for _ in range(2):  # the second pass reads the frozen array from the memo
             for obs in inputs:
                 assert repr(d.key(obs)) == repr(self.rounded(obs)), obs  # repr keeps -0.0
 
@@ -366,8 +366,9 @@ class TestExactDiscretizerMemo:
         monkeypatch.setattr(aggregators, "NODE_CAP", 3)
         d = ExactDiscretizer()
         xs = [np.array([i / 7.0, -i / 3.0]) for i in range(10)]
-        for x in xs[::2]:
-            x.flags.writeable = False  # five read-only arrays for three entries
+        xs[::2] = [np.frombuffer(x.tobytes()) for x in xs[::2]]  # five constants, three entries
+        for x in xs[1::2]:
+            x.flags.writeable = False  # read-only owners, which are not constants
         for _ in range(2):
             for x in xs:
                 assert d.key(x) == self.rounded(x)
@@ -387,19 +388,83 @@ class TestExactDiscretizerMemo:
 
     def test_repeated_read_only_object_is_keyed_by_identity(self):
         d = ExactDiscretizer()
-        x = np.array([0.1234567, 1.0])
-        x.flags.writeable = False
+        x = np.frombuffer(np.array([0.1234567, 1.0]).tobytes())  # read-only over bytes
         assert d.key(x) == d.key(x) == self.rounded(x)
         assert list(d._seen.values()) == [(x, self.rounded(x))]
+        d._seen[id(x)] = (x, "from the memo")
+        assert d.key(x) == "from the memo"
 
     def test_short_lived_read_only_arrays_reusing_ids(self, monkeypatch):
         # past the cap an array is not held, so the next one may take its id
         monkeypatch.setattr(aggregators, "NODE_CAP", 8)
         d, ids = ExactDiscretizer(), set()
         for i in range(3000):
-            x = np.array([i / 7.0, -i / 3.0])
-            x.flags.writeable = False
+            x = np.frombuffer(np.array([i / 7.0, -i / 3.0]).tobytes())
             ids.add(id(x))
             assert d.key(x) == self.rounded(x)
         assert len(ids) < 3000 - 8  # ids were reused
         assert len(d._seen) == 8
+
+
+class Replay(Environment):
+    """Hands out the one observation object `obs` at every reset and step; reward 0."""
+
+    observation_dim = 2
+    num_actions = 1
+
+    def __init__(self, obs):
+        self.obs = obs
+
+    def reset(self, seed: int):
+        return self.obs
+
+    def step(self, action: int):
+        return self.obs, 0.0, False, False
+
+
+class TestChangedBytes:
+    """An array whose values can still change is not a constant, so no memo keys it by
+    identity: after a change each key and aggregate is that of a fresh instance."""
+
+    @staticmethod
+    def changing():
+        """A read-only array over a bytearray, and a function that rewrites its first entry."""
+        buf = bytearray(np.array([1.0, 0.0]).tobytes())
+        x = np.frombuffer(buf)
+        x.flags.writeable = False
+
+        def change(value):
+            buf[:8] = np.array([value]).tobytes()
+        return x, change
+
+    @staticmethod
+    def reenabled():
+        """An owning array set read-only, and a function that makes it writable to change it."""
+        x = np.array([1.0, 0.0])
+        x.flags.writeable = False
+
+        def change(value):
+            x.flags.writeable = True
+            x[0] = value
+            x.flags.writeable = False
+        return x, change
+
+    @pytest.mark.parametrize("make", ["changing", "reenabled"])
+    def test_discretizer_key(self, make):
+        x, change = getattr(self, make)()
+        d = ExactDiscretizer()
+        assert d.key(x) == (1.0, 0.0)
+        change(5.0)
+        assert d.key(x) == ExactDiscretizer().key(x) == (5.0, 0.0)
+        assert d._seen == {}
+
+    @pytest.mark.parametrize("make", ["changing", "reenabled"])
+    def test_wrapped_step(self, make):
+        x, change = getattr(self, make)()
+        env = wrap(Replay(x), "S^1")
+        assert env.reset(0).tolist() == [1.0, 0.0] and env.step(0)[0].tolist() == [2.0, 0.0]
+        change(5.0)
+        fresh = wrap(Replay(x), "S^1")
+        for e in (env, fresh):
+            assert e.reset(0).tolist() == [5.0, 0.0] and e.step(0)[0].tolist() == [10.0, 0.0]
+        assert env._seen == {}

@@ -27,7 +27,7 @@ from nonmarkov.aggregators import (
     smooth_spec,
 )
 from nonmarkov.analysis import analytical_dependency
-from nonmarkov.core import FiniteMDP, Outcome, ValidationError, as_state
+from nonmarkov.core import FiniteMDP, Outcome, ValidationError, as_state, frozen
 from nonmarkov.wrappers import AggregatedMDPOracle
 
 ALGEBRA_TOL = 1e-9
@@ -535,7 +535,7 @@ def embedding_mdp(*rows):
 
 class TestTransducer:
     """`AggregatedMDPOracle.pull` is a transducer of `spec.pull`: it interns each decoder
-    state as a node and stores each (node, 1-d float64 aggregate bytes) edge once."""
+    state as a node and stores each (node, id of a frozen aggregate) edge once."""
 
     @pytest.mark.parametrize("name", PULL_SPECS)
     def test_pull_matches_fresh_streams(self, name):
@@ -545,17 +545,20 @@ class TestTransducer:
         mdp = embedding_mdp([1.0, 0.0], [0.0, 1.0], [0.5, -0.5])
         oracle = AggregatedMDPOracle(mdp, template)
         rng = np.random.default_rng(41)
-        steps = 0
+        steps, shared = 0, {}  # one frozen aggregate object per bytes, so that edges repeat
         for _ in range(150):
             raw = [mdp.embedding[i] for i in rng.integers(3, size=rng.integers(1, 9))]
             p, fresh = oracle.begin(), template.begin()
             for t, g in enumerate(stream_push(template, raw)):
+                g = shared.setdefault(g.tobytes(), g)
+                assert frozen(g)
                 p = oracle.pull(p, g)
                 fresh, want = template.pull(fresh, g)
                 assert p == (fresh, mdp.match_states([want])[0], t)
                 assert oracle.nodes[p[0]] is p[0]
                 steps += 1
         assert len(oracle.nodes) <= len(oracle.edges) + 1 < steps  # edges were looked up
+        assert all(key[1] == id(obs) for key, (_, _, obs) in oracle.edges.items())
 
     def test_corr_streams_at_different_t_do_not_merge(self):
         zero, one = as_state([0.0]), as_state([1.0])
@@ -572,21 +575,24 @@ class TestTransducer:
         assert plain.pull(m1, zero)[0] is m1[0]  # without a gain the same streams merge
 
     def test_unkeyed_input_and_full_transducer_leave_the_memo(self, monkeypatch):
-        # unkeyed input (a float32 stream) stores no edge, and past NODE_CAP nodes a
-        # new state is not interned; a state that is interned still merges into its node
+        # unkeyed input (a float32 stream, a read-only owner) stores no edge, and past
+        # NODE_CAP nodes a new state is not interned; an interned state still merges
         monkeypatch.setattr(aggregators, "NODE_CAP", 2)
         mdp, spec = embedding_mdp([1.0, 2.0], [1.0, 1.0], [-2.0, -2.0]), group_power_spec(1)
         unkeyed = AggregatedMDPOracle(mdp, spec)
-        p = unkeyed.pull(unkeyed.begin(), np.array([1.0, 2.0], dtype=np.float32))
-        assert p[1:] == (0, 0) and unkeyed.edges == {} and unkeyed.nodes[p[0]] is p[0]
+        owner = np.array([1.0, 2.0])
+        owner.flags.writeable = False
+        for obs in (np.array([1.0, 2.0], dtype=np.float32), owner, owner):
+            p = unkeyed.pull(unkeyed.begin(), obs)
+            assert p[1:] == (0, 0) and unkeyed.edges == {} and unkeyed.nodes[p[0]] is p[0]
         sums = AggregatedMDPOracle(mdp, spec)
-        n1 = sums.pull(sums.begin(), as_state([1.0, 2.0]))
+        one, two = as_state([1.0, 2.0]), as_state([2.0, 3.0])
+        n1 = sums.pull(sums.begin(), one)
         assert sums.nodes[n1[0]] is n1[0]
-        two = as_state([2.0, 3.0])
         off = sums.pull(n1, two)  # a new state past cap nodes
         assert off[1:] == (1, 1) and off[0] not in sums.nodes
-        assert sums.edges == {(sums.root, as_state([1.0, 2.0]).tobytes()): n1[:2],
-                              (n1[0], two.tobytes()): off[:2]}
+        assert sums.edges == {(sums.root, id(one)): (*n1[:2], one),
+                              (n1[0], id(two)): (*off[:2], two)}
         off2 = sums.pull(off, as_state([3.0, 4.0]))
         assert off2[1:] == (1, 2) and len(sums.nodes) == 2 and len(sums.edges) == 2
         back = sums.pull(off2, as_state([1.0, 2.0]))  # past cap edges too

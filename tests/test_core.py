@@ -24,6 +24,7 @@ from nonmarkov.core import (
     mdp_to_json,
     save_mdp,
 )
+from nonmarkov.aggregators import parse_spec
 from nonmarkov.analysis import build_markov_abstraction, build_nonmarkov_embedding
 from nonmarkov.envs import make_chain, make_env, make_random_mdp
 from nonmarkov.wrappers import as_nmdp_oracle
@@ -64,6 +65,55 @@ class TestAsState:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             as_state([])
+
+
+class TestFrozen:
+    """`frozen` holds exactly for the 1-d float64 arrays whose memory is a `bytes` object,
+    directly or through views, which numpy will not make writable."""
+
+    def test_arrays_over_bytes(self):
+        x = np.frombuffer(np.array([1.0, 0.0, 2.0, 3.0]).tobytes())
+        assert frozen(x) and frozen(x[1:]) and frozen(x[::2]) and frozen(x.reshape(2, 2)[:, 1])
+        for arr in (x, x[1:]):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
+
+    def test_embedding_rows_and_outputs(self):
+        spec = parse_spec("S^1+corr:1,2")
+        state, g = spec.push(spec.begin(), [1.0, 0.0, 0.0])
+        assert all(frozen(row) for row in make_chain(3).embedding)
+        assert frozen(as_state([1, 2])) and frozen(g) and frozen(spec.push(state, g)[1])
+        assert frozen(parse_spec("D^1").push(parse_spec("D^1").begin(), [1.0])[1])
+
+    def test_arrays_whose_values_can_change(self):
+        owner = np.array([1.0, 0.0])
+        owner.flags.writeable = False
+        assert not frozen(owner) and not frozen(owner[1:])
+        owner.flags.writeable = True  # numpy lets an owner write again
+        buf = bytearray(np.array([1.0, 0.0]).tobytes())
+        for over in (np.frombuffer(buf), np.frombuffer(memoryview(buf))):
+            over.flags.writeable = False
+            assert not frozen(over) and not frozen(over[1:])
+        assert not frozen(np.frombuffer(memoryview(bytes(16))))
+
+    def test_other_shapes_and_kinds(self):
+        data = np.array([1.0, 0.0]).tobytes()
+        for x in (np.frombuffer(data).reshape(1, 2), np.frombuffer(data, dtype=np.float32),
+                  np.frombuffer(data)[0], [1.0, 0.0], data):
+            assert not frozen(x)
+
+    def test_as_state_returns_a_finite_frozen_input_as_it_is(self):
+        x, row = np.frombuffer(np.array([1.0, 2.0]).tobytes()), make_chain(3).embedding[1]
+        view = row[:2]
+        assert as_state(x) is x and as_state(row) is row and as_state(view) is view
+        owner = np.array([1.0, 2.0])
+        owner.flags.writeable = False
+        v = as_state(owner)
+        assert v is not owner and frozen(v) and v.tolist() == [1.0, 2.0]
+        with pytest.raises(ValidationError, match="finite"):
+            as_state(np.frombuffer(np.array([1.0, np.nan]).tobytes()))
+        h = initial_history(x).extend(0, 0.0, view)
+        assert h.states[0] is x and h.states[1] is view
 
 
 class TestHistory:

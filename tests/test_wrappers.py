@@ -310,10 +310,9 @@ def assert_replays(env, seed, spec, episode):
     return nodes
 
 
-def read_only(*values):
-    x = np.array(values)
-    x.flags.writeable = False
-    return x
+def constant(*values):
+    """A `core.frozen` array of the values: read-only over a bytes object."""
+    return np.frombuffer(np.array(values, dtype=float).tobytes())
 
 
 class StubEnv(Environment):
@@ -339,7 +338,7 @@ class TestMergedStates:
         # bounds the identity edges of a stream that never repeats, and past it
         # each step is computed again, stores no edge and still merges into the root
         monkeypatch.setattr(aggregators, "NODE_CAP", 50)
-        episodes = [[read_only(e, t / 7.0) for t in range(41)] for e in range(3)]
+        episodes = [[constant(e, t / 7.0) for t in range(41)] for e in range(3)]
         env = wrap(StubEnv(episodes), "conv:2")
         for seed in range(3):
             nodes = assert_replays(env, seed, "conv:2", episodes[seed])
@@ -511,18 +510,16 @@ class TestSharedDecoder:
                 oracle.candidates_at(p, None, [*POOL, np.full_like(POOL[0], bad)])
         assert not oracle.memo
 
-    def test_pull_with_the_caller_s_bytes(self):
-        # bytes the caller already has key the decoder edge as the observation's own would
-        oracle, given = (as_nmdp_oracle(SLIPPY_CHAIN, "S^2") for _ in range(2))
-        for h in reachable_histories(as_nmdp_oracle(SLIPPY_CHAIN, "S^2"), max_t=3):
-            p, q = oracle.begin(), given.begin()
-            for obs, *step in zip(h.states, (None, *h.actions), (None, *h.rewards)):
-                node = q[0]
-                p, q = oracle.pull(p, obs, *step), given.pull(q, obs, *step, obs.tobytes())
-                assert (p[1], p[2]) == (q[1], q[2])
-                assert given.edges[node, obs.tobytes()][0] is q[0]
-            assert given.key(q) == (q[0], q[1]) and oracle.key(p) == (p[0], p[1])
-        assert set(oracle.edges) == set(given.edges)
+    def test_pull_validates_a_missed_observation(self):
+        # an int observation is decoded as floats, as the float path is; NaN and 2-d raise
+        oracle = as_nmdp_oracle(make_chain(3), "S^1")
+        p = oracle.pull(oracle.begin(), np.array([1, 0, 0]))
+        assert p[1:] == (0, 0)
+        assert oracle.pull(p, np.array([1.0, 1.0, 0.0]))[1:] == (1, 1)
+        for bad in (np.array([np.nan, 0.0, 0.0]), np.eye(3)[:1], np.array([1.0, 1.0])):
+            with pytest.raises(ValidationError):
+                oracle.pull(p, bad)
+        assert oracle.edges == {}
 
 
 class TestMatchedIndex:
@@ -583,16 +580,19 @@ class TestUnkeyedObservations:
         assert env.node_count == 2
 
     def test_float32_streams_as_before_and_stores_no_edge(self):
-        e0 = read_only(*self.E0)
+        e0 = constant(*self.E0)
         e0_32 = e0.astype(np.float32)
         e0_32.flags.writeable = False
+        owner = e0.copy()
+        owner.flags.writeable = False
         episodes = [[e0, e0_32, np.array([0.5, 0.25], dtype=np.float32)],
-                    [e0_32, e0], [e0.view(np.float32)]]  # e0's bytes, read-only
+                    [e0_32, e0], [e0.view(np.float32)],  # e0's bytes, read-only
+                    [owner, owner]]  # read-only, yet numpy lets its owner write again
         env = wrap(StubEnv(episodes), "S^1")
-        for seed in (0, 1, 0, 2):
+        for seed in (0, 1, 0, 2, 3, 3):
             assert_replays(env, seed, "S^1", episodes[seed])
         # each state is interned, but only e0 stored edges: read-only float32
-        # arrays, e0's own bytes among them, never look one up
+        # arrays, e0's own bytes among them, and the owner never look one up
         assert env.node_count == 5
         assert [obs for _, obs in env._seen] == [id(e0)] * 2
 
@@ -610,7 +610,7 @@ class TestIdentityEdges:
             assert env._seen == {}
 
     def test_repeated_frozen_object_is_answered_by_identity(self, monkeypatch):
-        e0, e1 = read_only(1.0, 0.0), read_only(0.0, 1.0)
+        e0, e1 = constant(1.0, 0.0), constant(0.0, 1.0)
         episodes = [[e0, e1, e1, e0], [e1, e0, e0]]
         env = wrap(StubEnv(episodes), "S_l:0.5")
         nodes = [assert_replays(env, seed, "S_l:0.5", episodes[seed]) for seed in (0, 1)]
