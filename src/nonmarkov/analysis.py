@@ -22,7 +22,6 @@ from .core import (
     FiniteMDP,
     History,
     NMDPOracle,
-    Outcome,
     UndecodableHistoryError,
     ValidationError,
     as_state,
@@ -192,23 +191,27 @@ class Histories(Sequence):
 class _HistoryWalk:
     """The breadth-first walk of the histories an oracle reaches within `horizon` steps.
 
-    `histories` grows as the walk goes: the initial histories on construction,
-    each history's children when `rows()` expands it.  A history is its parent plus
-    one step, so it is interned by (parent index, last action, last reward, last
-    observation), rounded to 12 decimals, and keeps the observation its key first saw;
-    an observation is validated and rounded once, as it enters `histories.obs`.  A
-    history below the horizon keeps its oracle prefix, its parent's (or `oracle.begin()`)
-    pulled one step, until `rows()` expands it and passes the prefix to its children."""
+    `levels()` appends one depth at a time to `histories`.  A history is its parent plus one
+    step, interned by (parent, last action, last reward, last observation) rounded to 12
+    decimals, and keeps the observation its key first saw; an observation is validated and
+    rounded once, as it enters `histories.obs`.  Prefixes with equal `oracle.key`s have equal
+    rows and children with equal keys, so each key gets an id (a key of None, a fresh one),
+    and the first prefix with an id is expanded for all: `transition_at` for each action,
+    then `pull` for each distinct child.  Ids are met, and expanded, in the order they are
+    given, and a depth is gathered from its parents' expansions."""
 
     def __init__(self, oracle: NMDPOracle, horizon: int):
         if horizon < 0:
             raise ValidationError("horizon must be >= 0")
         self.oracle, self.horizon, self.histories = oracle, horizon, Histories()
-        self._index, self._prefixes, self._seen, root = {}, {}, {}, oracle.begin()
-        self.rho0 = [(self._intern(obs, root), float(p)) for obs, p in oracle.initial()]
+        self._ids, self._seen = {}, {}  # oracle key -> id; obs bytes -> (j, rounded values)
+        self._prefix, self._levels = [], []  # per id, until it is expanded; per depth: parents' ids
+        self._starts = ([0], [0])  # per expanded id, and one more: first child; first outcome
+        self._child = ([], [], [], [])  # per child: action (-1 for the root's), reward, j, id
+        self._out = ([], [], [])  # per outcome: child, reward, prob
 
-    def _intern(self, obs, prefix, parent=None, action=None, reward=0.0) -> int:
-        hs, seen = self.histories, self._seen.get(frozen(obs) and obs.tobytes())  # (j, rounding)
+    def _observation(self, obs) -> tuple:
+        hs, seen = self.histories, self._seen.get(frozen(obs) and obs.tobytes())
         if seen is None:  # a new observation, or one that is not frozen
             obs = as_state(obs)
             if hs.obs and obs.shape != hs.obs[0].shape:
@@ -217,65 +220,129 @@ class _HistoryWalk:
                 round(float(x), 12) for x in obs)))
             if seen[0] == len(hs.obs):
                 hs.obs.append(obs)
-        j, rounded = seen
-        key = (parent, action, round(float(reward), 12), rounded)
-        i = self._index.get(key)
-        if i is None:
-            i, t = len(hs.t), 0 if parent is None else hs.t[parent] + 1
-            if i >= HISTORY_CAP:
-                raise StateExplosionError(f"state explosion: history cap {HISTORY_CAP} reached "
-                                          f"at t={t} of horizon {self.horizon}, {i} interned")
-            self._index[key] = i
-            hs.parent.append(parent)
-            hs.action.append(action)
-            hs.reward.append(float(reward))
-            hs.last.append(j)
-            hs.t.append(t)
-            if t < self.horizon:
-                self._prefixes[i] = self.oracle.pull(prefix, hs.obs[j], action, reward)
-        return i
+        return seen
 
-    def rows(self):
-        """The outcome row of each history below the horizon, in index order;
-        the walk is breadth first, so `histories.t` is its own queue."""
-        for i, t in enumerate(self.histories.t):  # grows while it is iterated
-            if t >= self.horizon:
-                return
-            at = self._prefixes.pop(i)  # the children's prefixes are pulled from it
-            yield tuple(tuple(Outcome(self._intern(obs, at, i, a, r), float(r), float(p))
-                              for (obs, r), p in self.oracle.transition_at(at, a))
-                        for a in range(self.oracle.num_actions))
+    def _id(self, prefix) -> int:
+        key = self.oracle.key(prefix)
+        k = len(self._prefix) if key is None else self._ids.setdefault(key, len(self._prefix))
+        if k == len(self._prefix):
+            self._prefix.append(prefix)
+        return k
+
+    def _expand(self, k: int, rows, pull: bool):  # rows: (action, row) pairs
+        (c_action, c_reward, c_obs, c_id), out, index = self._child, self._out, {}
+        for a, row in rows:
+            for (obs, r), p in row:
+                j, rounded = self._observation(obs)
+                child = index.setdefault((a, round(float(r), 12), rounded), len(c_obs))
+                if child == len(c_obs):  # counted for the cap before it is pulled
+                    c_action.append(a)
+                    c_reward.append(float(r))
+                    c_obs.append(j)
+                    c_id.append(self._id(self.oracle.pull(self._prefix[k], self.histories.obs[j],
+                                                          None if a < 0 else a, r)) if pull else -1)
+                for lst, x in zip(out, (child, float(r), float(p))):
+                    lst.append(x)
+        self._prefix[k] = None
+        self._starts[0].append(len(c_obs))
+        self._starts[1].append(len(out[0]))
+
+    def levels(self):
+        """Append each depth, and yield after each that expanded a history.  A depth stops at
+        the parent where the cap, or an error of the oracle or of validation, comes first in
+        (parent, action, outcome) order: it keeps the parents before it, yields, then raises."""
+        oracle, hs, A, cap = self.oracle, self.histories, self.oracle.num_actions, HISTORY_CAP
+        self._prefix.append(oracle.begin())  # id 0, the root's, has no key: it is no history
+        kid, lo = np.zeros(1, dtype=np.intp), 0  # the parents' ids, and the first parent
+        for t in range(self.horizon + 1):
+            hi, first = len(hs), np.array(self._starts[0])
+            tot = np.zeros(len(self._prefix), dtype=np.intp)  # children per id
+            tot[:len(first) - 1] = np.diff(first)
+            count, at, stop, error = hi, 0, len(kid), None
+            explosion = StateExplosionError(f"state explosion: history cap {cap} reached at t={t} "
+                                            f"of horizon {self.horizon}, {max(hi, cap)} interned")
+            for q in np.flatnonzero(kid >= len(first) - 1).tolist():
+                k = int(kid[q])
+                if k < len(self._starts[0]) - 1:  # expanded at an earlier parent of this depth
+                    continue
+                count, at = count + int(tot[kid[at:q]].sum()), q  # interned before parent q
+                if count > cap:
+                    stop = q
+                    break
+                rows = ((a, oracle.transition_at(self._prefix[k], a)) for a in range(A)) if t \
+                    else [(-1, (((obs, 0.0), p) for obs, p in oracle.initial()))]
+                try:
+                    self._expand(k, rows, t < self.horizon)
+                except Exception as exc:  # raised after the parents before q are yielded, or
+                    made = len(self._child[0]) - self._starts[0][-1]  # the cap, if it came first
+                    stop, error = q, explosion if made and count + made > cap else exc
+                    break
+                tot[k] = self._starts[0][-1] - self._starts[0][-2]
+            ends = hi + np.cumsum(tot[kid[:stop]])  # interned after each parent
+            over = int(np.argmax(np.append(ends, cap + 1) > cap))  # the first past the cap
+            if over < stop:
+                stop, error = over, explosion
+            kid, tot = kid[:stop], tot[kid[:stop]]
+            src = np.repeat(np.array(self._starts[0])[kid] - np.cumsum(tot) + tot, tot) + \
+                np.arange(tot.sum())  # each child's entry, the children of a parent in a row
+            action, reward, last, ids = (np.array(x)[src].tolist() for x in self._child)
+            hs.parent += np.repeat(np.arange(lo, lo + stop), tot).tolist() if t else [None] * len(src)
+            hs.action += action if t else [None] * len(src)
+            hs.reward += reward
+            hs.last += last
+            hs.t += [t] * len(src)
+            self._levels.append(kid)
+            kid, lo = np.array(ids, dtype=np.intp), hi
+            if t and stop:
+                yield
+            if error:
+                raise error
+
+    def table(self) -> FiniteMDP:
+        """History i below the horizon has the rows of its id's expansion, one at the horizon
+        is absorbing with zero reward, and `rho0` is the root's row."""
+        A, n = self.oracle.num_actions, len(self.histories)
+        c_action, o_child, o_reward, o_prob = np.array(self._child[0]), *map(np.array, self._out)
+        c_first, o_first = map(np.array, self._starts)
+        ids = np.concatenate(self._levels)  # the root's, then each history's below the horizon
+        count, tot = o_first[ids + 1] - o_first[ids], c_first[ids + 1] - c_first[ids]
+        src = np.repeat(o_first[ids] - np.cumsum(count) + count, count) + np.arange(count.sum())
+        owner = np.repeat(np.arange(-1, len(ids) - 1), count)  # -1: the root
+        nxt = np.repeat(np.cumsum(tot) - tot - c_first[ids], count) + o_child[src]  # BFS order
+        live, root, horizon = len(ids) - 1, owner < 0, (n - len(ids) + 1) * A
+        return FiniteMDP.from_arrays(
+            n, A, np.bincount(nxt[root], o_prob[src][root], minlength=n),
+            length=np.concatenate([np.bincount((owner * A + c_action[o_child[src]])[~root],
+                                               minlength=live * A), np.ones(horizon, np.intp)]),
+            next=np.concatenate([nxt[~root], np.repeat(np.arange(live, n), A)]),
+            reward=np.concatenate([o_reward[src][~root], np.zeros(horizon)]),
+            prob=np.concatenate([o_prob[src][~root], np.ones(horizon)]),
+            embedding=np.arange(n, dtype=float)[:, None])
 
 
 def build_markov_abstraction(oracle: NMDPOracle, horizon: int) -> HistoryMDP:
     """Enumerate reachable histories up to `horizon` as explicit states.
 
     Transition probabilities are inherited exactly; histories at the horizon
-    become absorbing (zero reward, one row for all actions) so the table stays closed.
+    become absorbing (zero reward, the same row for all actions) so the table stays closed.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     walk = _HistoryWalk(oracle, horizon)
-    outcomes = list(walk.rows())
-    n = len(walk.histories)
-    outcomes += [((Outcome(i, 0.0, 1.0),),) * oracle.num_actions for i in range(len(outcomes), n)]
-    rho0 = np.bincount([i for i, _ in walk.rho0], [p for _, p in walk.rho0], minlength=n)
-    mdp = FiniteMDP(num_states=n, num_actions=oracle.num_actions, rho0=rho0,
-                    outcomes=tuple(outcomes), embedding=np.arange(n, dtype=float)[:, None])
-    return HistoryMDP(mdp=mdp, histories=walk.histories)  # frees the walk's dicts and oracle
+    for _ in walk.levels():
+        pass
+    return HistoryMDP(mdp=walk.table(), histories=walk.histories)  # frees the walk and oracle
 
 
 def reachable_histories(oracle: NMDPOracle, max_t: int):
     """The reachable histories of the oracle with t <= max_t, breadth first.
 
-    Lazy: the walk expands the next history only when the caller has taken
-    every history interned so far, so a caller that stops early skips the
-    rest of the tree.  At max_t = 0 there are no rows: it yields the initial
-    histories."""
-    walk = _HistoryWalk(oracle, max_t)
-    done = 0
-    for _ in walk.rows():
-        yield from walk.histories[done:]
+    Lazy: the walk expands the next depth only when the caller has taken every
+    history of the depths before it, so a caller that stops early skips the
+    rest of the tree.  At max_t = 0 it yields the initial histories."""
+    walk, done = _HistoryWalk(oracle, max_t), 0
+    for _ in walk.levels():
+        yield from map(walk.histories.__getitem__, range(done, len(walk.histories)))
         done = len(walk.histories)
     yield from walk.histories[done:]
 

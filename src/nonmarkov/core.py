@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -38,10 +38,10 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def numeric(x: np.ndarray) -> bool:
-    """Numbers only: kind i, u or f, or kind O (ints past int64) of non-bool ints and floats."""
-    return x.dtype.kind in "iuf" or x.dtype.kind == "O" and all(
-        is_int(v) or isinstance(v, (float, np.integer)) for v in x.flat)
+def _numbers(types) -> bool:
+    """Python or numpy ints and floats only; numpy would read a bool or a numeric string."""
+    return all(issubclass(k, (int, float, np.integer, np.floating))
+               and not issubclass(k, (bool, np.bool_)) for k in set(types))
 
 
 def json_number(v, at=""):  # JSON ints and floats, as floats, at any list depth; not true or "1"
@@ -171,14 +171,21 @@ class Outcome(NamedTuple):
     prob: float
 
 
+def _outcomes(nxt, reward, prob) -> tuple:
+    """`Outcome`s of the flat arrays, made without the namedtuple's argument parsing."""
+    return tuple(map(tuple.__new__, repeat(Outcome), zip(nxt.tolist(), reward.tolist(),
+                                                         prob.tolist())))
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMDP:
     """Tabular time-homogeneous decision process with an injective vector embedding.
 
     `outcomes[s][a]` is the finite distribution over (next state, reward) and
     row `embedding[s]` of the read-only (num_states, k) array is the vector
-    observation emitted for state `s`.  Cell c = s * num_actions + a is compiled once into
-    read-only `length[c]` and zero-padded rows `next[c]`, `reward[c]`, `prob[c]`.
+    observation emitted for state `s`.  Cell c = s * num_actions + a is held in
+    read-only `length[c]` and zero-padded rows `next[c]`, `reward[c]`, `prob[c]`, which
+    `row` reads.  A table from `from_arrays` builds its `outcomes` on their first read.
     """
 
     num_states: int
@@ -188,6 +195,42 @@ class FiniteMDP:
     embedding: np.ndarray  # (num_states, k); embedding[s] -> StateVec
 
     def __post_init__(self):
+        self._validate(self._compile)
+
+    @classmethod
+    def from_arrays(cls, num_states, num_actions, rho0, length, next, reward, prob, embedding):
+        """Cell c's outcomes are the next `length[c]` of the flat `next`, `reward` and `prob`."""
+        m = object.__new__(cls)
+        vars(m).update(num_states=num_states, num_actions=num_actions, rho0=rho0,
+                       embedding=embedding)
+        m._validate(lambda: (length, next, reward, prob, num_states, None))
+        return m
+
+    def _compile(self):
+        """The table as flat arrays, through one flat list of numbers; the number of whole
+        states, and the next state a cell's slot was given as, for an error message."""
+        if len(self.outcomes) != self.num_states:
+            raise ValidationError("outcomes must have one row per state")
+        rows = next((s for s, row in enumerate(self.outcomes) if len(row) != self.num_actions),
+                    self.num_states)  # a short state is reported after a bad cell before it
+        cells = list(map(tuple, chain.from_iterable(islice(self.outcomes, rows))))
+        length = np.array(list(map(len, cells)), dtype=np.intp)
+        table = list(chain.from_iterable(cells))
+        try:
+            flat = list(chain.from_iterable(table))
+            ok = set(map(len, table)) <= {3} and _numbers(map(type, flat))
+        except TypeError:  # an outcome that is a number
+            ok = False
+        if not ok:
+            s, a = divmod(next(c for c, cell in enumerate(cells) for o in cell if not (
+                np.shape(o) == (3,) and _numbers(map(type, o)))), self.num_actions)
+            raise ValidationError(f"state {s}, action {a}: each outcome must be a "
+                                  "(next_state, reward, prob) triple of numbers")
+        object.__setattr__(self, "outcomes", tuple(zip(*[iter(cells)] * self.num_actions)))
+        return (length, *np.array(flat, dtype=float).reshape(-1, 3).T, rows,
+                lambda c, j: cells[c][j][0])
+
+    def _validate(self, table):
         if self.num_states < 1 or self.num_actions < 1:
             raise ValidationError("num_states and num_actions must be >= 1")
         rho0 = np.asarray(self.rho0, dtype=float)
@@ -198,30 +241,12 @@ class FiniteMDP:
         rho0.flags.writeable = False
         object.__setattr__(self, "rho0", rho0)
 
-        if len(self.outcomes) != self.num_states:
-            raise ValidationError("outcomes must have one row per state")
-        rows = []
-        for per_action in self.outcomes:
-            if len(per_action) != self.num_actions:
-                break  # reported after a bad cell of the states before it
-            rows.append(tuple(map(tuple, per_action)))
-        cells = [c for row in rows for c in row]  # errors in a cell-by-cell walk's order
-        length = np.array([len(c) for c in cells], dtype=np.intp)
-        flat = [o for c in cells for o in c]
-        try:  # no dtype=float, which would parse the string '1'; kind O: ints past int64
-            table = np.array(flat or np.zeros((0, 3)))  # row j: outcome j's triple
-        except ValueError:  # ragged, as a bare Outcome beside outcomes
-            table = np.zeros(0)
-        if table.shape != (len(flat), 3) or not numeric(table):
-            s, a = divmod(next(c for c, cell in enumerate(cells) for o in cell if not (
-                np.shape(o) == (3,) and numeric(np.asarray(o)))), self.num_actions)
-            raise ValidationError(f"state {s}, action {a}: each outcome must be a "
-                                  "(next_state, reward, prob) triple of numbers")
+        length, *flat, rows, shown = table()
         live = np.arange(length.max(initial=1)) < length[:, None]
         nxt, reward, prob = np.zeros((3, *live.shape))  # padding passes every check below
-        nxt[live], reward[live], prob[live] = table.T
+        nxt[live], reward[live], prob[live] = flat
         with np.errstate(all="ignore"):  # in the order of `total += prob`; inf - inf is nan
-            total = reduce(np.add, prob.T, np.zeros(len(cells)))
+            total = reduce(np.add, prob.T, np.zeros(len(length)))
         bad_next = ~((nxt >= 0) & (nxt < self.num_states) & (nxt == np.floor(nxt)))
         bad_num = ~(np.isfinite(reward) & np.isfinite(prob))
         bad_slot = bad_next | bad_num | (prob < 0)
@@ -230,19 +255,19 @@ class FiniteMDP:
             c = int(np.argmax(bad))
             j = int(np.argmax(bad_slot[c]))
             msg = ("empty outcome list" if not length[c]
-                   else f"next state {cells[c][j][0]} out of range" if bad_next[c, j]
+                   else f"next state {shown(c, j) if shown else nxt[c, j]} out of range"
+                   if bad_next[c, j]
                    else "non-finite reward or probability" if bad_num[c, j]
                    else "negative probability" if bad_slot[c, j]
                    else f"outcome probs sum to {float(total[c])!r}, not 1")
             s, a = divmod(c, self.num_actions)
             raise ValidationError(f"state {s}, action {a}: {msg}")
-        if len(rows) < self.num_states:
-            raise ValidationError(f"state {len(rows)}: expected {self.num_actions} action rows")
-        for name, arr in (("next", nxt.astype(np.intp)), ("reward", reward),
+        if rows < self.num_states:
+            raise ValidationError(f"state {rows}: expected {self.num_actions} action rows")
+        for name, arr in (("next", np.asarray(nxt, dtype=np.intp)), ("reward", reward),
                           ("prob", prob), ("length", length)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "outcomes", tuple(rows))
 
         try:
             emb = np.array(self.embedding, dtype=float)
@@ -262,6 +287,15 @@ class FiniteMDP:
         # memory over bytes, which no caller can make writable again (`core.frozen` rows)
         object.__setattr__(self, "embedding", np.frombuffer(emb.tobytes()).reshape(emb.shape))
 
+    def __getattr__(self, name):  # the `outcomes` of `from_arrays`, built on its first read
+        if name != "outcomes":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        live, ends = np.arange(self.prob.shape[1]) < self.length[:, None], np.cumsum(self.length)
+        flat = _outcomes(*(x[live] for x in (self.next, self.reward, self.prob)))
+        cells = map(flat.__getitem__, map(slice, (ends - self.length).tolist(), ends.tolist()))
+        vars(self)["outcomes"] = tuple(zip(*[cells] * self.num_actions))
+        return self.outcomes
+
     def __reduce__(self):  # copies rebuild through __post_init__, so their arrays stay frozen
         return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
@@ -271,7 +305,8 @@ class FiniteMDP:
         return {data[s * width:(s + 1) * width]: s for s in range(self.num_states)}
 
     def row(self, state: int, action: int):
-        return self.outcomes[state][action]
+        c = range(self.num_states)[state] * self.num_actions + range(self.num_actions)[action]
+        return _outcomes(*(x[c, :self.length[c]] for x in (self.next, self.reward, self.prob)))
 
     def match_states(self, states) -> list:
         """For each of the equal-shape `states`, the index of the embedded state nearest
@@ -291,14 +326,16 @@ class FiniteMDP:
         return found
 
     def reward_support(self):
-        return sorted({r for row in self.outcomes for lst in row for _, r, _ in lst})
+        return sorted(set(self.reward[np.arange(self.reward.shape[1]) < self.length[:, None]]
+                          .tolist()))
 
 
 def is_degenerate(m: FiniteMDP) -> bool:
     """True iff two distinct states have identical outcome rows for every action."""
     buckets = {}  # by the canonical rows' next states, which equal rows share
-    for per_action in m.outcomes:
-        rows = [canonical_distribution(((n, r), p) for n, r, p in lst) for lst in per_action]
+    cells = [canonical_distribution(zip(zip(n[:k], r[:k]), p[:k])) for n, r, p, k in zip(
+        m.next.tolist(), m.reward.tolist(), m.prob.tolist(), m.length.tolist())]
+    for rows in zip(*[iter(cells)] * m.num_actions):
         buckets.setdefault(tuple(tuple(key[0] for key, _ in r) for r in rows), []).append(rows)
     return any(all(map(canonical_equal, r1, r2))
                for bucket in buckets.values() for r1, r2 in combinations(bucket, 2))
@@ -322,7 +359,9 @@ class NMDPOracle:
     deterministic functions of their arguments and sum to 1 within 1e-12; a key may
     repeat, and consumers sum the probabilities of equal keys.  `key(p)` is None, or for
     every prefix a hashable value; prefixes with equal keys have equal `transition_at` rows,
-    and the oracle has `verdicts`, where `empirical_dependency` caches row comparisons.
+    pulling the same step onto each gives prefixes with equal keys (so the abstraction walk
+    expands one prefix per key), and the oracle has `verdicts`, where `empirical_dependency`
+    caches row comparisons.
     """
 
     num_actions: int

@@ -13,6 +13,14 @@ import numpy as np
 from .core import FiniteMDP, Outcome, ValidationError, is_degenerate, is_int, load_mdp, parse_number
 
 MAX_RETRIES = 100  # make_random_mdp redraws a degenerate process up to this many times
+MAX_CELLS = 10 ** 6  # embedding and outcome entries of a built-in process, read at each call
+
+
+def _check_size(name: str, states: int, actions: int, branching: int):
+    """Reject, before anything is built, states x (states + actions x branching) past the cap."""
+    if states * (states + actions * min(branching, states)) > MAX_CELLS:
+        raise ValidationError(f"{name}: {states} states x {actions} actions is larger than "
+                              f"envs.MAX_CELLS = {MAX_CELLS} table entries")
 
 
 class EpisodeFinishedError(RuntimeError):
@@ -105,6 +113,7 @@ def make_chain(length: int, p_slip: float = 0.0) -> FiniteMDP:
         raise ValidationError("chain length must be >= 2")
     if not 0.0 <= p_slip < 0.5:
         raise ValidationError("slip probability must lie in [0, 0.5)")
+    _check_size(f"chain:{length}", length, 2, 2)
     n = length
     goal = n - 1
 
@@ -134,6 +143,8 @@ def make_random_mdp(seed: int, num_states: int, num_actions: int,
         raise ValidationError(f"random process seed must be >= 0, got {seed}")
     if num_states < 1 or num_actions < 1 or branching < 1:
         raise ValidationError("sizes and branching must be >= 1")
+    _check_size(f"random:{seed}:{num_states}:{num_actions}:{branching}", num_states,
+                num_actions, branching)
     rng = np.random.default_rng(seed)
     reward_values = (0.0, 0.5, 1.0)
     for _ in range(MAX_RETRIES):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import inspect
 import json
@@ -531,8 +532,7 @@ class TestMarkovAbstraction:
         horizon = [i for i, h in enumerate(hm.histories) if h.t == 2]
         assert horizon
         for i in horizon:
-            assert all(hm.mdp.row(i, a) is hm.mdp.row(i, 0) for a in range(3))
-            assert hm.mdp.row(i, 0) == (Outcome(i, 0.0, 1.0),)
+            assert all(hm.mdp.row(i, a) == (Outcome(i, 0.0, 1.0),) for a in range(3))
 
 
 def whole_history_key(h):
@@ -598,6 +598,48 @@ class TestAbstractionMatchesWholeHistoryWalk:
         assert hm.mdp.outcomes == outcomes
         assert np.array_equal(hm.mdp.rho0, rho0)
         return hm
+
+
+HAS_SPECS = ["S^1", "S^2", "D^1", "S_l:0.5", "conv:1,-0.5", "corr:1,2,3,4,5,6,7",
+             "S^1+corr:1,2,3,4,5,6,7", "D_l:0.5+corr:1,2,3,1,2,3,1+S"]
+ROUNDTRIP_TOL = 1e-6  # the batch round trip's tolerance in test_aggregators.py
+
+
+@functools.lru_cache(maxsize=None)
+def identity_abstraction(env, horizon):
+    return build_markov_abstraction(build_nonmarkov_embedding(make_mdp_from_id(env)), horizon)
+
+
+def observations_at(hs, t):
+    """(t + 1, n * k): the observations of the n histories at depth t, read off the trie,
+    history j's k coordinates in columns j * k to j * k + k - 1."""
+    parent = np.array([-1 if p is None else p for p in hs.parent])
+    obs, last, at, rows = np.array(hs.obs), np.array(hs.last), np.array(hs.t) == t, []
+    idx = np.flatnonzero(at)
+    for _ in range(t + 1):
+        rows.append(obs[last[idx]].ravel())
+        idx = parent[idx]
+    return np.array(rows[::-1])
+
+
+class TestAggregatedTreeIsTheRawTree:
+    """HAS relabels the history process of a tabular one: the walk of the aggregated oracle
+    is the identity embedding's walk, array for array, and the observations of every
+    history, batch-decoded, are its raw twin's.  Every filter decodes each column on its
+    own, so one decode reads all histories of a depth."""
+
+    @pytest.mark.parametrize("spec", HAS_SPECS)
+    @pytest.mark.parametrize("env", ["chain:5:0.3", "random:1:4:2:2", "random:3:4:2:2"])
+    def test_same_table_and_decoded_histories(self, env, spec):
+        raw = identity_abstraction(env, 5)
+        hm = build_markov_abstraction(as_nmdp_oracle(make_mdp_from_id(env), spec), 5)
+        for name in ("next", "reward", "prob", "length", "rho0"):
+            got, want = getattr(hm.mdp, name), getattr(raw.mdp, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
+        for t in range(6):
+            got = parse_spec(spec).decode(observations_at(hm.histories, t))
+            assert np.max(np.abs(got - observations_at(raw.histories, t))) <= ROUNDTRIP_TOL, t
 
 
 class RoundingOracle(NMDPOracle):

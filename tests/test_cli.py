@@ -7,11 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from nonmarkov import analysis, cli
+from nonmarkov import analysis, cli, envs
 from nonmarkov.analysis import empirical_dependency, reachable_histories
 from nonmarkov.cli import main, reversibility_report
-from nonmarkov.core import mdp_to_json
-from nonmarkov.envs import make_chain
+from nonmarkov.core import ValidationError, mdp_to_json
+from nonmarkov.envs import make_chain, make_mdp_from_id
 from nonmarkov.wrappers import as_nmdp_oracle
 
 
@@ -220,6 +220,37 @@ def _sweep_args(out):
 def _assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestTabularSizeCap:
+    """A built-in id past envs.MAX_CELLS exits 2 before anything is allocated.  The cap is
+    lowered here, so no test depends on its default."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-category", "--env", "random:1:9999999999999999999999999:2:2"],
+        ["run", "--env", "random:1:3:99999999999999999999:2", "--episodes", "2",
+         "--eval-episodes", "1"],
+        ["verify-category", "--env", "chain:99999999999999999999"],
+    ], ids=["states", "actions", "chain"])
+    def test_oversize_id_exits_2(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(envs, "MAX_CELLS", 21)
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[2]}: ") and err.endswith(
+            "is larger than envs.MAX_CELLS = 21 table entries\n")
+
+    def test_cap_counts_embedding_and_outcomes(self, monkeypatch):
+        # chain:3 has 3 x (3 + 2 x 2) = 21 entries, random:1:3:2:5 3 x (3 + 2 x 3) = 27
+        monkeypatch.setattr(envs, "MAX_CELLS", 21)
+        assert make_mdp_from_id("chain:3").num_states == 3
+        for env_id, shape in (("chain:4", "4 states x 2 actions"),
+                              ("random:1:3:2:5", "3 states x 2 actions")):
+            with pytest.raises(ValidationError, match=f"^{env_id}: {shape} is larger"):
+                make_mdp_from_id(env_id)
+        monkeypatch.setattr(envs, "MAX_CELLS", 27)
+        assert make_mdp_from_id("random:1:3:2:5").num_states == 3
 
 
 class TestBadInputExit2:

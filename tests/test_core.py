@@ -455,7 +455,9 @@ class TestOutcomeCompile:
     def test_signed_zero_and_int_reward_compiled(self):
         m = signed_zero_and_int_rewards()
         assert np.signbit(m.reward[0, 0]) and m.reward[0, 1] == 2.0
-        assert m.reward_support() == [0, 2] and type(m.reward_support()[1]) is int
+        # the support reads the compiled float rows: an int reward comes back as its float
+        support = m.reward_support()
+        assert support == [0, 2] and np.signbit(support[0]) and set(map(type, support)) == {float}
 
     def test_outcome_is_a_named_triple(self):
         o = Outcome(next_state=1, reward=0.0, prob=1.0)
@@ -492,6 +494,15 @@ class TestOutcomeCompile:
                 "state 0, action 0: each outcome must be a (next_state, reward, prob) triple")):
             FiniteMDP(num_states=1, num_actions=1, rho0=np.array([1.0]),
                       outcomes=((cell,),), embedding=([0.0],))
+
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("slot", ["next_state", "reward", "prob"])
+    def test_bool_beside_numbers_rejected(self, flag, slot):
+        # numpy's dtype discovery reads a bool beside numbers as 1.0
+        outcome = Outcome(0, 0.0, 1.0)._replace(**{slot: flag})
+        with pytest.raises(ValidationError, match=re.escape(
+                "state 0, action 0: each outcome must be a (next_state, reward, prob) triple")):
+            FiniteMDP(1, 1, [1.0], (((outcome,),),), ([0.0],))
 
     def test_bare_outcome_beside_outcomes_rejected(self):
         # numpy's ValueError about an inhomogeneous shape used to escape here
