@@ -7,6 +7,7 @@ streams.
 from __future__ import annotations
 
 from bisect import bisect_right
+from struct import unpack
 
 import numpy as np
 
@@ -14,6 +15,8 @@ from .core import FiniteMDP, Outcome, ValidationError, is_degenerate, is_int, lo
 
 MAX_RETRIES = 100  # make_random_mdp redraws a degenerate process up to this many times
 MAX_CELLS = 10 ** 6  # embedding and outcome entries of a built-in process, read at each call
+SEED_CAP = 1 << 13  # reset seeds `_SEEDED` holds, read at each call; emptied when full
+_SEEDED = {}  # int reset seed -> bytes of the first batch of its `default_rng` doubles
 
 
 def _check_size(name: str, states: int, actions: int, branching: int):
@@ -38,6 +41,7 @@ class Environment:
     num_actions: int
 
     def reset(self, seed: int) -> np.ndarray:
+        """Start an episode from `seed`, an int >= 0 (Python or numpy, not bool)."""
         raise NotImplementedError
 
     def step(self, action: int):
@@ -51,6 +55,8 @@ class FiniteMDPEnv(Environment):
     `Generator.choice(p=...)` would pick with the episode's next `Generator.random()` double
     from a cumulative table compiled once per row.  The doubles are drawn in batches, which
     give the same doubles: `min(max_steps + 1, 64)` at a time, or 4 with no `max_steps`.
+    The first batch of a seed is kept in `_SEEDED`, so the cells of a sweep that share a
+    seed hash each episode seed through `SeedSequence` once.
     """
 
     def __init__(self, mdp: FiniteMDP, max_steps: int = None):
@@ -68,11 +74,12 @@ class FiniteMDPEnv(Environment):
         self._done = True  # until reset sets the episode's _draws, _state and _steps
 
     def reset(self, seed: int) -> np.ndarray:
-        self._draws = _uniforms(np.random.default_rng(seed), self._batch)
-        self._state = bisect_right(self._rho0_cdf, next(self._draws))
-        self._steps = 0
-        self._done = False
-        return self._obs[self._state]
+        if type(seed) is not int and not isinstance(seed, np.integer) or seed < 0:  # no bool
+            raise ValidationError(f"reset seed must be an integer >= 0, got {seed!r}")
+        draws = _uniforms(int(seed), self._batch)
+        state = bisect_right(self._rho0_cdf, next(draws))  # draws, or raises, before any change
+        self._draws, self._state, self._steps, self._done = draws, state, 0, False
+        return self._obs[state]
 
     def step(self, action: int):
         if self._done:
@@ -86,7 +93,19 @@ class FiniteMDPEnv(Environment):
         return self._obs[self._state], reward, False, self._done
 
 
-def _uniforms(rng: np.random.Generator, n: int):  # rng.random() doubles, drawn n at a time
+def _uniforms(seed: int, n: int):
+    """The `default_rng(seed).random()` doubles, n at a time, the first n from `_SEEDED`."""
+    first = _SEEDED.get(seed)
+    hit = first is not None and len(first) == 8 * n  # a batch of another length misses
+    if hit:
+        yield from unpack(f"{n}d", first)
+    rng = np.random.default_rng(seed)  # after a hit, only for an episode that outlives it
+    batch = rng.random(n)  # after a hit, the n doubles `first` holds
+    if not hit:
+        if len(_SEEDED) >= SEED_CAP:
+            _SEEDED.clear()
+        _SEEDED[seed] = batch.tobytes()
+        yield from batch.tolist()
     while True:
         yield from rng.random(n).tolist()
 

@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from nonmarkov import envs
 from nonmarkov.analysis import build_markov_abstraction, build_nonmarkov_embedding
 from nonmarkov.core import FiniteMDP, Outcome, ValidationError, is_degenerate, save_mdp
 from nonmarkov.envs import (
@@ -15,6 +17,7 @@ from nonmarkov.envs import (
     optimal_return,
     value_iteration,
 )
+from nonmarkov.experiments import SweepConfig, run_sweep
 
 
 def rollout(env, seed, actions):
@@ -195,6 +198,116 @@ def _choice_episode(m, seed, actions) -> list:
         state = o.next_state
         expected.append((state, o.reward))
     return expected
+
+
+def _episode(env, seed, actions) -> list:
+    """`_choice_episode`'s list for `env` (a FiniteMDPEnv), run from reset(seed)."""
+    m = env.mdp
+    got = [m.match_states([env.reset(seed)])[0]]
+    for a in actions:
+        obs, reward, _, _ = env.step(a)
+        got.append((m.match_states([obs])[0], reward))
+    return got
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh `envs._SEEDED`, so the first reset of a seed misses."""
+    memo = {}
+    monkeypatch.setattr(envs, "_SEEDED", memo)
+    return memo
+
+
+class TestResetSeed:
+    """reset takes an int >= 0, Python or numpy, and rejects anything else before any change."""
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, None, True, np.bool_(True), "3", np.int64(-2)])
+    def test_bad_seed_rejected_before_any_change(self, seed):
+        # -1 raised numpy's ValueError, 2.5 a TypeError, None seeded from OS entropy, and
+        # True was seed 1
+        m = make_chain(5, p_slip=0.4)
+        env, actions = FiniteMDPEnv(m, max_steps=8), [1, 0, 1, 1, 0, 1, 1]
+        got = [m.match_states([env.reset(11)])[0]]
+        obs, reward, _, _ = env.step(actions[0])
+        got.append((m.match_states([obs])[0], reward))
+        with pytest.raises(ValidationError, match=re.escape(f"must be an integer >= 0, got {seed!r}")):
+            env.reset(seed)
+        for a in actions[1:]:  # the episode goes on as if the reset was never called
+            obs, reward, _, _ = env.step(a)
+            got.append((m.match_states([obs])[0], reward))
+        assert got == _choice_episode(m, 11, actions)
+
+    def test_bad_seed_on_a_fresh_env(self):
+        env = FiniteMDPEnv(make_chain(3))
+        with pytest.raises(ValidationError, match="reset seed"):
+            env.reset(-1)
+        with pytest.raises(EpisodeFinishedError):
+            env.step(0)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint32(3), np.int8(3)])
+    def test_numpy_int_is_the_python_int(self, seed, empty_memo):
+        m = make_random_mdp(4, 5, 3, branching=5)
+        actions = np.random.default_rng(96).integers(3, size=20).tolist()
+        want = _episode(FiniteMDPEnv(m, max_steps=20), 3, actions)
+        assert _episode(FiniteMDPEnv(m, max_steps=20), seed, actions) == want  # a hit
+        empty_memo.clear()
+        assert _episode(FiniteMDPEnv(m, max_steps=20), seed, actions) == want  # a miss
+        assert list(empty_memo) == [3] and type(next(iter(empty_memo))) is int
+
+
+class TestSeedMemo:
+    """`envs._SEEDED` holds the first batch of doubles per reset seed; a memo hit gives the
+    doubles a fresh `default_rng(seed)` gives."""
+
+    @pytest.mark.parametrize("m", _sampler_processes())
+    def test_repeated_seed_same_episode(self, m, empty_memo):
+        env = FiniteMDPEnv(m, max_steps=8)
+        rng = np.random.default_rng(95)
+        for seed in range(60):
+            actions = rng.integers(m.num_actions, size=8).tolist()
+            first = _episode(env, seed, actions)
+            assert len(empty_memo[seed]) == 9 * 8  # max_steps + 1 doubles
+            assert _episode(env, seed, actions) == first == _choice_episode(m, seed, actions)
+            assert _episode(FiniteMDPEnv(m, max_steps=8), seed, actions) == first
+
+    @pytest.mark.parametrize("m", _sampler_processes())
+    def test_long_episode_continues_past_the_stored_batch(self, m, empty_memo):
+        env = FiniteMDPEnv(m)  # a batch of 4 doubles, so the rest comes from a new generator
+        actions = np.random.default_rng(94).integers(m.num_actions, size=3000).tolist()
+        first = _episode(env, 7, actions)
+        assert len(empty_memo[7]) == 4 * 8
+        assert _episode(env, 7, actions) == first == _choice_episode(m, 7, actions)
+
+    def test_batch_lengths_alternate_on_one_seed(self, empty_memo):
+        m = make_chain(5, p_slip=0.4)
+        bounded, plain = FiniteMDPEnv(m, max_steps=8), FiniteMDPEnv(m)
+        actions = [1, 1, 0, 1, 1, 1, 0, 1]
+        want = _choice_episode(m, 5, actions)
+        for env, batch in [(bounded, 9), (plain, 4), (bounded, 9), (bounded, 9), (plain, 4)]:
+            assert _episode(env, 5, actions) == want
+            assert len(empty_memo[5]) == 8 * batch  # a batch of another length missed
+        assert _episode(plain, 5, actions * 3) == _choice_episode(m, 5, actions * 3)
+
+    def test_memo_emptied_at_the_cap(self, empty_memo, monkeypatch):
+        monkeypatch.setattr(envs, "SEED_CAP", 3)  # read at call time
+        m = make_random_mdp(6, 6, 2, branching=3)
+        env = FiniteMDPEnv(m, max_steps=8)
+        actions = [0, 1, 1, 0, 1, 0, 0, 1]
+        sizes = []
+        for seed in [0, 1, 2, 0, 3, 1, 4, 5, 6, 2, 2, 7, 0]:
+            assert _episode(env, seed, actions) == _choice_episode(m, seed, actions)
+            sizes.append(len(empty_memo))
+        assert sizes == [1, 2, 3, 3, 1, 2, 3, 1, 2, 3, 3, 1, 2]
+
+    def test_sweep_same_bytes_cold_warm_and_emptied(self, empty_memo):
+        cfg = SweepConfig(envs=["chain:5:0.4"], wrappers=["S^1", "D^2"],
+                          agents=["qwin:1", "qwin:2"], seeds=[0, 1], episodes=60,
+                          eval_episodes=10, horizon=8, workers=1)
+        cold = run_sweep(cfg)
+        assert len(empty_memo) == 2 * 70  # each seed's episode seeds, shared by its four cells
+        warm = run_sweep(cfg)
+        empty_memo.clear()
+        assert cold == warm == run_sweep(cfg)
 
 
 class TestEnvIds:
