@@ -32,8 +32,8 @@ reader.  Streaming: a stream state is a hashable tuple (t, xs, gs, rest) per sta
 for a gain stage (else None), the bytes of the last len(b)-1 filter inputs and len(a)-1
 aggregates, newest first, and the next stage's state or None.  From `begin()`,
 `push(state, s)` (encode) and `pull(state, g)` (decode) return the next state with the
-next aggregate or decoded raw state.  Only `push` validates its input, and it rejects an
-aggregate that overflows float64; `pull` takes states (`as_state` results, outputs).
+next aggregate or decoded raw state.  Only `push` validates its input (`pull` takes states:
+`as_state` results, outputs); `push`, `aggregate` and `decode` reject a non-finite output.
 """
 from __future__ import annotations
 
@@ -176,10 +176,7 @@ class Filter:
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the stage
             x = s if state[0] is None else self.weight(state[0]) * s
             g = self._fold(state, self.b[0] * x, 1.0)
-        if not np.isfinite(g).all():
-            raise ValidationError(f"filter {self.label or 'stage'} overflows float64: "
-                                  "an aggregate is not finite")
-        data = g.tobytes()
+        data = self._finite(g, "an aggregate").tobytes()
         g = np.frombuffer(data)
         rest, y = (None, g) if self.then is None else self.then.push(state[3], g)
         return self._commit(state, x.tobytes(), data, rest), y
@@ -194,21 +191,28 @@ class Filter:
         s.flags.writeable = False
         return self._commit(state, x.tobytes(), g.tobytes(), rest), s
 
+    def _finite(self, y: np.ndarray, what: str) -> np.ndarray:
+        if not np.isfinite(y).all():
+            raise ValidationError(f"filter {self.label or 'stage'} overflows float64: "
+                                  f"{what} is not finite")
+        return y
+
     # -- batch -------------------------------------------------------------
 
-    def _gains(self, n: int) -> np.ndarray:
-        w = np.array(self.gain[:n])
+    def _gained(self, x: np.ndarray, op) -> np.ndarray:  # op(x, w): row t of x by gain w_t
+        if self.gain is None:
+            return x
+        w = np.array(self.gain[:len(x)])
         bad = np.flatnonzero(np.abs(w) < KERNEL_HEAD_TOL)
-        if bad.size or len(w) < n:
+        if bad.size or len(w) < len(x):
             self.weight(int(bad[0]) if bad.size else len(w))  # raises the first error
-        return w[:, None]
+        with np.errstate(over="ignore"):  # `_finite` names the stage
+            return op(x, w[:, None])
 
     def aggregate(self, trajectory) -> np.ndarray:
         """Aggregates of a whole (T, k) trajectory."""
-        x = _batch(trajectory)
-        if self.gain is not None:
-            x = x * self._gains(len(x))
-        g = _convolve(self.b, self.a, x)
+        x = self._gained(_batch(trajectory), np.multiply)
+        g = self._finite(_convolve(self.b, self.a, x), "an aggregate")
         return g if self.then is None else self.then.aggregate(g)
 
     def decode(self, aggregates) -> np.ndarray:
@@ -216,8 +220,7 @@ class Filter:
         g = _batch(aggregates)
         if self.then is not None:
             g = self.then.decode(g)
-        x = _convolve(self.a, self.b, g)
-        return x if self.gain is None else x / self._gains(len(x))
+        return self._finite(self._gained(_convolve(self.a, self.b, g), np.divide), "a raw state")
 
     # -- kernel view -------------------------------------------------------
 

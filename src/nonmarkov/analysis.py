@@ -25,10 +25,9 @@ from .core import (
     UndecodableHistoryError,
     ValidationError,
     as_state,
-    canonical_distribution,
-    canonical_equal,
-    distributions_equal,
+    canonical,
     frozen,
+    same_law,
 )
 from .wrappers import AggregatedMDPOracle
 
@@ -64,9 +63,13 @@ class DependencyStructure:
         return out
 
 
-def _flat_dist(dist):
-    """Transition outcomes as a canonical distribution over flat key tuples."""
-    return canonical_distribution([((*obs.tolist(), reward), p) for (obs, reward), p in dist])
+def _law(row) -> np.ndarray:  # a transition row as a `canonical` law of (*obs, reward) rows
+    keys = [[*obs.tolist(), reward] for (obs, reward), _ in row]
+    for k in keys:
+        if len(k) != len(keys[0]):
+            raise ValidationError("observation dimensions differ in a transition row: "
+                                  f"{len(keys[0]) - 1} then {len(k) - 1}")
+    return canonical(keys, [p for _, p in row])
 
 
 def empirical_dependency(oracle: NMDPOracle, h: History, state_pool) -> DependencyStructure:
@@ -107,10 +110,10 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool) -> Dependen
             vkey = (base_key, oracle.key(p))
             verdict = verdicts.get(vkey)  # whether the rows differ, or _UNDECODABLE
             if verdict is None:
-                base = base or {a: _flat_dist(transition_at(prefixes[-1], a)) for a in actions}
+                base = base or {a: _law(transition_at(prefixes[-1], a)) for a in actions}
                 try:
-                    verdict = any(not canonical_equal(
-                        base[a], _flat_dist(transition_at(p, a)), PROB_TOL) for a in actions)
+                    verdict = any(not same_law(base[a], _law(transition_at(p, a)))
+                                  for a in actions)
                 except UndecodableHistoryError:
                     verdict = _UNDECODABLE
                 if base_key is not None:
@@ -385,16 +388,15 @@ def verify_equivalence_roundtrip(m: FiniteMDP, horizon: int,
             violations.append({"where": f"history {i} (t={hs.t[i]})",
                                "expected": "embedded state", "got": "undecodable last state"})
             continue
-        row = hm.row(i, a)
-        if any(decoded[n] < 0 for n, _, _ in row):
+        got, expected = np.array(hm.row(i, a)), np.array(m.row(decoded[i], a))  # (n, 3) rows
+        got[:, 0] = decoded[got[:, 0].astype(np.intp)]
+        if (got[:, 0] < 0).any():
             continue  # the undecodable child is a violation of its own
-        got = [((float(decoded[n]), r), p) for n, r, p in row]
-        expected = [((float(n), r), p) for n, r, p in m.row(decoded[i], a)]
-        if not distributions_equal(expected, got, tol):
+        if not same_law(*(canonical(x[:, :2], x[:, 2]) for x in (expected, got)), tol):
             violations.append({
                 "where": f"history {i} (t={hs.t[i]}), action {a}",
-                "expected": sorted(expected),
-                "got": sorted(got),
+                "expected": sorted(((n, r), p) for n, r, p in expected.tolist()),
+                "got": sorted(((n, r), p) for n, r, p in got.tolist()),
             })
     return {"pass": not violations, "violations": violations,
             "histories": len(hs), "horizon": horizon}

@@ -127,40 +127,22 @@ def initial_history(s0) -> History:
 
 # -- finite distributions ----------------------------------------------------
 
-def canonical_distribution(outcomes):
-    """Sort (key, prob) outcomes by key and merge duplicates.
-
-    Keys must be comparable tuples.  Probabilities of identical keys are
-    summed; the result is a tuple of (key, prob) pairs sorted by key.
-    """
-    merged: dict = {}
-    for key, prob in outcomes:
-        merged[key] = merged.get(key, 0.0) + prob
-    return tuple(sorted(merged.items()))
-
-
-def distributions_equal(d1, d2, tol: float = PROB_TOL) -> bool:
-    """Exact comparison of canonicalized distributions (see `canonical_equal`)."""
-    return canonical_equal(canonical_distribution(d1), canonical_distribution(d2), tol)
+def canonical(keys, prob) -> np.ndarray:
+    """A finite law as one (m, d + 1) array: its distinct (n, d) key rows in lexicographic
+    order (-0.0 is 0.0, a NaN equals nothing), each followed by its summed probabilities."""
+    if not len(prob):
+        return np.zeros((0, 2))  # every empty law is the same
+    keys = np.array(keys, dtype=float) + 0.0
+    order = np.lexsort(keys.T[::-1])  # stable: a row's probabilities add in input order
+    keys = keys[order]
+    new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+    sums = np.bincount(np.cumsum(new) - 1, np.asarray(prob, dtype=float)[order])
+    return np.concatenate([keys[new], sums[:, None]], axis=1)
 
 
-def canonical_equal(c1, c2, tol: float = PROB_TOL) -> bool:
-    """Comparison of two `canonical_distribution` results.
-
-    Keys are tuples of floats; two keys match when all components agree
-    within `tol`, and matched probabilities must also agree within `tol`;
-    a NaN never agrees.
-    """
-    if len(c1) != len(c2):
-        return False
-    for (k1, p1), (k2, p2) in zip(c1, c2):
-        if len(k1) != len(k2):
-            return False
-        if not all(abs(a - b) <= tol for a, b in zip(k1, k2)):
-            return False
-        if not abs(p1 - p2) <= tol:
-            return False
-    return True
+def same_law(c1, c2, tol: float = PROB_TOL) -> bool:
+    """Whether `canonical` laws c1, c2 have one shape and agree within `tol`; NaN never agrees."""
+    return c1.shape == c2.shape and bool((np.abs(c1 - c2) <= tol).all())
 
 
 class Outcome(NamedTuple):
@@ -332,12 +314,13 @@ class FiniteMDP:
 
 def is_degenerate(m: FiniteMDP) -> bool:
     """True iff two distinct states have identical outcome rows for every action."""
-    buckets = {}  # by the canonical rows' next states, which equal rows share
-    cells = [canonical_distribution(zip(zip(n[:k], r[:k]), p[:k])) for n, r, p, k in zip(
-        m.next.tolist(), m.reward.tolist(), m.prob.tolist(), m.length.tolist())]
-    for rows in zip(*[iter(cells)] * m.num_actions):
-        buckets.setdefault(tuple(tuple(key[0] for key, _ in r) for r in rows), []).append(rows)
-    return any(all(map(canonical_equal, r1, r2))
+    live = np.arange(m.prob.shape[1]) < m.length[:, None]
+    cell = np.divmod(np.repeat(np.arange(len(m.length)), m.length), m.num_actions)
+    law = canonical(np.column_stack([*cell, m.next[live], m.reward[live]]), m.prob[live])
+    buckets = {}  # by a state's exact (action, next state) columns, which equal rows share
+    for rows in np.split(law, np.searchsorted(law[:, 0], np.arange(1, m.num_states))):
+        buckets.setdefault(rows[:, 1:3].tobytes(), []).append(rows[:, 3:])
+    return any(same_law(r1, r2)
                for bucket in buckets.values() for r1, r2 in combinations(bucket, 2))
 
 

@@ -51,9 +51,9 @@ class Environment:
 class FiniteMDPEnv(Environment):
     """Sampling adapter around a tabular process.
 
-    `reset` and `step` hand out one read-only row object per state, and pick the outcome
-    `Generator.choice(p=...)` would pick with the episode's next `Generator.random()` double
-    from a cumulative table compiled once per row.  The doubles are drawn in batches, which
+    `reset` and `step` hand out one read-only row object per state, and pick the (next state,
+    reward) slot `Generator.choice(p=...)` would pick with the episode's next `random()` double
+    from a cumulative table of the cell's live slots.  The doubles are drawn in batches, which
     give the same doubles: `min(max_steps + 1, 64)` at a time, or 4 with no `max_steps`.
     The first batch of a seed is kept in `_SEEDED`, so the cells of a sweep that share a
     seed hash each episode seed through `SeedSequence` once.
@@ -68,7 +68,7 @@ class FiniteMDPEnv(Environment):
         self.num_actions = mdp.num_actions
         self._rho0_cdf = _choice_cdf(mdp.rho0)
         self._cdf = [_choice_cdf(p[:n] / p[:n].sum()) for p, n in zip(mdp.prob, mdp.length)]
-        self._rows = [row for per_action in mdp.outcomes for row in per_action]  # by cell
+        self._rows = [list(zip(n, r)) for n, r in zip(mdp.next.tolist(), mdp.reward.tolist())]
         self._obs = list(mdp.embedding)  # views of the read-only embedding
         self._batch = 4 if max_steps is None else min(max_steps + 1, 64)  # doubles at a time
         self._done = True  # until reset sets the episode's _draws, _state and _steps
@@ -87,7 +87,7 @@ class FiniteMDPEnv(Environment):
         if not 0 <= action < self.num_actions:
             raise ValidationError(f"action {action} out of range")
         cell = self._state * self.num_actions + action
-        self._state, reward, _ = self._rows[cell][bisect_right(self._cdf[cell], next(self._draws))]
+        self._state, reward = self._rows[cell][bisect_right(self._cdf[cell], next(self._draws))]
         self._steps += 1
         self._done = self._steps == self.max_steps  # truncated
         return self._obs[self._state], reward, False, self._done

@@ -668,6 +668,22 @@ class TestChain:
         assert pushed == at
 
 
+    @pytest.mark.parametrize("text, stage, method, x", [
+        ("conv:1e308,1e308", "conv:1e308,1e308", "aggregate", np.ones((3, 1))),
+        ("S^1", "S^1", "aggregate", [[1e308], [1e308]]),
+        ("S^1+corr:1e308,2", "corr:1e+308,2", "aggregate", [[2.0], [1.0]]),
+        ("corr:1,1e308", "corr:1,1e308", "aggregate", [[2.0], [2.0]]),
+        ("S^1", "S^1", "decode", [[1e308], [-1e308]]),
+        ("corr:1e-8,1e-8", "corr:1e-8,1e-8", "decode", [[1e305]]),
+        ("S^1+corr:1,1e-8", "corr:1,1e-08", "decode", [[1.0], [1e305]])])
+    def test_overflowing_batch_raises(self, text, stage, method, x):
+        # the batch path returned inf, and -inf, where the stream raises
+        with warnings.catch_warnings(), pytest.raises(
+                ValidationError, match=re.escape(f"filter {stage} overflows float64")):
+            warnings.simplefilter("error")
+            getattr(parse_spec(text), method)(x)
+
+
 class TestSpecs:
     def test_identity_specs(self):
         rng = np.random.default_rng(13)

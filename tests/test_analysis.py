@@ -10,11 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tuple_laws
+
 from nonmarkov import aggregators, analysis, experiments
 from nonmarkov.aggregators import Filter, parse_spec
 from nonmarkov.analysis import (
     DependencyStructure,
-    _flat_dist,
     Histories,
     HistoryMDP,
     StateExplosionError,
@@ -29,7 +30,7 @@ from nonmarkov.analysis import (
 )
 from nonmarkov.core import (
     PROB_TOL, FiniteMDP, History, NMDPOracle, Outcome, UndecodableHistoryError,
-    ValidationError, distributions_equal, initial_history, is_degenerate)
+    ValidationError, initial_history, is_degenerate, same_law)
 from nonmarkov.envs import make_chain, make_mdp_from_id, make_random_mdp, optimal_return
 from nonmarkov.experiments import SweepConfig, run_sweep
 from nonmarkov.wrappers import AggregatedMDPOracle, as_nmdp_oracle
@@ -200,7 +201,7 @@ def whole_history_dependency(oracle, h, state_pool):
     """Reference empirical dependency: every perturbed History is built whole
     and every transition asks the oracle's History form."""
     actions = range(oracle.num_actions)
-    base = {a: _flat_dist(oracle.transition(h, a)) for a in actions}
+    base = {a: tuple_laws.flat_dist(oracle.transition(h, a)) for a in actions}
     indices, undecodable = [], 0
     for i in range(h.t + 1):
         hit = False
@@ -210,12 +211,12 @@ def whole_history_dependency(oracle, h, state_pool):
             perturbed = History(h.states[:i] + (cand,) + h.states[i + 1:], h.actions, h.rewards)
             for a in actions:
                 try:
-                    d = _flat_dist(oracle.transition(perturbed, a))
+                    d = tuple_laws.flat_dist(oracle.transition(perturbed, a))
                 except UndecodableHistoryError:
                     undecodable += 1
                     hit = True
                     break
-                if not distributions_equal(base[a], d, PROB_TOL):
+                if not tuple_laws.canonical_equal(base[a], d, PROB_TOL):
                     hit = True
                     break
             if hit:
@@ -230,6 +231,40 @@ def result_or_error(fn, *args):
         return fn(*args)
     except ValidationError as exc:
         return type(exc), str(exc)
+
+
+class RowOracle(NMDPOracle):
+    """A History-form oracle over 1-d states whose one action's row is `rows(h)`, and
+    whose candidates are the pool's rows."""
+
+    num_actions = 1
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def transition(self, h, action):
+        return self.rows(h)
+
+    def substitution_candidates(self, h, index, state_pool):
+        return list(state_pool)
+
+
+class TestEdgeRows:
+    H, POOL = initial_history([0.0]), [[0.0], [1.0]]
+
+    def test_empty_rows_are_one_law(self):
+        assert empirical_dependency(RowOracle(lambda h: []), self.H, self.POOL).indices == ()
+
+    def test_empty_row_differs_from_a_nonempty_one(self):
+        oracle = RowOracle(lambda h: [] if h.states[0][0] else [((np.zeros(1), 0.0), 1.0)])
+        assert empirical_dependency(oracle, self.H, self.POOL).indices == (0,)
+
+    def test_ragged_row_names_both_lengths(self):
+        # its keys were compared as tuples of mixed lengths, without a word
+        oracle = RowOracle(lambda h: [((np.zeros(2), 0.0), 0.5), ((np.zeros(3), 1.0), 0.5)])
+        with pytest.raises(ValidationError, match="observation dimensions differ in a "
+                                                  "transition row: 2 then 3"):
+            empirical_dependency(oracle, self.H, self.POOL)
 
 
 class HistoryOnlyOracle(NMDPOracle):
@@ -388,13 +423,13 @@ class TestVerdictsByKey:
         assert (sum(d.undecodable for d in expected) > 0) == (spec != "S^0")
 
     def test_warm_pass_compares_no_rows(self, monkeypatch):
-        calls, compare = [0], analysis.canonical_equal
+        calls, compare = [0], analysis.same_law
 
         def counted(*args):
             calls[0] += 1
             return compare(*args)
 
-        monkeypatch.setattr(analysis, "canonical_equal", counted)
+        monkeypatch.setattr(analysis, "same_law", counted)
         oracle = as_nmdp_oracle(SLIPPY_CHAIN5, "S^2")
         hs = list(reachable_histories(oracle, max_t=5))
         cold = dependency_pass(oracle, hs)
@@ -479,12 +514,10 @@ class TestNonMarkovEmbedding:
         for h in hs:
             key = tuple(h.states[-1])
             by_last.setdefault(key, []).append(h)
-        from nonmarkov.core import distributions_equal
-        from nonmarkov.analysis import _flat_dist
         for group in by_last.values():
             for a in range(2):
-                dists = [_flat_dist(oracle.transition(h, a)) for h in group]
-                assert all(distributions_equal(dists[0], d) for d in dists)
+                dists = [analysis._law(oracle.transition(h, a)) for h in group]
+                assert all(same_law(dists[0], d) for d in dists)
 
     def test_last_state_row(self):
         oracle = build_nonmarkov_embedding(CHAIN5)
@@ -640,6 +673,52 @@ class TestAggregatedTreeIsTheRawTree:
         for t in range(6):
             got = parse_spec(spec).decode(observations_at(hm.histories, t))
             assert np.max(np.abs(got - observations_at(raw.histories, t))) <= ROUNDTRIP_TOL, t
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(0, 199), st.integers(1, 4), st.integers(1, 2),
+           st.integers(1, 2), st.integers(1, 4))
+    def test_any_spec_on_any_small_process(self, data, seed, states, actions, branching,
+                                           horizon):
+        spec = data.draw(has_specs(horizon), label="spec")
+        m = make_random_mdp(seed, states, actions, branching)
+        raw = build_markov_abstraction(build_nonmarkov_embedding(m), horizon)
+        hm = build_markov_abstraction(as_nmdp_oracle(m, spec), horizon)
+        for name in ("next", "reward", "prob", "length", "rho0"):
+            got, want = getattr(hm.mdp, name), getattr(raw.mdp, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
+
+
+@st.composite
+def has_specs(draw, horizon):
+    """A spec of the wrapper grammar: every family, and `+`-chains of up to three atoms,
+    gains among them, of total order at most 8 (a power counts n, a `conv` band its tail,
+    S, D, S_l, D_l and corr one).  A band is head-dominant, so its decoder is stable, and
+    a `corr` gain lies in [0.5, 2] and lasts past `horizon`."""
+    atoms, budget = [], 8
+    for _ in range(draw(st.integers(1, 3))):
+        family = draw(st.sampled_from(["id", "S^", "D^", "conv"] + budget * ["S", "D", "S_l",
+                                                                           "D_l", "corr"]))
+        budget -= family in ("S", "D", "S_l", "D_l", "corr")
+        if family in ("S^", "D^"):
+            n = draw(st.integers(0, budget))
+            budget -= n
+            atoms.append(f"{family}{n}")
+        elif family == "conv":
+            head = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+            tail = draw(st.lists(st.floats(-1.0, 1.0), max_size=budget))
+            budget -= len(tail)
+            scale = 0.8 * abs(head) / max(sum(map(abs, tail)), 0.8 * abs(head))
+            atoms.append("conv:" + ",".join(repr(c) for c in (head, *(c * scale for c in tail))))
+        elif family == "corr":
+            gains = draw(st.lists(st.floats(0.5, 2.0), min_size=horizon + 1, max_size=8))
+            atoms.append("corr:" + ",".join(map(repr, gains)))
+        elif family in ("S_l", "D_l"):
+            atoms.append(f"{family}:{draw(st.floats(0.0, 1.0))!r}")
+        else:
+            atoms.append(family)
+    return "+".join(atoms)
 
 
 class RoundingOracle(NMDPOracle):

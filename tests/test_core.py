@@ -5,6 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tuple_laws
 
 from nonmarkov.core import (
     EMBED_MATCH_TOL,
@@ -14,14 +18,14 @@ from nonmarkov.core import (
     Outcome,
     ValidationError,
     as_state,
-    canonical_distribution,
-    distributions_equal,
+    canonical,
     frozen,
     initial_history,
     is_degenerate,
     load_mdp,
     mdp_from_dict,
     mdp_to_json,
+    same_law,
     save_mdp,
 )
 from nonmarkov.aggregators import parse_spec
@@ -173,37 +177,92 @@ class TestHistory:
 
 class TestDistributions:
     def test_canonical_merges_duplicates(self):
-        d = canonical_distribution([((0, 1.0), 0.25), ((0, 1.0), 0.25), ((1, 0.0), 0.5)])
-        assert d == (((0, 1.0), 0.5), ((1, 0.0), 0.5))
+        law = canonical([[0, 1.0], [0, 1.0], [1, 0.0]], [0.25, 0.25, 0.5])
+        assert law.tolist() == [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]
+
+    def test_canonical_sums_in_input_order(self):
+        # the tuple form's dict sum, 0.0 + p1 + p2 + ..., bit for bit; -0.0 is 0.0
+        probs = [0.1, 0.7, 0.2, 1e-17, 0.3]
+        law = canonical([[-0.0], [1.0], [0.0], [-0.0], [1.0]], probs)
+        assert law.tolist() == [[0.0, 0.0 + 0.1 + 0.2 + 1e-17], [1.0, 0.0 + 0.7 + 0.3]]
+        assert str(law[0, 0]) == "0.0"
 
     def test_equal_up_to_order(self):
-        d1 = [((0.0, 1.0), 0.5), ((1.0, 0.0), 0.5)]
-        d2 = [((1.0, 0.0), 0.5), ((0.0, 1.0), 0.5)]
-        assert distributions_equal(d1, d2)
+        c1 = canonical([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+        c2 = canonical([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
+        assert same_law(c1, c2)
+        assert not same_law(c1, canonical([[0.0, 1.0]], [1.0]))
+        # one (1, 4) law and one (2, 2) law hold the same numbers in the same order
+        assert not same_law(canonical([[0.0, 0.5, 1.0]], [0.0]), canonical([[0.0], [1.0]],
+                                                                             [0.5, 0.0]))
 
     def test_unequal_probs(self):
-        d1 = [((0.0,), 0.5), ((1.0,), 0.5)]
-        d2 = [((0.0,), 0.4), ((1.0,), 0.6)]
-        assert not distributions_equal(d1, d2)
+        c1 = canonical([[0.0], [1.0]], [0.5, 0.5])
+        c2 = canonical([[0.0], [1.0]], [0.4, 0.6])
+        assert not same_law(c1, c2)
 
     def test_tolerance(self):
-        d1 = [((0.0,), 1.0)]
-        d2 = [((1e-13,), 1.0)]
-        assert distributions_equal(d1, d2, tol=1e-12)
-        assert not distributions_equal(d1, d2, tol=1e-14)
+        c1 = canonical([[0.0]], [1.0])
+        c2 = canonical([[1e-13]], [1.0])
+        assert same_law(c1, c2, tol=1e-12)
+        assert not same_law(c1, c2, tol=1e-14)
+        assert same_law(canonical([[0.0]], [1.0 - 0.5 * PROB_TOL]), c1)
+        assert not same_law(canonical([[0.0]], [1.0 - 2 * PROB_TOL]), c1)
 
     def test_nan_key_component_never_equal(self):
-        d1 = [((1.0, 0.0), 1.0)]
-        d2 = [((float("nan"), 0.0), 1.0)]
-        assert not distributions_equal(d1, d2)
-        assert not distributions_equal(d2, d1)
-        assert not distributions_equal(d2, d2)
+        c1 = canonical([[1.0, 0.0]], [1.0])
+        c2 = canonical([[float("nan"), 0.0]], [1.0])
+        assert not same_law(c1, c2)
+        assert not same_law(c2, c1)
+        assert not same_law(c2, c2)
+
+    def test_nan_keys_are_not_merged(self):
+        nan = float("nan")
+        assert canonical([[nan], [nan], [0.0]], [0.25, 0.25, 0.5]).shape == (3, 2)
 
     def test_nan_probability_never_equal(self):
-        d1 = [((1.0, 0.0), 1.0)]
-        d2 = [((1.0, 0.0), float("nan"))]
-        assert not distributions_equal(d1, d2)
-        assert not distributions_equal(d2, d1)
+        c1 = canonical([[1.0, 0.0]], [1.0])
+        c2 = canonical([[1.0, 0.0]], [float("nan")])
+        assert not same_law(c1, c2)
+        assert not same_law(c2, c1)
+
+    def test_empty_laws_are_equal(self):
+        empty = canonical([], [])
+        assert same_law(empty, canonical(np.zeros((0, 3)), []))
+        assert not same_law(empty, canonical([[0.0]], [1.0]))
+
+    KEYS = [0.0, -0.0, 0.5, 1.0, 1.0 + 0.5 * PROB_TOL, 1.0 - 0.5 * PROB_TOL,
+            1.0 + 2 * PROB_TOL, 1.0 - 2 * PROB_TOL, float("nan")]
+
+    @staticmethod
+    @st.composite
+    def law_pair(draw):
+        """Two laws over d-column keys: the second a permutation of the first, with rows
+        split in two, keys and probabilities moved within or past the tolerance, or
+        another law altogether."""
+        d = draw(st.integers(1, 3))
+        key = st.lists(st.sampled_from(TestDistributions.KEYS), min_size=d, max_size=d)
+        prob = st.sampled_from([0.5, 0.25, 0.1, 0.2, 1.0, 0.5 + 0.5 * PROB_TOL,
+                                0.5 + 2 * PROB_TOL, float("nan")])
+        first = draw(st.lists(st.tuples(key, prob), max_size=5))
+        second = draw(st.permutations(first) | st.lists(st.tuples(key, prob), max_size=5))
+        if second and draw(st.booleans()):  # one row split in two halves
+            (k, p), *rest = second
+            second = [*rest, (k, p / 2), (k, p / 2)]
+        return d, first, second
+
+    @settings(max_examples=400, deadline=None)
+    @given(law_pair())
+    def test_matches_the_tuple_form(self, pair):
+        d, first, second = pair
+        laws = [canonical([k for k, _ in x], [p for _, p in x]) for x in (first, second)]
+        tuples = [[(tuple(k), p) for k, p in x] for x in (first, second)]
+        assert same_law(*laws) == tuple_laws.distributions_equal(*tuples)
+        for law, x in zip(laws, tuples):
+            reference = [[*k, p] for k, p in tuple_laws.canonical_distribution(x)]
+            nan_key = any(map(np.isnan, np.ravel([k for k, _ in x])))  # merged by identity
+            if x and not nan_key:  # every empty law is the same (0, 2) array
+                assert np.array_equal(law, reference, equal_nan=True)
 
 
 class TestFiniteMDP:
@@ -605,6 +664,17 @@ class TestDegeneracy:
                 assert is_degenerate(m) == pairwise_degenerate(m) == expected
 
 
+def test_degenerate_rows_split_by_action():
+    # the two states list next states 0, 1, 1 with equal rewards and probabilities in
+    # order, but action 0 of state 0 has two outcomes where state 1's has one
+    zero, one = Outcome(1, 0.0, 0.0), Outcome(1, 1.0, 1.0)
+    m = FiniteMDP(num_states=2, num_actions=2, rho0=np.array([1.0, 0.0]),
+                  outcomes=(((Outcome(0, 0.0, 1.0), zero), (one,)),
+                            ((Outcome(0, 0.0, 1.0),), (zero, one))),
+                  embedding=([0.0], [1.0]))
+    assert not is_degenerate(m) and not pairwise_degenerate(m)
+
+
 def perturbed(lst, rng):
     """The outcome list reordered, with one outcome split in two, or with a
     reward or a pair of probabilities moved by 0.5x or 2x PROB_TOL."""
@@ -629,7 +699,7 @@ def pairwise_degenerate(m):
     """The O(S^2) rule: some pair of distinct states has equal rows for every action."""
     rows = [[[((o.next_state, o.reward), o.prob) for o in lst] for lst in per_action]
             for per_action in m.outcomes]
-    return any(all(map(distributions_equal, rows[i], rows[j]))
+    return any(all(map(tuple_laws.distributions_equal, rows[i], rows[j]))
                for i in range(m.num_states) for j in range(i + 1, m.num_states))
 
 

@@ -168,6 +168,14 @@ class TestSampler:
             assert truncated == (len(actions) == 8)
             assert got == _choice_episode(m, seed, actions)
 
+    def test_array_built_table_samples_without_its_outcomes(self):
+        # the sampler read `mdp.outcomes`, which builds the tuple view of a table from arrays
+        hm = build_markov_abstraction(build_nonmarkov_embedding(make_chain(3, p_slip=0.25)), 3)
+        actions = np.random.default_rng(96).integers(2, size=200).tolist()
+        got = _episode(FiniteMDPEnv(hm.mdp), 3, actions)
+        assert "outcomes" not in vars(hm.mdp)
+        assert got == _choice_episode(hm.mdp, 3, actions)
+
     def test_long_horizon_reset_draws_a_bounded_batch(self):
         # a reset drew all max_steps + 1 doubles of its episode: 38 MB traced at 10**6
         m = make_chain(5, p_slip=0.3)
