@@ -211,15 +211,18 @@ class Filter:
 
     def aggregate(self, trajectory) -> np.ndarray:
         """Aggregates of a whole (T, k) trajectory."""
-        x = self._gained(_batch(trajectory), np.multiply)
-        g = self._finite(_convolve(self.b, self.a, x), "an aggregate")
-        return g if self.then is None else self.then.aggregate(g)
+        return self._aggregate(_batch(trajectory))
 
     def decode(self, aggregates) -> np.ndarray:
         """Raw states of a whole (T, k) aggregate sequence."""
-        g = _batch(aggregates)
-        if self.then is not None:
-            g = self.then.decode(g)
+        return self._decode(_batch(aggregates))
+
+    def _aggregate(self, x: np.ndarray) -> np.ndarray:  # x: a `_batch` array or a stage's output
+        g = self._finite(_convolve(self.b, self.a, self._gained(x, np.multiply)), "an aggregate")
+        return g if self.then is None else self.then._aggregate(g)
+
+    def _decode(self, g: np.ndarray) -> np.ndarray:  # g: a `_batch` array or a stage's output
+        g = g if self.then is None else self.then._decode(g)
         return self._finite(self._gained(_convolve(self.a, self.b, g), np.divide), "a raw state")
 
     # -- kernel view -------------------------------------------------------

@@ -79,41 +79,51 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool) -> Dependen
     the transition distribution for some action, compared at `PROB_TOL`.  A perturbation
     that makes the history undecodable also counts as a change (the original history
     was decodable, so the transition law visibly differs); such events are tallied in
-    `undecodable`.  Each prefix of h is pulled once; a perturbation pulls the candidate
-    and the suffix onto prefix i, which stays as it was.  Each pool entry is validated
-    here, and the entries become one read-only (n, k) array that every `candidates_at`
-    call gets.  With prefix keys, each verdict is cached in `oracle.verdicts` by (key of h,
-    key of the perturbed prefix), through `remember`, so two keys' rows compare once.
+    `undecodable`.  The pool is checked in one pass (entry by entry only to name a bad one)
+    into one read-only (n, k) array for every `candidates_at` call, and the gaps of all
+    positions' candidates to h's states are one array.  Each prefix of h is pulled once; a
+    perturbation pulls the candidate and the suffix onto prefix i, and with prefix keys stops
+    where it meets h's prefix key at the same position, from where it has h's rows.  Each
+    verdict is cached in `oracle.verdicts` by (key of h, key of the perturbed prefix), through
+    `remember`, so two keys' rows compare once.
     """
-    states = [as_state(s) for s in state_pool]
-    for p in states:
-        if p.shape != h.states[0].shape:
-            raise ValidationError(f"state pool entry of shape {p.shape} does not match "
-                                  f"the history's states of shape {h.states[0].shape}")
-    state_pool = np.array(states).reshape(-1, h.states[0].size)  # (0, k) when empty
-    state_pool.flags.writeable = False
-    actions, pull, transition_at = range(oracle.num_actions), oracle.pull, oracle.transition_at
+    t, k, states = h.t, h.states[0].size, list(state_pool)
+    try:  # one pass for a valid pool; the per-entry loop below names the first bad entry
+        pool = np.array(states, dtype=float)
+        valid = pool.ndim == 2 and pool.shape[1] == k and np.isfinite(pool).all()
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        for p in map(as_state, states):
+            if p.shape != h.states[0].shape:
+                raise ValidationError(f"state pool entry of shape {p.shape} does not match "
+                                      f"the history's states of shape {h.states[0].shape}")
+        pool = np.array([as_state(s) for s in states]).reshape(-1, k)  # (0, k) when empty
+    pool.flags.writeable = False
+    actions, pull, key = range(oracle.num_actions), oracle.pull, oracle.key
     steps = list(zip(h.states, (None, *h.actions), (None, *h.rewards)))
     prefixes = [oracle.begin()]  # prefixes[i]: the prefix of positions 0..i-1
     for step in steps:
         prefixes.append(pull(prefixes[-1], *step))
-    base_key, base = oracle.key(prefixes[-1]), None  # base: h's rows, on the first miss
+    keys = [key(q) for q in prefixes]
+    base_key, base = keys[-1], None  # base: h's rows, on the first miss
     verdicts = {} if base_key is None else oracle.verdicts  # empty for an unkeyed oracle
+    cands = [oracle.candidates_at(q, h, pool) for q in prefixes[:-1]]
+    subs = (np.abs(np.array(cands).reshape(t + 1, -1, k) - np.array(h.states)[:, None])
+            .max(axis=2) > PROB_TOL).tolist()  # subs[i]: which candidates substitute at i
     indices, undecodable = [], 0
-    for i in range(h.t + 1):
-        cands = oracle.candidates_at(prefixes[i], h, state_pool)
-        gap = np.abs(np.array(cands).reshape(-1, h.states[i].size) - h.states[i]).max(axis=1)
-        for cand in compress(cands, gap > PROB_TOL):  # substitutions only
-            p = pull(prefixes[i], cand, *steps[i][1:])
-            for step in steps[i + 1:]:
-                p = pull(p, *step)
-            vkey = (base_key, oracle.key(p))
+    for i in range(t + 1):
+        for cand in compress(cands[i], subs[i]):
+            p, j = pull(prefixes[i], cand, *steps[i][1:]), i + 1
+            while j <= t and (base_key is None or key(p) != keys[j]):  # until p rejoins h
+                p, j = pull(p, *steps[j]), j + 1
+            vkey = (base_key, key(p) if j > t else base_key)
             verdict = verdicts.get(vkey)  # whether the rows differ, or _UNDECODABLE
             if verdict is None:
-                base = base or {a: _law(transition_at(prefixes[-1], a)) for a in actions}
-                try:
-                    verdict = any(not same_law(base[a], _law(transition_at(p, a)))
-                                  for a in actions)
+                base = base or {a: _law(oracle.transition_at(prefixes[-1], a)) for a in actions}
+                try:  # a prefix that rejoined h has h's rows
+                    verdict = j > t and any(
+                        not same_law(base[a], _law(oracle.transition_at(p, a))) for a in actions)
                 except UndecodableHistoryError:
                     verdict = _UNDECODABLE
                 if base_key is not None:
@@ -122,7 +132,7 @@ def empirical_dependency(oracle: NMDPOracle, h: History, state_pool) -> Dependen
             if verdict:
                 indices.append(i)
                 break
-    return DependencyStructure(t=h.t, indices=tuple(indices), undecodable=undecodable)
+    return DependencyStructure(t=t, indices=tuple(indices), undecodable=undecodable)
 
 
 def analytical_dependency(spec, t: int) -> DependencyStructure:
@@ -142,11 +152,12 @@ def analytical_dependency(spec, t: int) -> DependencyStructure:
     if spec.then is not None:
         raise ValidationError(f"no analytical dependency form for {spec.label!r}: "
                               "a gain after another stage")
-    num, den = (tuple(x / spec.b[0] for x in c) for c in (spec.a, spec.b))  # as Filter(a, b)
-    c = (aggregators._series(num, den, t + 2) / spec.weight(t)).tolist()
+    b0, w = spec.b[0], spec.weight(t)  # (a/b0, b/b0) as Filter(a, b) makes it: b0 = 1 keeps them
+    num, den = (c if b0 == 1.0 else tuple(x / b0 for x in c) for c in (spec.a, spec.b))
+    c = [x / w for x in aggregators._series(num, den, t + 2).tolist()]  # c[tau]
     big = [abs(x) > DEP_WEIGHT_TOL for x in c]
-    weights = {t - tau: c[tau] for tau in range(t + 1) if big[tau]}
-    indices = tuple(i for i in range(t + 1) if big[t - i] or big[t + 1 - i])
+    weights = {t - tau: x for tau, x, b in zip(range(t + 1), c, big) if b}
+    indices = tuple(i for i, b, b1 in zip(range(t, -1, -1), big, big[1:]) if b or b1)[::-1]
     return DependencyStructure(t=t, indices=indices, weights=weights)
 
 

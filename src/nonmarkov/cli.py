@@ -9,8 +9,8 @@ The sweep uses `--workers` processes when given, else the config file's
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -22,7 +22,6 @@ from .aggregators import parse_spec
 from .analysis import (
     analytical_dependency,
     empirical_dependency,
-    reachable_histories,
     verify_equivalence_roundtrip,
     verify_morphism,
 )
@@ -161,8 +160,15 @@ def _cmd_analyze_deps(args) -> int:
     analytical = analytical_dependency(spec, args.t)
     if m.num_states < 2:  # a one-state pool has nothing to substitute
         raise ValidationError(f"analyze-deps needs >= 2 states, {args.env} has {m.num_states}")
-    at_t = list(itertools.islice((h for h in reachable_histories(oracle, max_t=args.t)
-                                  if h.t == args.t), min(args.max_histories, cap)))
+    walk, want = analysis._HistoryWalk(oracle, args.t), min(args.max_histories, cap)
+    try:  # a depth t cut short by the cap or an error answers when it holds `want` histories
+        for _ in walk.levels():
+            pass
+    except Exception:
+        if not args.t or walk.histories.t.count(args.t) < want:
+            raise
+    lo = bisect.bisect_left(walk.histories.t, args.t)
+    at_t = walk.histories[lo:lo + want]  # builds a History only at depth t
     if not at_t:
         raise ValidationError(f"no reachable histories at t={args.t}")
     empirical = [empirical_dependency(oracle, h, m.embedding) for h in at_t]

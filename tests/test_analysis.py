@@ -196,6 +196,16 @@ class TestEmpiricalDependency:
         with pytest.raises(ValidationError, match=match):
             empirical_dependency(oracle, h, [*POOL, entry])
 
+    @pytest.mark.parametrize("spec", ["S^2", "D^1", "S_l:0.5"])
+    def test_pool_forms_agree(self, spec):
+        # a 2-d array, a list of frozen rows and a list of int lists are one pool
+        oracle = as_nmdp_oracle(CHAIN5, spec)
+        forms = (CHAIN5.embedding, POOL, np.eye(5, dtype=int).tolist())
+        assert np.array_equal(CHAIN5.embedding, np.eye(5))
+        for h in reachable_histories(oracle, max_t=4):
+            first, *rest = (empirical_dependency(oracle, h, pool) for pool in forms)
+            assert all(r == first for r in rest)
+
 
 def whole_history_dependency(oracle, h, state_pool):
     """Reference empirical dependency: every perturbed History is built whole
@@ -437,6 +447,38 @@ class TestVerdictsByKey:
         calls[0] = 0
         assert dependency_pass(oracle, hs) == cold
         assert calls[0] == 0
+
+    def test_keyed_suffixes_stop_where_they_rejoin(self, monkeypatch):
+        # S^3 decodes from its last three aggregates, so a perturbation at position i
+        # meets h's prefix key at i + 3: a warm keyed pass pulls less, with equal results
+        m, spec = make_mdp_from_id("chain:5:0.3"), parse_spec("S^3")
+        keyed, unkeyed = AggregatedMDPOracle(m, spec), UnkeyedOracle(m, spec)
+        hs = list(reachable_histories(keyed, max_t=6))
+        pulls = {}
+        for oracle in (keyed, unkeyed):
+            cold = dependency_pass(oracle, hs)
+            pulls[oracle], pull = 0, oracle.pull
+
+            def counted(*args, oracle=oracle, pull=pull):
+                pulls[oracle] += 1
+                return pull(*args)
+
+            monkeypatch.setattr(oracle, "pull", counted)
+            assert dependency_pass(oracle, hs) == cold
+        assert dependency_pass(keyed, hs) == dependency_pass(unkeyed, hs)
+        assert 0 < pulls[keyed] < pulls[unkeyed]
+
+    @pytest.mark.parametrize("spec", ["S^1", "S^3"])
+    def test_undecodable_history_raises_after_rejoins(self, spec):
+        # every perturbation before the last position rejoins h, whose last state
+        # decodes to nothing: the check raises as it did before suffixes stopped
+        oracle = as_nmdp_oracle(CHAIN5, spec)
+        hs = list(reachable_histories(oracle, max_t=4))
+        dependency_pass(oracle, hs)  # warm: every decodable verdict is cached
+        h = hs[-1]
+        bad = h.extend(0, 0.0, h.states[-1] + np.array([0.5, 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(UndecodableHistoryError, match="t=5 matches no embedded state"):
+            empirical_dependency(oracle, bad, POOL)
 
     def test_verdicts_stop_at_node_cap(self, monkeypatch):
         hs = list(reachable_histories(as_nmdp_oracle(CHAIN5, "S^2"), max_t=5))
